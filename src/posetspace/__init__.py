@@ -24,6 +24,7 @@ from .topology import (
     reduce_countable_subposet,
     restriction_homeomorphism_check,
     separation_check,
+    verify_correspondence,
 )
 from .constructions import (
     FiniteTopSpace,

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poset_core import FinitePoset, GeneratedPoset, PosetError, check_element_id
-from .filters import ChainFilter, Filter, enumerate_filters, upward_closure
-from .topology import PosetSpace
+from .filters import ChainFilter, enumerate_filters, is_directed, is_upward_closed, upward_closure
+from .topology import PosetSpace, union_closure, verify_correspondence
 
 
 class EmptyFactorList(PosetError):
@@ -70,34 +70,15 @@ class FiniteTopSpace:
             for b in self.opens:
                 if a | b not in self._open_set or a & b not in self._open_set:
                     raise TopologyInvalid("opens are not closed under union/intersection")
-        union_closure = {frozenset()}
-        grew = True
-        while grew:
-            grew = False
-            for b in self.basis:
-                for u in list(union_closure):
-                    if u | b not in union_closure:
-                        union_closure.add(u | b)
-                        grew = True
-        if union_closure != set(self._open_set):
+        if union_closure(self.basis) != self._open_set:
             raise TopologyInvalid("designated basis does not generate the opens by unions")
 
     @classmethod
     def from_basis(cls, points, basis_sets, name="space"):
         points = tuple(points)
         index = {p: i for i, p in enumerate(points)}
-        basis = []
-        for s in basis_sets:
-            basis.append(frozenset(index[p] for p in s))
-        opens = {frozenset()}
-        grew = True
-        while grew:
-            grew = False
-            for b in basis:
-                for u in list(opens):
-                    if u | b not in opens:
-                        opens.add(u | b)
-                        grew = True
+        basis = [frozenset(index[p] for p in s) for s in basis_sets]
+        opens = union_closure(basis)
         whole = frozenset(range(len(points)))
         if whole not in opens:
             raise TopologyInvalid("basis does not cover the space")
@@ -175,14 +156,14 @@ class ProductResult:
     coords: dict  # product element id -> tuple of factor element names
     phi: dict  # tuple of factor point indices -> product point index
     phi_inv: dict
-    factor_spaces: tuple
+    factor_spaces: tuple  # MF spaces of the input factors
     space: PosetSpace
     ok: bool
     failure: str = ""
 
 
 def _with_top(poset: FinitePoset):
-    if poset.greatest() is not None:
+    if not len(poset) or poset.greatest() is not None:
         return poset, None
     top = "top"
     while top in poset:
@@ -197,21 +178,18 @@ def _with_top(poset: FinitePoset):
 def product_poset(factors) -> ProductResult:
     """The product order on tuples, with its point maps.
 
-    A fresh greatest element is adjoined to any factor lacking one.  The
-    maps phi (tuples of factor points to product points) and its inverse
-    are built as tables and verified mutually inverse; the verification
-    also checks that membership in a basic open of the product matches
-    coordinatewise basic-open membership.
+    A fresh greatest element is adjoined to any nonempty factor lacking
+    one, so the product of the factor MF spaces is the MF space of the
+    product; a product with an empty factor is empty.  The maps phi
+    (tuples of factor points to product points) and its inverse (the
+    coordinate projections) are built as tables and verified mutually
+    inverse, with membership in a basic open of the product matching
+    coordinatewise membership.
     """
     factors = list(factors)
     if not factors:
         raise EmptyFactorList("at least one factor is required")
-    topped = []
-    tops = []
-    for f in factors:
-        g, t = _with_top(f)
-        topped.append(g)
-        tops.append(t)
+    topped, tops = zip(*(_with_top(f) for f in factors))
 
     sizes = [len(f) for f in topped]
     tuples = list(itertools.product(*[range(s) for s in sizes]))
@@ -232,72 +210,52 @@ def product_poset(factors) -> ProductResult:
         masks.append(m)
     prod = FinitePoset(names, masks, " x ".join(f.name for f in factors))
 
-    fspaces = tuple(PosetSpace(f, "mf") for f in topped)
+    fspaces = tuple(PosetSpace(f, "mf") for f in factors)
     pspace = PosetSpace(prod, "mf")
     point_sets = {f.members: i for i, f in enumerate(pspace.points)}
 
-    ok = True
-    failure = ""
+    # factor point j of factor k as indices into topped[k], adjoined top included
+    coord_sets = [
+        [[g.index(e) for e in upward_closure(g, pt.members)] for pt in sp.points]
+        for g, sp in zip(topped, fspaces)
+    ]
     phi = {}
-    for combo in itertools.product(*[range(len(s)) for s in fspaces]):
+    src_opens = {name: set() for name in names}
+    for combo in itertools.product(*[range(len(sp)) for sp in fspaces]):
         members = frozenset(
-            name
-            for name, cs in coords.items()
-            if all(cs[k] in fspaces[k].points[combo[k]].members for k in range(len(fspaces)))
+            names[tuple_pos[t]]
+            for t in itertools.product(*[coord_sets[k][j] for k, j in enumerate(combo)])
         )
-        if members not in point_sets:
-            ok, failure = False, f"phi image of {combo} is not a maximal filter"
-            break
-        phi[combo] = point_sets[members]
-    phi_inv = {}
-    if ok:
-        fsets = [{f.members: i for i, f in enumerate(sp.points)} for sp in fspaces]
-        for i, point in enumerate(pspace.points):
-            cs = []
-            for k in range(len(fspaces)):
-                ck = frozenset(coords[name][k] for name in point.members)
-                if ck not in fsets[k]:
-                    ok, failure = False, f"coordinate {k} of {point} is not a maximal filter"
-                    break
-                cs.append(fsets[k][ck])
-            if not ok:
-                break
-            phi_inv[i] = tuple(cs)
-    if ok:
-        for combo, i in phi.items():
-            if phi_inv.get(i) != combo:
-                ok, failure = False, f"phi and its inverse disagree at {combo}"
-                break
-        if ok and len(set(phi.values())) != len(phi):
-            ok, failure = False, "phi is not injective"
-        if ok and set(phi.values()) != set(range(len(pspace.points))):
-            ok, failure = False, "phi is not surjective"
-    if ok:
-        for name in prod.elements:
-            np = pspace.basic_open(name)
-            for combo, i in phi.items():
-                coordwise = all(
-                    combo[k] in fspaces[k].basic_open(coords[name][k])
-                    for k in range(len(fspaces))
-                )
-                if (i in np) != coordwise:
-                    ok = False
-                    failure = f"basic open of {name} does not match the coordinatewise opens"
-                    break
-            if not ok:
-                break
+        phi[combo] = point_sets.get(members)
+        for name in members:
+            src_opens[name].add(combo)
+    fsets = [{f.members: i for i, f in enumerate(sp.points)} for sp in fspaces]
+    phi_inv = {
+        i: tuple(
+            fsets[k].get(frozenset(coords[name][k] for name in point.members) - {tops[k]})
+            for k in range(len(fspaces))
+        )
+        for i, point in enumerate(pspace.points)
+    }
+    check = verify_correspondence(
+        list(phi),
+        len(pspace.points),
+        phi,
+        [(name, src_opens[name], pspace.basic_open(name)) for name in names],
+        inverse=phi_inv,
+    )
 
     return ProductResult(
         poset=prod,
-        factors=tuple(topped),
-        adjoined_tops=tuple(tops),
+        factors=topped,
+        adjoined_tops=tops,
         coords=coords,
         phi=phi,
         phi_inv=phi_inv,
         factor_spaces=fspaces,
         space=pspace,
-        ok=ok,
-        failure=failure,
+        ok=check.ok,
+        failure=check.failure,
     )
 
 
@@ -377,40 +335,24 @@ def gdelta_mf_poset(poset: FinitePoset, opens, stage_cap=None) -> GdeltaMfResult
     q_poset = FinitePoset(ids, masks, f"{poset.name}|gdelta-mf")
     q_space = PosetSpace(q_poset, "mf")
 
-    ok = True
-    failure = ""
     q_sets = {f.members: i for i, f in enumerate(q_space.points)}
-    phi = {}
-    for i in sorted(inter):
-        f = space.points[i]
-        img = frozenset(f"{n}:{p}" for (n, p) in stages if p in f.members)
-        if img not in q_sets:
-            ok, failure = False, f"phi image of {f} is not maximal in the stage poset"
-            break
-        phi[i] = q_sets[img]
-    psi = {}
-    if ok:
-        inter_sets = {space.points[i].members: i for i in inter}
-        for j, g in enumerate(q_space.points):
-            back = upward_closure(poset, {sid.split(":", 1)[1] for sid in g.members})
-            if back not in inter_sets:
-                ok, failure = False, f"psi image of stage filter {g} is not a point of the intersection"
-                break
-            psi[j] = inter_sets[back]
-    if ok:
-        if sorted(phi.values()) != sorted(range(len(q_space.points))):
-            ok, failure = False, "phi is not a bijection onto the stage space"
-        elif any(psi.get(j) is None or phi.get(psi[j]) != j for j in psi):
-            ok, failure = False, "phi and psi are not mutually inverse"
-    if ok:
-        for (n, p) in stages:
-            nq = q_space.basic_open(f"{n}:{p}")
-            for i, j in phi.items():
-                if (j in nq) != (p in space.points[i].members):
-                    ok, failure = False, f"basic open of stage element {n}:{p} mismatch"
-                    break
-            if not ok:
-                break
+    phi = {
+        i: q_sets.get(frozenset(f"{n}:{p}" for (n, p) in stages if p in space.points[i].members))
+        for i in sorted(inter)
+    }
+    inter_sets = {space.points[i].members: i for i in inter}
+    psi = {
+        j: inter_sets.get(upward_closure(poset, {sid.split(":", 1)[1] for sid in g.members}))
+        for j, g in enumerate(q_space.points)
+    }
+    check = verify_correspondence(
+        sorted(inter),
+        len(q_space.points),
+        phi,
+        [(f"stage element {n}:{p}", space.basic_open(p), q_space.basic_open(f"{n}:{p}"))
+         for (n, p) in stages],
+        inverse=psi,
+    )
 
     return GdeltaMfResult(
         poset=q_poset,
@@ -423,8 +365,8 @@ def gdelta_mf_poset(poset: FinitePoset, opens, stage_cap=None) -> GdeltaMfResult
         psi=psi,
         space=space,
         stage_space=q_space,
-        ok=ok,
-        failure=failure,
+        ok=check.ok,
+        failure=check.failure,
     )
 
 
@@ -461,28 +403,14 @@ def open_subspace_uf(poset: FinitePoset, open_points) -> OpenSubspaceResult:
     sub = poset.restrict(kept, name=f"{poset.name}|open")
     sub_space = PosetSpace(sub, "uf")
     sub_sets = {f.members: j for j, f in enumerate(sub_space.points)}
-
-    ok = True
-    failure = ""
-    mapping = {}
-    for i in sorted(u):
-        img = space.points[i].members & frozenset(kept)
-        if img not in sub_sets:
-            ok, failure = False, f"restriction of {space.points[i]} is not an unbounded filter"
-            break
-        mapping[i] = sub_sets[img]
-    if ok and sorted(mapping.values()) != sorted(range(len(sub_space.points))):
-        ok, failure = False, "restriction map is not a bijection"
-    if ok:
-        for r in kept:
-            nr = sub_space.basic_open(r)
-            for i, j in mapping.items():
-                if (j in nr) != (r in space.points[i].members):
-                    ok, failure = False, f"basic open of {r} mismatch"
-                    break
-            if not ok:
-                break
-    return OpenSubspaceResult(sub, kept, space, sub_space, mapping, ok, failure)
+    mapping = {i: sub_sets.get(space.points[i].members & frozenset(kept)) for i in sorted(u)}
+    check = verify_correspondence(
+        sorted(u),
+        len(sub_space.points),
+        mapping,
+        [(r, space.basic_open(r), sub_space.basic_open(r)) for r in kept],
+    )
+    return OpenSubspaceResult(sub, kept, space, sub_space, mapping, check.ok, check.failure)
 
 
 @dataclass(frozen=True)
@@ -498,20 +426,6 @@ class GdeltaUfResult:
     sub_space: PosetSpace
     ok: bool
     failure: str = ""
-
-
-def _is_filter_under(poset_members, leq, universe):
-    """Directedness and upward closure of a member set inside ``universe``."""
-    members = set(poset_members)
-    for p in members:
-        for q in members:
-            if not any(r in members and leq(r, p) and leq(r, q) for r in members):
-                return False
-    for p in members:
-        for q in universe:
-            if leq(p, q) and q not in members:
-                return False
-    return True
 
 
 def gdelta_uf_poset(poset: FinitePoset, opens) -> GdeltaUfResult:
@@ -592,9 +506,13 @@ def gdelta_uf_poset(poset: FinitePoset, opens) -> GdeltaUfResult:
             all(sub.lt(r, q) for q in members) for r in carrier if r not in members
         )
 
+    def is_filter_of(p, members):
+        m = p.mask_of(members)
+        return is_directed(p, m) and is_upward_closed(p, m)
+
     bad = [f for f in uf_in_g
            if not (set(f.members) <= set(carrier)
-                   and _is_filter_under(f.members, sub.leq, carrier)
+                   and is_filter_of(sub, f.members)
                    and not bounded_in_sub(f.members))]
     claims[1] = not bad
     details[1] = [str(f) for f in bad]
@@ -614,7 +532,7 @@ def gdelta_uf_poset(poset: FinitePoset, opens) -> GdeltaUfResult:
         )
         if not bounded_in_p:
             continue
-        if set(f.members) <= set(carrier) and _is_filter_under(f.members, sub.leq, carrier):
+        if set(f.members) <= set(carrier) and is_filter_of(sub, f.members):
             if not bounded_in_sub(f.members):
                 bad3.append(str(f))
     claims[3] = not bad3
@@ -623,32 +541,25 @@ def gdelta_uf_poset(poset: FinitePoset, opens) -> GdeltaUfResult:
     inter_sets = {space.points[i].members for i in inter}
     bad4 = []
     for f in sub_space.points:
-        in_p = _is_filter_under(f.members, poset.leq, poset.elements)
         unbounded_in_p = not any(
             all(poset.lt(r, q) for q in f.members) for r in poset.elements
         )
-        if not (in_p and unbounded_in_p and f.members in inter_sets):
+        if not (is_filter_of(poset, f.members) and unbounded_in_p and f.members in inter_sets):
             bad4.append(str(f))
     claims[4] = not bad4
     details[4] = bad4
 
-    ok = all(claims.values())
-    failure = ""
-    if ok:
-        if {f.members for f in sub_space.points} != inter_sets:
-            ok, failure = False, "point sets differ"
-        else:
-            for r in carrier:
-                nr = sub_space.basic_open(r)
-                sub_sets = {f.members: j for j, f in enumerate(sub_space.points)}
-                for i in inter:
-                    j = sub_sets[space.points[i].members]
-                    if (j in nr) != (r in space.points[i].members):
-                        ok, failure = False, f"basic open of {r} mismatch"
-                        break
-                if not ok:
-                    break
+    if all(claims.values()):
+        sub_sets = {f.members: j for j, f in enumerate(sub_space.points)}
+        check = verify_correspondence(
+            sorted(inter),
+            len(sub_space.points),
+            {i: sub_sets.get(space.points[i].members) for i in inter},
+            [(r, space.basic_open(r), sub_space.basic_open(r)) for r in carrier],
+        )
+        ok, failure = check.ok, check.failure
     else:
+        ok = False
         failure = "claims " + ", ".join(str(c) for c, v in sorted(claims.items()) if not v) + " failed"
 
     return GdeltaUfResult(
@@ -827,7 +738,7 @@ class PrecompactResult:
     hausdorff: bool
     bijective: bool
     opens_correspond: bool
-    point_of: dict  # MF point index -> space point index, when bijective
+    point_of: dict  # MF point index -> the single point its members share, where there is one
     space: PosetSpace
     failure: str = ""
 
@@ -860,38 +771,26 @@ def precompact_open_poset(x: FiniteTopSpace) -> PrecompactResult:
 
     hausdorff = x.is_discrete()
     point_of = {}
-    bijective = True
-    failure = ""
     for k, f in enumerate(space.points):
         inter = x.whole
         for member in f.members:
             inter &= open_of[member]
-        if len(inter) != 1:
-            bijective = False
-            failure = f"intersection of {f} has {len(inter)} points"
-            continue
-        point_of[k] = next(iter(inter))
-    if bijective and len(set(point_of.values())) != len(space.points):
-        bijective, failure = False, "point map is not injective"
-    if bijective and set(point_of.values()) != set(range(len(x.points))):
-        bijective, failure = False, "point map is not surjective"
-
-    opens_correspond = bijective
-    if bijective:
-        for i, o in zip(ids, opens):
-            image = {point_of[k] for k in space.basic_open(i)}
-            if image != set(o):
-                opens_correspond = False
-                failure = f"basic open of {i} does not map onto the open"
-                break
+        if len(inter) == 1:
+            point_of[k] = next(iter(inter))
+    check = verify_correspondence(
+        range(len(space.points)),
+        len(x.points),
+        point_of,
+        [(i, space.basic_open(i), o) for i, o in zip(ids, opens)],
+    )
 
     return PrecompactResult(
         poset=poset,
         open_of=open_of,
         hausdorff=hausdorff,
-        bijective=bijective,
-        opens_correspond=opens_correspond,
+        bijective=check.bijective,
+        opens_correspond=check.ok,
         point_of=point_of,
         space=space,
-        failure=failure,
+        failure=check.failure,
     )

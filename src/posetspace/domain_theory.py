@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .poset_core import FinitePoset, PosetError, _bits
 from .filters import Filter, enumerate_filters
-from .topology import PosetSpace
+from .topology import PosetSpace, union_closure
 
 
 class NotADcpo(PosetError):
@@ -262,19 +262,7 @@ def scott_max_homeomorphism_check(poset: FinitePoset) -> ScottReport:
         mf_of[p] = cut
         mf_family.add(cut)
 
-    def close(family):
-        out = {frozenset()}
-        grew = True
-        while grew:
-            grew = False
-            for f in family:
-                for g in list(out):
-                    if f | g not in out:
-                        out.add(f | g)
-                        grew = True
-        return out
-
-    ok = close(scott_family) == close(mf_family)
+    ok = union_closure(scott_family) == union_closure(mf_family)
     table = []
     if ok:
         for p in poset.elements:

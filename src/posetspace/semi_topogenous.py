@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .poset_core import FinitePoset, PosetError
 from .constructions import FiniteTopSpace
-from .topology import PosetSpace
+from .topology import PosetSpace, verify_correspondence
 
 
 class HypothesisFailed(PosetError):
@@ -227,32 +227,17 @@ def mf_poset_from_order(space: FiniteTopSpace, order: SubsetOrder) -> MfFromOrde
     poset = FinitePoset(ids, masks, f"{space.name}|order")
     mf_space = PosetSpace(poset, "mf")
 
-    point_filters = {}
-    for x in range(len(space.points)):
-        point_filters[x] = frozenset(
-            i for i, o in zip(ids, opens) if order.holds(frozenset([x]), o)
-        )
+    point_filters = {
+        x: frozenset(i for i, o in zip(ids, opens) if order.holds(frozenset([x]), o))
+        for x in range(len(space.points))
+    }
     point_sets = {f.members: k for k, f in enumerate(mf_space.points)}
-    bijective = True
-    failure = ""
-    seen = set()
-    for x, members in point_filters.items():
-        if members not in point_sets:
-            bijective, failure = False, f"the filter of point {space.points[x]} is not maximal"
-            break
-        seen.add(point_sets[members])
-    if bijective and seen != set(range(len(mf_space.points))):
-        bijective, failure = False, "the point filters do not exhaust the maximal filters"
-
-    equivalence = True
-    for x in range(len(space.points)):
-        for i, o in zip(ids, opens):
-            if (x in o) != (i in point_filters[x]):
-                equivalence = False
-                failure = failure or f"membership mismatch at point {space.points[x]} and open {i}"
-                break
-        if not equivalence:
-            break
+    check = verify_correspondence(
+        range(len(space.points)),
+        len(mf_space.points),
+        {x: point_sets.get(members) for x, members in point_filters.items()},
+        [(i, o, mf_space.basic_open(i)) for i, o in zip(ids, opens)],
+    )
 
     # every maximal filter's open family meets the order
     meets = all(
@@ -267,11 +252,11 @@ def mf_poset_from_order(space: FiniteTopSpace, order: SubsetOrder) -> MfFromOrde
         poset=poset,
         open_of=open_of,
         point_filters=point_filters,
-        bijective=bijective,
-        membership_equivalence=equivalence,
+        bijective=check.bijective,
+        membership_equivalence=check.ok,
         maximal_filters_meet=meets,
         space=mf_space,
-        failure=failure,
+        failure=check.failure,
     )
 
 

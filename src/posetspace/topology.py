@@ -82,6 +82,57 @@ def basic_open(space: PosetSpace, element) -> frozenset:
     return space.basic_open(element)
 
 
+def union_closure(family) -> set:
+    """Every union of members of ``family``, the empty union included."""
+    out = {frozenset()}
+    for b in family:
+        out |= {u | b for u in out}
+    return out
+
+
+@dataclass(frozen=True)
+class Correspondence:
+    ok: bool
+    bijective: bool
+    failure: str = ""
+    witness: object = None  # a source point, or a missed destination index
+
+
+def verify_correspondence(src_points, dst_count, point_map, open_pairs, inverse=None) -> Correspondence:
+    """Check that a point map is a bijection under which basic opens match.
+
+    ``point_map`` sends each source point to an index in
+    ``range(dst_count)``; a missing or None entry leaves it undefined.
+    The checks run in order: the map is total, injective and onto; the
+    optional ``inverse`` undoes it on every source point (for a bijection
+    that makes it the two-sided inverse); and for each ``(label,
+    src_open, dst_open)`` a source point lies in ``src_open`` exactly when
+    its image lies in ``dst_open``.  The first failure is reported with
+    a witness.
+    """
+    src_points = tuple(src_points)
+    preimage = {}
+    for x in src_points:
+        y = point_map.get(x)
+        if y is None or not 0 <= y < dst_count:
+            return Correspondence(False, False, "point map is not total", x)
+        if y in preimage:
+            return Correspondence(False, False, "point map is not injective", x)
+        preimage[y] = x
+    if len(preimage) != dst_count:
+        missed = next(y for y in range(dst_count) if y not in preimage)
+        return Correspondence(False, False, "point map is not surjective", missed)
+    if inverse is not None:
+        for x in src_points:
+            if inverse.get(point_map[x]) != x:
+                return Correspondence(False, True, "point map and its inverse disagree", x)
+    for label, src_open, dst_open in open_pairs:
+        for x in src_points:
+            if (x in src_open) != (point_map[x] in dst_open):
+                return Correspondence(False, True, f"basic open of {label} does not correspond", x)
+    return Correspondence(True, True)
+
+
 @dataclass(frozen=True)
 class SeparationReport:
     t0: bool
@@ -200,8 +251,8 @@ def restriction_homeomorphism_check(poset: FinitePoset, sub) -> HomeoReport:
 
     ``sub`` may be a FinitePoset on a subset of the elements or an
     iterable of element names.  The check enumerates both point sets,
-    verifies the restriction map is a bijection, and verifies that images
-    and preimages of basic opens are open.
+    verifies the restriction map is a bijection under which basic opens
+    of R correspond, and verifies that images of basic opens are open.
     """
     if isinstance(sub, FinitePoset):
         r_poset = sub
@@ -212,26 +263,17 @@ def restriction_homeomorphism_check(poset: FinitePoset, sub) -> HomeoReport:
     big = PosetSpace(poset, "mf")
     small = PosetSpace(r_poset, "mf")
     small_sets = {f.members: i for i, f in enumerate(small.points)}
-
-    images = []
-    for f in big.points:
-        img = f.members & r_names
-        if img not in small_sets:
-            return HomeoReport(False, "restriction of a point is not a maximal filter", str(f))
-        images.append(small_sets[img])
-    if len(set(images)) != len(images):
-        dup = [str(big.points[i]) for i in range(len(images)) if images.count(images[i]) > 1]
-        return HomeoReport(False, "restriction map is not injective", tuple(dup))
-    if set(images) != set(range(len(small.points))):
-        missing = [str(small.points[i]) for i in range(len(small.points)) if i not in images]
-        return HomeoReport(False, "restriction map is not surjective", tuple(missing))
-
+    images = {i: small_sets.get(f.members & r_names) for i, f in enumerate(big.points)}
+    check = verify_correspondence(
+        range(len(big.points)),
+        len(small.points),
+        images,
+        [(r, big.basic_open(r), small.basic_open(r)) for r in r_poset.elements],
+    )
+    if not check.ok:
+        return HomeoReport(False, check.failure, check.witness)
     for p in poset.elements:
         image_open = frozenset(images[i] for i in big.basic_open(p))
         if not small.is_open(image_open):
             return HomeoReport(False, "image of a basic open is not open", p)
-    for r in r_poset.elements:
-        pre = frozenset(i for i in range(len(big.points)) if images[i] in small.basic_open(r))
-        if pre != big.basic_open(r):
-            return HomeoReport(False, "preimage of a basic open differs from the basic open", r)
     return HomeoReport(True)

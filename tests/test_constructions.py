@@ -54,7 +54,7 @@ def test_product_empty_factor_list():
 
 
 def test_product_counts_small_sweep():
-    posets = posets_up_to(3)
+    posets = posets_up_to(3, include_empty=True)
     for p1 in posets:
         for p2 in posets:
             r = product_poset([p1, p2])

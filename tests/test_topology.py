@@ -1,12 +1,20 @@
 import pytest
 
 from posetspace.catalog import posets_up_to
+from posetspace.constructions import (
+    FiniteTopSpace,
+    gdelta_mf_poset,
+    open_subspace_uf,
+    precompact_open_poset,
+    product_poset,
+)
 from posetspace.topology import (
     NotABasis,
     PosetSpace,
     reduce_countable_subposet,
     restriction_homeomorphism_check,
     separation_check,
+    verify_correspondence,
 )
 from posetspace.poset_core import UnknownElement, validate_poset
 
@@ -104,3 +112,75 @@ def test_restriction_check_counterexample(vee):
 
 def test_restriction_identity(vee):
     assert restriction_homeomorphism_check(vee, vee.elements).ok
+
+
+# --- the shared correspondence verifier ------------------------------------------
+
+
+def _construction_maps(vee, chain2, antichain2):
+    """(source points, destination count, map, open pairs, inverse) per construction.
+
+    The open pairs are rebuilt here from the literal definitions, so the
+    verifier is fed the same object each construction claims to verify.
+    """
+    for factors in ([vee, antichain2], [chain2, vee], [vee, vee]):
+        r = product_poset(factors)
+        opens = [
+            (name, {c for c in r.phi
+                    if all(x == r.adjoined_tops[k] or x in r.factor_spaces[k].points[c[k]]
+                           for k, x in enumerate(xs))},
+             r.space.basic_open(name))
+            for name, xs in r.coords.items()
+        ]
+        yield list(r.phi), len(r.space.points), r.phi, opens, r.phi_inv
+    for opens in ([["a", "c"]], [["a"]]):
+        r = gdelta_mf_poset(vee, opens)
+        pairs = [(sid, r.space.basic_open(sid.split(":", 1)[1]), r.stage_space.basic_open(sid))
+                 for sid in r.poset.elements]
+        yield sorted(r.intersection), len(r.stage_space.points), r.phi, pairs, r.psi
+    uf = PosetSpace(vee, "uf")
+    for u in (uf.whole, uf.basic_open("a")):
+        r = open_subspace_uf(vee, u)
+        pairs = [(e, r.space.basic_open(e), r.sub_space.basic_open(e)) for e in r.kept]
+        yield sorted(r.mapping), len(r.sub_space.points), r.mapping, pairs, None
+    for points in (["x", "y"], ["x", "y", "z"]):
+        x = FiniteTopSpace.discrete(points)
+        r = precompact_open_poset(x)
+        pairs = [(i, r.space.basic_open(i), o) for i, o in r.open_of.items()]
+        yield list(range(len(r.space.points))), len(x), r.point_of, pairs, None
+
+
+def test_verifier_rejects_every_single_mutation(vee, chain2, antichain2):
+    cases = list(_construction_maps(vee, chain2, antichain2))
+    assert len(cases) == 9
+    for src, n, point_map, pairs, inverse in cases:
+        assert verify_correspondence(src, n, point_map, pairs, inverse).ok
+        assert any(s for _, s, _ in pairs)
+        for x in src:
+            for y in [None, *range(n + 1)]:
+                if y == point_map[x]:
+                    continue
+                bad = {**point_map, x: y}
+                assert not verify_correspondence(src, n, bad, pairs, inverse).ok, (x, y)
+            if inverse is not None:
+                bad_inv = {**inverse, point_map[x]: None}
+                assert not verify_correspondence(src, n, point_map, pairs, bad_inv).ok
+            for k, (label, src_open, dst_open) in enumerate(pairs):
+                for mutated in ((label, set(src_open) ^ {x}, dst_open),
+                                (label, src_open, set(dst_open) ^ {point_map[x]})):
+                    bad_pairs = pairs[:k] + [mutated] + pairs[k + 1:]
+                    assert not verify_correspondence(src, n, point_map, bad_pairs, inverse).ok
+
+
+def test_verifier_failure_order_and_witness():
+    pairs = [("u", {0}, {1})]
+    assert verify_correspondence([0, 1], 2, {0: 1}, pairs).failure == "point map is not total"
+    r = verify_correspondence([0, 1], 2, {0: 1, 1: 1}, pairs)
+    assert (r.failure, r.witness) == ("point map is not injective", 1)
+    r = verify_correspondence([0], 2, {0: 1}, pairs)
+    assert (r.failure, r.witness, r.bijective) == ("point map is not surjective", 0, False)
+    r = verify_correspondence([0, 1], 2, {0: 1, 1: 0}, pairs, inverse={0: 0, 1: 1})
+    assert (r.failure, r.bijective) == ("point map and its inverse disagree", True)
+    r = verify_correspondence([0, 1], 2, {0: 1, 1: 0}, [("u", {0}, {0})])
+    assert (r.failure, r.witness, r.bijective) == ("basic open of u does not correspond", 0, True)
+    assert verify_correspondence([], 0, {}, [("u", set(), set())]).ok
