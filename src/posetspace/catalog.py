@@ -13,15 +13,21 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .poset_core import FinitePoset
+from .poset_core import FinitePoset, PosetError
 from .constructions import FiniteTopSpace
 
 _NAMES = "abcdefgh"
 
 
+def _check_size(n: int) -> None:
+    if not 0 <= n <= len(_NAMES):
+        raise PosetError(f"cannot name {n} elements: sizes run from 0 to {len(_NAMES)}")
+
+
 @functools.lru_cache(maxsize=None)
 def labeled_posets(n: int) -> tuple:
     """All partial orders on n labeled elements, up to relation identity."""
+    _check_size(n)
     if n == 0:
         return (FinitePoset((), (), "empty"),)
     pairs = [(i, j) for j in range(n) for i in range(j)]
@@ -79,6 +85,7 @@ def random_poset(rng, n: int, edge_prob: float = 0.4, name="random") -> FinitePo
     """A random labeled poset: a random DAG on index order, closed transitively."""
     from .poset_core import _transitive_close
 
+    _check_size(n)
     masks = [1 << i for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):

@@ -180,11 +180,7 @@ def _cmd_stargame(args, out):
     out(f"core: {{{', '.join(sorted(solution.fixed_point, key=poset.index))}}}")
     out(f"iterations: {solution.iterations}")
     out(f"strategy: {solution.strategy.name}")
-    if solution.witness_pairs:
-        for p, (p1, p2) in solution.witness_pairs:
-            out(f"table {p}: <{p1},{p2}>")
-    else:
-        out("table: every pick wins; player I cannot sustain the conditions")
+    out("table: every pick wins; player I cannot sustain the conditions")
     return 0
 
 
@@ -293,6 +289,8 @@ def _cmd_topo_order(args, out):
 
 def _cmd_baire(args, out):
     poset = _load(args.file, FinitePoset)
+    if not len(poset):
+        raise _Usage(f"poset {poset.name} has no elements; the game needs one to start from")
     dense_sets = [frozenset(_elements_list(d)) for d in args.dense or []]
     if not dense_sets:
         dense_sets = [frozenset(poset.minimals())]
@@ -450,3 +448,7 @@ def run(argv=None, stdout=None) -> int:
 
 def main():
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -129,10 +129,9 @@ def extend_to_maximal(poset: FinitePoset, filt: Filter) -> Filter:
     if not cls.is_filter:
         raise NotAFilter(filt.members, "directedness or upward closure fails")
     gen = poset.index(filt.minimum())
-    for i in poset.minimal_indices():
-        if poset.leq_idx(i, gen):
-            return Filter(poset, frozenset(poset.names_of(poset.up_mask(i))))
-    raise AssertionError("finite poset without a minimal element below a member")
+    # a finite poset has a minimal element below each of its elements
+    m = next(i for i in poset.minimal_indices() if poset.leq_idx(i, gen))
+    return Filter(poset, frozenset(poset.names_of(poset.up_mask(m))))
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,10 @@ class ConditionViolated(PosetError):
         self.reason = reason
 
 
+class GameSetupError(PosetError, ValueError):
+    """A game asked for with too few rounds, guide bits or selectors, or no points."""
+
+
 class SelectorFailed(PosetError):
     def __init__(self, index, element, reason="selector returned an illegal element"):
         super().__init__(f"dense-open selector {index} failed at {element!r}: {reason}")
@@ -122,7 +126,9 @@ def canonical_choquet_strategy(space: PosetSpace) -> Strategy:
                 continue
             if position.space.basic_open(q) <= u:
                 return q
-        raise AssertionError("no eligible element; the inputs broke the game rules")
+        raise ConditionViolated(
+            len(position.rounds), "no eligible element; the inputs broke the game rules"
+        )
 
     return Strategy("canonical-least-refinement", move)
 
@@ -164,7 +170,9 @@ def choquet_referee(space: PosetSpace, strategy_i, strategy_ii, rounds: int) -> 
     of II's opens decides the bounded verdict.
     """
     if rounds < 1:
-        raise ValueError("rounds must be at least 1")
+        raise GameSetupError("rounds must be at least 1")
+    if not space.points:
+        raise GameSetupError("the space has no points to play on")
     transcript = ChoquetTranscript(space)
     pos = _Position(space)
     for t in range(rounds):
@@ -215,7 +223,6 @@ class StarSolution:
     fixed_point: frozenset
     strategy: Strategy
     iterations: int
-    witness_pairs: tuple = ()  # (element, pair) rows of player I's table, when I wins
 
 
 def star_game_solve(poset: FinitePoset) -> StarSolution:
@@ -223,23 +230,20 @@ def star_game_solve(poset: FinitePoset) -> StarSolution:
 
     Computes the greatest set S of elements below which an incompatible
     pair with both members in S exists, by shrinking from the whole
-    carrier.  Player I wins exactly when some starting incompatible pair
-    has both members in S; otherwise any behaviour of player II wins, and
-    the returned strategy is the constant first pick.  On finite posets
-    the set always empties, because a minimal element of S would need
-    strictly smaller members of S below it.
+    carrier.  Player I could win only from a starting incompatible pair
+    with both members in S.  On finite posets S always empties, because a
+    minimal element of S would need strictly smaller members of S below
+    it; so player II wins, and the returned strategy is the constant first
+    pick.
     """
-    elems = poset.elements
-    s = set(elems)
+    s = set(poset.elements)
     iterations = 0
 
     def splittable(p, pool):
         dp = [q for q in pool if poset.leq(q, p)]
-        for i, p1 in enumerate(dp):
-            for p2 in dp[i + 1:]:
-                if incompatible(poset, p1, p2):
-                    return (p1, p2)
-        return None
+        return any(
+            incompatible(poset, p1, p2) for i, p1 in enumerate(dp) for p2 in dp[i + 1:]
+        )
 
     while True:
         iterations += 1
@@ -247,27 +251,6 @@ def star_game_solve(poset: FinitePoset) -> StarSolution:
         if keep == s:
             break
         s = keep
-
-    opener = None
-    pool = sorted(s, key=poset.index)
-    for i, p1 in enumerate(pool):
-        for p2 in pool[i + 1:]:
-            if incompatible(poset, p1, p2):
-                opener = (p1, p2)
-                break
-        if opener:
-            break
-
-    if opener is not None:
-        table = {p: splittable(p, s) for p in sorted(s, key=poset.index)}
-
-        def move_i(current, round_no):
-            return opener if current is None else table[current]
-
-        return StarSolution(
-            "I", frozenset(s), Strategy("split-inside-core", move_i), iterations,
-            tuple(sorted(table.items())),
-        )
 
     def move_ii(pair, round_no):
         return 1
@@ -324,9 +307,9 @@ def star_game_referee(poset, strategy_i, f, rounds: int, budget: int = 6) -> Sta
     """
     bits = list(f)
     if rounds < 1:
-        raise ValueError("rounds must be at least 1")
+        raise GameSetupError("rounds must be at least 1")
     if len(bits) < rounds:
-        raise ValueError("the guide sequence is shorter than the number of rounds")
+        raise GameSetupError("the guide sequence is shorter than the number of rounds")
     current = None
     chain = []
     pairs = []
@@ -388,9 +371,9 @@ def baire_generic_filter(poset, selectors, start, rounds: int) -> ChainFilter:
     filter lying in every visited dense open.
     """
     if rounds < 1:
-        raise ValueError("rounds must be at least 1")
+        raise GameSetupError("rounds must be at least 1")
     if not selectors:
-        raise ValueError("at least one dense-open selector is required")
+        raise GameSetupError("at least one dense-open selector is required")
     current = start
     chain = [start]
     for i in range(rounds):

@@ -82,6 +82,8 @@ class FinitePoset:
         self._index = {e: i for i, e in enumerate(self.elements)}
         self._up = tuple(up_masks)
         n = len(self.elements)
+        if len(self._up) != n:
+            raise PosetError(f"{n} elements but {len(self._up)} up-set masks")
         down = [0] * n
         for i in range(n):
             m = self._up[i]

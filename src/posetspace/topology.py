@@ -36,7 +36,6 @@ class PosetSpace:
             p: frozenset(i for i, f in enumerate(self.points) if p in f.members)
             for p in poset.elements
         }
-        assert all(f.members for f in self.points)
 
     def __len__(self):
         return len(self.points)

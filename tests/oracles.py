@@ -1,0 +1,179 @@
+"""Literal domain-theory definitions, kept as oracles for the library.
+
+The library answers domain-theory questions from the finite-case
+theorems: every finite poset is a dcpo, way below is the order, and every
+element is compact.  The functions here evaluate the definitions
+themselves by scanning all 2^n subsets, so they only suit small posets.
+``domain_mismatches`` compares the library's answers with them.
+"""
+
+from posetspace import domain_theory as lib
+from posetspace.poset_core import FinitePoset
+
+
+def members(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def is_directed(poset, mask) -> bool:
+    """Nonempty, and any two members have an upper bound in the set."""
+    idxs = members(mask)
+    return bool(idxs) and all(
+        poset.up_mask(i) & poset.up_mask(j) & mask for i in idxs for j in idxs
+    )
+
+
+def lub(poset, mask):
+    """The index of the least upper bound of the set, or None."""
+    ubs = (1 << len(poset)) - 1
+    for i in members(mask):
+        ubs &= poset.up_mask(i)
+    return next((k for k in members(ubs) if poset.up_mask(k) & ubs == ubs), None)
+
+
+def directed_sups(poset) -> dict:
+    """Every directed subset (a mask) with its least upper bound, or None."""
+    return {
+        mask: lub(poset, mask) for mask in range(1, 1 << len(poset)) if is_directed(poset, mask)
+    }
+
+
+def way_below(poset, sups) -> list:
+    """Bit t of entry q is set when q is way below t.
+
+    q is way below t when every directed set whose supremum lies above t
+    has a member above q.  ``sups`` must come from a dcpo.
+    """
+    n = len(poset)
+    rel = [0] * n
+    for q in range(n):
+        for t in range(n):
+            if all(
+                mask & poset.up_mask(q)
+                for mask, sup in sups.items() if poset.leq_idx(t, sup)
+            ):
+                rel[q] |= 1 << t
+    return rel
+
+
+def is_basis(poset, rel, basis) -> bool:
+    """Each t is the supremum of the directed set of basis elements way below it."""
+    for t in range(len(poset)):
+        below = basis & sum(1 << q for q in range(len(poset)) if rel[q] >> t & 1)
+        if not is_directed(poset, below) or lub(poset, below) != t:
+            return False
+    return True
+
+
+def classify(poset, rel):
+    """(continuous, algebraic, compact mask, greedy minimal basis mask).
+
+    Continuous: the whole carrier is a basis.  Algebraic: the compact
+    elements (those way below themselves) are.  The minimal basis drops
+    elements in order while the rest is still a basis.
+    """
+    full = (1 << len(poset)) - 1
+    compact = sum(1 << i for i in range(len(poset)) if rel[i] >> i & 1)
+    basis = full
+    for i in range(len(poset)):
+        if is_basis(poset, rel, basis & ~(1 << i)):
+            basis &= ~(1 << i)
+    return is_basis(poset, rel, full), is_basis(poset, rel, compact), compact, basis
+
+
+def filters(poset) -> list:
+    """Every filter as a mask: nonempty, upward closed, any two members bound below in it."""
+    out = []
+    for mask in range(1, 1 << len(poset)):
+        idxs = members(mask)
+        upward = all(poset.up_mask(i) & ~mask == 0 for i in idxs)
+        directed = all(poset.down_mask(i) & poset.down_mask(j) & mask for i in idxs for j in idxs)
+        if upward and directed:
+            out.append(mask)
+    return out
+
+
+def filter_name(poset, mask) -> str:
+    return "{" + ",".join(poset.elements[i] for i in members(mask)) + "}"
+
+
+def completion(poset, fs) -> FinitePoset:
+    """The filters ``fs`` of ``poset`` ordered by inclusion, named by their members."""
+    ups = [sum(1 << k for k, g in enumerate(fs) if f & ~g == 0) for f in fs]
+    return FinitePoset([filter_name(poset, f) for f in fs], ups, f"filters({poset.name})")
+
+
+def union_closure(family) -> set:
+    out = {frozenset()}
+    for b in family:
+        out |= {u | b for u in out}
+    return out
+
+
+def domain_answers(poset) -> dict:
+    """The literal answers about the filter completion of ``poset``, by element name."""
+    all_filters = filters(poset)
+    carrier = completion(poset, all_filters)
+
+    def names(mask):
+        return frozenset(carrier.names_of(mask))
+
+    sups = directed_sups(carrier)
+    dcpo = all(sup is not None for sup in sups.values())
+    rel = way_below(carrier, sups) if dcpo else [0] * len(carrier)
+    continuous, algebraic, compact, basis = classify(carrier, rel)
+    maximal = sum(
+        1 << t for t in range(len(carrier))
+        if not any(u != t and carrier.leq_idx(t, u) for u in range(len(carrier)))
+    )
+    # Scott opens are the sets of elements way above one element; the MF
+    # basic open of p collects the maximal filters that contain p
+    scott = frozenset(names(rel[q] & maximal) for q in range(len(carrier)))
+    max_filters = [f for f in all_filters if filter_name(poset, f) in names(maximal)]
+    mf = frozenset(
+        frozenset(filter_name(poset, f) for f in max_filters if f >> p & 1)
+        for p in range(len(poset))
+    )
+    return {
+        "order": frozenset(carrier.pairs()),
+        "dcpo": dcpo,
+        "way_below": frozenset((carrier.elements[q], t) for q in range(len(carrier))
+                               for t in names(rel[q])),
+        "compact": names(compact),
+        "continuous": continuous,
+        "algebraic": algebraic,
+        "classify.compact": names(compact),
+        "minimal_basis": names(basis),
+        "scott_family": scott,
+        "mf_family": mf,
+        "scott_ok": union_closure(scott) == union_closure(mf),
+    }
+
+
+def library_answers(poset) -> dict:
+    """The library's answers to the questions of ``domain_answers``."""
+    dcpo = lib.filter_completion(poset).dcpo
+    carrier = dcpo.poset
+    cls = lib.dcpo_classify(dcpo)
+    report = lib.scott_max_homeomorphism_check(poset)
+    return {
+        "order": frozenset(carrier.pairs()),
+        "dcpo": True,  # Dcpo() accepts every finite poset
+        "way_below": frozenset(lib.way_below(dcpo)),
+        "compact": frozenset(dcpo.compact_elements()),
+        "continuous": cls.is_continuous,
+        "algebraic": cls.is_algebraic,
+        "classify.compact": frozenset(cls.compact_elements),
+        "minimal_basis": frozenset(cls.minimal_basis),
+        "scott_family": frozenset(frozenset(carrier.names_of(m)) for m in report.scott_family),
+        "mf_family": frozenset(frozenset(carrier.names_of(m)) for m in report.mf_family),
+        "scott_ok": report.ok,
+    }
+
+
+def domain_mismatches(poset, answers=None) -> list:
+    """Sorted keys on which ``answers`` (default: the library's) differ from the oracle."""
+    if answers is None:
+        answers = library_answers(poset)
+    expected = domain_answers(poset)
+    return sorted(k for k in expected if answers.get(k) != expected[k])

@@ -7,6 +7,8 @@ scale, so any discrepancy fails the suite.
 
 import random
 
+from oracles import domain_mismatches
+
 from posetspace.catalog import (
     all_topologies,
     labeled_posets,
@@ -235,10 +237,13 @@ def test_criterion_7_condition_poset():
 def test_criterion_8_filter_completions():
     posets = posets_up_to(5)
     for p in posets:
-        completion = filter_completion(p)  # directed-completeness checked inside
+        completion = filter_completion(p)
         assert completion.compact_matches_principal, p.pairs()
-        way_below(completion.dcpo)  # asserts the raw relation equals the order
+        assert set(way_below(completion.dcpo)) == set(completion.dcpo.poset.pairs()), p.pairs()
         assert scott_max_homeomorphism_check(p).ok, p.pairs()
+        # directed completeness, way below, compact elements, classification
+        # and the Scott check against the literal definitions
+        assert domain_mismatches(p) == [], p.pairs()
     _passed(8, f"filter completions are dcpos with principal compacts and matching Scott "
                f"topologies on all {len(posets)} posets <=5")
 

@@ -1,6 +1,12 @@
+import random
+
+import oracles
+from oracles import domain_mismatches, library_answers
+
 from posetspace.catalog import posets_up_to
 from posetspace.domain_theory import (
     Dcpo,
+    _generate_same_topology,
     dcpo_classify,
     filter_completion,
     ideal_completion,
@@ -39,15 +45,26 @@ def test_vee_completion(vee):
 
 def test_every_finite_poset_is_a_dcpo():
     # a finite directed set contains its maximum, which is its least upper
-    # bound, so the exhaustive check must accept every finite carrier
-    for p in posets_up_to(4):
-        Dcpo(p)  # validates on construction
+    # bound, so the subset scan must accept every finite carrier, and the
+    # library's way-below and compact elements must match the definitions
+    for p in posets_up_to(4, include_empty=True):
+        d = Dcpo(p)
+        sups = oracles.directed_sups(p)
+        assert all(sup is not None for sup in sups.values()), p.pairs()
+        rel = oracles.way_below(p, sups)
+        assert [d.double_up(q) for q in range(len(p))] == rel, p.pairs()
+        assert set(d.way_below_pairs()) == {
+            (p.elements[q], p.elements[t]) for q in range(len(p)) for t in oracles.members(rel[q])
+        }
+        assert set(d.compact_elements()) == set(p.names_of(oracles.classify(p, rel)[2]))
 
 
 def test_filter_completion_is_dcpo_small_sweep():
     for p in posets_up_to(4):
-        comp = filter_completion(p)  # Dcpo() validates on construction
+        comp = filter_completion(p)
         assert comp.compact_matches_principal
+        sups = oracles.directed_sups(comp.dcpo.poset)
+        assert all(sup is not None for sup in sups.values()), p.pairs()
 
 
 def test_way_below_equals_order(vee):
@@ -61,7 +78,9 @@ def test_way_below_equals_order(vee):
 def test_way_below_small_sweep():
     for p in posets_up_to(3):
         d = filter_completion(p).dcpo
-        way_below(d)  # asserts the raw definition matches the order
+        rel = oracles.way_below(d.poset, oracles.directed_sups(d.poset))
+        assert [d.double_up(q) for q in range(len(d.poset))] == rel, p.pairs()
+        assert set(way_below(d)) == set(d.poset.pairs())
 
 
 def test_bottomless_antichain_way_below(antichain2):
@@ -83,8 +102,15 @@ def test_classification_sweep():
     for p in posets_up_to(3):
         if not len(p):
             continue
-        cls = dcpo_classify(filter_completion(p).dcpo)
+        d = filter_completion(p).dcpo
+        cls = dcpo_classify(d)
         assert cls.is_continuous and cls.is_algebraic
+        continuous, algebraic, compact, basis = oracles.classify(
+            d.poset, oracles.way_below(d.poset, oracles.directed_sups(d.poset))
+        )
+        assert (cls.is_continuous, cls.is_algebraic) == (continuous, algebraic)
+        assert set(cls.compact_elements) == set(d.poset.names_of(compact))
+        assert set(cls.minimal_basis) == set(d.poset.names_of(basis))
 
 
 def test_scott_check_examples(vee, chain2):
@@ -97,6 +123,44 @@ def test_scott_check_examples(vee, chain2):
 def test_scott_check_sweep():
     for p in posets_up_to(4):
         assert scott_max_homeomorphism_check(p).ok, p.pairs()
+        assert domain_mismatches(p) == [], p.pairs()
+
+
+def test_same_topology_check_matches_union_closure():
+    # every pair of families over two points, plus seeded random ones over four
+    families = [frozenset(m for m in range(4) if code >> m & 1) for code in range(16)]
+    pairs = [(a, b) for a in families for b in families]
+    rng = random.Random(8)
+    for _ in range(2000):
+        pairs.append(tuple(
+            frozenset(rng.randrange(16) for _ in range(rng.randint(0, 4))) for _ in range(2)
+        ))
+    verdicts = set()
+    for a, b in pairs:
+        closures = [oracles.union_closure({frozenset(oracles.members(m)) for m in fam})
+                    for fam in (a, b)]
+        verdict = closures[0] == closures[1]
+        assert _generate_same_topology(a, b) == verdict, (a, b)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_oracle_comparison_catches_every_single_perturbation():
+    # a comparison that checks nothing would pass these mutants; each must be caught
+    caught = 0
+    for p in posets_up_to(3, include_empty=True):
+        answers = library_answers(p)
+        assert domain_mismatches(p, answers) == [], p.pairs()
+        mutants = []
+        for key in ("way_below", "compact", "classify.compact", "minimal_basis",
+                    "scott_family", "mf_family"):
+            mutants += [(key, {**answers, key: answers[key] - {m}}) for m in answers[key]]
+        for key in ("dcpo", "continuous", "algebraic", "scott_ok"):
+            mutants.append((key, {**answers, key: not answers[key]}))
+        for key, mutant in mutants:
+            assert key in domain_mismatches(p, mutant), (p.pairs(), key)
+            caught += 1
+    assert caught > 100
 
 
 def test_ideal_completion_is_dual(chain2, vee):

@@ -1,7 +1,11 @@
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
+import posetspace
 from posetspace import cli
 from posetspace.constructions import FiniteTopSpace, RationalMetric
 from posetspace.files import (
@@ -249,6 +253,44 @@ def test_exit_codes(files, tmp_path):
     sier.write_text("space s\npoint x\npoint y\nopen U x\nopen W x y\n")
     code, out = run_cli(["space", str(sier)])
     assert code == 1 and "witness" in out
+
+
+# game calls that cannot be played: each must exit 2 with a message, never a traceback
+BAD_GAME_CALLS = {
+    "baire-empty": ["baire", "{empty}"],
+    "choquet-empty": ["choquet", "{empty}"],
+    "choquet-rounds0": ["choquet", "{v}", "--rounds", "0"],
+    "stargame-play-short-guide": ["stargame-play", "--f", "01", "--rounds", "5"],
+}
+
+
+def bad_game_argv(label, tmp_path):
+    paths = {}
+    for name, text in (("empty", "poset empty\n"), ("v", VEE)):
+        path = tmp_path / f"{name}.poset"
+        path.write_text(text)
+        paths[name] = str(path)
+    return [arg.format(**paths) for arg in BAD_GAME_CALLS[label]]
+
+
+@pytest.mark.parametrize("label", sorted(BAD_GAME_CALLS))
+def test_bad_game_call_exits_2(label, tmp_path):
+    code, out = run_cli(bad_game_argv(label, tmp_path))
+    assert code == 2
+    assert out.startswith(("error: ", "usage error: ")) and "Traceback" not in out
+
+
+def test_bad_game_calls_exit_2_under_optimize(tmp_path):
+    # python -O strips assert statements; the exit codes must not depend on them
+    src = os.path.dirname(os.path.dirname(posetspace.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    for label in sorted(BAD_GAME_CALLS):
+        argv = bad_game_argv(label, tmp_path)
+        proc = subprocess.run([sys.executable, "-O", "-m", "posetspace.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == run_cli(argv)[0] == 2, (label, proc.stderr)
+        assert "Traceback" not in proc.stderr
 
 
 def test_wrong_file_kind(files):

@@ -1,8 +1,9 @@
 import itertools
+import random
 
 import pytest
 
-from posetspace.catalog import labeled_posets, posets_up_to
+from posetspace.catalog import labeled_posets, posets_up_to, random_poset
 from posetspace.poset_core import (
     AntisymmetryViolation,
     BinaryTreePoset,
@@ -10,6 +11,7 @@ from posetspace.poset_core import (
     FinitePoset,
     InvalidElementId,
     IrreflexivityViolation,
+    PosetError,
     UnknownElement,
     UnknownElementInPair,
     incompatible,
@@ -165,3 +167,21 @@ def test_binary_tree_provider_contract():
     assert tree.incompatible("00", "01") is True
     assert tree.incompatible("0", "01") is False
     assert tree.refinements("e", 1) == ["0", "1"]
+
+
+def test_generators_refuse_sizes_they_cannot_name():
+    for n in (-1, 9, 12):
+        with pytest.raises(PosetError):
+            labeled_posets(n)
+        with pytest.raises(PosetError):
+            random_poset(random.Random(0), n)
+    assert labeled_posets(3)[0].elements == ("a", "b", "c")
+    assert random_poset(random.Random(0), 8).elements == tuple("abcdefgh")
+
+
+def test_constructor_needs_one_mask_per_element():
+    with pytest.raises(PosetError):
+        FinitePoset(("a", "b"), (1,))
+    with pytest.raises(PosetError):
+        FinitePoset(("a",), (1, 2))
+    assert len(FinitePoset(("a",), (1,))) == 1
