@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poset_core import FinitePoset, GeneratedPoset, PosetError, check_element_id
+from .poset_core import FinitePoset, GeneratedPoset, PosetError, _bits, check_element_id
 from .filters import ChainFilter, enumerate_filters, is_directed, is_upward_closed, upward_closure
 from .topology import PosetSpace, union_closure, verify_correspondence
 
@@ -35,6 +35,10 @@ class MetricAxiomViolation(PosetError):
 
 class TopologyInvalid(PosetError):
     pass
+
+
+class BadBallGrid(PosetError, ValueError):
+    """A formal-ball grid with a denominator or radius out of range."""
 
 
 INF = float("inf")
@@ -193,49 +197,59 @@ def product_poset(factors) -> ProductResult:
 
     sizes = [len(f) for f in topped]
     tuples = list(itertools.product(*[range(s) for s in sizes]))
-    tuple_pos = {t: i for i, t in enumerate(tuples)}
     names = []
     coords = {}
-    for t in tuples:
-        name = "(" + ",".join(topped[k].elements[t[k]] for k in range(len(topped))) + ")"
+    # at[k][j]: mask of the product positions whose k-th coordinate is j
+    at = [[0] * s for s in sizes]
+    for pos, t in enumerate(tuples):
+        coord = tuple(g.elements[j] for g, j in zip(topped, t))
+        name = "(" + ",".join(coord) + ")"
         names.append(name)
-        coords[name] = tuple(topped[k].elements[t[k]] for k in range(len(topped)))
+        coords[name] = coord
+        for k, j in enumerate(t):
+            at[k][j] |= 1 << pos
 
-    masks = []
-    for t in tuples:
-        m = 0
-        for s in tuples:
-            if all(topped[k].leq_idx(t[k], s[k]) for k in range(len(topped))):
-                m |= 1 << tuple_pos[s]
-        masks.append(m)
+    def lift(k, m):
+        out = 0
+        for j in _bits(m):
+            out |= at[k][j]
+        return out
+
+    def meet(lifted, t):
+        out = (1 << len(tuples)) - 1
+        for k, j in enumerate(t):
+            out &= lifted[k][j]
+        return out
+
+    lifted_up = [[lift(k, g.up_mask(j)) for j in range(len(g))] for k, g in enumerate(topped)]
+    masks = [meet(lifted_up, t) for t in tuples]
     prod = FinitePoset(names, masks, " x ".join(f.name for f in factors))
 
     fspaces = tuple(PosetSpace(f, "mf") for f in factors)
     pspace = PosetSpace(prod, "mf")
-    point_sets = {f.members: i for i, f in enumerate(pspace.points)}
+    point_masks = [pt.mask() for pt in pspace.points]
+    point_of = {m: i for i, m in enumerate(point_masks)}
 
-    # factor point j of factor k as indices into topped[k], adjoined top included
-    coord_sets = [
-        [[g.index(e) for e in upward_closure(g, pt.members)] for pt in sp.points]
-        for g, sp in zip(topped, fspaces)
+    # factor point j of factor k, adjoined top included, lifted to the product
+    lifted_points = [
+        [lift(k, g.mask_of(upward_closure(g, pt.members))) for pt in sp.points]
+        for k, (g, sp) in enumerate(zip(topped, fspaces))
     ]
     phi = {}
     src_opens = {name: set() for name in names}
     for combo in itertools.product(*[range(len(sp)) for sp in fspaces]):
-        members = frozenset(
-            names[tuple_pos[t]]
-            for t in itertools.product(*[coord_sets[k][j] for k, j in enumerate(combo)])
-        )
-        phi[combo] = point_sets.get(members)
-        for name in members:
-            src_opens[name].add(combo)
-    fsets = [{f.members: i for i, f in enumerate(sp.points)} for sp in fspaces]
+        members = meet(lifted_points, combo)
+        phi[combo] = point_of.get(members)
+        for pos in _bits(members):
+            src_opens[names[pos]].add(combo)
+    fsets = [{pt.mask(): i for i, pt in enumerate(sp.points)} for sp in fspaces]
+    # project each point onto factor k; an adjoined top has index len(factors[k])
     phi_inv = {
         i: tuple(
-            fsets[k].get(frozenset(coords[name][k] for name in point.members) - {tops[k]})
-            for k in range(len(fspaces))
+            fsets[k].get(sum(1 << j for j, m in enumerate(at[k]) if mask & m) & ~(1 << len(f)))
+            for k, f in enumerate(factors)
         )
-        for i, point in enumerate(pspace.points)
+        for i, mask in enumerate(point_masks)
     }
     check = verify_correspondence(
         list(phi),
@@ -644,12 +658,12 @@ class FormalBallPoset(GeneratedPoset):
 
     def __init__(self, metric: RationalMetric, max_denom: int = 8, max_radius=2):
         if max_denom < 1 or max_denom & (max_denom - 1):
-            raise ValueError("max_denom must be a positive power of two")
+            raise BadBallGrid("max_denom must be a positive power of two")
         self.metric = metric
         self.max_denom = max_denom
         self.max_radius = Fraction(max_radius)
         if self.max_radius <= 0:
-            raise ValueError("max_radius must be positive")
+            raise BadBallGrid("max_radius must be positive")
 
     def encode(self, center, radius) -> str:
         return f"B({center},{Fraction(radius)})"

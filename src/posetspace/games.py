@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .poset_core import FinitePoset, PosetError, incompatible
+from .poset_core import FinitePoset, PosetError, _bits, incompatible
 from .filters import ChainFilter, Filter, upward_closure
 from .topology import PosetSpace
 
@@ -113,19 +113,17 @@ def canonical_choquet_strategy(space: PosetSpace) -> Strategy:
     """
 
     def move(position):
-        prev = None
-        for r in position.rounds:
-            if r.witness_ii is not None:
-                prev = r.witness_ii
+        space = position.space
+        poset = space.poset
+        prev = next((r.witness_ii for r in reversed(position.rounds) if r.witness_ii is not None), None)
         u, x = position.pending
-        filt = position.space.points[x]
-        for q in position.space.poset.elements:
-            if q not in filt.members:
-                continue
-            if prev is not None and not position.space.poset.leq(q, prev):
-                continue
-            if position.space.basic_open(q) <= u:
-                return q
+        # the members of point x, in element order, that refine the previous witness
+        eligible = poset.up_mask(space.generators[x])
+        if prev is not None:
+            eligible &= poset.down_mask(poset.index(prev))
+        for q in _bits(eligible):
+            if space.opens[q] <= u:
+                return poset.elements[q]
         raise ConditionViolated(
             len(position.rounds), "no eligible element; the inputs broke the game rules"
         )
@@ -143,12 +141,8 @@ def scripted_random_choquet_i(seed: int) -> Strategy:
             prev = position.rounds[-1].open_ii
         else:
             prev = space.whole
-        eligible = [
-            p for p in space.poset.elements
-            if space.basic_open(p) and space.basic_open(p) <= prev
-        ]
-        p = rng.choice(eligible)
-        u = space.basic_open(p)
+        # the nonempty basic opens inside prev, in element order
+        u = rng.choice([u for u in space.opens if u and u <= prev])
         x = rng.choice(sorted(u))
         return u, x
 

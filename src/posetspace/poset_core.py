@@ -54,12 +54,11 @@ def check_element_id(token) -> str:
 
 
 def _bits(mask):
-    i = 0
+    """The indices of the set bits of ``mask``, in ascending order."""
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class FinitePoset:

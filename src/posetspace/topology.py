@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poset_core import FinitePoset, PosetError
+from .poset_core import FinitePoset, PosetError, UnknownElement, _bits
 from .filters import Filter, enumerate_filters
 
 
@@ -22,7 +22,9 @@ class PosetSpace:
 
     Points are the enumerated filters in generator order; opens are
     handled as frozensets of point indices.  The basic open of an element
-    p collects the points whose filter contains p.
+    p collects the points whose filter contains p.  ``generators[i]`` is
+    the element index of the least member of point i, and ``opens[e]`` is
+    the basic open of element index e, read off the generators' up-masks.
     """
 
     def __init__(self, poset: FinitePoset, mode: str):
@@ -32,10 +34,15 @@ class PosetSpace:
         self.mode = mode
         kind = "maximal" if mode == "mf" else "unbounded"
         self.points = tuple(enumerate_filters(poset, kind))
-        self._basic = {
-            p: frozenset(i for i, f in enumerate(self.points) if p in f.members)
-            for p in poset.elements
-        }
+        # on a finite poset both kinds are the upsets of the minimal elements
+        self.generators = poset.minimal_indices()
+        opens = [[] for _ in poset.elements]
+        for i, g in enumerate(self.generators):
+            for e in _bits(poset.up_mask(g)):
+                opens[e].append(i)
+        self.opens = tuple(frozenset(o) for o in opens)
+        self._basic = dict(zip(poset.elements, self.opens))
+        self.whole = frozenset(range(len(self.points)))
 
     def __len__(self):
         return len(self.points)
@@ -43,13 +50,11 @@ class PosetSpace:
     def __repr__(self):
         return f"PosetSpace({self.mode}({self.poset.name}), {len(self)} points)"
 
-    @property
-    def whole(self) -> frozenset:
-        return frozenset(range(len(self.points)))
-
     def basic_open(self, element) -> frozenset:
-        self.poset.index(element)
-        return self._basic[element]
+        try:
+            return self._basic[element]
+        except KeyError:
+            raise UnknownElement(element) from None
 
     def open_from_elements(self, elements) -> frozenset:
         out = frozenset()
@@ -58,14 +63,17 @@ class PosetSpace:
         return out
 
     def is_open(self, point_set) -> bool:
-        """Open means a union of basic opens."""
+        """Open means a union of basic opens.
+
+        Basic opens are monotone, so the least basic open around point i
+        is the basic open of its generator; the set is open exactly when
+        it holds that open for each of its points.  A set holding
+        anything but a point of the space is not open.
+        """
         point_set = frozenset(point_set)
-        for i in point_set:
-            if not any(
-                self._basic[p] <= point_set for p in self.points[i].members
-            ):
-                return False
-        return True
+        return point_set <= self.whole and all(
+            self.opens[self.generators[i]] <= point_set for i in point_set
+        )
 
     def point_index(self, filt: Filter) -> int:
         for i, f in enumerate(self.points):

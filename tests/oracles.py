@@ -1,14 +1,53 @@
-"""Literal domain-theory definitions, kept as oracles for the library.
+"""Literal definitions, kept as oracles for the library.
 
 The library answers domain-theory questions from the finite-case
 theorems: every finite poset is a dcpo, way below is the order, and every
 element is compact.  The functions here evaluate the definitions
 themselves by scanning all 2^n subsets, so they only suit small posets.
 ``domain_mismatches`` compares the library's answers with them.
+
+The library also builds product orders, basic opens and the open test on
+index bitmasks; ``product_up_masks``, ``basic_open`` and ``is_open``
+below follow the definitions element by element and filter by filter.
 """
+
+import itertools
 
 from posetspace import domain_theory as lib
 from posetspace.poset_core import FinitePoset
+
+
+def product_up_masks(factors) -> list:
+    """Up-masks of the coordinatewise order on the tuples of ``factors``.
+
+    Tuples are listed in ``itertools.product`` order, the product's
+    element order; t lies below s when every coordinate of t lies below
+    the same coordinate of s.
+    """
+    tuples = list(itertools.product(*[range(len(f)) for f in factors]))
+    return [
+        sum(
+            1 << pos for pos, s in enumerate(tuples)
+            if all(f.leq_idx(t[k], s[k]) for k, f in enumerate(factors))
+        )
+        for t in tuples
+    ]
+
+
+def basic_open(space, element) -> frozenset:
+    """The points whose filter contains ``element``."""
+    return frozenset(i for i, f in enumerate(space.points) if element in f.members)
+
+
+def is_open(space, point_set) -> bool:
+    """A union of basic opens: every point has a member whose basic open fits."""
+    point_set = frozenset(point_set)
+    if not point_set <= frozenset(range(len(space.points))):
+        return False
+    return all(
+        any(basic_open(space, p) <= point_set for p in space.points[i].members)
+        for i in point_set
+    )
 
 
 def members(mask):

@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from posetspace.catalog import all_topologies, posets_up_to, random_poset
 from posetspace.constructions import (
     EmptyFactorList,
@@ -80,6 +82,30 @@ def test_product_random_triples():
         for f in factors:
             want *= len(PosetSpace(f, "mf").points)
         assert len(r.space.points) == want
+
+
+def _assert_product_matches_oracle(factors):
+    r = product_poset(factors)
+    want = oracles.product_up_masks(r.factors)
+    assert [r.poset.up_mask(i) for i in range(len(r.poset))] == want, [f.name for f in factors]
+    assert r.ok, ([f.name for f in factors], r.failure)
+    for e in r.poset.elements:
+        assert r.space.basic_open(e) == oracles.basic_open(r.space, e)
+
+
+def test_product_order_matches_oracle():
+    small = posets_up_to(3, include_empty=True)
+    for p1 in small:
+        for p2 in small:
+            _assert_product_matches_oracle([p1, p2])
+    tiny = posets_up_to(2, include_empty=True)
+    for factors in itertools.product(tiny, repeat=3):
+        _assert_product_matches_oracle(list(factors))
+    rng = random.Random(47)
+    for a in range(1, 8):
+        for b in range(1, 8):
+            for _ in range(3):
+                _assert_product_matches_oracle([random_poset(rng, a), random_poset(rng, b)])
 
 
 # --- G-delta, maximal side ---------------------------------------------------

@@ -193,6 +193,17 @@ def test_formalballs_verb(files):
     assert "point-chain:" in out
 
 
+@pytest.mark.parametrize("flags", [
+    ["--max-denom", "0"],
+    ["--max-denom", "3"],
+    ["--max-radius", "0"],
+])
+def test_formalballs_bad_grid_exits_2(files, flags):
+    code, out = run_cli(["formalballs", files["two.metric"], *flags])
+    assert code == 2
+    assert out.startswith("error: ") and "Traceback" not in out
+
+
 def test_choquet_verb(files):
     code, out = run_cli(["choquet", files["v.poset"], "--rounds", "3", "--seed", "1"])
     assert code == 0

@@ -84,6 +84,18 @@ def test_illegal_point_outside_open(vee):
     assert t.winner_at_horizon == "II"
 
 
+def test_illegal_open_outside_the_space(vee):
+    space = PosetSpace(vee, "mf")
+
+    def stray_i(position):
+        return {0, 99}, 0  # 99 is not a point of the space
+
+    t = choquet_referee(space, stray_i, canonical_choquet_strategy(space), 3)
+    assert t.illegal is not None
+    assert (t.illegal.player, t.illegal.round_no, t.illegal.reason) == ("I", 0, "played set is not open")
+    assert t.winner_at_horizon == "II"
+
+
 def test_illegal_open_escaping_answer(vee):
     space = PosetSpace(vee, "mf")
     moves = iter([(space.basic_open("a"), 0), (space.whole, 1)])

@@ -1,5 +1,6 @@
 import pytest
 
+import oracles
 from posetspace.catalog import posets_up_to
 from posetspace.constructions import (
     FiniteTopSpace,
@@ -65,6 +66,21 @@ def test_is_open(vee):
     assert sp.is_open(frozenset())
     assert sp.is_open(sp.whole)
     assert sp.is_open(sp.basic_open("a"))
+    for outside in ({0, 99}, {-1}, {0, 1, 2}, {"a"}):  # not sets of points
+        assert not sp.is_open(outside)
+
+
+def test_is_open_and_basic_opens_match_oracle():
+    for p in posets_up_to(4, include_empty=True):
+        for mode in ("mf", "uf"):
+            sp = PosetSpace(p, mode)
+            for e in p.elements:
+                assert sp.basic_open(e) == oracles.basic_open(sp, e)
+            n = len(sp.points)
+            for mask in range(1 << n):
+                s = frozenset(i for i in range(n) if mask >> i & 1)
+                assert sp.is_open(s) == oracles.is_open(sp, s), (p.name, mode, s)
+                assert not sp.is_open(s | {n})
 
 
 def test_reduce_vee(vee):
