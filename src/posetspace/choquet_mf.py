@@ -42,6 +42,10 @@ class PreconditionFailed(PosetError):
     pass
 
 
+class BadDepth(PosetError, ValueError):
+    """A condition-poset depth below 0."""
+
+
 def canonical_strategy_ii(space: FiniteTopSpace):
     """Answer with the least basic open around the point inside the constraint."""
 
@@ -267,6 +271,8 @@ def mf_characterization_check(space: FiniteTopSpace, depth: int, s_ii=None,
     matched with the space.  A seeded sample of common refinements is
     also validated both ways.
     """
+    if depth < 0:
+        raise BadDepth(f"depth must be at least 0, got {depth}")
     if not space.is_t1():
         raise PreconditionFailed("the space is not T1")
     system = ConditionSystem(space, s_ii)

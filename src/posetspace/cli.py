@@ -9,6 +9,8 @@ printed), 2 for usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import sys
 
 from . import choquet_mf, constructions, domain_theory, filters, games, semi_topogenous, topology
@@ -57,6 +59,8 @@ def _cmd_filters(args, out):
 
 
 def _cmd_space(args, out):
+    if args.check == "subspace" and len(args.open or []) > 1:
+        raise _Usage("--check subspace takes one --open")
     obj = parse_input_file(args.file)
     if isinstance(obj, FiniteTopSpace):
         result = constructions.precompact_open_poset(obj)
@@ -333,7 +337,9 @@ OPERATION_COVERAGE = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The posetctl parser, built on first use and shared by every ``run`` call."""
     parser = argparse.ArgumentParser(prog="posetctl", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -425,9 +431,9 @@ def run(argv=None, stdout=None) -> int:
     def out(line):
         print(line, file=stdout)
 
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(stdout):  # --help reaches the caller's stream
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -230,18 +230,17 @@ def star_game_solve(poset: FinitePoset) -> StarSolution:
     it; so player II wins, and the returned strategy is the constant first
     pick.
     """
-    s = set(poset.elements)
+    down = [poset.down_mask(i) for i in range(len(poset))]
+    s = (1 << len(poset)) - 1  # the shrinking set, as an element mask
     iterations = 0
 
     def splittable(p, pool):
-        dp = [q for q in pool if poset.leq(q, p)]
-        return any(
-            incompatible(poset, p1, p2) for i, p1 in enumerate(dp) for p2 in dp[i + 1:]
-        )
+        dp = list(_bits(down[p] & pool))
+        return any(down[a] & down[b] == 0 for i, a in enumerate(dp) for b in dp[i + 1:])
 
     while True:
         iterations += 1
-        keep = {p for p in s if splittable(p, s)}
+        keep = sum(1 << p for p in _bits(s) if splittable(p, s))
         if keep == s:
             break
         s = keep
@@ -249,7 +248,8 @@ def star_game_solve(poset: FinitePoset) -> StarSolution:
     def move_ii(pair, round_no):
         return 1
 
-    return StarSolution("II", frozenset(s), Strategy("constant-first-pick", move_ii), iterations)
+    core = frozenset(poset.names_of(s))
+    return StarSolution("II", core, Strategy("constant-first-pick", move_ii), iterations)
 
 
 def splitting_strategy(tree) -> Strategy:

@@ -9,12 +9,13 @@ themselves by scanning all 2^n subsets, so they only suit small posets.
 The library also builds product orders, basic opens and the open test on
 index bitmasks; ``product_up_masks``, ``basic_open`` and ``is_open``
 below follow the definitions element by element and filter by filter.
+``star_game`` runs the star game's shrinking loop on element names.
 """
 
 import itertools
 
 from posetspace import domain_theory as lib
-from posetspace.poset_core import FinitePoset
+from posetspace.poset_core import FinitePoset, incompatible
 
 
 def product_up_masks(factors) -> list:
@@ -32,6 +33,31 @@ def product_up_masks(factors) -> list:
         )
         for t in tuples
     ]
+
+
+def star_game(poset):
+    """(winner, fixed point, iterations) of the star game, by names.
+
+    Shrinks S from the whole carrier to the greatest set whose every
+    member has an incompatible pair of members of S below it, one pass
+    per iteration.  Player I wins exactly when S is nonempty.
+    """
+    s = set(poset.elements)
+    iterations = 0
+
+    def splittable(p, pool):
+        dp = [q for q in pool if poset.leq(q, p)]
+        return any(
+            incompatible(poset, p1, p2) for i, p1 in enumerate(dp) for p2 in dp[i + 1:]
+        )
+
+    while True:
+        iterations += 1
+        keep = {p for p in s if splittable(p, s)}
+        if keep == s:
+            break
+        s = keep
+    return ("I" if s else "II"), frozenset(s), iterations
 
 
 def basic_open(space, element) -> frozenset:

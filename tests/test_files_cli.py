@@ -1,3 +1,4 @@
+import contextlib
 import io
 import os
 import subprocess
@@ -333,3 +334,98 @@ def test_every_operation_reachable():
     assert spec_operations <= covered
     parser = cli.build_parser()
     assert set(cli.OPERATION_COVERAGE) == set(parser._subparsers._group_actions[0].choices)
+
+
+# --- one parser per process ---------------------------------------------------------
+
+
+def readme_argvs(files, tmp_path):
+    """The CLI list of the README, on this module's fixture files."""
+    v, chain2, d2 = files["v.poset"], files["chain2.poset"], files["d2.space"]
+    return [
+        ["filters", v, "--kind", "maximal"],
+        ["space", v, "--mode", "mf", "--check", "separation"],
+        ["space", d2],
+        ["product", v, chain2, "-o", str(tmp_path / "out.poset")],
+        ["gdelta", v, "--mode", "mf", "--open", "U1=a", "--open", "U2=a,c"],
+        ["gdelta", v, "--mode", "uf", "--open", "a", "--open", "a"],
+        ["formalballs", files["two.metric"], "--max-denom", "8", "--max-radius", "4"],
+        ["stargame", v],
+        ["stargame-play", "--poset", "bintree", "--f", "010110", "--rounds", "6"],
+        ["choquet", v, "--rounds", "10", "--seed", "0"],
+        ["mf-characterize", d2, "--depth", "2"],
+        ["domain", v, "--check", "lemma"],
+        ["topo-order", d2, "--construct", "interval", "--check", "all"],
+        ["topo-order", v, "--construct", "from-poset"],
+        ["baire", v, "--start", "c", "--rounds", "2", "--dense", "a,b"],
+    ]
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_shared_parser_matches_fresh_parser(files, tmp_path, monkeypatch):
+    argvs = readme_argvs(files, tmp_path)
+    assert {argv[0] for argv in argvs} == set(cli.OPERATION_COVERAGE)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [run_cli(argv) for argv in argvs]
+    assert all(code in (0, 1) for code, _ in fresh)
+    # interleaved: forward, backward, then every other call
+    order = list(range(len(argvs)))
+    order += order[::-1] + order[::2] + order[1::2]
+    for k in order:
+        assert run_cli(argvs[k]) == fresh[k], argvs[k]
+
+
+def test_repeated_open_does_not_carry_over(files, monkeypatch):
+    seen = []
+    real = cli.constructions.gdelta_mf_poset
+
+    def spy(poset, opens):
+        seen.append(opens)
+        return real(poset, opens)
+
+    monkeypatch.setattr(cli.constructions, "gdelta_mf_poset", spy)
+    v = files["v.poset"]
+    assert run_cli(["gdelta", v, "--open", "a", "--open", "a,c"])[0] == 0
+    assert run_cli(["gdelta", v, "--open", "b"])[0] == 0
+    assert run_cli(["gdelta", v])[0] == 0
+    assert seen == [[["a"], ["a", "c"]], [["b"]], []]
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["--help"], "usage: posetctl "),
+    (["filters", "--help"], "usage: posetctl filters "),
+])
+def test_help_goes_to_run_stdout(argv, usage, capsys):
+    code, out = run_cli(argv)
+    assert code == 0 and out.startswith(usage)
+    assert capsys.readouterr() == ("", "")
+
+
+def test_help_and_usage_reach_the_streams_of_each_call():
+    for _ in range(2):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli.run(["--help"]) == 0
+            assert cli.run(["bogus"]) == 2
+        assert out.getvalue().startswith("usage: posetctl ")
+        assert err.getvalue().startswith("usage: posetctl ") and "invalid choice" in err.getvalue()
+
+
+def test_negative_depth_exits_2(files):
+    code, out = run_cli(["mf-characterize", files["d2.space"], "--depth", "-1"])
+    assert code == 2 and out.startswith("error: ") and "depth" in out
+    # depth 0 is a valid, too-shallow bound: a failed property, not bad input
+    code, out = run_cli(["mf-characterize", files["d2.space"], "--depth", "0"])
+    assert code == 1
+    assert out.splitlines()[:3] == ["conditions: 3", "maximal-filters: 3", "depth-too-small: 1"]
+
+
+def test_subspace_check_refuses_two_opens(files):
+    argv = ["space", files["v.poset"], "--mode", "uf", "--check", "subspace", "--open", "a"]
+    code, out = run_cli(argv + ["--open", "b"])
+    assert code == 2 and out.startswith("usage error: ") and "--open" in out
+    assert run_cli(argv)[0] == 0

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import oracles
 from posetspace.catalog import posets_up_to, random_dense_sets, random_poset
 from posetspace.games import (
     ConditionViolated,
@@ -17,7 +18,7 @@ from posetspace.games import (
     star_game_referee,
     star_game_solve,
 )
-from posetspace.poset_core import BinaryTreePoset, incompatible
+from posetspace.poset_core import BinaryTreePoset, incompatible, validate_poset
 from posetspace.topology import PosetSpace
 
 
@@ -181,6 +182,33 @@ def test_star_solver_matches_height_oracle_small():
         sol = star_game_solve(p)
         assert sol.fixed_point == height_oracle(p)
         assert sol.winner == "II"
+
+
+def _shape(name, n, pairs):
+    return validate_poset([f"e{i}" for i in range(n)],
+                          [(f"e{a}", f"e{b}") for a, b in pairs], name)
+
+
+STAR_SHAPES = [
+    _shape("chain30", 30, [(i, i + 1) for i in range(29)]),
+    _shape("two-chains-under-top", 31, [(i, i + 1) for i in range(14)] + [(14, 30)]
+           + [(i, i + 1) for i in range(15, 29)] + [(29, 30)]),
+    _shape("broom", 24, [(i, 10) for i in range(10)] + [(i, i + 1) for i in range(10, 23)]),
+    _shape("tree31", 31, [(c, (c - 1) // 2) for c in range(1, 31)]),  # children below parents
+    _shape("antichain30", 30, []),
+    _shape("crown20", 20, [(i, 10 + j) for i in range(10) for j in (i, (i + 1) % 10)]),
+    _shape("layers", 24, [(i, j) for i in range(8) for j in range(8, 16) if (i + j) % 3]
+           + [(i, j) for i in range(8, 16) for j in range(16, 24) if (i * j) % 4]),
+]
+
+
+def test_star_solver_matches_name_oracle():
+    posets = posets_up_to(5, include_empty=True)
+    assert len(posets) == 4474
+    for p in posets + STAR_SHAPES:
+        sol = star_game_solve(p)
+        assert (sol.winner, sol.fixed_point, sol.iterations) == oracles.star_game(p), p.pairs()
+    assert star_game_solve(STAR_SHAPES[3]).iterations > 2  # the tree shrinks level by level
 
 
 def test_star_referee_bintree_follows_guide():

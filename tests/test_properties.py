@@ -1,15 +1,20 @@
 """Property-based tests.  Derandomized and without an example database, so
 every run draws the same examples."""
 
+import contextlib
+import io
+import os
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from posetspace import cli
 from posetspace.catalog import random_poset
 from posetspace.constructions import product_poset
 from posetspace.files import parse_poset_text, poset_to_text
-from posetspace.poset_core import _bits
+from posetspace.poset_core import _bits, _transitive_close, validate_poset
 
 fixed = settings(derandomize=True, database=None, deadline=None)
 
@@ -34,3 +39,68 @@ def test_product_order_matches_oracle(seed, sizes):
 def test_poset_text_round_trips(seed, n, edge_prob):
     p = random_poset(random.Random(seed), n, edge_prob)
     assert parse_poset_text(poset_to_text(p)) == p
+
+
+@fixed
+@given(st.integers(min_value=0, max_value=2**32), st.integers(0, 8), st.floats(0.0, 1.0))
+def test_closure_is_idempotent(seed, n, edge_prob):
+    p = random_poset(random.Random(seed), n, edge_prob)
+    assert validate_poset(p.elements, p.pairs(), p.name) == p
+    closed = [p.up_mask(i) for i in range(n)]
+    assert _transitive_close(closed) == closed
+    rng = random.Random(seed)
+    once = _transitive_close([rng.getrandbits(n) | 1 << i for i in range(n)])
+    assert _transitive_close(once) == once
+
+
+CLI_FILES = {
+    "v.poset": "poset V\nelem a\nelem b\nelem c\nle a c\nle b c\n",
+    "chain2.poset": "poset chain2\nelem x\nelem y\nle x y\n",
+    "empty.poset": "poset empty\n",
+    "bad.poset": "poset bad\nelem a\nle a z\n",
+    "two.metric": "metric two\npoint p0\npoint p1\ndist p0 p1 1/1\n",
+    "d2.space": "space d2\npoint x\npoint y\nopen U1 x\nopen U2 y\nopen W x y\n",
+    "s.space": "space s\npoint x\npoint y\nopen U x\nopen W x y\n",
+}
+# every option and choice, a few element sets, and small numbers only, so
+# that no drawn call can ask for an exponential amount of work
+CLI_FLAGS = (
+    "--help", "--kind", "--classify", "--extend", "--upclose", "--mode", "--check",
+    "--seed-basis", "--open", "-o", "--max-denom", "--max-radius", "--budget", "--depth",
+    "--rounds", "--seed", "--poset", "--f", "--start", "--dense", "--construct", "--serialize",
+)
+CLI_VALUES = (
+    "all", "maximal", "unbounded", "mf", "uf", "separation", "opens", "reduce", "subspace",
+    "lemma", "ideal", "interval", "from-poset", "axioms", "bintree", "grid", "out.poset",
+    "a", "b", "c", "x", "y", "p0", "a,b", "a,c", "U1=a", "zz", "", "01", "0110", "012",
+    "-1", "0", "1", "2", "3",
+)
+cli_word = st.one_of(st.sampled_from(CLI_FLAGS + CLI_VALUES + tuple(CLI_FILES)),
+                     st.text("-=,abcxyz", max_size=4))
+cli_option = st.one_of(st.tuples(st.sampled_from(CLI_FLAGS), st.sampled_from(CLI_VALUES)),
+                       st.tuples(cli_word))
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli")
+    for name, text in CLI_FILES.items():
+        (path / name).write_text(text)
+    return path
+
+
+@settings(fixed, max_examples=300)
+@given(st.sampled_from(sorted(cli.OPERATION_COVERAGE) + ["bogus", "--help"]),
+       st.lists(st.sampled_from(sorted(CLI_FILES) + ["missing.poset"]), max_size=1),
+       st.lists(cli_option, max_size=5))
+def test_cli_run_on_fuzzed_argv_exits_0_1_or_2(cli_dir, verb, paths, options):
+    # one process, one cached parser; -o writes land in the fixture directory
+    argv = [verb, *paths, *(word for option in options for word in option)]
+    cwd = os.getcwd()
+    os.chdir(cli_dir)
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = cli.run(argv, stdout=io.StringIO())
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2), argv
