@@ -164,6 +164,8 @@ def _cmd_gdelta(args, out):
 
 def _cmd_formalballs(args, out):
     metric = _load(args.file, RationalMetric)
+    if not metric.points:
+        raise PosetError(f"metric {metric.name} has no point to start the point chain from")
     balls = constructions.formal_ball_poset(metric, args.max_denom, args.max_radius)
     out(f"metric: {metric.name}")
     out(f"grid: k/{args.max_denom} up to {balls.max_radius}")

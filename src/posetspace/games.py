@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .poset_core import FinitePoset, PosetError, _bits, incompatible
 from .filters import ChainFilter, Filter, upward_closure
@@ -63,11 +64,10 @@ class Strategy:
 # strong Choquet game
 
 
-@dataclass(frozen=True)
-class ChoquetRound:
-    open_i: frozenset
+class ChoquetRound(NamedTuple):
+    open_i: int  # point mask
     point: int
-    open_ii: frozenset
+    open_ii: int  # point mask
     witness_ii: object = None  # generating poset element of II's basic open, if any
 
 
@@ -78,8 +78,9 @@ class ChoquetTranscript:
     illegal: IllegalMove | None = None
 
     @property
-    def intersection(self) -> frozenset:
-        out = self.space.whole
+    def intersection(self) -> int:
+        """The points in every answer of player II, as a point mask."""
+        out = (1 << len(self.space)) - 1
         for r in self.rounds:
             out &= r.open_ii
         return out
@@ -94,8 +95,8 @@ class ChoquetTranscript:
         lines = []
         for t, r in enumerate(self.rounds):
             lines.append(
-                f"round {t}: I ({self.space.set_str(r.open_i)}, {self.space.points[r.point]})"
-                f" | II {self.space.set_str(r.open_ii)}"
+                f"round {t}: I ({self.space.set_str(_bits(r.open_i))}, {self.space.points[r.point]})"
+                f" | II {self.space.set_str(_bits(r.open_ii))}"
             )
         if self.illegal is not None:
             lines.append(f"illegal: {self.illegal}")
@@ -111,19 +112,19 @@ def canonical_choquet_strategy(space: PosetSpace) -> Strategy:
     generated II's previous answer, so II's witnesses descend in the
     poset.  A legal game always leaves an eligible element.
     """
+    poset, opens = space.poset, space.opens
+    members = [poset.up_mask(g) for g in space.generators]
+    down = [poset.down_mask(e) for e in range(len(poset))]
 
     def move(position):
-        space = position.space
-        poset = space.poset
-        prev = next((r.witness_ii for r in reversed(position.rounds) if r.witness_ii is not None), None)
         u, x = position.pending
         # the members of point x, in element order, that refine the previous witness
-        eligible = poset.up_mask(space.generators[x])
-        if prev is not None:
-            eligible &= poset.down_mask(poset.index(prev))
+        eligible = members[x]
+        if position.witness is not None:
+            eligible &= down[position.witness]
         for q in _bits(eligible):
-            if space.opens[q] <= u:
-                return poset.elements[q]
+            if not opens[q] & ~u:
+                return opens[q], q
         raise ConditionViolated(
             len(position.rounds), "no eligible element; the inputs broke the game rules"
         )
@@ -136,74 +137,69 @@ def scripted_random_choquet_i(seed: int) -> Strategy:
     rng = random.Random(seed)
 
     def move(position):
-        space = position.space
-        if position.rounds:
-            prev = position.rounds[-1].open_ii
-        else:
-            prev = space.whole
+        prev = position.rounds[-1].open_ii if position.rounds else position.whole
         # the nonempty basic opens inside prev, in element order
-        u = rng.choice([u for u in space.opens if u and u <= prev])
-        x = rng.choice(sorted(u))
+        u = rng.choice([u for u in position.space.opens if u and not u & ~prev])
+        x = rng.choice(list(_bits(u)))
         return u, x
 
     return Strategy(f"scripted-random-{seed}", move)
 
 
 class _Position:
+    """What the players see: the rounds so far, I's move to answer, II's last witness."""
+
     def __init__(self, space):
         self.space = space
+        self.whole = (1 << len(space)) - 1  # every point, as a mask
         self.rounds = []
         self.pending = None
+        self.witness = None  # element index behind II's last basic open, if any
 
 
 def choquet_referee(space: PosetSpace, strategy_i, strategy_ii, rounds: int) -> ChoquetTranscript:
     """Play the strong Choquet game for a bounded number of rounds.
 
-    Enforces every legality rule; an illegal move aborts the run with the
-    offender losing.  At the horizon the nonemptiness of the intersection
-    of II's opens decides the bounded verdict.
+    Opens are int masks over point indices.  Player I moves ``(u, x)``
+    and player II answers ``(v, w)``, where w is the element index whose
+    basic open v is, or None.  Enforces every legality rule; an illegal
+    move aborts the run with the offender losing.  At the horizon the
+    nonemptiness of the intersection of II's opens decides the bounded
+    verdict.
     """
     if rounds < 1:
         raise GameSetupError("rounds must be at least 1")
     if not space.points:
         raise GameSetupError("the space has no points to play on")
-    transcript = ChoquetTranscript(space)
     pos = _Position(space)
+    transcript = ChoquetTranscript(space, pos.rounds)
+    outside = ~pos.whole  # the bits of no point; every negative mask meets them
+    prev = pos.whole
     for t in range(rounds):
         try:
             u, x = strategy_i(pos)
-            u = frozenset(u)
-            if not space.is_open(u):
+            if u & outside:
                 raise IllegalMove("I", t, "played set is not open")
-            if x not in u:
+            if x < 0 or not u >> x & 1:
                 raise IllegalMove("I", t, "point lies outside the played open")
-            if pos.rounds and not u <= pos.rounds[-1].open_ii:
+            if u & ~prev:
                 raise IllegalMove("I", t, "open not inside II's previous answer")
-        except IllegalMove as bad:
-            transcript.illegal = bad
-            return transcript
-        pos.pending = (u, x)
-        try:
-            answer = strategy_ii(pos)
-            if isinstance(answer, tuple):
-                v, witness = answer
-            elif isinstance(answer, (frozenset, set)):
-                v, witness = frozenset(answer), None
-            else:
-                v, witness = space.basic_open(answer), answer
-            if not space.is_open(v):
+            pos.pending = (u, x)
+            v, w = strategy_ii(pos)
+            if v & outside:
                 raise IllegalMove("II", t, "played set is not open")
-            if x not in v:
+            if not v >> x & 1:
                 raise IllegalMove("II", t, "answer misses player I's point")
-            if not v <= u:
+            if v & ~u:
                 raise IllegalMove("II", t, "answer not inside player I's open")
         except IllegalMove as bad:
             transcript.illegal = bad
             return transcript
-        rnd = ChoquetRound(u, x, v, witness)
-        pos.rounds.append(rnd)
-        pos.pending = None
-        transcript.rounds.append(rnd)
+        if w is not None:
+            pos.witness = w
+            w = space.poset.elements[w]
+        pos.rounds.append(ChoquetRound(u, x, v, w))
+        prev = v
     return transcript
 
 

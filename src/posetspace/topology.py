@@ -20,11 +20,13 @@ class NotABasis(PosetError):
 class PosetSpace:
     """The space of maximal (mode "mf") or unbounded (mode "uf") filters.
 
-    Points are the enumerated filters in generator order; opens are
-    handled as frozensets of point indices.  The basic open of an element
-    p collects the points whose filter contains p.  ``generators[i]`` is
-    the element index of the least member of point i, and ``opens[e]`` is
-    the basic open of element index e, read off the generators' up-masks.
+    Points are the enumerated filters in generator order.  The basic open
+    of an element p collects the points whose filter contains p.
+    ``generators[i]`` is the element index of the least member of point
+    i, and ``opens[e]`` is the basic open of element index e as an int
+    mask over point indices (bit i set when point i contains e).  At the
+    API, ``basic_open``, ``open_from_elements`` and ``whole`` give
+    frozensets of point indices.
     """
 
     def __init__(self, poset: FinitePoset, mode: str):
@@ -36,12 +38,14 @@ class PosetSpace:
         self.points = tuple(enumerate_filters(poset, kind))
         # on a finite poset both kinds are the upsets of the minimal elements
         self.generators = poset.minimal_indices()
-        opens = [[] for _ in poset.elements]
+        opens = [0] * len(poset)
+        members = [[] for _ in poset.elements]
         for i, g in enumerate(self.generators):
             for e in _bits(poset.up_mask(g)):
-                opens[e].append(i)
-        self.opens = tuple(frozenset(o) for o in opens)
-        self._basic = dict(zip(poset.elements, self.opens))
+                opens[e] |= 1 << i
+                members[e].append(i)
+        self.opens = tuple(opens)
+        self._basic = {e: frozenset(m) for e, m in zip(poset.elements, members)}
         self.whole = frozenset(range(len(self.points)))
 
     def __len__(self):
@@ -63,17 +67,15 @@ class PosetSpace:
         return out
 
     def is_open(self, point_set) -> bool:
-        """Open means a union of basic opens.
+        """Open means a union of basic opens; on a finite poset, any set of points.
 
-        Basic opens are monotone, so the least basic open around point i
-        is the basic open of its generator; the set is open exactly when
-        it holds that open for each of its points.  A set holding
-        anything but a point of the space is not open.
+        Every point of MF(P) or UF(P) is the upset of a minimal element g,
+        and a point contains g only if its generator lies below g, that is
+        equals g.  So the basic open of g is the single point generated by
+        g, every finite filter space is discrete, and a set is open
+        exactly when it holds nothing but points of the space.
         """
-        point_set = frozenset(point_set)
-        return point_set <= self.whole and all(
-            self.opens[self.generators[i]] <= point_set for i in point_set
-        )
+        return frozenset(point_set) <= self.whole
 
     def point_index(self, filt: Filter) -> int:
         for i, f in enumerate(self.points):

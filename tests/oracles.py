@@ -10,11 +10,19 @@ The library also builds product orders, basic opens and the open test on
 index bitmasks; ``product_up_masks``, ``basic_open`` and ``is_open``
 below follow the definitions element by element and filter by filter.
 ``star_game`` runs the star game's shrinking loop on element names.
+
+The library plays the strong Choquet game on int point masks;
+``choquet_referee`` with ``canonical_choquet_ii`` and
+``scripted_random_choquet_i`` play it on frozensets of point indices,
+with the literal ``is_open`` and ``basic_open``, and give the same
+transcripts.
 """
 
 import itertools
+import random
 
 from posetspace import domain_theory as lib
+from posetspace.games import ConditionViolated, IllegalMove
 from posetspace.poset_core import FinitePoset, incompatible
 
 
@@ -74,6 +82,102 @@ def is_open(space, point_set) -> bool:
         any(basic_open(space, p) <= point_set for p in space.points[i].members)
         for i in point_set
     )
+
+
+def point_set(mask) -> frozenset:
+    """The point indices of a point mask."""
+    return frozenset(members(mask))
+
+
+class ChoquetPosition:
+    def __init__(self, space):
+        self.space = space
+        self.rounds = []  # (open_i, point, open_ii, witness_ii) per round
+        self.pending = None
+
+
+def choquet_referee(space, strategy_i, strategy_ii, rounds):
+    """The strong Choquet game on frozensets: ``(log lines, witnesses, illegal)``.
+
+    Player I moves ``(u, x)`` and player II ``(v, witness)``, with u and v
+    sets of point indices and witness an element name or None.  Each rule
+    is checked as stated; ``illegal`` is ``(player, round, reason)`` or
+    None, and the log lines follow ``ChoquetTranscript.log_lines``.
+    """
+    pos = ChoquetPosition(space)
+    illegal = None
+    for t in range(rounds):
+        try:
+            u, x = strategy_i(pos)
+            u = frozenset(u)
+            if not is_open(space, u):
+                raise IllegalMove("I", t, "played set is not open")
+            if x not in u:
+                raise IllegalMove("I", t, "point lies outside the played open")
+            if pos.rounds and not u <= pos.rounds[-1][2]:
+                raise IllegalMove("I", t, "open not inside II's previous answer")
+            pos.pending = (u, x)
+            v, witness = strategy_ii(pos)
+            v = frozenset(v)
+            if not is_open(space, v):
+                raise IllegalMove("II", t, "played set is not open")
+            if x not in v:
+                raise IllegalMove("II", t, "answer misses player I's point")
+            if not v <= u:
+                raise IllegalMove("II", t, "answer not inside player I's open")
+        except IllegalMove as bad:
+            illegal = bad
+            break
+        pos.rounds.append((u, x, v, witness))
+    lines = [
+        f"round {t}: I ({space.set_str(u)}, {space.points[x]}) | II {space.set_str(v)}"
+        for t, (u, x, v, _) in enumerate(pos.rounds)
+    ]
+    if illegal is not None:
+        lines.append(f"illegal: {illegal}")
+        winner = "II" if illegal.player == "I" else "I"
+    else:
+        inter = frozenset(range(len(space.points)))
+        for r in pos.rounds:
+            inter &= r[2]
+        winner = "II" if inter else "I"
+    lines.append(f"winner-at-horizon: {winner}")
+    verdict = None if illegal is None else (illegal.player, illegal.round_no, illegal.reason)
+    return lines, [r[3] for r in pos.rounds], verdict
+
+
+def canonical_choquet_ii(space):
+    """Player II: the basic open of the least eligible element, with that element.
+
+    Eligible: a member of the filter just played, below the last witness
+    of II's earlier answers, with its basic open inside player I's open.
+    """
+    poset = space.poset
+
+    def move(pos):
+        u, x = pos.pending
+        prev = next((r[3] for r in reversed(pos.rounds) if r[3] is not None), None)
+        for q in poset.elements:
+            if (q in space.points[x].members and (prev is None or poset.leq(q, prev))
+                    and basic_open(space, q) <= u):
+                return basic_open(space, q), q
+        raise ConditionViolated(len(pos.rounds), "no eligible element")
+
+    return move
+
+
+def scripted_random_choquet_i(seed):
+    """Player I: a random nonempty basic open inside II's last answer, then a random point of it."""
+    rng = random.Random(seed)
+
+    def move(pos):
+        space = pos.space
+        prev = pos.rounds[-1][2] if pos.rounds else frozenset(range(len(space.points)))
+        opens = [basic_open(space, e) for e in space.poset.elements]
+        u = rng.choice([u for u in opens if u and u <= prev])
+        return u, rng.choice(sorted(u))
+
+    return move
 
 
 def members(mask):

@@ -205,6 +205,14 @@ def test_formalballs_bad_grid_exits_2(files, flags):
     assert out.startswith("error: ") and "Traceback" not in out
 
 
+def test_formalballs_on_a_metric_without_points_exits_2(tmp_path):
+    path = tmp_path / "none.metric"
+    path.write_text("metric none\n")
+    code, out = run_cli(["formalballs", str(path)])
+    assert code == 2
+    assert out.startswith("error: metric none has no point") and "Traceback" not in out
+
+
 def test_choquet_verb(files):
     code, out = run_cli(["choquet", files["v.poset"], "--rounds", "3", "--seed", "1"])
     assert code == 0

@@ -25,6 +25,13 @@ from posetspace.topology import PosetSpace
 # --- strong Choquet ------------------------------------------------------------
 
 
+def record(transcript):
+    """A library transcript in the shape ``oracles.choquet_referee`` returns."""
+    bad = transcript.illegal
+    verdict = None if bad is None else (bad.player, bad.round_no, bad.reason)
+    return transcript.log_lines(), [r.witness_ii for r in transcript.rounds], verdict
+
+
 def test_canonical_strategy_legality(vee):
     space = PosetSpace(vee, "mf")
     transcript = choquet_referee(
@@ -35,7 +42,7 @@ def test_canonical_strategy_legality(vee):
     for prev, cur in zip(witnesses, witnesses[1:]):
         assert vee.leq(cur, prev)
     for r in transcript.rounds:
-        assert r.point in r.open_ii <= r.open_i
+        assert r.point in oracles.point_set(r.open_ii) <= oracles.point_set(r.open_i)
     assert transcript.winner_at_horizon == "II"
     assert transcript.intersection
 
@@ -47,11 +54,11 @@ def test_canonical_answer_to_whole_space(vee):
     strategy = canonical_choquet_strategy(space)
 
     def opener(position):
-        return space.whole, 0  # the point generated by a
+        return position.whole, 0  # the point generated by a
 
     t = choquet_referee(space, opener, strategy, 1)
     assert t.rounds[0].witness_ii == "a"
-    assert t.rounds[0].open_ii == space.basic_open("a")
+    assert oracles.point_set(t.rounds[0].open_ii) == space.basic_open("a")
 
 
 def test_canonical_answer_on_chain(chain2):
@@ -59,11 +66,11 @@ def test_canonical_answer_on_chain(chain2):
     strategy = canonical_choquet_strategy(space)
 
     def opener(position):
-        return space.basic_open("y"), 0
+        return space.opens[chain2.index("y")], 0
 
     t = choquet_referee(space, opener, strategy, 1)
     assert t.rounds[0].witness_ii == "x"  # least element whose open fits
-    assert t.rounds[0].open_ii <= space.basic_open("y")
+    assert oracles.point_set(t.rounds[0].open_ii) <= space.basic_open("y")
 
 
 def test_one_point_space_game(chain2):
@@ -71,14 +78,14 @@ def test_one_point_space_game(chain2):
     t = choquet_referee(
         space, scripted_random_choquet_i(0), canonical_choquet_strategy(space), 5
     )
-    assert t.intersection == space.whole
+    assert oracles.point_set(t.intersection) == space.whole
 
 
 def test_illegal_point_outside_open(vee):
     space = PosetSpace(vee, "mf")
 
     def bad_i(position):
-        return space.basic_open("a"), 1  # the b-side point is outside N_a
+        return space.opens[vee.index("a")], 1  # the b-side point is outside N_a
 
     t = choquet_referee(space, bad_i, canonical_choquet_strategy(space), 3)
     assert t.illegal is not None and t.illegal.player == "I"
@@ -89,7 +96,7 @@ def test_illegal_open_outside_the_space(vee):
     space = PosetSpace(vee, "mf")
 
     def stray_i(position):
-        return {0, 99}, 0  # 99 is not a point of the space
+        return 1 | 1 << 99, 0  # 99 is not a point of the space
 
     t = choquet_referee(space, stray_i, canonical_choquet_strategy(space), 3)
     assert t.illegal is not None
@@ -99,7 +106,7 @@ def test_illegal_open_outside_the_space(vee):
 
 def test_illegal_open_escaping_answer(vee):
     space = PosetSpace(vee, "mf")
-    moves = iter([(space.basic_open("a"), 0), (space.whole, 1)])
+    moves = iter([(space.opens[vee.index("a")], 0), (0b11, 1)])
 
     def escaping_i(position):
         return next(moves)
@@ -112,10 +119,39 @@ def test_illegal_answer_by_ii(vee):
     space = PosetSpace(vee, "mf")
 
     def bad_ii(position):
-        return frozenset()  # misses the point
+        return 0, None  # misses the point
 
     t = choquet_referee(space, scripted_random_choquet_i(1), bad_ii, 2)
     assert t.illegal is not None and t.illegal.player == "II"
+    assert t.winner_at_horizon == "I"
+
+
+def test_illegal_answer_outside_player_i_open(vee):
+    space = PosetSpace(vee, "mf")
+
+    def opener(position):
+        return space.opens[vee.index("a")], 0
+
+    def greedy_ii(position):
+        return position.whole, vee.index("c")  # holds the point, but escapes N_a
+
+    t = choquet_referee(space, opener, greedy_ii, 2)
+    assert (t.illegal.player, t.illegal.round_no, t.illegal.reason) == (
+        "II", 0, "answer not inside player I's open")
+    assert t.winner_at_horizon == "I"
+
+
+@pytest.mark.parametrize("answer", [1 | 1 << 2, 1 | 1 << 64, -1])
+def test_illegal_answer_not_open(vee, answer):
+    # vee has 2 points: bit 2 and above, and every negative mask, hold no point
+    space = PosetSpace(vee, "mf")
+
+    def opener(position):
+        return position.whole, 0
+
+    t = choquet_referee(space, opener, lambda position: (answer, None), 2)
+    assert (t.illegal.player, t.illegal.round_no, t.illegal.reason) == (
+        "II", 0, "played set is not open")
     assert t.winner_at_horizon == "I"
 
 
@@ -141,6 +177,61 @@ def test_canonical_wins_small_sweep():
             )
             assert t.illegal is None
             assert t.intersection, (p.name, seed)
+
+
+def test_referee_matches_frozenset_oracle():
+    games = 0
+    for p in posets_up_to(4):
+        for mode in ("mf", "uf"):
+            space = PosetSpace(p, mode)
+            if not space.points:
+                continue
+            lib_ii = canonical_choquet_strategy(space)
+            ref_ii = oracles.canonical_choquet_ii(space)
+            for seed in range(5):
+                lib = choquet_referee(space, scripted_random_choquet_i(seed), lib_ii, 10)
+                ref = oracles.choquet_referee(space, oracles.scripted_random_choquet_i(seed), ref_ii, 10)
+                assert record(lib) == ref, (p.pairs(), mode, seed)
+                games += 1
+    assert games == 2 * 5 * 242
+
+
+def _mask(points):
+    return sum(1 << i for i in points)
+
+
+# player I's moves on MF(V) as (point set, point) per round: N_a = {0}, N_b = {1}
+BAD_OPENERS = [
+    [({0}, 1)],  # point outside the open
+    [({0, 1}, -1)],  # no such point
+    [({0, 99}, 0)],  # 99 is not a point
+    [({0}, 0), ({0, 1}, 1)],  # escapes II's answer
+]
+# player II's answers on MF(V) as point sets, against scripted player I
+BAD_ANSWERS = [set(), {0, 1}, {0, 1, 2}, {0, 64}]
+
+
+@pytest.mark.parametrize("moves", BAD_OPENERS)
+def test_referee_matches_oracle_on_bad_openers(vee, moves):
+    space = PosetSpace(vee, "mf")
+    lib_moves = iter([(_mask(u), x) for u, x in moves])
+    ref_moves = iter([(frozenset(u), x) for u, x in moves])
+    lib = choquet_referee(space, lambda pos: next(lib_moves), canonical_choquet_strategy(space), len(moves))
+    ref = oracles.choquet_referee(
+        space, lambda pos: next(ref_moves), oracles.canonical_choquet_ii(space), len(moves))
+    assert record(lib) == ref
+    assert ref[2] is not None and ref[2][0] == "I"
+
+
+@pytest.mark.parametrize("answer", BAD_ANSWERS)
+@pytest.mark.parametrize("seed", range(3))
+def test_referee_matches_oracle_on_bad_answers(vee, answer, seed):
+    space = PosetSpace(vee, "mf")
+    lib = choquet_referee(space, scripted_random_choquet_i(seed), lambda pos: (_mask(answer), None), 1)
+    ref = oracles.choquet_referee(
+        space, oracles.scripted_random_choquet_i(seed), lambda pos: (frozenset(answer), None), 1)
+    assert record(lib) == ref
+    assert ref[2] is not None and ref[2][0] == "II"
 
 
 # --- star game -------------------------------------------------------------------

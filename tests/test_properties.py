@@ -14,7 +14,9 @@ from posetspace import cli
 from posetspace.catalog import random_poset
 from posetspace.constructions import product_poset
 from posetspace.files import parse_poset_text, poset_to_text
+from posetspace.games import canonical_choquet_strategy, choquet_referee, scripted_random_choquet_i
 from posetspace.poset_core import _bits, _transitive_close, validate_poset
+from posetspace.topology import PosetSpace
 
 fixed = settings(derandomize=True, database=None, deadline=None)
 
@@ -51,6 +53,25 @@ def test_closure_is_idempotent(seed, n, edge_prob):
     rng = random.Random(seed)
     once = _transitive_close([rng.getrandbits(n) | 1 << i for i in range(n)])
     assert _transitive_close(once) == once
+
+
+@fixed
+@given(st.integers(min_value=0, max_value=2**32), st.integers(1, 8),
+       st.integers(min_value=0, max_value=2**32), st.integers(1, 12), st.sampled_from(["mf", "uf"]))
+def test_canonical_choquet_ii_plays_legally(poset_seed, n, game_seed, rounds, mode):
+    p = random_poset(random.Random(poset_seed), n)
+    space = PosetSpace(p, mode)
+    t = choquet_referee(space, scripted_random_choquet_i(game_seed), canonical_choquet_strategy(space), rounds)
+    assert t.illegal is None
+    assert len(t.rounds) == rounds
+    assert t.intersection
+    witnesses = [r.witness_ii for r in t.rounds]
+    assert all(p.leq(cur, prev) for prev, cur in zip(witnesses, witnesses[1:]))
+    prev = space.whole
+    for r in t.rounds:
+        u, v = oracles.point_set(r.open_i), oracles.point_set(r.open_ii)
+        assert r.point in v <= u <= prev
+        prev = v
 
 
 CLI_FILES = {
@@ -104,3 +125,45 @@ def test_cli_run_on_fuzzed_argv_exits_0_1_or_2(cli_dir, verb, paths, options):
     finally:
         os.chdir(cwd)
     assert code in (0, 1, 2), argv
+
+
+# each file kind with the verbs that read it; small grids and depths, so
+# that no drawn file can ask for an exponential amount of work
+FILE_VERBS = {
+    "poset": (["filters", "--kind", "all"], ["space", "--check", "all"], ["stargame"],
+              ["choquet", "--mode", "uf"], ["domain"], ["topo-order", "--construct", "from-poset"],
+              ["baire"], ["gdelta", "--open", "a"], ["product", "fuzzed.txt"]),
+    "metric": (["formalballs", "--max-denom", "2", "--max-radius", "1", "--depth", "1"],),
+    "space": (["space"], ["mf-characterize", "--depth", "1"], ["topo-order"]),
+}
+FILE_WORDS = {
+    "poset": ("poset", "elem", "le", "lt"),
+    "metric": ("metric", "point", "dist"),
+    "space": ("space", "point", "open"),
+}
+FILE_TOKENS = ("a", "b", "c", "x", "y", "0", "1", "-1", "1/2", "1/0", "x/y", "#", "=", ",")
+
+
+@st.composite
+def file_text(draw, kind):
+    word = st.one_of(st.sampled_from(FILE_WORDS[kind] + FILE_TOKENS), st.text(max_size=3))
+    line = st.lists(word, max_size=5).map(" ".join)
+    header = draw(st.sampled_from([f"{kind} f", "", "poset f", "space f f"]))
+    return "\n".join([header] + draw(st.lists(line, max_size=6)))
+
+
+@settings(fixed, max_examples=300)
+@given(st.sampled_from(sorted(FILE_VERBS)).flatmap(
+    lambda kind: st.tuples(file_text(kind), st.sampled_from(FILE_VERBS[kind]))))
+def test_cli_run_on_fuzzed_file_text_exits_0_1_or_2(cli_dir, case):
+    text, options = case
+    (cli_dir / "fuzzed.txt").write_text(text, encoding="utf-8")
+    argv = [options[0], "fuzzed.txt", *options[1:]]
+    cwd = os.getcwd()
+    os.chdir(cli_dir)
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = cli.run(argv, stdout=io.StringIO())
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2), (text, argv)
