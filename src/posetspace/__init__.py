@@ -20,7 +20,6 @@ from .filters import (
 )
 from .topology import (
     PosetSpace,
-    basic_open,
     reduce_countable_subposet,
     restriction_homeomorphism_check,
     separation_check,

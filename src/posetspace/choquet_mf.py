@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .poset_core import FinitePoset, PosetError
+from .poset_core import FinitePoset, PosetError, _bits
 from .constructions import FiniteTopSpace
 from .topology import PosetSpace
 
@@ -278,16 +278,10 @@ def mf_characterization_check(space: FiniteTopSpace, depth: int, s_ii=None,
     system = ConditionSystem(space, s_ii)
     conditions = sorted(system.enumerate_conditions(depth), key=Condition.key)
     ids = [f"c{i}" for i in range(len(conditions))]
-    lt_pairs = []
-    for i, ci in enumerate(conditions):
-        for j, cj in enumerate(conditions):
-            if i != j and system.lt(ci, cj):
-                lt_pairs.append((ids[i], ids[j]))
-    masks = [0] * len(conditions)
-    pos = {c: i for i, c in enumerate(ids)}
-    for a, b in lt_pairs:
-        masks[pos[a]] |= 1 << pos[b]
-    masks = [m | (1 << i) for i, m in enumerate(masks)]
+    masks = [
+        sum(1 << j for j, cj in enumerate(conditions) if i == j or system.lt(ci, cj))
+        for i, ci in enumerate(conditions)
+    ]
     poset = FinitePoset(ids, masks, f"{space.name}|conditions")
     cond_space = PosetSpace(poset, "mf")
 
@@ -295,8 +289,8 @@ def mf_characterization_check(space: FiniteTopSpace, depth: int, s_ii=None,
     stuck = []
     for k, f in enumerate(cond_space.points):
         inter = space.whole
-        for cid in f.members:
-            inter &= conditions[pos[cid]].a
+        for c in _bits(f.mask()):
+            inter &= conditions[c].a
         if len(inter) == 1:
             phi[k] = next(iter(inter))
         else:
@@ -307,13 +301,8 @@ def mf_characterization_check(space: FiniteTopSpace, depth: int, s_ii=None,
 
     # a condition sits in some filter sent to x exactly when x is in its set
     equivalence = True
-    minimal_of = [poset.index(f.minimum()) for f in cond_space.points]
     for i, c in enumerate(conditions):
-        reachable = {
-            phi[k]
-            for k in phi
-            if poset.leq_idx(minimal_of[k], i)
-        }
+        reachable = {phi[k] for k in phi if poset.leq_idx(cond_space.generators[k], i)}
         if reachable != set(c.a):
             equivalence = False
             break

@@ -50,7 +50,7 @@ def _cmd_filters(args, out):
         out(f"is_maximal: {str(cls.is_maximal).lower()}")
         return 0
     if args.extend:
-        base = filters.Filter(poset, frozenset(_elements_list(args.extend)))
+        base = filters.Filter.of(poset, _elements_list(args.extend))
         out(f"maximal-extension: {filters.extend_to_maximal(poset, base)}")
         return 0
     for f in filters.enumerate_filters(poset, args.kind):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poset_core import FinitePoset, GeneratedPoset, PosetError, _bits, check_element_id
-from .filters import ChainFilter, enumerate_filters, is_directed, is_upward_closed, upward_closure
+from .filters import ChainFilter, enumerate_filters, is_directed, is_upward_closed
 from .topology import PosetSpace, union_closure, verify_correspondence
 
 
@@ -232,16 +232,17 @@ def product_poset(factors) -> ProductResult:
 
     # factor point j of factor k, adjoined top included, lifted to the product
     lifted_points = [
-        [lift(k, g.mask_of(upward_closure(g, pt.members))) for pt in sp.points]
-        for k, (g, sp) in enumerate(zip(topped, fspaces))
+        [lift(k, g.up_mask(gen)) for gen in sp.generators] for k, (g, sp) in enumerate(zip(topped, fspaces))
     ]
-    phi = {}
-    src_opens = {name: set() for name in names}
-    for combo in itertools.product(*[range(len(sp)) for sp in fspaces]):
+    combos = list(itertools.product(*[range(len(sp)) for sp in fspaces]))
+    images = []
+    src_opens = [0] * len(names)  # per product element: the combos (by position) whose point holds it
+    for c, combo in enumerate(combos):
         members = meet(lifted_points, combo)
-        phi[combo] = point_of.get(members)
+        images.append(point_of.get(members))
         for pos in _bits(members):
-            src_opens[names[pos]].add(combo)
+            src_opens[pos] |= 1 << c
+    phi = dict(zip(combos, images))
     fsets = [{pt.mask(): i for i, pt in enumerate(sp.points)} for sp in fspaces]
     # project each point onto factor k; an adjoined top has index len(factors[k])
     phi_inv = {
@@ -251,12 +252,14 @@ def product_poset(factors) -> ProductResult:
         )
         for i, mask in enumerate(point_masks)
     }
+    # the verifier takes each tuple of factor points by its position in combos
+    position = {combo: c for c, combo in enumerate(combos)}
     check = verify_correspondence(
-        list(phi),
+        range(len(combos)),
         len(pspace.points),
-        phi,
-        [(name, src_opens[name], pspace.basic_open(name)) for name in names],
-        inverse=phi_inv,
+        dict(enumerate(images)),
+        [(name, src_opens[pos], pspace.opens[pos]) for pos, name in enumerate(names)],
+        inverse={i: position.get(t) for i, t in phi_inv.items()},
     )
 
     return ProductResult(
@@ -309,72 +312,62 @@ def gdelta_mf_poset(poset: FinitePoset, opens, stage_cap=None) -> GdeltaMfResult
     with the maximal filters of P inside the intersection.
     """
     space = PosetSpace(poset, "mf")
-    open_points = tuple(space.open_from_elements(u) for u in opens)
-    k = len(open_points)
+    open_masks = [space.open_mask(u) for u in opens]
+    k = len(open_masks)
     cap = (k + 1) if stage_cap is None else stage_cap
-    inter = space.whole
-    for u in open_points:
+    inter = space.whole_mask
+    for u in open_masks:
         inter &= u
-
+    inter_points = list(_bits(inter))
     carrier_mask = 0
-    for i in inter:
+    for i in inter_points:
         carrier_mask |= space.points[i].mask()
-    carrier = tuple(poset.names_of(carrier_mask))
 
-    def constraint(n):
-        c = space.whole
-        for u in open_points[: max(0, min(n - 1, k))]:
-            c &= u
-        return c
-
-    stages = []
+    stages = []  # (stage n, element index p)
     for n in range(cap + 1):
-        cn = constraint(n)
-        for p in carrier:
-            if space.basic_open(p) <= cn:
-                stages.append((n, p))
-    ids = [f"{n}:{p}" for n, p in stages]
-    pos = {s: i for i, s in enumerate(stages)}
+        cn = space.whole_mask
+        for u in open_masks[: max(0, min(n - 1, k))]:
+            cn &= u
+        stages += [(n, p) for p in _bits(carrier_mask) if not space.opens[p] & ~cn]
+    ids = [f"{n}:{poset.elements[p]}" for n, p in stages]
     masks = []
     for n, p in stages:
-        m = 0
-        for s, (n2, p2) in enumerate(stages):
-            if (n, p) == (n2, p2):
-                m |= 1 << s
-            elif n > n2 and poset.leq(p, p2):
-                m |= 1 << s
-            elif n == n2 == cap and poset.lt(p, p2):
-                m |= 1 << s
-        masks.append(m)
+        up = poset.up_mask(p)
+        masks.append(sum(
+            1 << s for s, (n2, p2) in enumerate(stages)
+            if (n2, p2) == (n, p) or ((n2 < n or n2 == n == cap) and up >> p2 & 1)
+        ))
     q_poset = FinitePoset(ids, masks, f"{poset.name}|gdelta-mf")
     q_space = PosetSpace(q_poset, "mf")
 
-    q_sets = {f.members: i for i, f in enumerate(q_space.points)}
+    q_of = {g.mask(): j for j, g in enumerate(q_space.points)}
     phi = {
-        i: q_sets.get(frozenset(f"{n}:{p}" for (n, p) in stages if p in space.points[i].members))
-        for i in sorted(inter)
+        i: q_of.get(sum(1 << s for s, (_, p) in enumerate(stages) if space.points[i].mask() >> p & 1))
+        for i in inter_points
     }
-    inter_sets = {space.points[i].members: i for i in inter}
-    psi = {
-        j: inter_sets.get(upward_closure(poset, {sid.split(":", 1)[1] for sid in g.members}))
-        for j, g in enumerate(q_space.points)
-    }
+    inter_of = {space.points[i].mask(): i for i in inter_points}
+    psi = {}
+    for j, g in enumerate(q_space.points):
+        closure = 0
+        for s in _bits(g.mask()):
+            closure |= poset.up_mask(stages[s][1])
+        psi[j] = inter_of.get(closure)
     check = verify_correspondence(
-        sorted(inter),
+        inter_points,
         len(q_space.points),
         phi,
-        [(f"stage element {n}:{p}", space.basic_open(p), q_space.basic_open(f"{n}:{p}"))
-         for (n, p) in stages],
+        [(f"stage element {sid}", space.opens[p], q_space.opens[s])
+         for s, (sid, (_, p)) in enumerate(zip(ids, stages))],
         inverse=psi,
     )
 
     return GdeltaMfResult(
         poset=q_poset,
         stage_cap=cap,
-        open_points=open_points,
-        intersection=inter,
+        open_points=tuple(frozenset(_bits(u)) for u in open_masks),
+        intersection=frozenset(inter_points),
         empty_intersection=not inter,
-        carrier=carrier,
+        carrier=poset.names_of(carrier_mask),
         phi=phi,
         psi=psi,
         space=space,
@@ -402,27 +395,28 @@ class OpenSubspaceResult:
 def open_subspace_uf(poset: FinitePoset, open_points) -> OpenSubspaceResult:
     """Subposet of the elements whose basic open sits inside an open set.
 
-    ``open_points`` is a set of UF(P) point indices and must be open.
-    The restriction map x -> x intersect R is verified to be a bijection
+    ``open_points`` is a set of UF(P) point indices; every such set is
+    open, because finite filter spaces are discrete.  The restriction map x -> x intersect R is verified to be a bijection
     from the points inside the open set onto UF(R), matching basic opens
     for every kept element.
     """
     space = PosetSpace(poset, "uf")
     u = frozenset(open_points)
-    if not u <= space.whole:
-        raise NotOpen(f"{sorted(u)} is not a point set of {space!r}")
     if not space.is_open(u):
-        raise NotOpen(f"{space.set_str(u)} is not open in {space!r}")
-    kept = tuple(p for p in poset.elements if space.basic_open(p) <= u)
+        raise NotOpen(f"{sorted(u)} is not a point set of {space!r}")
+    u_mask = sum(1 << i for i in u)
+    kept_mask = sum(1 << e for e, np in enumerate(space.opens) if not np & ~u_mask)
+    at = list(_bits(kept_mask))  # the index in P of each kept element
+    kept = poset.names_of(kept_mask)
     sub = poset.restrict(kept, name=f"{poset.name}|open")
     sub_space = PosetSpace(sub, "uf")
-    sub_sets = {f.members: j for j, f in enumerate(sub_space.points)}
-    mapping = {i: sub_sets.get(space.points[i].members & frozenset(kept)) for i in sorted(u)}
+    sub_of = {poset.up_mask(at[g]) & kept_mask: j for j, g in enumerate(sub_space.generators)}
+    mapping = {i: sub_of.get(space.points[i].mask() & kept_mask) for i in sorted(u)}
     check = verify_correspondence(
         sorted(u),
         len(sub_space.points),
         mapping,
-        [(r, space.basic_open(r), sub_space.basic_open(r)) for r in kept],
+        [(r, space.opens[i], sub_space.opens[k]) for k, (r, i) in enumerate(zip(kept, at))],
     )
     return OpenSubspaceResult(sub, kept, space, sub_space, mapping, check.ok, check.failure)
 
@@ -440,6 +434,18 @@ class GdeltaUfResult:
     sub_space: PosetSpace
     ok: bool
     failure: str = ""
+
+
+def _is_filter_mask(poset: FinitePoset, mask: int) -> bool:
+    return is_directed(poset, mask) and is_upward_closed(poset, mask)
+
+
+def _bounded(poset: FinitePoset, mask: int) -> bool:
+    """Some element outside the set lies below every member, hence strictly below."""
+    below = (1 << len(poset)) - 1
+    for q in _bits(mask):
+        below &= poset.down_mask(q)
+    return below & ~mask != 0
 
 
 def gdelta_uf_poset(poset: FinitePoset, opens) -> GdeltaUfResult:
@@ -466,110 +472,68 @@ def gdelta_uf_poset(poset: FinitePoset, opens) -> GdeltaUfResult:
     together with the identity bijection and basic-open matching.
     """
     space = PosetSpace(poset, "uf")
-    open_points = tuple(space.open_from_elements(u) for u in opens)
-    for a, b in zip(open_points, open_points[1:]):
-        if not b <= a:
+    open_masks = [space.open_mask(u) for u in opens]
+    for a, b in zip(open_masks, open_masks[1:]):
+        if b & ~a:
             raise NotDescending("opens are not descending as point sets")
-    k = len(open_points)
-    inter = space.whole
-    for u in open_points:
+    k = len(open_masks)
+    inter = space.whole_mask
+    for u in open_masks:
         inter &= u
-
+    inter_points = list(_bits(inter))
     carrier_mask = 0
-    for i in inter:
+    for i in inter_points:
         carrier_mask |= space.points[i].mask()
-    carrier = tuple(poset.names_of(carrier_mask))
+    at = list(_bits(carrier_mask))  # the index in P of each carrier element
+    carrier = poset.names_of(carrier_mask)
 
-    ranks = {}
-    for p in carrier:
-        np = space.basic_open(p)
-        if k == 0 or np <= open_points[-1]:
-            ranks[p] = INF
-        else:
-            g = 0
-            for n, u in enumerate(open_points, start=1):
-                if np <= u:
-                    g = n
-                else:
-                    break
-            ranks[p] = g
+    def rank(np):  # how many of the opens, from the first, hold the basic open np
+        if k == 0 or not np & ~open_masks[-1]:
+            return INF
+        return next(n for n, u in enumerate(open_masks) if np & ~u)
 
-    def lt_r(p, q):
-        if not poset.lt(p, q):
-            return False
-        gp, gq = ranks[p], ranks[q]
-        return gq < gp or (gp == INF and gq == INF)
+    rank_at = [rank(space.opens[p]) for p in at]
+    ranks = dict(zip(carrier, rank_at))
 
-    idx = {p: i for i, p in enumerate(carrier)}
     masks = []
-    for p in carrier:
-        m = 1 << idx[p]
-        for q in carrier:
-            if lt_r(p, q):
-                m |= 1 << idx[q]
-        masks.append(m)
+    for a, p in enumerate(at):
+        ga = rank_at[a]
+        masks.append(sum(
+            1 << b for b, q in enumerate(at)
+            if a == b or (poset.leq_idx(p, q) and (rank_at[b] < ga or ga == rank_at[b] == INF))
+        ))
     sub = FinitePoset(carrier, masks, f"{poset.name}|gdelta-uf")
     sub_space = PosetSpace(sub, "uf")
 
-    uf_in_g = [space.points[i] for i in sorted(inter)]
-    claims = {}
-    details = {}
+    position = {i: a for a, i in enumerate(at)}
 
-    def bounded_in_sub(members):
-        return any(
-            all(sub.lt(r, q) for q in members) for r in carrier if r not in members
-        )
+    def lift(m):  # a subposet mask, over the indices of P
+        return sum(1 << at[a] for a in _bits(m))
 
-    def is_filter_of(p, members):
-        m = p.mask_of(members)
-        return is_directed(p, m) and is_upward_closed(p, m)
+    def unbounded_filter_of_sub(m):  # m is a mask over the indices of P
+        if m & ~carrier_mask:
+            return False
+        m = sum(1 << position[i] for i in _bits(m))
+        return _is_filter_mask(sub, m) and not _bounded(sub, m)
 
-    bad = [f for f in uf_in_g
-           if not (set(f.members) <= set(carrier)
-                   and is_filter_of(sub, f.members)
-                   and not bounded_in_sub(f.members))]
-    claims[1] = not bad
-    details[1] = [str(f) for f in bad]
-
-    bad2 = []
-    for f in enumerate_filters(sub, "all"):
-        sup = max(ranks[p] for p in f.members)
-        if sup != INF and not bounded_in_sub(f.members):
-            bad2.append(str(f))
-    claims[2] = not bad2
-    details[2] = bad2
-
-    bad3 = []
-    for f in enumerate_filters(poset, "all"):
-        bounded_in_p = any(
-            all(poset.lt(r, q) for q in f.members) for r in poset.elements
-        )
-        if not bounded_in_p:
-            continue
-        if set(f.members) <= set(carrier) and is_filter_of(sub, f.members):
-            if not bounded_in_sub(f.members):
-                bad3.append(str(f))
-    claims[3] = not bad3
-    details[3] = bad3
-
-    inter_sets = {space.points[i].members for i in inter}
-    bad4 = []
-    for f in sub_space.points:
-        unbounded_in_p = not any(
-            all(poset.lt(r, q) for q in f.members) for r in poset.elements
-        )
-        if not (is_filter_of(poset, f.members) and unbounded_in_p and f.members in inter_sets):
-            bad4.append(str(f))
-    claims[4] = not bad4
-    details[4] = bad4
+    # the points of UF(P) inside the intersection are its unbounded filters there
+    inter_masks = {space.points[i].mask() for i in inter_points}
+    bad = [space.points[i] for i in inter_points if not unbounded_filter_of_sub(space.points[i].mask())]
+    bad2 = [f for f in enumerate_filters(sub, "all")
+            if max(rank_at[a] for a in _bits(f.mask())) != INF and not _bounded(sub, f.mask())]
+    bad3 = [f for f in enumerate_filters(poset, "all")
+            if _bounded(poset, f.mask()) and unbounded_filter_of_sub(f.mask())]
+    bad4 = [f for f in sub_space.points if lift(f.mask()) not in inter_masks]
+    details = {c: [str(f) for f in fs] for c, fs in enumerate((bad, bad2, bad3, bad4), start=1)}
+    claims = {c: not fs for c, fs in details.items()}
 
     if all(claims.values()):
-        sub_sets = {f.members: j for j, f in enumerate(sub_space.points)}
+        sub_of = {lift(f.mask()): j for j, f in enumerate(sub_space.points)}
         check = verify_correspondence(
-            sorted(inter),
+            inter_points,
             len(sub_space.points),
-            {i: sub_sets.get(space.points[i].members) for i in inter},
-            [(r, space.basic_open(r), sub_space.basic_open(r)) for r in carrier],
+            {i: sub_of.get(space.points[i].mask()) for i in inter_points},
+            [(r, space.opens[i], sub_space.opens[a]) for a, (r, i) in enumerate(zip(carrier, at))],
         )
         ok, failure = check.ok, check.failure
     else:
@@ -580,8 +544,8 @@ def gdelta_uf_poset(poset: FinitePoset, opens) -> GdeltaUfResult:
         subposet=sub,
         carrier=carrier,
         ranks=ranks,
-        open_points=open_points,
-        intersection=inter,
+        open_points=tuple(frozenset(_bits(u)) for u in open_masks),
+        intersection=frozenset(inter_points),
         claims=claims,
         claim_details=details,
         space=space,
@@ -771,31 +735,27 @@ def precompact_open_poset(x: FiniteTopSpace) -> PrecompactResult:
     opens = [o for o in x.opens if o]
     ids = [x.set_str(o).replace(" ", "") for o in opens]
     open_of = dict(zip(ids, opens))
-    pos = {i: k for k, i in enumerate(ids)}
     masks = []
-    for i, o in zip(ids, opens):
-        m = 1 << pos[i]
+    for k, o in enumerate(opens):
         cl = x.closure(o)
-        for j, o2 in zip(ids, opens):
-            if i != j and cl <= o2:
-                m |= 1 << pos[j]
-        masks.append(m)
+        masks.append(sum(1 << j for j, o2 in enumerate(opens) if j == k or cl <= o2))
     poset = FinitePoset(ids, masks, f"{x.name}|opens")
     space = PosetSpace(poset, "mf")
 
     hausdorff = x.is_discrete()
+    open_masks = [sum(1 << i for i in o) for o in opens]
     point_of = {}
     for k, f in enumerate(space.points):
-        inter = x.whole
-        for member in f.members:
-            inter &= open_of[member]
-        if len(inter) == 1:
-            point_of[k] = next(iter(inter))
+        inter = (1 << len(x)) - 1
+        for e in _bits(f.mask()):
+            inter &= open_masks[e]
+        if inter.bit_count() == 1:
+            point_of[k] = inter.bit_length() - 1
     check = verify_correspondence(
         range(len(space.points)),
         len(x.points),
         point_of,
-        [(i, space.basic_open(i), o) for i, o in zip(ids, opens)],
+        [(i, space.opens[e], m) for e, (i, m) in enumerate(zip(ids, open_masks))],
     )
 
     return PrecompactResult(

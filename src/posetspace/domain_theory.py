@@ -87,7 +87,7 @@ class CompletionResult:
 
 
 def _filter_id(f: Filter) -> str:
-    return "{" + ",".join(sorted(f.members, key=f.poset.index)) + "}"
+    return "{" + ",".join(f.poset.names_of(f.mask())) + "}"
 
 
 def filter_completion(poset: FinitePoset) -> CompletionResult:
@@ -155,9 +155,11 @@ def scott_max_homeomorphism_check(poset: FinitePoset) -> ScottReport:
     space = PosetSpace(poset, "mf")
     max_mask = carrier.mask_of(dcpo.maximal_elements())
     scott_of = {carrier.elements[q]: dcpo.double_up(q) & max_mask for q in range(len(carrier))}
+    # the completion holds one filter per element, in element order, so the
+    # point generated by g is the completion element with index g
     mf_of = {
-        p: carrier.mask_of(_filter_id(space.points[i]) for i in space.basic_open(p))
-        for p in poset.elements
+        p: sum(1 << space.generators[i] for i in _bits(space.opens[e]))
+        for e, p in enumerate(poset.elements)
     }
     scott_family = frozenset(scott_of.values())
     mf_family = frozenset(mf_of.values())

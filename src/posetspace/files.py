@@ -148,6 +148,8 @@ def parse_space_text(text) -> FiniteTopSpace:
         elif kind == "point":
             if len(fields) != 2:
                 raise ParseError(line_no, "expected: point <id>")
+            if fields[1] in points:
+                raise ParseError(line_no, f"duplicate point {fields[1]!r}")
             points.append(fields[1])
         elif kind == "open":
             if len(fields) < 2:

@@ -14,36 +14,53 @@ class NotAFilter(PosetError):
         self.reason = reason
 
 
+def _least(poset: FinitePoset, mask: int):
+    """The index of the least member of ``mask``, or None when it has none."""
+    return next((i for i in _bits(mask) if poset.up_mask(i) & mask == mask), None)
+
+
 @dataclass(frozen=True)
 class Filter:
-    """A directed, upward-closed, nonempty subset of a finite poset."""
+    """A filter on a finite poset, named by the index of its least member.
+
+    Every filter on a finite poset is the upset of its least member, so the
+    generator index is enough; the member names are derived for printing
+    and membership tests.
+    """
 
     poset: FinitePoset
-    members: frozenset
+    generator: int
+
+    @classmethod
+    def of(cls, poset: FinitePoset, names) -> "Filter":
+        """The filter with exactly these members; NotAFilter when they form none."""
+        names = frozenset(names)
+        mask = poset.mask_of(names)
+        if not (mask and is_directed(poset, mask) and is_upward_closed(poset, mask)):
+            raise NotAFilter(names, "directedness or upward closure fails")
+        return cls(poset, _least(poset, mask))
+
+    @property
+    def members(self) -> frozenset:
+        return frozenset(self.poset.names_of(self.mask()))
 
     def __str__(self):
-        names = sorted(self.members, key=self.poset.index)
-        return "{" + ", ".join(names) + "}"
+        return "{" + ", ".join(self.poset.names_of(self.mask())) + "}"
 
     def __contains__(self, element):
         return element in self.members
 
     def mask(self) -> int:
-        return self.poset.mask_of(self.members)
+        return self.poset.up_mask(self.generator)
 
     def minimum(self):
-        """The least member. Every filter on a finite poset has one."""
-        m = self.mask()
-        for i in _bits(m):
-            if self.poset.up_mask(i) & m == m:
-                return self.poset.elements[i]
-        raise NotAFilter(self.members, "no least member")
+        """The least member."""
+        return self.poset.elements[self.generator]
 
 
 def principal(poset: FinitePoset, element) -> Filter:
     """The upset of a single element."""
-    i = poset.index(element)
-    return Filter(poset, frozenset(poset.names_of(poset.up_mask(i))))
+    return Filter(poset, poset.index(element))
 
 
 def upward_closure(poset: FinitePoset, members) -> frozenset:
@@ -98,10 +115,7 @@ def classify_filter(poset: FinitePoset, members) -> FilterClassification:
             break
     if mask == 0:
         unbounded = len(poset) == 0
-    maximal = False
-    if filt:
-        gen = Filter(poset, frozenset(poset.names_of(mask))).minimum()
-        maximal = poset.index(gen) in poset.minimal_indices()
+    maximal = filt and _least(poset, mask) in poset.minimal_indices()
     return FilterClassification(filt, unbounded, maximal)
 
 
@@ -116,22 +130,16 @@ def enumerate_filters(poset: FinitePoset, kind: str = "all") -> list:
     if kind not in ("all", "maximal", "unbounded"):
         raise ValueError(f"unknown filter kind {kind!r}")
     gens = range(len(poset)) if kind == "all" else poset.minimal_indices()
-    return [Filter(poset, frozenset(poset.names_of(poset.up_mask(i)))) for i in gens]
+    return [Filter(poset, i) for i in gens]
 
 
 def extend_to_maximal(poset: FinitePoset, filt: Filter) -> Filter:
     """A maximal filter containing ``filt``.
 
-    Deterministic: among the minimal elements whose upset contains the
-    filter, the first in element order is chosen.
+    Deterministic: among the minimal elements below the filter's least
+    member, the first in element order is chosen; a finite poset has one.
     """
-    cls = classify_filter(poset, filt.members)
-    if not cls.is_filter:
-        raise NotAFilter(filt.members, "directedness or upward closure fails")
-    gen = poset.index(filt.minimum())
-    # a finite poset has a minimal element below each of its elements
-    m = next(i for i in poset.minimal_indices() if poset.leq_idx(i, gen))
-    return Filter(poset, frozenset(poset.names_of(poset.up_mask(m))))
+    return Filter(poset, next(i for i in poset.minimal_indices() if poset.leq_idx(i, filt.generator)))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .poset_core import FinitePoset, PosetError, _bits, incompatible
-from .filters import ChainFilter, Filter, upward_closure
+from .filters import ChainFilter, Filter, extend_to_maximal, principal
 from .topology import PosetSpace
 
 
@@ -380,7 +380,4 @@ def baire_generic_filter(poset, selectors, start, rounds: int) -> ChainFilter:
 
 def landing_filter(poset: FinitePoset, play: ChainFilter) -> Filter:
     """Extend the chain's generated filter to a maximal filter of a finite poset."""
-    from .filters import extend_to_maximal
-
-    base = Filter(poset, upward_closure(poset, {play.last()}))
-    return extend_to_maximal(poset, base)
+    return extend_to_maximal(poset, principal(poset, play.last()))

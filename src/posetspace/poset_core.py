@@ -163,18 +163,12 @@ class FinitePoset:
 
     def restrict(self, names, name=None) -> "FinitePoset":
         """The subposet on ``names`` with the restricted order."""
-        keep = [e for e in self.elements if e in set(names)]
         for x in names:
             self.index(x)
-        sub_index = {e: i for i, e in enumerate(keep)}
-        masks = []
-        for e in keep:
-            m = 0
-            for f in keep:
-                if self.leq(e, f):
-                    m |= 1 << sub_index[f]
-            masks.append(m)
-        return FinitePoset(keep, masks, name or f"{self.name}|sub")
+        wanted = set(names)
+        keep = [i for i, e in enumerate(self.elements) if e in wanted]
+        masks = [sum(1 << k for k, j in enumerate(keep) if self._up[i] >> j & 1) for i in keep]
+        return FinitePoset([self.elements[i] for i in keep], masks, name or f"{self.name}|sub")
 
     def dual(self) -> "FinitePoset":
         """The order-reversed poset on the same elements."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .poset_core import FinitePoset, PosetError
+from .poset_core import FinitePoset, PosetError, _bits
 from .constructions import FiniteTopSpace
 from .topology import PosetSpace, verify_correspondence
 
@@ -216,14 +216,10 @@ def mf_poset_from_order(space: FiniteTopSpace, order: SubsetOrder) -> MfFromOrde
     opens = [o for o in space.opens if o]
     ids = [space.set_str(o).replace(" ", "") for o in opens]
     open_of = dict(zip(ids, opens))
-    pos = {i: k for k, i in enumerate(ids)}
-    masks = []
-    for i, o in zip(ids, opens):
-        m = 1 << pos[i]
-        for j, o2 in zip(ids, opens):
-            if i != j and order.holds(o, o2):
-                m |= 1 << pos[j]
-        masks.append(m)
+    masks = [
+        sum(1 << j for j, o2 in enumerate(opens) if j == k or order.holds(o, o2))
+        for k, o in enumerate(opens)
+    ]
     poset = FinitePoset(ids, masks, f"{space.name}|order")
     mf_space = PosetSpace(poset, "mf")
 
@@ -231,20 +227,17 @@ def mf_poset_from_order(space: FiniteTopSpace, order: SubsetOrder) -> MfFromOrde
         x: frozenset(i for i, o in zip(ids, opens) if order.holds(frozenset([x]), o))
         for x in range(len(space.points))
     }
-    point_sets = {f.members: k for k, f in enumerate(mf_space.points)}
+    point_of = {f.mask(): k for k, f in enumerate(mf_space.points)}
     check = verify_correspondence(
         range(len(space.points)),
         len(mf_space.points),
-        {x: point_sets.get(members) for x, members in point_filters.items()},
-        [(i, o, mf_space.basic_open(i)) for i, o in zip(ids, opens)],
+        {x: point_of.get(poset.mask_of(members)) for x, members in point_filters.items()},
+        [(i, sum(1 << x for x in o), mf_space.opens[e]) for e, (i, o) in enumerate(zip(ids, opens))],
     )
 
     # every maximal filter's open family meets the order
     meets = all(
-        all(
-            any(order.holds(open_of[v], open_of[w]) for v in f.members)
-            for w in f.members
-        )
+        all(any(order.holds(opens[v], opens[w]) for v in _bits(f.mask())) for w in _bits(f.mask()))
         for f in mf_space.points
     )
 
@@ -268,16 +261,16 @@ def check_order_condition(poset: FinitePoset):
     below r.  Returns (witnesses, only_reflexive): failing triples and
     whether every failure has r equal to p.
     """
-    space = PosetSpace(poset, "mf")
+    opens = PosetSpace(poset, "mf").opens
+    n = len(poset)
     witnesses = []
-    for p in poset.elements:
-        for q in poset.elements:
-            if not poset.lt(p, q):
+    for p in range(n):
+        for q in range(n):
+            if p == q or not poset.leq_idx(p, q):
                 continue
-            nq = space.basic_open(q)
-            for r in poset.elements:
-                if nq <= space.basic_open(r) and not poset.lt(p, r):
-                    witnesses.append((p, q, r))
+            for r in range(n):
+                if not opens[q] & ~opens[r] and (p == r or not poset.leq_idx(p, r)):
+                    witnesses.append((poset.elements[p], poset.elements[q], poset.elements[r]))
     only_reflexive = bool(witnesses) and all(w[2] == w[0] for w in witnesses)
     return witnesses, only_reflexive
 
@@ -308,19 +301,20 @@ def order_from_poset(poset: FinitePoset) -> OrderFromPosetResult:
     if len(mf.points) > FULL_POWERSET_CAP:
         raise PosetError(f"the filter space has more than {FULL_POWERSET_CAP} points")
 
-    opens = set()
-    for subset in _powerset(len(poset)):
-        opens.add(mf.open_from_elements([poset.elements[i] for i in subset]))
-    basis = sorted({mf.basic_open(p) for p in poset.elements}, key=lambda s: (len(s), sorted(s)))
+    # MF(P) is discrete (see PosetSpace.is_open): its opens are all sets of points
+    subsets = list(_powerset(len(mf.points)))
+    basics = [frozenset(_bits(m)) for m in mf.opens]
+    basis = sorted(set(basics), key=lambda s: (len(s), sorted(s)))
     point_names = [f"F{i}" for i in range(len(mf.points))]
-    space = FiniteTopSpace(point_names, opens | {frozenset()}, basis, name=f"MF({poset.name})")
+    space = FiniteTopSpace(point_names, subsets, basis, name=f"MF({poset.name})")
 
     atoms = [o for o in space.opens if o and not any(o2 and o2 < o for o2 in space.opens)]
     whole = space.whole
+    n = len(poset)
+    lt_opens = [(basics[p], basics[q]) for p in range(n) for q in range(n) if p != q and poset.leq_idx(p, q)]
     rel = set()
-    basics = {p: mf.basic_open(p) for p in poset.elements}
-    for v in _powerset(len(mf.points)):
-        for w in _powerset(len(mf.points)):
+    for v in subsets:
+        for w in subsets:
             if not v <= w:
                 related = False
             elif not v or w == whole:
@@ -328,11 +322,7 @@ def order_from_poset(poset: FinitePoset) -> OrderFromPosetResult:
             elif any(v <= u <= w for u in atoms):
                 related = True
             else:
-                related = any(
-                    poset.lt(p, q) and v <= basics[p] and basics[q] <= w
-                    for p in poset.elements
-                    for q in poset.elements
-                )
+                related = any(v <= lower and upper <= w for lower, upper in lt_opens)
             if related:
                 rel.add((v, w))
     order = SubsetOrder(space, frozenset(rel))

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poset_core import FinitePoset, PosetError, UnknownElement, _bits
-from .filters import Filter, enumerate_filters
+from .poset_core import FinitePoset, PosetError, _bits
+from .filters import Filter, _least
 
 
 class NotABasis(PosetError):
@@ -20,13 +20,15 @@ class NotABasis(PosetError):
 class PosetSpace:
     """The space of maximal (mode "mf") or unbounded (mode "uf") filters.
 
-    Points are the enumerated filters in generator order.  The basic open
+    Points are the filters generated by the minimal elements, in element
+    order: on a finite poset both kinds are exactly these.  The basic open
     of an element p collects the points whose filter contains p.
     ``generators[i]`` is the element index of the least member of point
     i, and ``opens[e]`` is the basic open of element index e as an int
-    mask over point indices (bit i set when point i contains e).  At the
-    API, ``basic_open``, ``open_from_elements`` and ``whole`` give
-    frozensets of point indices.
+    mask over point indices (bit i set when point i contains e).  Inside
+    the library every open is such a mask; ``basic_open``,
+    ``open_from_elements`` and ``whole`` build frozensets of point
+    indices when called.
     """
 
     def __init__(self, poset: FinitePoset, mode: str):
@@ -34,19 +36,15 @@ class PosetSpace:
             raise ValueError(f"mode must be 'mf' or 'uf', got {mode!r}")
         self.poset = poset
         self.mode = mode
-        kind = "maximal" if mode == "mf" else "unbounded"
-        self.points = tuple(enumerate_filters(poset, kind))
-        # on a finite poset both kinds are the upsets of the minimal elements
         self.generators = poset.minimal_indices()
+        self.points = tuple(Filter(poset, g) for g in self.generators)
+        self._point_of = {g: i for i, g in enumerate(self.generators)}
+        self.whole_mask = (1 << len(self.points)) - 1
         opens = [0] * len(poset)
-        members = [[] for _ in poset.elements]
         for i, g in enumerate(self.generators):
             for e in _bits(poset.up_mask(g)):
                 opens[e] |= 1 << i
-                members[e].append(i)
         self.opens = tuple(opens)
-        self._basic = {e: frozenset(m) for e, m in zip(poset.elements, members)}
-        self.whole = frozenset(range(len(self.points)))
 
     def __len__(self):
         return len(self.points)
@@ -54,17 +52,22 @@ class PosetSpace:
     def __repr__(self):
         return f"PosetSpace({self.mode}({self.poset.name}), {len(self)} points)"
 
+    @property
+    def whole(self) -> frozenset:
+        return frozenset(range(len(self.points)))
+
+    def open_mask(self, elements) -> int:
+        """The union of the basic opens of ``elements``, as a point mask."""
+        out = 0
+        for e in elements:
+            out |= self.opens[self.poset.index(e)]
+        return out
+
     def basic_open(self, element) -> frozenset:
-        try:
-            return self._basic[element]
-        except KeyError:
-            raise UnknownElement(element) from None
+        return frozenset(_bits(self.opens[self.poset.index(element)]))
 
     def open_from_elements(self, elements) -> frozenset:
-        out = frozenset()
-        for e in elements:
-            out |= self.basic_open(e)
-        return out
+        return frozenset(_bits(self.open_mask(elements)))
 
     def is_open(self, point_set) -> bool:
         """Open means a union of basic opens; on a finite poset, any set of points.
@@ -78,17 +81,13 @@ class PosetSpace:
         return frozenset(point_set) <= self.whole
 
     def point_index(self, filt: Filter) -> int:
-        for i, f in enumerate(self.points):
-            if f.members == filt.members:
-                return i
-        raise KeyError(f"{filt} is not a point of {self!r}")
+        i = self._point_of.get(filt.generator)
+        if i is None or filt.poset != self.poset:
+            raise KeyError(f"{filt} is not a point of {self!r}")
+        return i
 
     def set_str(self, point_set) -> str:
         return "{" + ", ".join(str(self.points[i]) for i in sorted(point_set)) + "}"
-
-
-def basic_open(space: PosetSpace, element) -> frozenset:
-    return space.basic_open(element)
 
 
 def union_closure(family) -> set:
@@ -110,14 +109,16 @@ class Correspondence:
 def verify_correspondence(src_points, dst_count, point_map, open_pairs, inverse=None) -> Correspondence:
     """Check that a point map is a bijection under which basic opens match.
 
-    ``point_map`` sends each source point to an index in
-    ``range(dst_count)``; a missing or None entry leaves it undefined.
-    The checks run in order: the map is total, injective and onto; the
-    optional ``inverse`` undoes it on every source point (for a bijection
-    that makes it the two-sided inverse); and for each ``(label,
-    src_open, dst_open)`` a source point lies in ``src_open`` exactly when
-    its image lies in ``dst_open``.  The first failure is reported with
-    a witness.
+    Source points are point indices.  ``point_map`` sends each to an
+    index in ``range(dst_count)``; a missing or None entry leaves it
+    undefined.  Each ``(label, src_open, dst_open)`` gives two opens as
+    int masks: bit x of ``src_open`` stands for source point x, bit y of
+    ``dst_open`` for destination point y.  The checks run in order: the
+    map is total, injective and onto; the optional ``inverse`` undoes it
+    on every source point (for a bijection that makes it the two-sided
+    inverse); and for each open pair a source point lies in ``src_open``
+    exactly when its image lies in ``dst_open``.  The first failure is
+    reported with a witness.
     """
     src_points = tuple(src_points)
     preimage = {}
@@ -137,7 +138,7 @@ def verify_correspondence(src_points, dst_count, point_map, open_pairs, inverse=
                 return Correspondence(False, True, "point map and its inverse disagree", x)
     for label, src_open, dst_open in open_pairs:
         for x in src_points:
-            if (x in src_open) != (point_map[x] in dst_open):
+            if (src_open >> x & 1) != (dst_open >> point_map[x] & 1):
                 return Correspondence(False, True, f"basic open of {label} does not correspond", x)
     return Correspondence(True, True)
 
@@ -150,32 +151,24 @@ class SeparationReport:
 
 
 def separation_check(space: PosetSpace) -> SeparationReport:
-    """Evaluate T0, T1 and whether the UF and MF point sets coincide."""
-    pts = space.points
-    t0 = all(
-        pts[i].members != pts[j].members
-        for i in range(len(pts))
-        for j in range(i + 1, len(pts))
-    )
-    t1 = True
-    for i in range(len(pts)):
-        for j in range(len(pts)):
-            if i == j:
-                continue
-            if not (pts[i].members - pts[j].members):
-                t1 = False
-    uf = {f.members for f in enumerate_filters(space.poset, "unbounded")}
-    mf = {f.members for f in enumerate_filters(space.poset, "maximal")}
-    return SeparationReport(t0=t0, t1=t1, uf_equals_mf=uf == mf)
+    """T0, T1 and whether the UF and MF point sets coincide: on a finite poset, all hold.
+
+    The points are the upsets of distinct minimal elements.  A minimal
+    element g lies in its own upset but in no other point's, because a
+    minimal h below g is g itself.  So the basic open of g is the single
+    point up(g): the space is discrete, hence T1 and T0.  A filter up(g)
+    is unbounded exactly when nothing lies strictly below g, that is when
+    g is minimal, which is also when it is maximal; so UF = MF.
+    """
+    return SeparationReport(t0=True, t1=True, uf_equals_mf=True)
 
 
 def _check_seed_is_basis(space: PosetSpace, seed) -> None:
-    seed_opens = {q: space.basic_open(q) for q in seed}
-    for p in space.poset.elements:
-        np = space.basic_open(p)
-        for i in np:
-            if not any(i in nq and nq <= np for nq in seed_opens.values()):
-                raise NotABasis(p, str(space.points[i]))
+    opens = space.opens
+    for p, np in enumerate(opens):
+        for i in _bits(np):
+            if not any(opens[q] >> i & 1 and not opens[q] & ~np for q in seed):
+                raise NotABasis(space.poset.elements[p], str(space.points[i]))
 
 
 @dataclass(frozen=True)
@@ -183,7 +176,9 @@ class ReduceResult:
     subposet: FinitePoset
     kept: tuple
     stages: int
-    mapping: tuple  # pairs (filter on P, its restriction to the subposet)
+    # pairs (filter on P, its restriction to the subposet); the restriction is
+    # None where a stage cap stopped the saturation before it became a filter
+    mapping: tuple
 
 
 def reduce_countable_subposet(poset: FinitePoset, seed_basis, stage_cap=None) -> ReduceResult:
@@ -202,50 +197,52 @@ def reduce_countable_subposet(poset: FinitePoset, seed_basis, stage_cap=None) ->
     of the saturated set, which is fine at desk scale.
     """
     space = PosetSpace(poset, "mf")
-    seed = [q for q in poset.elements if q in set(seed_basis)]
     for q in seed_basis:
         poset.index(q)
+    wanted = set(seed_basis)
+    seed = [i for i, q in enumerate(poset.elements) if q in wanted]
     _check_seed_is_basis(space, seed)
 
-    current = list(seed)
+    opens = space.opens
+    current = list(seed)  # element indices
     stages = 0
     while True:
         added = []
         subsets = [[]]
         for q in current:
             subsets += [s + [q] for s in subsets]
-        for d in subsets:
-            if not d:
-                continue
-            target = space.whole
+        for d in subsets[1:]:
+            target = space.whole_mask
             for q in d:
-                target &= space.basic_open(q)
+                target &= opens[q]
             if not target:
                 continue
             lower = (1 << len(poset)) - 1
             for q in d:
-                lower &= poset.down_mask(poset.index(q))
-            covered = frozenset()
-            for e in poset.names_of(lower):
-                if covered >= target:
+                lower &= poset.down_mask(q)
+            covered = 0
+            for e in _bits(lower):
+                if not target & ~covered:
                     break
-                gain = space.basic_open(e) & target
-                if gain - covered:
+                gain = opens[e] & target
+                if gain & ~covered:
                     covered |= gain
                     if e not in current and e not in added:
                         added.append(e)
         stages += 1
-        if not added or (stage_cap is not None and stages >= stage_cap):
-            current += added
-            break
         current += added
+        if not added or (stage_cap is not None and stages >= stage_cap):
+            break
 
-    kept = tuple(e for e in poset.elements if e in set(current))
+    kept_mask = sum(1 << i for i in current)
+    kept = poset.names_of(kept_mask)
     sub = poset.restrict(kept, name=f"{poset.name}|reduced")
-    mapping = tuple(
-        (f, Filter(sub, frozenset(f.members) & frozenset(kept))) for f in space.points
-    )
-    return ReduceResult(subposet=sub, kept=kept, stages=stages, mapping=mapping)
+    position = {i: k for k, i in enumerate(_bits(kept_mask))}
+    mapping = []
+    for f in space.points:
+        least = _least(poset, f.mask() & kept_mask)
+        mapping.append((f, None if least is None else Filter(sub, position[least])))
+    return ReduceResult(subposet=sub, kept=kept, stages=stages, mapping=tuple(mapping))
 
 
 @dataclass(frozen=True)
@@ -267,22 +264,24 @@ def restriction_homeomorphism_check(poset: FinitePoset, sub) -> HomeoReport:
         r_poset = sub
     else:
         r_poset = poset.restrict(tuple(sub))
-    r_names = frozenset(r_poset.elements)
 
     big = PosetSpace(poset, "mf")
     small = PosetSpace(r_poset, "mf")
-    small_sets = {f.members: i for i, f in enumerate(small.points)}
-    images = {i: small_sets.get(f.members & r_names) for i, f in enumerate(big.points)}
+    at = [poset.index(r) for r in r_poset.elements]  # the index in P of each element of R
+    r_mask = sum(1 << i for i in at)
+    small_of = {
+        sum(1 << at[k] for k in _bits(r_poset.up_mask(g))): j for j, g in enumerate(small.generators)
+    }
+    images = {i: small_of.get(poset.up_mask(g) & r_mask) for i, g in enumerate(big.generators)}
     check = verify_correspondence(
         range(len(big.points)),
         len(small.points),
         images,
-        [(r, big.basic_open(r), small.basic_open(r)) for r in r_poset.elements],
+        [(r, big.opens[at[k]], small.opens[k]) for k, r in enumerate(r_poset.elements)],
     )
     if not check.ok:
         return HomeoReport(False, check.failure, check.witness)
-    for p in poset.elements:
-        image_open = frozenset(images[i] for i in big.basic_open(p))
-        if not small.is_open(image_open):
+    for p, np in zip(poset.elements, big.opens):
+        if not small.is_open(images[i] for i in _bits(np)):
             return HomeoReport(False, "image of a basic open is not open", p)
     return HomeoReport(True)

@@ -11,6 +11,14 @@ index bitmasks; ``product_up_masks``, ``basic_open`` and ``is_open``
 below follow the definitions element by element and filter by filter.
 ``star_game`` runs the star game's shrinking loop on element names.
 
+Filters are generator indices in the library; ``brute_force_classify``
+checks the filter definitions on element names, maximality by a scan
+over all supersets.  ``separation``, ``gdelta_uf_claims`` and
+``filter_space_opens`` evaluate the separation axioms, the four G-delta
+claims of ``gdelta_uf_poset`` and the opens of MF(P) element by element
+and filter by filter, where the library uses the finite-case theorems
+and masks.
+
 The library plays the strong Choquet game on int point masks;
 ``choquet_referee`` with ``canonical_choquet_ii`` and
 ``scripted_random_choquet_i`` play it on frozensets of point indices,
@@ -22,6 +30,8 @@ import itertools
 import random
 
 from posetspace import domain_theory as lib
+from posetspace.constructions import INF
+from posetspace.filters import enumerate_filters
 from posetspace.games import ConditionViolated, IllegalMove
 from posetspace.poset_core import FinitePoset, incompatible
 
@@ -346,3 +356,133 @@ def domain_mismatches(poset, answers=None) -> list:
         answers = library_answers(poset)
     expected = domain_answers(poset)
     return sorted(k for k in expected if answers.get(k) != expected[k])
+
+
+def brute_force_is_filter(poset, members) -> bool:
+    """Nonempty, upward closed, and any two members have a common lower bound inside."""
+    members = frozenset(members)
+    directed = all(
+        any(poset.leq(r, p) and poset.leq(r, q) for r in members)
+        for p in members
+        for q in members
+    )
+    upclosed = all(
+        q in members
+        for p in members
+        for q in poset.elements
+        if poset.leq(p, q)
+    )
+    return bool(members) and directed and upclosed
+
+
+def brute_force_classify(poset, members):
+    """The definitions checked directly, maximality by superset scan."""
+    members = frozenset(members)
+    is_filter = brute_force_is_filter(poset, members)
+    unbounded = not any(
+        all(poset.lt(r, q) for q in members) for r in poset.elements
+    ) if members else len(poset) == 0
+    maximal = False
+    if is_filter:
+        maximal = True
+        for r in range(2 ** len(poset)):
+            other = frozenset(
+                e for i, e in enumerate(poset.elements) if r >> i & 1
+            )
+            if members < other and brute_force_is_filter(poset, other):
+                maximal = False
+                break
+    return is_filter, unbounded, maximal
+
+
+def separation(space):
+    """(T0, T1, UF = MF) by comparing the points' member sets pairwise."""
+    pts = space.points
+    t0 = all(
+        pts[i].members != pts[j].members
+        for i in range(len(pts))
+        for j in range(i + 1, len(pts))
+    )
+    t1 = True
+    for i in range(len(pts)):
+        for j in range(len(pts)):
+            if i == j:
+                continue
+            if not (pts[i].members - pts[j].members):
+                t1 = False
+    uf = {f.members for f in enumerate_filters(space.poset, "unbounded")}
+    mf = {f.members for f in enumerate_filters(space.poset, "maximal")}
+    return t0, t1, uf == mf
+
+
+def filter_space_opens(space) -> set:
+    """The open point sets of a filter space: the unions of basic opens of every element subset."""
+    elements = space.poset.elements
+    opens = set()
+    for r in range(2 ** len(elements)):
+        opens.add(frozenset().union(*(basic_open(space, e) for i, e in enumerate(elements) if r >> i & 1)))
+    return opens
+
+
+def gdelta_uf_claims(poset, result):
+    """The four claims of ``gdelta_uf_poset`` on names: ``(claims, claim_details)``.
+
+    Takes the refined subposet, carrier, ranks and intersection from the
+    library's ``result`` and evaluates each claim from the definitions:
+    bounded means some element lies strictly below every member.
+    """
+    sub, carrier, ranks, space = result.subposet, result.carrier, result.ranks, result.space
+    inter = result.intersection
+
+    def bounded_in_sub(members):
+        return any(
+            all(sub.lt(r, q) for q in members) for r in carrier if r not in members
+        )
+
+    def is_filter_of(p, members):
+        members = frozenset(members)
+        directed = all(any(p.leq(r, a) and p.leq(r, b) for r in members) for a in members for b in members)
+        upclosed = all(q in members for a in members for q in p.elements if p.leq(a, q))
+        return directed and upclosed
+
+    claims, details = {}, {}
+    uf_in_g = [space.points[i] for i in sorted(inter)]
+    bad = [f for f in uf_in_g
+           if not (set(f.members) <= set(carrier)
+                   and is_filter_of(sub, f.members)
+                   and not bounded_in_sub(f.members))]
+    claims[1] = not bad
+    details[1] = [str(f) for f in bad]
+
+    bad2 = []
+    for f in enumerate_filters(sub, "all"):
+        sup = max(ranks[p] for p in f.members)
+        if sup != INF and not bounded_in_sub(f.members):
+            bad2.append(str(f))
+    claims[2] = not bad2
+    details[2] = bad2
+
+    bad3 = []
+    for f in enumerate_filters(poset, "all"):
+        bounded_in_p = any(
+            all(poset.lt(r, q) for q in f.members) for r in poset.elements
+        )
+        if not bounded_in_p:
+            continue
+        if set(f.members) <= set(carrier) and is_filter_of(sub, f.members):
+            if not bounded_in_sub(f.members):
+                bad3.append(str(f))
+    claims[3] = not bad3
+    details[3] = bad3
+
+    inter_sets = {space.points[i].members for i in inter}
+    bad4 = []
+    for f in result.sub_space.points:
+        unbounded_in_p = not any(
+            all(poset.lt(r, q) for q in f.members) for r in poset.elements
+        )
+        if not (is_filter_of(poset, f.members) and unbounded_in_p and f.members in inter_sets):
+            bad4.append(str(f))
+    claims[4] = not bad4
+    details[4] = bad4
+    return claims, details

@@ -7,7 +7,7 @@ scale, so any discrepancy fails the suite.
 
 import random
 
-from oracles import domain_mismatches
+from oracles import domain_mismatches, gdelta_uf_claims
 
 from posetspace.catalog import (
     all_topologies,
@@ -157,6 +157,7 @@ def test_criterion_4_gdelta_suites():
             opens.append(list(current))
         r = gdelta_uf_poset(p, opens)
         assert r.ok and all(r.claims.values()), (p.pairs(), opens, r.claims, r.failure)
+        assert (r.claims, r.claim_details) == gdelta_uf_claims(p, r), (p.pairs(), opens)
     _passed(4, "stage and rank subposet bijections (with all four claims) on 500+500 random instances")
 
 

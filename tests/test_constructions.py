@@ -258,6 +258,7 @@ def test_gdelta_uf_random_instances():
             continue
         r = gdelta_uf_poset(p, opens)
         assert r.ok, (p.pairs(), opens, r.failure, r.claims)
+        assert (r.claims, r.claim_details) == oracles.gdelta_uf_claims(p, r), (p.pairs(), opens)
 
 
 # --- formal balls -------------------------------------------------------------

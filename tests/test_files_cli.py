@@ -1,4 +1,6 @@
+import ast
 import contextlib
+import glob
 import io
 import os
 import subprocess
@@ -111,6 +113,34 @@ def test_parse_space_bad_point():
     with pytest.raises(ParseError) as err:
         parse_space_text("space s\npoint x\nopen U y\n")
     assert err.value.line_no == 3
+
+
+def test_parse_space_duplicate_point():
+    with pytest.raises(ParseError) as err:
+        parse_space_text("space s\npoint x\npoint x\nopen U x\n")
+    assert err.value.line_no == 3
+    assert err.value.reason == "duplicate point 'x'"
+
+
+@pytest.mark.parametrize("verb", ["space", "topo-order"])
+def test_duplicate_point_exits_2(tmp_path, verb):
+    path = tmp_path / "dup.space"
+    path.write_text("space s\npoint x\npoint x\nopen U x\n")
+    code, out = run_cli([verb, str(path)])
+    assert code == 2
+    assert out == "parse error: line 3: duplicate point 'x'\n"
+
+
+def test_no_assert_statements_in_src():
+    # python -O strips assert statements, so the library never checks with them
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "posetspace", "*.py")
+    paths = sorted(glob.glob(src))
+    assert paths
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=path)
+        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not found, (path, found)
 
 
 def test_dispatch(tmp_path):

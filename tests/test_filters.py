@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import brute_force_classify
 from posetspace.catalog import posets_up_to
 from posetspace.filters import (
     ChainFilter,
@@ -12,37 +13,6 @@ from posetspace.filters import (
     upward_closure,
 )
 from posetspace.poset_core import BinaryTreePoset, PosetError, UnknownElement
-
-
-def brute_force_classify(poset, members):
-    """Oracle: the definitions checked directly, maximality by superset scan."""
-    members = frozenset(members)
-    directed = all(
-        any(poset.leq(r, p) and poset.leq(r, q) for r in members)
-        for p in members
-        for q in members
-    )
-    upclosed = all(
-        q in members
-        for p in members
-        for q in poset.elements
-        if poset.leq(p, q)
-    )
-    is_filter = bool(members) and directed and upclosed
-    unbounded = not any(
-        all(poset.lt(r, q) for q in members) for r in poset.elements
-    ) if members else len(poset) == 0
-    maximal = False
-    if is_filter:
-        maximal = True
-        for r in range(2 ** len(poset)):
-            other = frozenset(
-                e for i, e in enumerate(poset.elements) if r >> i & 1
-            )
-            if members < other and brute_force_classify(poset, other)[0]:
-                maximal = False
-                break
-    return is_filter, unbounded, maximal
 
 
 def all_subsets(poset):
@@ -103,9 +73,9 @@ def test_enumerate_agrees_with_subset_scan():
 
 
 def test_extend_to_maximal_examples(chain2, vee):
-    assert str(extend_to_maximal(chain2, Filter(chain2, frozenset({"y"})))) == "{x, y}"
+    assert str(extend_to_maximal(chain2, Filter.of(chain2, {"y"}))) == "{x, y}"
     # both upsets of a and b extend {c}; the tie breaks to a, first in element order
-    assert str(extend_to_maximal(vee, Filter(vee, frozenset({"c"})))) == "{a, c}"
+    assert str(extend_to_maximal(vee, Filter.of(vee, {"c"}))) == "{a, c}"
 
 
 def test_extend_fixed_point(vee):
@@ -115,7 +85,7 @@ def test_extend_fixed_point(vee):
 
 def test_extend_rejects_non_filter(vee):
     with pytest.raises(NotAFilter):
-        extend_to_maximal(vee, Filter(vee, frozenset({"a", "b", "c"})))
+        extend_to_maximal(vee, Filter.of(vee, {"a", "b", "c"}))
 
 
 def test_upward_closure(chain2, vee):

@@ -14,6 +14,7 @@ from posetspace import cli
 from posetspace.catalog import random_poset
 from posetspace.constructions import product_poset
 from posetspace.files import parse_poset_text, poset_to_text
+from posetspace.filters import Filter, NotAFilter
 from posetspace.games import canonical_choquet_strategy, choquet_referee, scripted_random_choquet_i
 from posetspace.poset_core import _bits, _transitive_close, validate_poset
 from posetspace.topology import PosetSpace
@@ -72,6 +73,30 @@ def test_canonical_choquet_ii_plays_legally(poset_seed, n, game_seed, rounds, mo
         u, v = oracles.point_set(r.open_i), oracles.point_set(r.open_ii)
         assert r.point in v <= u <= prev
         prev = v
+
+
+@fixed
+@given(st.integers(min_value=0, max_value=2**32), st.integers(0, 8), st.sampled_from(["mf", "uf"]),
+       st.data())
+def test_filters_are_generator_indices(seed, n, mode, data):
+    p = random_poset(random.Random(seed), n)
+    space = PosetSpace(p, mode)
+    for i, f in enumerate(space.points):
+        g = p.elements[f.generator]
+        literal = sum(1 << j for j, e in enumerate(p.elements) if p.leq(g, e))
+        assert f.mask() == literal
+        assert f.members == {e for j, e in enumerate(p.elements) if literal >> j & 1}
+        assert space.point_index(space.points[i]) == i
+        assert Filter.of(p, f.members) == f
+    for e in range(n):  # every filter is principal
+        assert Filter.of(p, p.names_of(p.up_mask(e))) == Filter(p, e)
+    for mask in data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8)):
+        drawn = frozenset(p.names_of(mask))
+        if oracles.brute_force_is_filter(p, drawn):
+            assert Filter.of(p, drawn).members == drawn
+        else:
+            with pytest.raises(NotAFilter):
+                Filter.of(p, drawn)
 
 
 CLI_FILES = {

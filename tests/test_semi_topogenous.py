@@ -1,9 +1,11 @@
 import pytest
 
-from posetspace.catalog import all_topologies
+import oracles
+from posetspace.catalog import all_topologies, posets_up_to
 from posetspace.constructions import FiniteTopSpace
-from posetspace.poset_core import validate_poset
+from posetspace.poset_core import PosetError, validate_poset
 from posetspace.semi_topogenous import (
+    FULL_POWERSET_CAP,
     ConditionFailed,
     HypothesisFailed,
     SubsetOrder,
@@ -14,6 +16,7 @@ from posetspace.semi_topogenous import (
     mf_poset_from_order,
     order_from_poset,
 )
+from posetspace.topology import PosetSpace
 
 
 def condition_one_corpus():
@@ -109,6 +112,35 @@ def test_order_from_poset_corpus():
         assert result.axioms.generates, p.name
         assert result.completeness.complete, p.name
         assert result.ok
+
+
+def test_order_from_poset_opens_match_oracle():
+    # MF(P) is discrete, so its opens are every set of points; the oracle
+    # takes the unions of basic opens over every element subset instead
+    checked = 0
+    for p in posets_up_to(5, include_empty=True):
+        if check_order_condition(p)[0]:
+            continue
+        mf = PosetSpace(p, "mf")
+        if len(mf.points) > FULL_POWERSET_CAP:
+            with pytest.raises(PosetError):
+                order_from_poset(p)
+            continue
+        result = order_from_poset(p)
+        assert set(result.space.opens) == oracles.filter_space_opens(mf), p.pairs()
+        checked += 1
+    assert checked > 300
+
+
+def test_order_from_poset_four_minimals_under_twenty_tops():
+    # 24 elements: a walk over every element subset would take 2^24 steps
+    bottoms = [f"m{i}" for i in range(4)]
+    tops = [f"t{j}" for j in range(20)]
+    p = validate_poset(bottoms + tops, [(m, t) for m in bottoms for t in tops], "M4x20")
+    result = order_from_poset(p)
+    assert result.ok
+    assert len(result.space.points) == 4
+    assert len(result.space.opens) == 2 ** 4
 
 
 def test_order_from_poset_rejects_chain(chain2):

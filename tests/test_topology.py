@@ -61,6 +61,14 @@ def test_separation_sweep_small():
             assert uf.uf_equals_mf
 
 
+def test_separation_matches_oracle():
+    for p in posets_up_to(5, include_empty=True):
+        for mode in ("mf", "uf"):
+            sp = PosetSpace(p, mode)
+            rep = separation_check(sp)
+            assert (rep.t0, rep.t1, rep.uf_equals_mf) == oracles.separation(sp), (p.pairs(), mode)
+
+
 def test_is_open(vee):
     sp = PosetSpace(vee, "mf")
     assert sp.is_open(frozenset())
@@ -121,6 +129,20 @@ def test_reduce_output_always_homeomorphic():
             assert restriction_homeomorphism_check(p, result.subposet).ok, (p.name, seed)
 
 
+def test_reduce_mapping_restricts_each_filter():
+    for p in posets_up_to(3):
+        for r in range(1, 2 ** len(p)):
+            seed = [e for i, e in enumerate(p.elements) if r >> i & 1]
+            try:
+                result = reduce_countable_subposet(p, seed)
+            except NotABasis:
+                continue
+            assert [f for f, _ in result.mapping] == list(PosetSpace(p, "mf").points)
+            for f, g in result.mapping:
+                assert g.poset == result.subposet
+                assert g.members == f.members & set(result.kept), (p.name, seed)
+
+
 def test_restriction_check_counterexample(vee):
     rep = restriction_homeomorphism_check(vee, ["c"])
     assert not rep.ok
@@ -133,36 +155,45 @@ def test_restriction_identity(vee):
 # --- the shared correspondence verifier ------------------------------------------
 
 
+def _mask(points):
+    return sum(1 << i for i in points)
+
+
 def _construction_maps(vee, chain2, antichain2):
     """(source points, destination count, map, open pairs, inverse) per construction.
 
-    The open pairs are rebuilt here from the literal definitions, so the
-    verifier is fed the same object each construction claims to verify.
+    The open pairs are rebuilt here from the literal definitions, as masks,
+    so the verifier is fed the same object each construction claims to
+    verify.  A product's source points are the positions of its tuples of
+    factor points in ``phi``.
     """
     for factors in ([vee, antichain2], [chain2, vee], [vee, vee]):
         r = product_poset(factors)
+        combos = list(r.phi)
         opens = [
-            (name, {c for c in r.phi
-                    if all(x == r.adjoined_tops[k] or x in r.factor_spaces[k].points[c[k]]
-                           for k, x in enumerate(xs))},
-             r.space.basic_open(name))
+            (name, _mask(c for c, combo in enumerate(combos)
+                         if all(x == r.adjoined_tops[k] or x in r.factor_spaces[k].points[combo[k]]
+                                for k, x in enumerate(xs))),
+             _mask(r.space.basic_open(name)))
             for name, xs in r.coords.items()
         ]
-        yield list(r.phi), len(r.space.points), r.phi, opens, r.phi_inv
+        position = {combo: c for c, combo in enumerate(combos)}
+        inverse = {i: position.get(combo) for i, combo in r.phi_inv.items()}
+        yield list(range(len(combos))), len(r.space.points), dict(enumerate(r.phi.values())), opens, inverse
     for opens in ([["a", "c"]], [["a"]]):
         r = gdelta_mf_poset(vee, opens)
-        pairs = [(sid, r.space.basic_open(sid.split(":", 1)[1]), r.stage_space.basic_open(sid))
+        pairs = [(sid, _mask(r.space.basic_open(sid.split(":", 1)[1])), _mask(r.stage_space.basic_open(sid)))
                  for sid in r.poset.elements]
         yield sorted(r.intersection), len(r.stage_space.points), r.phi, pairs, r.psi
     uf = PosetSpace(vee, "uf")
     for u in (uf.whole, uf.basic_open("a")):
         r = open_subspace_uf(vee, u)
-        pairs = [(e, r.space.basic_open(e), r.sub_space.basic_open(e)) for e in r.kept]
+        pairs = [(e, _mask(r.space.basic_open(e)), _mask(r.sub_space.basic_open(e))) for e in r.kept]
         yield sorted(r.mapping), len(r.sub_space.points), r.mapping, pairs, None
     for points in (["x", "y"], ["x", "y", "z"]):
         x = FiniteTopSpace.discrete(points)
         r = precompact_open_poset(x)
-        pairs = [(i, r.space.basic_open(i), o) for i, o in r.open_of.items()]
+        pairs = [(i, _mask(r.space.basic_open(i)), _mask(o)) for i, o in r.open_of.items()]
         yield list(range(len(r.space.points))), len(x), r.point_of, pairs, None
 
 
@@ -182,14 +213,14 @@ def test_verifier_rejects_every_single_mutation(vee, chain2, antichain2):
                 bad_inv = {**inverse, point_map[x]: None}
                 assert not verify_correspondence(src, n, point_map, pairs, bad_inv).ok
             for k, (label, src_open, dst_open) in enumerate(pairs):
-                for mutated in ((label, set(src_open) ^ {x}, dst_open),
-                                (label, src_open, set(dst_open) ^ {point_map[x]})):
+                for mutated in ((label, src_open ^ 1 << x, dst_open),
+                                (label, src_open, dst_open ^ 1 << point_map[x])):
                     bad_pairs = pairs[:k] + [mutated] + pairs[k + 1:]
                     assert not verify_correspondence(src, n, point_map, bad_pairs, inverse).ok
 
 
 def test_verifier_failure_order_and_witness():
-    pairs = [("u", {0}, {1})]
+    pairs = [("u", 0b01, 0b10)]  # source point 0 and destination point 1
     assert verify_correspondence([0, 1], 2, {0: 1}, pairs).failure == "point map is not total"
     r = verify_correspondence([0, 1], 2, {0: 1, 1: 1}, pairs)
     assert (r.failure, r.witness) == ("point map is not injective", 1)
@@ -197,6 +228,6 @@ def test_verifier_failure_order_and_witness():
     assert (r.failure, r.witness, r.bijective) == ("point map is not surjective", 0, False)
     r = verify_correspondence([0, 1], 2, {0: 1, 1: 0}, pairs, inverse={0: 0, 1: 1})
     assert (r.failure, r.bijective) == ("point map and its inverse disagree", True)
-    r = verify_correspondence([0, 1], 2, {0: 1, 1: 0}, [("u", {0}, {0})])
+    r = verify_correspondence([0, 1], 2, {0: 1, 1: 0}, [("u", 0b01, 0b01)])
     assert (r.failure, r.witness, r.bijective) == ("basic open of u does not correspond", 0, True)
-    assert verify_correspondence([], 0, {}, [("u", set(), set())]).ok
+    assert verify_correspondence([], 0, {}, [("u", 0, 0)]).ok
