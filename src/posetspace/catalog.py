@@ -11,9 +11,8 @@ specialization preorders.
 from __future__ import annotations
 
 import functools
-import itertools
 
-from .poset_core import FinitePoset, PosetError
+from .poset_core import FinitePoset, PosetError, _transitive_close
 from .constructions import FiniteTopSpace
 
 _NAMES = "abcdefgh"
@@ -83,8 +82,6 @@ def posets_up_to(n: int, include_empty=False):
 
 def random_poset(rng, n: int, edge_prob: float = 0.4, name="random") -> FinitePoset:
     """A random labeled poset: a random DAG on index order, closed transitively."""
-    from .poset_core import _transitive_close
-
     _check_size(n)
     masks = [1 << i for i in range(n)]
     for i in range(n):
@@ -96,38 +93,23 @@ def random_poset(rng, n: int, edge_prob: float = 0.4, name="random") -> FinitePo
 
 @functools.lru_cache(maxsize=None)
 def all_topologies(n: int) -> tuple:
-    """All topologies on n labeled points, via their specialization preorders."""
+    """All topologies on n labeled points, via their specialization preorders.
+
+    Row x of a preorder, the points above x, is the minimal open
+    neighbourhood of x, so the rows form a basis of the topology.
+    """
     points = tuple(f"x{i}" for i in range(n))
     preorders = set()
     offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
     for combo in range(1 << len(offdiag)):
-        rel = [[i == j for j in range(n)] for i in range(n)]
+        rows = [1 << i for i in range(n)]
         for bit, (i, j) in enumerate(offdiag):
             if combo >> bit & 1:
-                rel[i][j] = True
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                for j in range(n):
-                    if rel[i][j]:
-                        for k in range(n):
-                            if rel[j][k] and not rel[i][k]:
-                                rel[i][k] = True
-                                changed = True
-        preorders.add(tuple(tuple(row) for row in rel))
-    spaces = []
-    for rel in sorted(preorders):
-        opens = set()
-        for subset in itertools.chain.from_iterable(
-            itertools.combinations(range(n), r) for r in range(n + 1)
-        ):
-            s = set(subset)
-            if all(not rel[i][j] or j in s for i in s for j in range(n)):
-                opens.add(frozenset(s))
-        spaces.append(FiniteTopSpace(points, opens, sorted(opens, key=lambda s: (len(s), sorted(s))),
-                                     name=f"T{len(spaces)}"))
-    return tuple(spaces)
+                rows[i] |= 1 << j
+        preorders.add(tuple(_transitive_close(rows)))
+    # in the order of the rows as tuples of booleans, point 0 first
+    order = sorted(preorders, key=lambda rows: [[m >> j & 1 for j in range(n)] for m in rows])
+    return tuple(FiniteTopSpace(points, rows, name=f"T{k}") for k, rows in enumerate(order))
 
 
 def random_dense_sets(rng, poset: FinitePoset, count: int):

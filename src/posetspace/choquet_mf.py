@@ -17,6 +17,10 @@ from .poset_core import FinitePoset, PosetError, _bits
 from .constructions import FiniteTopSpace
 from .topology import PosetSpace
 
+# the most conditions a check builds: their number grows doubly
+# exponentially in the space (5 points at depth 1 give 327,681)
+MAX_CONDITIONS = 2000
+
 
 class ConditionRequirementViolation(PosetError):
     """A candidate condition breaks one of the four well-formedness rules.
@@ -46,6 +50,14 @@ class BadDepth(PosetError, ValueError):
     """A condition-poset depth below 0."""
 
 
+class TooManyConditions(PosetError):
+    """A depth at which the space has more than MAX_CONDITIONS conditions."""
+
+    def __init__(self, count, depth):
+        super().__init__(f"depth {depth} gives {count} conditions, more than the {MAX_CONDITIONS} a check builds")
+        self.count = count
+
+
 def canonical_strategy_ii(space: FiniteTopSpace):
     """Answer with the least basic open around the point inside the constraint."""
 
@@ -58,43 +70,43 @@ def canonical_strategy_ii(space: FiniteTopSpace):
     return s_ii
 
 
-def play_final_open(space: FiniteTopSpace, play) -> frozenset:
-    return play[-1][2] if play else space.whole
-
-
 class ConditionSystem:
-    """Conditions over one space and one fixed player-II strategy."""
+    """Conditions over one space and one fixed player-II strategy.
+
+    A designated set is a point mask, and a play a tuple of moves
+    ``(v, x, w)``: player I's open mask v, its point index x, and player
+    II's answer mask w.
+    """
 
     def __init__(self, space: FiniteTopSpace, s_ii=None):
         self.space = space
         self.s_ii = s_ii if s_ii is not None else canonical_strategy_ii(space)
 
-    def final_open(self, play) -> frozenset:
-        return play_final_open(self.space, play)
+    def final_open(self, play) -> int:
+        return play[-1][2] if play else self.space.whole_mask
 
     def _check_play(self, play):
-        prev_open = self.space.whole
+        prev_open = self.space.whole_mask
         for j, step in enumerate(play):
             if len(step) != 3:
                 return f"move {j} is not an (open, point, answer) triple"
             v, x, w = step
             if not self.space.is_open(v) or not v:
                 return f"move {j}: player I's set is not a nonempty open"
-            if not v <= prev_open:
+            if v & ~prev_open:
                 return f"move {j}: player I's set leaves player II's last answer"
-            if x not in v:
+            if not v >> x & 1:
                 return f"move {j}: the chosen point is outside player I's set"
             if w != self.s_ii(play[:j], v, x):
                 return f"move {j}: player II's answer does not follow the strategy"
-            if not (w <= v and x in w):
+            if w & ~v or not w >> x & 1:
                 return f"move {j}: the strategy produced an illegal answer"
             prev_open = w
         return None
 
     def validate(self, a, plays) -> "Condition":
-        a = frozenset(a)
         plays = frozenset(tuple(tuple(step) for step in p) for p in plays)
-        if not a or a not in set(self.space.basis):
+        if not a or a not in self.space.basis:
             raise ConditionRequirementViolation(1, "the designated set is not a nonempty basic open")
         for p in sorted(plays, key=_play_key):
             problem = self._check_play(p)
@@ -107,7 +119,7 @@ class ConditionSystem:
                         3, f"missing initial segment of length {j} of a play"
                     )
         for p in plays:
-            if not a <= self.final_open(p):
+            if a & ~self.final_open(p):
                 raise ConditionRequirementViolation(
                     4, "the designated set leaves the final open of a play"
                 )
@@ -121,11 +133,11 @@ class ConditionSystem:
         """Strictly below: every play of c2 extends one step into c1 through c2's set."""
         if c1.system is not c2.system:
             raise MixedSpaces("conditions live over different spaces or strategies")
-        if not c1.a <= c2.a:
+        if c1.a & ~c2.a:
             return False
         for p in c2.plays:
             if not any(
-                self.extend_play(p, c2.a, x) in c1.plays for x in sorted(c2.a)
+                self.extend_play(p, c2.a, x) in c1.plays for x in _bits(c2.a)
             ):
                 return False
         return True
@@ -140,7 +152,7 @@ class ConditionSystem:
         """
         if c1.system is not c2.system:
             raise MixedSpaces("conditions live over different spaces or strategies")
-        if x not in c1.a or x not in c2.a:
+        if not (c1.a & c2.a) >> x & 1:
             raise PreconditionFailed(f"point {x} is outside a designated set")
         plays = set()
         for c in (c1, c2):
@@ -149,7 +161,7 @@ class ConditionSystem:
         for p in list(plays):
             for j in range(len(p) + 1):
                 plays.add(p[:j])
-        constraint = self.space.whole
+        constraint = self.space.whole_mask
         for p in plays:
             constraint &= self.final_open(p)
         a = self.space.least_basic_containing(x, constraint)
@@ -168,54 +180,68 @@ class ConditionSystem:
             for p in frontier:
                 room = self.final_open(p)
                 for v in self.space.opens:
-                    if v and v <= room:
-                        for x in sorted(v):
-                            q = self.extend_play(p, v, x)
-                            nxt.append(q)
+                    if v and not v & ~room:
+                        for x in _bits(v):
+                            nxt.append(self.extend_play(p, v, x))
             plays.extend(nxt)
             frontier = nxt
         return plays
 
-    def enumerate_conditions(self, depth: int):
-        """All conditions whose plays have at most ``depth`` rounds."""
+    def _play_trees(self, depth: int):
+        """Per nonempty basic open a, the play tree pruned to the plays a fits in.
+
+        Yields ``(a, kids)`` with ``kids[p]`` the one-round extensions of
+        play p whose final open holds a.  The conditions with designated
+        set a are the prefix-closed play sets of this tree.
+        """
         plays = self.all_plays(depth)
-        children = {p: [] for p in plays}
-        for p in plays:
-            if p:
-                children[p[:-1]].append(p)
-        out = []
         for a in self.space.basis:
-            if not a:
-                continue
-            eligible = {p for p in plays if a <= self.final_open(p)}
+            if a:
+                kids = {p: [] for p in plays}
+                for p in plays[1:]:
+                    if not a & ~self.final_open(p):
+                        kids[p[:-1]].append(p)
+                yield a, kids
 
-            def closed_subsets(p):
-                # subsets of the subtree at p that contain p and are prefix closed
-                options = [frozenset([p])]
-                kid_choices = []
-                for kid in children[p]:
-                    if kid in eligible:
-                        kid_choices.append([frozenset()] + closed_subsets(kid))
-                if kid_choices:
-                    combos = [frozenset()]
-                    for choices in kid_choices:
-                        combos = [c | extra for c in combos for extra in choices]
-                    options = [frozenset([p]) | c for c in combos]
-                return options
+    def count_conditions(self, depth: int) -> int:
+        """How many conditions have plays of at most ``depth`` rounds, without building them."""
 
-            for playset in closed_subsets(()):
-                out.append(self.validate(a, playset))
-        return out
+        def count(kids, p):  # prefix-closed play sets of the subtree at p that hold p
+            out = 1
+            for kid in kids[p]:
+                out *= 1 + count(kids, kid)
+            return out
+
+        return sum(count(kids, ()) for _, kids in self._play_trees(depth))
+
+    def enumerate_conditions(self, depth: int):
+        """All conditions whose plays have at most ``depth`` rounds.
+
+        Raises TooManyConditions, before building any, when there are
+        more than MAX_CONDITIONS.
+        """
+        total = self.count_conditions(depth)
+        if total > MAX_CONDITIONS:
+            raise TooManyConditions(total, depth)
+
+        def closed_subsets(kids, p):  # the sets that count() counts
+            combos = [frozenset([p])]
+            for kid in kids[p]:
+                combos = [c | extra for c in combos for extra in [frozenset()] + closed_subsets(kids, kid)]
+            return combos
+
+        return [self.validate(a, playset) for a, kids in self._play_trees(depth)
+                for playset in closed_subsets(kids, ())]
 
 
 def _play_key(play):
-    return (len(play), tuple((tuple(sorted(v)), x, tuple(sorted(w))) for v, x, w in play))
+    return (len(play), tuple((tuple(_bits(v)), x, tuple(_bits(w))) for v, x, w in play))
 
 
 @dataclass(frozen=True)
 class Condition:
     system: ConditionSystem = field(compare=False, hash=False)
-    a: frozenset
+    a: int  # the designated set, a point mask
     plays: frozenset
 
     def __str__(self):
@@ -225,7 +251,7 @@ class Condition:
         )
 
     def key(self):
-        return (tuple(sorted(self.a)), len(self.plays), tuple(sorted(map(_play_key, self.plays))))
+        return (tuple(_bits(self.a)), len(self.plays), tuple(sorted(map(_play_key, self.plays))))
 
 
 def validate_condition(space: FiniteTopSpace, s_ii, a, plays) -> Condition:
@@ -259,8 +285,9 @@ def mf_characterization_check(space: FiniteTopSpace, depth: int, s_ii=None,
                               refinement_samples: int = 40, seed: int = 0) -> CharacterizationReport:
     """Check the point correspondence of the bounded condition poset.
 
-    Requires a T1 (hence discrete) finite space.  Enumerates conditions
-    to the given play depth, orders them, and inspects every maximal
+    Requires a T1 (hence discrete) finite space, and at most
+    MAX_CONDITIONS conditions at the depth.  Enumerates conditions to
+    the given play depth, orders them, and inspects every maximal
     filter of the resulting finite poset: the designated sets of its
     members must intersect in a single point (filters that keep several
     points are reported as depth-too-small, not fatal).  The point map is
@@ -288,11 +315,11 @@ def mf_characterization_check(space: FiniteTopSpace, depth: int, s_ii=None,
     phi = {}
     stuck = []
     for k, f in enumerate(cond_space.points):
-        inter = space.whole
+        inter = space.whole_mask
         for c in _bits(f.mask()):
             inter &= conditions[c].a
-        if len(inter) == 1:
-            phi[k] = next(iter(inter))
+        if inter.bit_count() == 1:
+            phi[k] = inter.bit_length() - 1
         else:
             stuck.append(k)
 
@@ -303,7 +330,7 @@ def mf_characterization_check(space: FiniteTopSpace, depth: int, s_ii=None,
     equivalence = True
     for i, c in enumerate(conditions):
         reachable = {phi[k] for k in phi if poset.leq_idx(cond_space.generators[k], i)}
-        if reachable != set(c.a):
+        if reachable != set(_bits(c.a)):
             equivalence = False
             break
 
@@ -312,7 +339,7 @@ def mf_characterization_check(space: FiniteTopSpace, depth: int, s_ii=None,
         (i, j, x)
         for i in range(len(conditions))
         for j in range(len(conditions))
-        for x in sorted(conditions[i].a & conditions[j].a)
+        for x in _bits(conditions[i].a & conditions[j].a)
     ]
     rng.shuffle(pool)
     checked = 0
@@ -320,7 +347,7 @@ def mf_characterization_check(space: FiniteTopSpace, depth: int, s_ii=None,
     for i, j, x in pool[:refinement_samples]:
         c = system.refine(conditions[i], conditions[j], x)
         checked += 1
-        if not (system.lt(c, conditions[i]) and system.lt(c, conditions[j]) and x in c.a):
+        if not (system.lt(c, conditions[i]) and system.lt(c, conditions[j]) and c.a >> x & 1):
             refinements_ok = False
             break
 

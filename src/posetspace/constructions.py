@@ -7,6 +7,7 @@ the precompact-open poset of a finite topological space.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 from .poset_core import FinitePoset, GeneratedPoset, PosetError, _bits, check_element_id
 from .filters import ChainFilter, enumerate_filters, is_directed, is_upward_closed
-from .topology import PosetSpace, union_closure, verify_correspondence
+from .topology import PosetSpace, verify_correspondence
 
 
 class EmptyFactorList(PosetError):
@@ -48,61 +49,57 @@ INF = float("inf")
 # finite topological spaces
 
 
-class FiniteTopSpace:
-    """A finite topological space with a designated basis.
+def _set_key(mask):
+    """Sort key of a point mask: by size, then by its ascending point indices."""
+    return mask.bit_count(), tuple(_bits(mask))
 
-    Opens are frozensets of point indices.  The family is validated to
-    contain the empty set and the whole space and to be closed under
-    union and intersection; the basis must generate it by unions.
+
+class FiniteTopSpace:
+    """A finite topological space with a designated basis, as point masks.
+
+    A finite topology is exactly the family of up-sets of its
+    specialization preorder (Alexandroff 1937; Stong 1966).  So the space
+    keeps one mask per point, ``up[x]``, the minimal open neighbourhood
+    U_x of x: the intersection of the basis members around x.  A set is
+    open when it holds U_x for each of its points, and a family of masks
+    is the basis of a topology exactly when it covers the space and holds
+    every U_x.  Interior and closure are read off the same table.
     """
 
-    def __init__(self, points, opens, basis, name="space"):
+    def __init__(self, points, basis_masks, name="space"):
         self.name = name
         self.points = tuple(points)
         for p in self.points:
             check_element_id(p)
         if len(set(self.points)) != len(self.points):
             raise TopologyInvalid("duplicate point")
-        self._index = {p: i for i, p in enumerate(self.points)}
-        self.opens = tuple(sorted(opens, key=lambda s: (len(s), sorted(s))))
-        self.basis = tuple(sorted(basis, key=lambda s: (len(s), sorted(s))))
-        self._open_set = frozenset(self.opens)
-        whole = frozenset(range(len(self.points)))
-        if frozenset() not in self._open_set or whole not in self._open_set:
-            raise TopologyInvalid("opens must contain the empty set and the whole space")
-        for a in self.opens:
-            for b in self.opens:
-                if a | b not in self._open_set or a & b not in self._open_set:
-                    raise TopologyInvalid("opens are not closed under union/intersection")
-        if union_closure(self.basis) != self._open_set:
-            raise TopologyInvalid("designated basis does not generate the opens by unions")
-
-    @classmethod
-    def from_basis(cls, points, basis_sets, name="space"):
-        points = tuple(points)
-        index = {p: i for i, p in enumerate(points)}
-        basis = [frozenset(index[p] for p in s) for s in basis_sets]
-        opens = union_closure(basis)
-        whole = frozenset(range(len(points)))
-        if whole not in opens:
+        self.whole_mask = (1 << len(self.points)) - 1
+        self.basis = tuple(sorted(set(basis_masks), key=_set_key))
+        if any(b < 0 or b & ~self.whole_mask for b in self.basis):
+            raise TopologyInvalid("basis member outside the space")
+        up = [self.whole_mask] * len(self.points)
+        covered = 0
+        for b in self.basis:
+            covered |= b
+            for x in _bits(b):
+                up[x] &= b
+        if covered != self.whole_mask:
             raise TopologyInvalid("basis does not cover the space")
-        return cls(points, opens, basis, name)
+        if not set(up) <= set(self.basis):
+            raise TopologyInvalid("opens are not closed under union/intersection")
+        self.up = tuple(up)
 
     @classmethod
     def discrete(cls, points, name="discrete"):
         points = tuple(points)
-        whole = frozenset(range(len(points)))
-        basis = [frozenset([i]) for i in range(len(points))]
+        basis = [1 << i for i in range(len(points))]
         if len(points) > 1:
-            basis.append(whole)
-        opens = [frozenset(s) for r in range(len(points) + 1) for s in itertools.combinations(range(len(points)), r)]
-        return cls(points, opens, basis, name)
+            basis.append((1 << len(points)) - 1)
+        return cls(points, basis, name)
 
     @classmethod
     def sierpinski(cls, open_point="x", closed_point="y"):
-        points = (open_point, closed_point)
-        return cls(points, [frozenset(), frozenset([0]), frozenset([0, 1])],
-                   [frozenset([0]), frozenset([0, 1])], "sierpinski")
+        return cls((open_point, closed_point), [0b01, 0b11], "sierpinski")
 
     def __len__(self):
         return len(self.points)
@@ -110,42 +107,39 @@ class FiniteTopSpace:
     def __repr__(self):
         return f"FiniteTopSpace({self.name!r}, {len(self)} points, {len(self.opens)} opens)"
 
-    def index(self, point) -> int:
-        return self._index[point]
-
-    @property
-    def whole(self) -> frozenset:
-        return frozenset(range(len(self.points)))
+    @functools.cached_property
+    def opens(self) -> tuple:
+        """Every open mask, the unions of the U_x, by size and then contents."""
+        out = {0}
+        for u in set(self.up):
+            out |= {o | u for o in out}
+        return tuple(sorted(out, key=_set_key))
 
     def is_open(self, s) -> bool:
-        return frozenset(s) in self._open_set
+        return isinstance(s, int) and 0 <= s <= self.whole_mask and self.interior(s) == s
 
-    def interior(self, s) -> frozenset:
-        s = frozenset(s)
-        out = frozenset()
-        for o in self.opens:
-            if o <= s:
-                out |= o
-        return out
+    def interior(self, s: int) -> int:
+        return sum(1 << x for x, u in enumerate(self.up) if not u & ~s)
 
-    def closure(self, s) -> frozenset:
-        return self.whole - self.interior(self.whole - frozenset(s))
-
-    def is_discrete(self) -> bool:
-        return all(self.is_open(frozenset([i])) for i in range(len(self.points)))
+    def closure(self, s: int) -> int:
+        return sum(1 << x for x, u in enumerate(self.up) if u & s)
 
     def is_t1(self) -> bool:
-        return all(self.closure(frozenset([i])) == frozenset([i]) for i in range(len(self.points)))
+        """T1, which for a finite space is Hausdorff and discrete: every U_x is {x}.
 
-    def least_basic_containing(self, point_idx, within) -> frozenset | None:
-        within = frozenset(within)
+        The closure of {x} is the set of points y with x in U_y, so it is
+        {x} for every x exactly when the preorder is the identity.
+        """
+        return all(u == 1 << x for x, u in enumerate(self.up))
+
+    def least_basic_containing(self, point_idx, within) -> int | None:
         for b in self.basis:  # basis is sorted by (size, contents)
-            if point_idx in b and b <= within:
+            if b >> point_idx & 1 and not b & ~within:
                 return b
         return None
 
-    def set_str(self, s) -> str:
-        return "{" + ", ".join(self.points[i] for i in sorted(s)) + "}"
+    def set_str(self, s: int) -> str:
+        return "{" + ", ".join(self.points[i] for i in _bits(s)) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +390,17 @@ def open_subspace_uf(poset: FinitePoset, open_points) -> OpenSubspaceResult:
     """Subposet of the elements whose basic open sits inside an open set.
 
     ``open_points`` is a set of UF(P) point indices; every such set is
-    open, because finite filter spaces are discrete.  The restriction map x -> x intersect R is verified to be a bijection
-    from the points inside the open set onto UF(R), matching basic opens
-    for every kept element.
+    open, because finite filter spaces are discrete, and anything else in
+    it is named in the ``NotOpen`` raised.  The restriction map
+    x -> x intersect R is verified to be a bijection from the points
+    inside the open set onto UF(R), matching basic opens for every kept
+    element.
     """
     space = PosetSpace(poset, "uf")
     u = frozenset(open_points)
-    if not space.is_open(u):
-        raise NotOpen(f"{sorted(u)} is not a point set of {space!r}")
+    stray = sorted((x for x in u if not (isinstance(x, int) and 0 <= x < len(space))), key=repr)
+    if stray:
+        raise NotOpen(f"{stray[0]!r} is not a point of {space!r}")
     u_mask = sum(1 << i for i in u)
     kept_mask = sum(1 << e for e, np in enumerate(space.opens) if not np & ~u_mask)
     at = list(_bits(kept_mask))  # the index in P of each kept element
@@ -709,10 +706,27 @@ def point_chain(balls: FormalBallPoset, point, length: int) -> ChainFilter:
 # precompact-open poset of a finite space
 
 
+def open_poset(x: FiniteTopSpace, below, suffix):
+    """The nonempty opens of ``x`` as a poset, with its MF space.
+
+    Each open is an element, named by its points, in (size, contents)
+    order; ``below(u, v)`` decides whether the open mask u lies strictly
+    below v.  Returns ``(opens, poset, mf_space, open_pairs)``, where
+    each open pair ``(id, basic open in mf_space, the open)`` is ready
+    for verify_correspondence.
+    """
+    opens = [o for o in x.opens if o]
+    ids = [x.set_str(o).replace(" ", "") for o in opens]
+    masks = [sum(1 << j for j, v in enumerate(opens) if j == k or below(u, v)) for k, u in enumerate(opens)]
+    poset = FinitePoset(ids, masks, f"{x.name}|{suffix}")
+    space = PosetSpace(poset, "mf")
+    return opens, poset, space, [(i, space.opens[e], o) for e, (i, o) in enumerate(zip(ids, opens))]
+
+
 @dataclass(frozen=True)
 class PrecompactResult:
     poset: FinitePoset
-    open_of: dict  # poset element id -> open (frozenset of point indices)
+    open_of: dict  # poset element id -> open (a point mask)
     hausdorff: bool
     bijective: bool
     opens_correspond: bool
@@ -726,42 +740,26 @@ def precompact_open_poset(x: FiniteTopSpace) -> PrecompactResult:
 
     In a finite space every subset is precompact, so the poset carries
     all nonempty opens, with U below V when U equals V or the closure of
-    U sits inside V.  For a Hausdorff finite space (that is, a discrete
-    one) the map sending a maximal filter to the intersection of its
-    members is a verified bijection onto the space with basic opens
-    corresponding; on non-Hausdorff input the failure is reported rather
-    than raised.
+    U sits inside V.  For a Hausdorff finite space (that is, a T1 one,
+    see FiniteTopSpace.is_t1) the map sending a maximal filter to the
+    intersection of its members is a verified bijection onto the space
+    with basic opens corresponding; on non-Hausdorff input the failure is
+    reported rather than raised.
     """
-    opens = [o for o in x.opens if o]
-    ids = [x.set_str(o).replace(" ", "") for o in opens]
-    open_of = dict(zip(ids, opens))
-    masks = []
-    for k, o in enumerate(opens):
-        cl = x.closure(o)
-        masks.append(sum(1 << j for j, o2 in enumerate(opens) if j == k or cl <= o2))
-    poset = FinitePoset(ids, masks, f"{x.name}|opens")
-    space = PosetSpace(poset, "mf")
-
-    hausdorff = x.is_discrete()
-    open_masks = [sum(1 << i for i in o) for o in opens]
+    opens, poset, space, pairs = open_poset(x, lambda u, v: not x.closure(u) & ~v, "opens")
     point_of = {}
     for k, f in enumerate(space.points):
-        inter = (1 << len(x)) - 1
+        inter = x.whole_mask
         for e in _bits(f.mask()):
-            inter &= open_masks[e]
+            inter &= opens[e]
         if inter.bit_count() == 1:
             point_of[k] = inter.bit_length() - 1
-    check = verify_correspondence(
-        range(len(space.points)),
-        len(x.points),
-        point_of,
-        [(i, space.opens[e], m) for e, (i, m) in enumerate(zip(ids, open_masks))],
-    )
+    check = verify_correspondence(range(len(space.points)), len(x.points), point_of, pairs)
 
     return PrecompactResult(
         poset=poset,
-        open_of=open_of,
-        hausdorff=hausdorff,
+        open_of=dict(zip(poset.elements, opens)),
+        hausdorff=x.is_t1(),
         bijective=check.bijective,
         opens_correspond=check.ok,
         point_of=point_of,

@@ -133,11 +133,12 @@ def parse_metric_text(text) -> RationalMetric:
 def parse_space_text(text) -> FiniteTopSpace:
     """Parse ``space <name>`` / ``point <id>`` / ``open <name> <pt>...`` lines.
 
-    The named opens form the designated basis; unions are closed
-    automatically and the result must be a topology.
+    The named opens form the designated basis, read as point masks; it
+    must cover the space and hold each point's minimal neighbourhood, the
+    intersection of the opens around it (see FiniteTopSpace).
     """
     name = None
-    points = []
+    points = {}  # point name -> index
     basis = []
     for line_no, fields in _records(text):
         kind = fields[0]
@@ -150,20 +151,22 @@ def parse_space_text(text) -> FiniteTopSpace:
                 raise ParseError(line_no, "expected: point <id>")
             if fields[1] in points:
                 raise ParseError(line_no, f"duplicate point {fields[1]!r}")
-            points.append(fields[1])
+            points[fields[1]] = len(points)
         elif kind == "open":
             if len(fields) < 2:
                 raise ParseError(line_no, "expected: open <name> <pt> ...")
+            mask = 0
             for p in fields[2:]:
                 if p not in points:
                     raise ParseError(line_no, f"open mentions undeclared point {p!r}")
-            basis.append(fields[2:])
+                mask |= 1 << points[p]
+            basis.append(mask)
         else:
             raise ParseError(line_no, f"unknown directive {kind!r}")
     if name is None:
         raise ParseError(None, "missing space header")
     try:
-        return FiniteTopSpace.from_basis(points, basis, name)
+        return FiniteTopSpace(points, basis, name)
     except PosetError as err:
         raise ParseError(None, str(err)) from None
 

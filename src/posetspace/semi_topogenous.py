@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .poset_core import FinitePoset, PosetError, _bits
-from .constructions import FiniteTopSpace
+from .constructions import FiniteTopSpace, _set_key, open_poset
 from .topology import PosetSpace, verify_correspondence
 
 
@@ -33,43 +32,28 @@ class ConditionFailed(PosetError):
 FULL_POWERSET_CAP = 4
 
 
-def _powerset(n):
-    base = list(range(n))
-    for r in range(n + 1):
-        for combo in itertools.combinations(base, r):
-            yield frozenset(combo)
+def _subsets(space: FiniteTopSpace) -> list:
+    """Every subset of the space as a point mask, by size and then contents."""
+    if len(space) > FULL_POWERSET_CAP:
+        raise PosetError(f"spaces over {FULL_POWERSET_CAP} points are too large: "
+                         "the checks walk every subset")
+    return sorted(range(1 << len(space)), key=_set_key)
 
 
 @dataclass(frozen=True)
 class SubsetOrder:
-    """A relation on subsets of a finite space.
-
-    For spaces of at most four points the relation ranges over the full
-    powerset; larger spaces must designate the family of subsets the
-    relation speaks about, and all checks quantify over that family only.
-    """
+    """A relation on the subsets of a finite space of at most four points."""
 
     space: FiniteTopSpace
-    rel: frozenset  # pairs of frozensets of point indices
-    family: tuple = None
-
-    def domain(self):
-        if self.family is not None:
-            return tuple(self.family)
-        if len(self.space) > FULL_POWERSET_CAP:
-            raise PosetError(
-                f"spaces over {FULL_POWERSET_CAP} points need a designated subset family"
-            )
-        return tuple(_powerset(len(self.space)))
+    rel: frozenset  # pairs (v, w) of point masks
 
     def holds(self, v, w) -> bool:
-        return (frozenset(v), frozenset(w)) in self.rel
+        return (v, w) in self.rel
 
     def serialize(self):
-        def fmt(s):
-            return "{" + ",".join(self.space.points[i] for i in sorted(s)) + "}"
-
-        return [f"rel {fmt(v)} {fmt(w)}" for v, w in sorted(self.rel, key=lambda p: (sorted(p[0]), sorted(p[1])))]
+        fmt = self.space.set_str
+        pairs = sorted(self.rel, key=lambda p: (tuple(_bits(p[0])), tuple(_bits(p[1]))))
+        return [f"rel {fmt(v)} {fmt(w)}".replace(", ", ",") for v, w in pairs]
 
 
 @dataclass(frozen=True)
@@ -83,108 +67,80 @@ def check_axioms_and_generation(order: SubsetOrder) -> AxiomReport:
     """Exhaustively check the four subset-order axioms and generation.
 
     Generation means: for every subset u, the union of all v related
-    below u is exactly the open kernel (interior) of u.
+    below u is exactly the open kernel (interior) of u.  The related
+    pairs are walked in sorted order, so each violation names the same
+    witness on every run.
     """
     space = order.space
-    dom = order.domain()
-    dom_set = set(dom)
+    dom = _subsets(space)
+    rel = sorted(order.rel)
     violations = []
-    whole = space.whole
-    if not order.holds(frozenset(), frozenset()):
+    whole = space.whole_mask
+    if not order.holds(0, 0):
         violations.append("the empty set is not related to itself")
     if not order.holds(whole, whole):
         violations.append("the whole space is not related to itself")
-    for v, w in order.rel:
-        if not v <= w:
+    for v, w in rel:
+        if v & ~w:
             violations.append(f"related pair is not nested: {space.set_str(v)} vs {space.set_str(w)}")
-    for u in dom:
-        for (v, w) in order.rel:
-            if u <= v and (u, w) not in order.rel and u in dom_set:
-                violations.append(
-                    f"shrinking the left side breaks the relation at {space.set_str(u)}"
-                )
-                break
-        else:
-            continue
-        break
-    for (v, w) in order.rel:
-        for u in dom:
-            if w <= u and (v, u) not in order.rel:
-                violations.append(
-                    f"growing the right side breaks the relation at {space.set_str(u)}"
-                )
-                break
-        else:
-            continue
-        break
+    u = next((u for u in dom for v, w in rel if not u & ~v and not order.holds(u, w)), None)
+    if u is not None:
+        violations.append(f"shrinking the left side breaks the relation at {space.set_str(u)}")
+    u = next((u for v, w in rel for u in dom if not w & ~u and not order.holds(v, u)), None)
+    if u is not None:
+        violations.append(f"growing the right side breaks the relation at {space.set_str(u)}")
 
     generates = True
     for u in dom:
-        kernel = space.interior(u)
-        union = frozenset()
+        union = 0
         for v in dom:
             if order.holds(v, u):
                 union |= v
-        if union != kernel:
+        if union != space.interior(u):
             generates = False
             break
     return AxiomReport(axioms_ok=not violations, generates=generates, violations=tuple(violations))
 
 
-def interval_order(space: FiniteTopSpace, family=None) -> SubsetOrder:
-    """Relate v to w when some open set sits between them."""
-    dom = tuple(family) if family is not None else tuple(_powerset(len(space)))
-    if family is None and len(space) > FULL_POWERSET_CAP:
-        raise PosetError(f"spaces over {FULL_POWERSET_CAP} points need a designated subset family")
-    rel = set()
-    for v in dom:
-        for w in dom:
-            if v <= w and any(v <= o <= w for o in space.opens):
-                rel.add((v, w))
-    return SubsetOrder(space, frozenset(rel), family)
+def interval_order(space: FiniteTopSpace) -> SubsetOrder:
+    """Relate v to w when some open set sits between them.
+
+    The least open set around v is up(v), the union of the U_x of its
+    points; it sits inside w exactly when v sits inside the interior of w.
+    """
+    dom = _subsets(space)
+    return SubsetOrder(space, frozenset((v, w) for w in dom for v in dom if not v & ~space.interior(w)))
 
 
 @dataclass(frozen=True)
 class CompletenessReport:
     complete: bool
     meeting_filters: int
-    witness: tuple = None  # the offending filter's minimum, when incomplete
 
 
 def completeness_check(space: FiniteTopSpace, order: SubsetOrder) -> CompletenessReport:
-    """Check that every set-filter meeting the order has a common point.
+    """Every set-filter meeting the order has a common point; count those filters.
 
     A set-filter is a collection of nonempty subsets closed under finite
     intersection and superset; on a finite space each one is the
     collection of supersets of its nonempty core, so the enumeration
     walks the cores.  Meeting the order means every member has a member
-    related below it.
+    related below it.  The core is itself a member and lies inside every
+    member, so the points of the core are common to all of them: every
+    order on a finite space is complete.
     """
-    if len(space) > FULL_POWERSET_CAP:
-        raise PosetError(f"spaces over {FULL_POWERSET_CAP} points need a designated subset family")
-    n = len(space)
-    subsets = list(_powerset(n))
+    subsets = _subsets(space)
     meeting = 0
-    for core in subsets:
-        if not core:
-            continue
-        members = [u for u in subsets if core <= u]
-        meets = all(any(order.holds(v, w) for v in members) for w in members)
-        if not meets:
-            continue
-        meeting += 1
-        common = space.whole
-        for u in members:
-            common &= u
-        if not common:
-            return CompletenessReport(False, meeting, witness=tuple(sorted(core)))
+    for core in subsets[1:]:  # subsets[0] is the empty set
+        members = [u for u in subsets if not core & ~u]
+        meeting += all(any(order.holds(v, w) for v in members) for w in members)
     return CompletenessReport(True, meeting)
 
 
 @dataclass(frozen=True)
 class MfFromOrderResult:
     poset: FinitePoset
-    open_of: dict  # poset element id -> open point set
+    open_of: dict  # poset element id -> open point mask
     point_filters: dict  # space point index -> frozenset of poset element ids
     bijective: bool
     membership_equivalence: bool
@@ -196,8 +152,9 @@ class MfFromOrderResult:
 def mf_poset_from_order(space: FiniteTopSpace, order: SubsetOrder) -> MfFromOrderResult:
     """Build the poset of nonempty opens under the strict subset order.
 
-    Requires a T1 space and an order that passes the axioms, generation,
-    and completeness checks.  Each point x gets the filter of opens
+    Requires a T1 space and an order that passes the axioms and
+    generation checks; completeness holds on every finite space (see
+    completeness_check).  Each point x gets the filter of opens
     related above its singleton; the report verifies that this is a
     bijection onto the maximal filters and that membership in an open
     matches membership of the corresponding basic open.
@@ -209,22 +166,10 @@ def mf_poset_from_order(space: FiniteTopSpace, order: SubsetOrder) -> MfFromOrde
         raise HypothesisFailed("axioms", "; ".join(report.violations))
     if not report.generates:
         raise HypothesisFailed("generation", "the order does not generate the topology")
-    comp = completeness_check(space, order)
-    if not comp.complete:
-        raise HypothesisFailed("completeness", f"filter at core {comp.witness}")
 
-    opens = [o for o in space.opens if o]
-    ids = [space.set_str(o).replace(" ", "") for o in opens]
-    open_of = dict(zip(ids, opens))
-    masks = [
-        sum(1 << j for j, o2 in enumerate(opens) if j == k or order.holds(o, o2))
-        for k, o in enumerate(opens)
-    ]
-    poset = FinitePoset(ids, masks, f"{space.name}|order")
-    mf_space = PosetSpace(poset, "mf")
-
+    opens, poset, mf_space, pairs = open_poset(space, order.holds, "order")
     point_filters = {
-        x: frozenset(i for i, o in zip(ids, opens) if order.holds(frozenset([x]), o))
+        x: frozenset(i for i, o in zip(poset.elements, opens) if order.holds(1 << x, o))
         for x in range(len(space.points))
     }
     point_of = {f.mask(): k for k, f in enumerate(mf_space.points)}
@@ -232,7 +177,7 @@ def mf_poset_from_order(space: FiniteTopSpace, order: SubsetOrder) -> MfFromOrde
         range(len(space.points)),
         len(mf_space.points),
         {x: point_of.get(poset.mask_of(members)) for x, members in point_filters.items()},
-        [(i, sum(1 << x for x in o), mf_space.opens[e]) for e, (i, o) in enumerate(zip(ids, opens))],
+        pairs,
     )
 
     # every maximal filter's open family meets the order
@@ -243,7 +188,7 @@ def mf_poset_from_order(space: FiniteTopSpace, order: SubsetOrder) -> MfFromOrde
 
     return MfFromOrderResult(
         poset=poset,
-        open_of=open_of,
+        open_of=dict(zip(poset.elements, opens)),
         point_filters=point_filters,
         bijective=check.bijective,
         membership_equivalence=check.ok,
@@ -301,29 +246,19 @@ def order_from_poset(poset: FinitePoset) -> OrderFromPosetResult:
     if len(mf.points) > FULL_POWERSET_CAP:
         raise PosetError(f"the filter space has more than {FULL_POWERSET_CAP} points")
 
-    # MF(P) is discrete (see PosetSpace.is_open): its opens are all sets of points
-    subsets = list(_powerset(len(mf.points)))
-    basics = [frozenset(_bits(m)) for m in mf.opens]
-    basis = sorted(set(basics), key=lambda s: (len(s), sorted(s)))
-    point_names = [f"F{i}" for i in range(len(mf.points))]
-    space = FiniteTopSpace(point_names, subsets, basis, name=f"MF({poset.name})")
-
-    atoms = [o for o in space.opens if o and not any(o2 and o2 < o for o2 in space.opens)]
-    whole = space.whole
+    # MF(P) is discrete (see PosetSpace.is_open): its opens are all sets of
+    # points, and its atoms, the minimal nonempty opens, are the singletons
+    space = FiniteTopSpace([f"F{i}" for i in range(len(mf.points))], mf.opens, name=f"MF({poset.name})")
+    subsets = _subsets(space)
     n = len(poset)
-    lt_opens = [(basics[p], basics[q]) for p in range(n) for q in range(n) if p != q and poset.leq_idx(p, q)]
+    lt_opens = [(mf.opens[p], mf.opens[q]) for p in range(n) for q in range(n) if p != q and poset.leq_idx(p, q)]
     rel = set()
     for v in subsets:
         for w in subsets:
-            if not v <= w:
-                related = False
-            elif not v or w == whole:
-                related = True
-            elif any(v <= u <= w for u in atoms):
-                related = True
-            else:
-                related = any(v <= lower and upper <= w for lower, upper in lt_opens)
-            if related:
+            if v & ~w:
+                continue
+            if (not v or w == space.whole_mask or v.bit_count() == 1
+                    or any(not v & ~lower and not upper & ~w for lower, upper in lt_opens)):
                 rel.add((v, w))
     order = SubsetOrder(space, frozenset(rel))
     axioms = check_axioms_and_generation(order)

@@ -90,14 +90,6 @@ class PosetSpace:
         return "{" + ", ".join(str(self.points[i]) for i in sorted(point_set)) + "}"
 
 
-def union_closure(family) -> set:
-    """Every union of members of ``family``, the empty union included."""
-    out = {frozenset()}
-    for b in family:
-        out |= {u | b for u in out}
-    return out
-
-
 @dataclass(frozen=True)
 class Correspondence:
     ok: bool

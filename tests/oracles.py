@@ -19,6 +19,12 @@ claims of ``gdelta_uf_poset`` and the opens of MF(P) element by element
 and filter by filter, where the library uses the finite-case theorems
 and masks.
 
+``FiniteTopSpace`` keeps one minimal open neighbourhood per point and
+reads its opens off the specialization preorder; ``basis_topology``
+closes a basis under unions and validates the opens pair by pair,
+``interior`` takes the union of the opens inside a set, and
+``completeness`` walks every family of subsets for the set-filters.
+
 The library plays the strong Choquet game on int point masks;
 ``choquet_referee`` with ``canonical_choquet_ii`` and
 ``scripted_random_choquet_i`` play it on frozensets of point indices,
@@ -283,10 +289,59 @@ def completion(poset, fs) -> FinitePoset:
 
 
 def union_closure(family) -> set:
+    """Every union of members of ``family``, the empty union included."""
     out = {frozenset()}
     for b in family:
         out |= {u | b for u in out}
     return out
+
+
+def basis_topology(n, basis):
+    """``(error text or None, opens)`` by the literal validation of a basis on n points.
+
+    The basis members are point masks; the opens are every union of
+    members, as frozensets of point indices.  The basis must cover the
+    space, and the unions must be closed under union and intersection,
+    checked pair by pair.
+    """
+    opens = union_closure(point_set(b) for b in basis)
+    if frozenset(range(n)) not in opens:
+        return "basis does not cover the space", opens
+    for u in opens:
+        for v in opens:
+            if u | v not in opens or u & v not in opens:
+                return "opens are not closed under union/intersection", opens
+    return None, opens
+
+
+def interior(opens, point_set) -> frozenset:
+    """The union of the opens inside ``point_set``."""
+    return frozenset().union(*(o for o in opens if o <= point_set))
+
+
+def completeness(n, holds):
+    """``(complete, meeting filters)`` of a subset order on n points, by the definitions.
+
+    Walks every family of subsets, a mask over the 2^n subset masks, and
+    keeps the set-filters: nonempty families of nonempty subsets closed
+    under intersection and superset.  A set-filter meets the order when
+    each member has a member related below it; the order is complete
+    when the members of each meeting set-filter share a point.
+    """
+    subsets = range(1 << n)
+    complete, meeting = True, 0
+    for family in range(2, 1 << (1 << n), 2):  # even: the empty set is no member
+        members = [u for u in subsets if family >> u & 1]
+        if not all(family >> (u & v) & 1 and all(family >> w & 1 for w in subsets if not u & ~w)
+                   for u in members for v in members):
+            continue
+        if all(any(holds(v, w) for v in members) for w in members):
+            meeting += 1
+            common = (1 << n) - 1
+            for u in members:
+                common &= u
+            complete = complete and common != 0
+    return complete, meeting
 
 
 def domain_answers(poset) -> dict:

@@ -1,16 +1,21 @@
+import time
+
 import pytest
 
 from posetspace.choquet_mf import (
+    MAX_CONDITIONS,
     ConditionRequirementViolation,
     ConditionSystem,
     MixedSpaces,
     PreconditionFailed,
+    TooManyConditions,
     condition_lt,
     mf_characterization_check,
     refine_conditions,
     validate_condition,
 )
 from posetspace.constructions import FiniteTopSpace
+from posetspace.poset_core import _bits
 
 
 @pytest.fixture
@@ -25,67 +30,67 @@ def d3():
 
 def test_root_condition_is_valid(d2):
     system = ConditionSystem(d2)
-    c = system.validate(d2.whole, [()])
-    assert system.final_open(()) == d2.whole
-    assert c.a == d2.whole
+    c = system.validate(d2.whole_mask, [()])
+    assert system.final_open(()) == d2.whole_mask
+    assert c.a == d2.whole_mask
 
 
 def test_missing_prefix_violates_rule_3(d2):
     system = ConditionSystem(d2)
-    play = system.extend_play((), frozenset([0]), 0)
+    play = system.extend_play((), 0b01, 0)
     with pytest.raises(ConditionRequirementViolation) as err:
-        system.validate(frozenset([0]), [play])  # the empty play is missing
+        system.validate(0b01, [play])  # the empty play is missing
     assert err.value.requirement == 3
 
 
 def test_set_outside_final_open_violates_rule_4(d2):
     system = ConditionSystem(d2)
-    play = system.extend_play((), frozenset([0]), 0)  # final open {x}
+    play = system.extend_play((), 0b01, 0)  # final open {x}
     with pytest.raises(ConditionRequirementViolation) as err:
-        system.validate(frozenset([0, 1]), [(), play])
+        system.validate(0b11, [(), play])
     assert err.value.requirement == 4
 
 
 def test_bad_designated_set_violates_rule_1(d2):
     system = ConditionSystem(d2)
     with pytest.raises(ConditionRequirementViolation) as err:
-        system.validate(frozenset(), [()])
+        system.validate(0, [()])
     assert err.value.requirement == 1
 
 
 def test_off_strategy_play_violates_rule_2(d2):
     system = ConditionSystem(d2)
-    bad_play = ((d2.whole, 0, d2.whole),)  # strategy answers {x}, not the whole space
+    bad_play = ((d2.whole_mask, 0, d2.whole_mask),)  # strategy answers {x}, not the whole space
     with pytest.raises(ConditionRequirementViolation) as err:
-        system.validate(d2.whole, [(), bad_play])
+        system.validate(d2.whole_mask, [(), bad_play])
     assert err.value.requirement == 2
 
 
 def test_condition_not_below_itself(d2):
     system = ConditionSystem(d2)
-    c = system.validate(d2.whole, [()])
+    c = system.validate(d2.whole_mask, [()])
     assert not system.lt(c, c)
 
 
 def test_mixed_spaces_rejected(d2, d3):
-    c1 = ConditionSystem(d2).validate(d2.whole, [()])
-    c2 = ConditionSystem(d3).validate(d3.whole, [()])
+    c1 = ConditionSystem(d2).validate(d2.whole_mask, [()])
+    c2 = ConditionSystem(d3).validate(d3.whole_mask, [()])
     with pytest.raises(MixedSpaces):
         condition_lt(c1, c2)
 
 
 def test_refinement_of_roots(d3):
     system = ConditionSystem(d3)
-    c1 = system.validate(frozenset([0]), [()])
-    c2 = system.validate(frozenset([0, 1, 2]), [()])
+    c1 = system.validate(0b001, [()])
+    c2 = system.validate(0b111, [()])
     c = refine_conditions(c1, c2, 0)
     assert condition_lt(c, c1) and condition_lt(c, c2)
-    assert 0 in c.a
+    assert c.a & 0b001
 
 
 def test_self_refinement_is_strictly_below(d3):
     system = ConditionSystem(d3)
-    root = system.validate(d3.whole, [()])
+    root = system.validate(d3.whole_mask, [()])
     c = refine_conditions(root, root, 1)
     assert condition_lt(c, root)
     assert not condition_lt(root, c)
@@ -93,16 +98,16 @@ def test_self_refinement_is_strictly_below(d3):
 
 def test_refinement_requires_shared_point(d3):
     system = ConditionSystem(d3)
-    c1 = system.validate(frozenset([0]), [()])
-    c2 = system.validate(frozenset([1]), [()])
+    c1 = system.validate(0b001, [()])
+    c2 = system.validate(0b010, [()])
     with pytest.raises(PreconditionFailed):
         refine_conditions(c1, c2, 0)
 
 
 def test_disjoint_sets_are_never_related(d3):
     system = ConditionSystem(d3)
-    c1 = system.validate(frozenset([0]), [()])
-    c2 = system.validate(frozenset([1]), [()])
+    c1 = system.validate(0b001, [()])
+    c2 = system.validate(0b010, [()])
     assert not condition_lt(c1, c2) and not condition_lt(c2, c1)
 
 
@@ -115,11 +120,11 @@ def test_rule_6_follows_from_rule_5(d3):
             if c1 is c2:
                 continue
             below_without_nesting = all(
-                any(system.extend_play(p, c2.a, x) in c1.plays for x in sorted(c2.a))
+                any(system.extend_play(p, c2.a, x) in c1.plays for x in _bits(c2.a))
                 for p in c2.plays
             )
             if below_without_nesting:
-                assert c1.a <= c2.a
+                assert not c1.a & ~c2.a
 
 
 def test_order_is_irreflexive_and_transitive(d2):
@@ -167,5 +172,23 @@ def test_characterization_requires_t1():
 
 
 def test_validate_condition_module_level(d2):
-    c = validate_condition(d2, None, d2.whole, [()])
-    assert c.a == d2.whole
+    c = validate_condition(d2, None, d2.whole_mask, [()])
+    assert c.a == d2.whole_mask
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_condition_count_matches_enumeration(n, depth):
+    system = ConditionSystem(FiniteTopSpace.discrete([f"x{i}" for i in range(n)]))
+    assert system.count_conditions(depth) == len(system.enumerate_conditions(depth))
+
+
+def test_condition_cap_refuses_five_points_quickly():
+    # 5 points with the whole space in the basis: 5 * 2^16 + 1 conditions at depth 1
+    space = FiniteTopSpace.discrete([f"x{i}" for i in range(5)])
+    start = time.perf_counter()
+    with pytest.raises(TooManyConditions) as err:
+        mf_characterization_check(space, 1)
+    assert time.perf_counter() - start < 1
+    assert err.value.count == 327_681 > MAX_CONDITIONS
+    assert "327681 conditions" in str(err.value)

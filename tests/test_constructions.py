@@ -193,6 +193,12 @@ def test_open_subspace_rejects_non_point_set(vee):
         open_subspace_uf(vee, frozenset([5]))
 
 
+def test_open_subspace_names_a_stray_witness(vee):
+    with pytest.raises(NotOpen) as err:
+        open_subspace_uf(vee, {0, "a"})
+    assert str(err.value).startswith("'a' is not a point of ")
+
+
 def test_open_subspace_every_open_works(vee):
     sp = PosetSpace(vee, "uf")
     for r in range(2 ** len(sp.points)):

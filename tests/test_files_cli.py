@@ -10,6 +10,7 @@ import pytest
 
 import posetspace
 from posetspace import cli
+from posetspace.choquet_mf import mf_characterization_check
 from posetspace.constructions import FiniteTopSpace, RationalMetric
 from posetspace.files import (
     ParseError,
@@ -107,6 +108,13 @@ def test_parse_space():
     s = parse_space_text(SPACE)
     assert isinstance(s, FiniteTopSpace)
     assert len(s.opens) == 4
+
+
+def test_parse_space_repeated_open_is_one_basis_member():
+    # the basis is a set: naming {x} twice gives the conditions of d2 once
+    s = parse_space_text(SPACE + "open V x x\n")
+    assert s.basis == (0b01, 0b10, 0b11)
+    assert mf_characterization_check(s, 2).condition_count == 19
 
 
 def test_parse_space_bad_point():
@@ -253,6 +261,15 @@ def test_mf_characterize_verb(files):
     code, out = run_cli(["mf-characterize", files["d2.space"], "--depth", "2"])
     assert code == 0
     assert "bijection: true" in out
+
+
+def test_mf_characterize_refuses_too_many_conditions(tmp_path):
+    path = tmp_path / "five.space"
+    points = "".join(f"point p{i}\nopen U{i} p{i}\n" for i in range(5))
+    path.write_text(f"space five\n{points}open W p0 p1 p2 p3 p4\n")
+    code, out = run_cli(["mf-characterize", str(path), "--depth", "1"])
+    assert code == 2
+    assert out == "error: depth 1 gives 327681 conditions, more than the 2000 a check builds\n"
 
 
 def test_domain_verbs(files):

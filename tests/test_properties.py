@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from posetspace import cli
 from posetspace.catalog import random_poset
-from posetspace.constructions import product_poset
+from posetspace.constructions import FiniteTopSpace, TopologyInvalid, product_poset
 from posetspace.files import parse_poset_text, poset_to_text
 from posetspace.filters import Filter, NotAFilter
 from posetspace.games import canonical_choquet_strategy, choquet_referee, scripted_random_choquet_i
@@ -99,6 +99,33 @@ def test_filters_are_generator_indices(seed, n, mode, data):
                 Filter.of(p, drawn)
 
 
+@settings(fixed, max_examples=300)
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=6), st.booleans())))
+def test_space_basis_matches_union_closure_oracle(case):
+    n, basis, with_whole = case
+    basis = basis + [(1 << n) - 1] * with_whole
+    points = [f"x{i}" for i in range(n)]
+    error, opens = oracles.basis_topology(n, basis)
+    if error is not None:
+        with pytest.raises(TopologyInvalid) as err:
+            FiniteTopSpace(points, basis)
+        assert str(err.value) == error
+        return
+    space = FiniteTopSpace(points, basis)
+    assert [oracles.point_set(o) for o in space.opens] == sorted(opens, key=lambda o: (len(o), sorted(o)))
+    whole = frozenset(range(n))
+    closures = {}
+    for s in range(1 << n):
+        members = oracles.point_set(s)
+        closures[s] = whole - oracles.interior(opens, whole - members)
+        assert oracles.point_set(space.interior(s)) == oracles.interior(opens, members)
+        assert oracles.point_set(space.closure(s)) == closures[s]
+        assert space.is_open(s) == (members in opens)
+    assert not space.is_open(-1) and not space.is_open(1 << n)
+    assert space.is_t1() == all(closures[1 << x] == {x} for x in range(n))
+
+
 CLI_FILES = {
     "v.poset": "poset V\nelem a\nelem b\nelem c\nle a c\nle b c\n",
     "chain2.poset": "poset chain2\nelem x\nelem y\nle x y\n",
@@ -153,13 +180,15 @@ def test_cli_run_on_fuzzed_argv_exits_0_1_or_2(cli_dir, verb, paths, options):
 
 
 # each file kind with the verbs that read it; small grids and depths, so
-# that no drawn file can ask for an exponential amount of work
+# that no drawn file can ask for an exponential amount of work.
+# mf-characterize runs at its default depth: the condition cap refuses
+# every drawn space with too many conditions
 FILE_VERBS = {
     "poset": (["filters", "--kind", "all"], ["space", "--check", "all"], ["stargame"],
               ["choquet", "--mode", "uf"], ["domain"], ["topo-order", "--construct", "from-poset"],
               ["baire"], ["gdelta", "--open", "a"], ["product", "fuzzed.txt"]),
     "metric": (["formalballs", "--max-denom", "2", "--max-radius", "1", "--depth", "1"],),
-    "space": (["space"], ["mf-characterize", "--depth", "1"], ["topo-order"]),
+    "space": (["space"], ["mf-characterize"], ["topo-order"]),
 }
 FILE_WORDS = {
     "poset": ("poset", "elem", "le", "lt"),

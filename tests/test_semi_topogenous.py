@@ -33,8 +33,8 @@ def condition_one_corpus():
 def test_interval_order_sierpinski():
     space = FiniteTopSpace.sierpinski()
     order = interval_order(space)
-    assert order.holds({0}, {0, 1})  # the open {x} sits between
-    assert not order.holds({1}, {1})  # {y} is not open
+    assert order.holds(0b01, 0b11)  # the open {x} sits between
+    assert not order.holds(0b10, 0b10)  # {y} is not open
     rep = check_axioms_and_generation(order)
     assert rep.axioms_ok and rep.generates
 
@@ -42,15 +42,15 @@ def test_interval_order_sierpinski():
 def test_interval_order_discrete_is_subset_relation():
     space = FiniteTopSpace.discrete(["x", "y"])
     order = interval_order(space)
-    for v in map(frozenset, [(), (0,), (1,), (0, 1)]):
-        for w in map(frozenset, [(), (0,), (1,), (0, 1)]):
-            assert order.holds(v, w) == (v <= w)
+    for v in range(4):
+        for w in range(4):
+            assert order.holds(v, w) == (not v & ~w)
 
 
 def test_missing_empty_pair_fails_axioms():
     space = FiniteTopSpace.discrete(["x", "y"])
     order = interval_order(space)
-    broken = SubsetOrder(space, frozenset(p for p in order.rel if p != (frozenset(), frozenset())))
+    broken = SubsetOrder(space, frozenset(p for p in order.rel if p != (0, 0)))
     rep = check_axioms_and_generation(broken)
     assert not rep.axioms_ok
 
@@ -60,6 +60,33 @@ def test_interval_order_all_small_topologies():
         for space in all_topologies(n):
             rep = check_axioms_and_generation(interval_order(space))
             assert rep.axioms_ok and rep.generates, space.name
+
+
+def test_interval_order_matches_literal_on_all_small_topologies():
+    # the library relates v to w when up(v) sits inside w; the literal
+    # definition asks for an open between them
+    spaces = 0
+    for n in range(1, 5):
+        sets = [oracles.point_set(m) for m in range(1 << n)]
+        for space in all_topologies(n):
+            _, opens = oracles.basis_topology(n, space.basis)
+            literal = {(v, w) for v in range(1 << n) for w in range(1 << n)
+                       if any(sets[v] <= o <= sets[w] for o in opens)}
+            assert interval_order(space).rel == literal, space.name
+            spaces += 1
+    assert spaces == 389
+
+
+def test_completeness_matches_every_family_of_subsets():
+    # the library walks the cores and uses the theorem that every order on
+    # a finite space is complete; the oracle walks every family of subsets
+    orders = [interval_order(space) for n in range(4) for space in all_topologies(n)]
+    orders += [order_from_poset(p).order for p in condition_one_corpus()
+               if len(PosetSpace(p, "mf").points) <= 3]
+    orders.append(SubsetOrder(orders[-1].space, frozenset()))
+    for order in orders:
+        rep = completeness_check(order.space, order)
+        assert (rep.complete, rep.meeting_filters) == oracles.completeness(len(order.space), order.holds)
 
 
 def test_completeness_discrete():
@@ -127,7 +154,8 @@ def test_order_from_poset_opens_match_oracle():
                 order_from_poset(p)
             continue
         result = order_from_poset(p)
-        assert set(result.space.opens) == oracles.filter_space_opens(mf), p.pairs()
+        opens = {oracles.point_set(o) for o in result.space.opens}
+        assert opens == oracles.filter_space_opens(mf), p.pairs()
         checked += 1
     assert checked > 300
 

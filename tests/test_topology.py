@@ -193,7 +193,7 @@ def _construction_maps(vee, chain2, antichain2):
     for points in (["x", "y"], ["x", "y", "z"]):
         x = FiniteTopSpace.discrete(points)
         r = precompact_open_poset(x)
-        pairs = [(i, _mask(r.space.basic_open(i)), _mask(o)) for i, o in r.open_of.items()]
+        pairs = [(i, _mask(r.space.basic_open(i)), o) for i, o in r.open_of.items()]
         yield list(range(len(r.space.points))), len(x), r.point_of, pairs, None
 
 
