@@ -172,17 +172,23 @@ class ConditionSystem:
     # -- enumeration ------------------------------------------------------
 
     def all_plays(self, depth: int):
-        """Every strategy-following play of at most ``depth`` rounds."""
+        """Every strategy-following play of at most ``depth`` rounds.
+
+        Player I's moves after a play are the nonempty opens inside its
+        final open, in order; they are listed once per distinct final open.
+        """
+        inside = {}
         plays = [()]
         frontier = [()]
         for _ in range(depth):
             nxt = []
             for p in frontier:
                 room = self.final_open(p)
-                for v in self.space.opens:
-                    if v and not v & ~room:
-                        for x in _bits(v):
-                            nxt.append(self.extend_play(p, v, x))
+                if room not in inside:
+                    inside[room] = [v for v in self.space.opens if v and not v & ~room]
+                for v in inside[room]:
+                    for x in _bits(v):
+                        nxt.append(self.extend_play(p, v, x))
             plays.extend(nxt)
             frontier = nxt
         return plays

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -166,11 +167,28 @@ def _with_top(poset: FinitePoset):
     top = "top"
     while top in poset:
         top += "_"
-    elems = poset.elements + (top,)
-    t = len(poset)
-    masks = [poset.up_mask(i) | (1 << t) for i in range(len(poset))]
-    masks.append(1 << t)
-    return FinitePoset(elems, masks, f"{poset.name}+top"), top
+    top_bit = 1 << len(poset)
+    ups = [m | top_bit for m in poset.up_masks] + [top_bit]
+    downs = poset.down_masks + (2 * top_bit - 1,)
+    return FinitePoset(poset.elements + (top,), ups, f"{poset.name}+top", downs), top
+
+
+def _tensor(rows, radices):
+    """Per choice of one mask from each row, in itertools.product order, its tensor product.
+
+    The tensor product of masks m[k], m[k] over ``range(radices[k])``, is
+    the set of digit tuples d with d[k] in m[k] for every k.  A tuple sits
+    at the mixed-radix position sum d[k] * stride[k], the last digit
+    fastest as in itertools.product.  So the tuples over the leading
+    digits in x, extended by one digit in m, are x with bit i moved to
+    i * radix (a string join), times m: a copy of m in the radix-bit block
+    at each i, with no carries.
+    """
+    out = [1]
+    for row, radix in zip(rows, radices):
+        pad = "0" * (radix - 1)
+        out = [d * m for d in [int(pad.join(format(x, "b")), 2) for x in out] for m in row]
+    return out
 
 
 def product_poset(factors) -> ProductResult:
@@ -178,73 +196,57 @@ def product_poset(factors) -> ProductResult:
 
     A fresh greatest element is adjoined to any nonempty factor lacking
     one, so the product of the factor MF spaces is the MF space of the
-    product; a product with an empty factor is empty.  The maps phi
-    (tuples of factor points to product points) and its inverse (the
-    coordinate projections) are built as tables and verified mutually
-    inverse, with membership in a basic open of the product matching
-    coordinatewise membership.
+    product; a product with an empty factor is empty.  A product element
+    is a tuple of factor elements, at the mixed-radix position over the
+    factor sizes, and its up and down masks are the tensor products of
+    its coordinates' masks (see _tensor).  The maps phi (tuples of factor
+    points to product points, each the product of its factor filters) and
+    its inverse (the coordinate projections) are built as tables and
+    verified mutually inverse, with membership in a basic open of the
+    product matching coordinatewise membership in the factor opens.
     """
     factors = list(factors)
     if not factors:
         raise EmptyFactorList("at least one factor is required")
     topped, tops = zip(*(_with_top(f) for f in factors))
 
-    sizes = [len(f) for f in topped]
-    tuples = list(itertools.product(*[range(s) for s in sizes]))
-    names = []
-    coords = {}
-    # at[k][j]: mask of the product positions whose k-th coordinate is j
-    at = [[0] * s for s in sizes]
-    for pos, t in enumerate(tuples):
-        coord = tuple(g.elements[j] for g, j in zip(topped, t))
-        name = "(" + ",".join(coord) + ")"
-        names.append(name)
-        coords[name] = coord
-        for k, j in enumerate(t):
-            at[k][j] |= 1 << pos
+    sizes = [len(g) for g in topped]
+    coords = list(itertools.product(*(g.elements for g in topped)))
+    names = ["(" + ",".join(c) + ")" for c in coords]
+    ups = _tensor([g.up_masks for g in topped], sizes)
+    downs = _tensor([g.down_masks for g in topped], sizes)
+    prod = FinitePoset(names, ups, " x ".join(f.name for f in factors), downs)
 
-    def lift(k, m):
-        out = 0
-        for j in _bits(m):
-            out |= at[k][j]
-        return out
-
-    def meet(lifted, t):
-        out = (1 << len(tuples)) - 1
-        for k, j in enumerate(t):
-            out &= lifted[k][j]
-        return out
-
-    lifted_up = [[lift(k, g.up_mask(j)) for j in range(len(g))] for k, g in enumerate(topped)]
-    masks = [meet(lifted_up, t) for t in tuples]
-    prod = FinitePoset(names, masks, " x ".join(f.name for f in factors))
+    # the positions whose k-th coordinate is j, at[k][j], are one block of
+    # stride ones at j * stride, repeated every sizes[k] * stride bits (an
+    # adjoined top's j is left out; with an empty factor every mask is 0)
+    strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
+    at = []
+    for f, size, stride in zip(factors, sizes, strides):
+        repeat = ((1 << len(ups)) - 1) // ((1 << size * stride) - 1 or 1)
+        at.append([((1 << stride) - 1) * repeat << j * stride for j in range(len(f))])
 
     fspaces = tuple(PosetSpace(f, "mf") for f in factors)
     pspace = PosetSpace(prod, "mf")
-    point_masks = [pt.mask() for pt in pspace.points]
-    point_of = {m: i for i, m in enumerate(point_masks)}
-
-    # factor point j of factor k, adjoined top included, lifted to the product
-    lifted_points = [
-        [lift(k, g.up_mask(gen)) for gen in sp.generators] for k, (g, sp) in enumerate(zip(topped, fspaces))
-    ]
-    combos = list(itertools.product(*[range(len(sp)) for sp in fspaces]))
-    images = []
-    src_opens = [0] * len(names)  # per product element: the combos (by position) whose point holds it
-    for c, combo in enumerate(combos):
-        members = meet(lifted_points, combo)
-        images.append(point_of.get(members))
-        for pos in _bits(members):
-            src_opens[pos] |= 1 << c
-    phi = dict(zip(combos, images))
-    fsets = [{pt.mask(): i for i, pt in enumerate(sp.points)} for sp in fspaces]
-    # project each point onto factor k; an adjoined top has index len(factors[k])
+    point_of = {ups[g]: i for i, g in enumerate(pspace.generators)}
+    # each tuple of factor points goes to the product of their filters, the
+    # up-set of the tuple of their generators
+    combos = list(itertools.product(*(range(len(sp)) for sp in fspaces)))
+    generators = [0]
+    for sp, stride in zip(fspaces, strides):
+        generators = [a + g * stride for a in generators for g in sp.generators]
+    images = [point_of.get(ups[a]) for a in generators]
+    # per product element, the tuples of factor points lying in the factor
+    # basic opens of its coordinates (an adjoined top lies in every point)
+    src_opens = _tensor(
+        [sp.opens + (sp.whole_mask,) * (len(g) - len(f)) for f, g, sp in zip(factors, topped, fspaces)],
+        [len(sp) for sp in fspaces],
+    )
+    # project each point onto factor k: the coordinates j whose positions it meets
+    fsets = [{f.up_mask(g): i for i, g in enumerate(sp.generators)} for f, sp in zip(factors, fspaces)]
     phi_inv = {
-        i: tuple(
-            fsets[k].get(sum(1 << j for j, m in enumerate(at[k]) if mask & m) & ~(1 << len(f)))
-            for k, f in enumerate(factors)
-        )
-        for i, mask in enumerate(point_masks)
+        i: tuple(fsets[k].get(sum(1 << j for j, b in enumerate(at[k]) if ups[g] & b)) for k in range(len(at)))
+        for i, g in enumerate(pspace.generators)
     }
     # the verifier takes each tuple of factor points by its position in combos
     position = {combo: c for c, combo in enumerate(combos)}
@@ -252,7 +254,7 @@ def product_poset(factors) -> ProductResult:
         range(len(combos)),
         len(pspace.points),
         dict(enumerate(images)),
-        [(name, src_opens[pos], pspace.opens[pos]) for pos, name in enumerate(names)],
+        zip(names, src_opens, pspace.opens),
         inverse={i: position.get(t) for i, t in phi_inv.items()},
     )
 
@@ -260,8 +262,8 @@ def product_poset(factors) -> ProductResult:
         poset=prod,
         factors=topped,
         adjoined_tops=tops,
-        coords=coords,
-        phi=phi,
+        coords=dict(zip(names, coords)),
+        phi=dict(zip(combos, images)),
         phi_inv=phi_inv,
         factor_spaces=fspaces,
         space=pspace,

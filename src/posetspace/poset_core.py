@@ -70,12 +70,15 @@ class FinitePoset:
     that order so results are deterministic.
 
     Instances are immutable.  Use :func:`validate_poset` to build one from
-    raw input; the constructor trusts its arguments.
+    raw input; the constructor trusts its arguments.  A caller that
+    already holds the down-set masks (bit i of ``down_masks[j]`` set when
+    element i lies below element j) passes them, trusted like the up
+    masks; otherwise they are the transpose of the up masks.
     """
 
     __slots__ = ("name", "elements", "_index", "_up", "_down", "_hash")
 
-    def __init__(self, elements, up_masks, name="poset"):
+    def __init__(self, elements, up_masks, name="poset", down_masks=None):
         self.name = name
         self.elements = tuple(elements)
         self._index = {e: i for i, e in enumerate(self.elements)}
@@ -83,12 +86,15 @@ class FinitePoset:
         n = len(self.elements)
         if len(self._up) != n:
             raise PosetError(f"{n} elements but {len(self._up)} up-set masks")
-        down = [0] * n
-        for i in range(n):
-            m = self._up[i]
-            for j in _bits(m):
-                down[j] |= 1 << i
-        self._down = tuple(down)
+        if down_masks is None:
+            down = [0] * n
+            for i in range(n):
+                for j in _bits(self._up[i]):
+                    down[j] |= 1 << i
+            down_masks = down
+        self._down = tuple(down_masks)
+        if len(self._down) != n:
+            raise PosetError(f"{n} elements but {len(self._down)} down-set masks")
         self._hash = hash((self.elements, self._up))
 
     def __len__(self):
@@ -120,6 +126,14 @@ class FinitePoset:
     def down_mask(self, i: int) -> int:
         return self._down[i]
 
+    @property
+    def up_masks(self) -> tuple:
+        return self._up
+
+    @property
+    def down_masks(self) -> tuple:
+        return self._down
+
     def leq(self, a, b) -> bool:
         """True when a lies below b (non-strict)."""
         return (self._up[self.index(a)] >> self.index(b)) & 1 == 1
@@ -147,10 +161,7 @@ class FinitePoset:
     def greatest(self):
         """The greatest element, or None when there is none."""
         full = (1 << len(self)) - 1
-        for i in range(len(self)):
-            if self._down[i] == full:
-                return self.elements[i]
-        return None
+        return self.elements[self._down.index(full)] if full in self._down else None
 
     def mask_of(self, names) -> int:
         m = 0
@@ -172,7 +183,7 @@ class FinitePoset:
 
     def dual(self) -> "FinitePoset":
         """The order-reversed poset on the same elements."""
-        return FinitePoset(self.elements, self._down, f"{self.name}^op")
+        return FinitePoset(self.elements, self._down, f"{self.name}^op", self._up)
 
 
 def _transitive_close(masks):

@@ -192,3 +192,12 @@ def test_condition_cap_refuses_five_points_quickly():
     assert time.perf_counter() - start < 1
     assert err.value.count == 327_681 > MAX_CONDITIONS
     assert "327681 conditions" in str(err.value)
+    # 12 points at depth 2: 12 * 2^11 one-round plays, each ending in a
+    # singleton; player I's next moves are listed once per distinct final
+    # open, not by a scan of all 2^12 opens per play
+    space = FiniteTopSpace.discrete([f"x{i}" for i in range(12)])
+    start = time.perf_counter()
+    with pytest.raises(TooManyConditions) as err:
+        mf_characterization_check(space, 2)
+    assert time.perf_counter() - start < 2
+    assert err.value.count > MAX_CONDITIONS

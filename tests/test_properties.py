@@ -3,6 +3,7 @@ every run draws the same examples."""
 
 import contextlib
 import io
+import itertools
 import os
 import random
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from posetspace import cli
 from posetspace.catalog import random_poset
-from posetspace.constructions import FiniteTopSpace, TopologyInvalid, product_poset
+from posetspace.constructions import FiniteTopSpace, TopologyInvalid, _with_top, product_poset
 from posetspace.files import parse_poset_text, poset_to_text
 from posetspace.filters import Filter, NotAFilter
 from posetspace.games import canonical_choquet_strategy, choquet_referee, scripted_random_choquet_i
@@ -34,7 +35,41 @@ def test_product_order_matches_oracle(seed, sizes):
     rng = random.Random(seed)
     r = product_poset([random_poset(rng, n) for n in sizes])
     assert [r.poset.up_mask(i) for i in range(len(r.poset))] == oracles.product_up_masks(r.factors)
+    assert_down_masks_transpose(r.poset)
+    coords = list(itertools.product(*(f.elements for f in r.factors)))
+    assert list(r.poset.elements) == ["(" + ",".join(c) + ")" for c in coords]
+    assert list(r.coords.items()) == list(zip(r.poset.elements, coords))
     assert r.ok, r.failure
+
+
+def assert_down_masks_transpose(p):
+    n = len(p)
+    assert len(p.down_masks) == n
+    for i in range(n):
+        for j in range(n):
+            assert p.down_mask(j) >> i & 1 == p.up_mask(i) >> j & 1, (p, i, j)
+
+
+@fixed
+@given(st.integers(min_value=0, max_value=2**32), st.integers(0, 8), st.floats(0.0, 1.0))
+def test_supplied_down_masks_are_the_transpose(seed, n, edge_prob):
+    rng = random.Random(seed)
+    p = random_poset(rng, n, edge_prob)
+    d = p.dual()
+    assert_down_masks_transpose(d)
+    assert all(d.leq_idx(i, j) == p.leq_idx(j, i) for i in range(n) for j in range(n))
+    topped, top = _with_top(p)
+    assert_down_masks_transpose(topped)
+    assert topped.elements[:n] == p.elements
+    assert all(topped.leq_idx(i, j) == p.leq_idx(i, j) for i in range(n) for j in range(n))
+    if top is not None:
+        assert topped.elements[n] == top and topped.up_mask(n) == 1 << n
+        assert topped.down_mask(n) == (2 << n) - 1
+    kept = [e for e in p.elements if rng.random() < 0.5]
+    sub = p.restrict(kept)
+    assert_down_masks_transpose(sub)
+    assert sub.elements == tuple(kept)
+    assert all(sub.leq(a, b) == p.leq(a, b) for a in kept for b in kept)
 
 
 @fixed

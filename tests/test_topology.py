@@ -231,3 +231,14 @@ def test_verifier_failure_order_and_witness():
     r = verify_correspondence([0, 1], 2, {0: 1, 1: 0}, [("u", 0b01, 0b01)])
     assert (r.failure, r.witness, r.bijective) == ("basic open of u does not correspond", 0, True)
     assert verify_correspondence([], 0, {}, [("u", 0, 0)]).ok
+
+
+def test_verifier_reads_only_the_bits_of_mapped_points():
+    # bits of a source open outside the source points, and of a destination
+    # open outside range(dst_count), take no part in the open check
+    for point_map in ({0: 0, 1: 1}, {0: 1, 1: 0}):
+        image = 1 << point_map[0]  # of the source open {0}, plus a stray source bit 2
+        assert verify_correspondence([0, 1], 2, point_map, [("u", 0b101, image | 0b1100)]).ok
+    # the witness is the first failing source point in the given order
+    r = verify_correspondence([1, 0], 2, {0: 1, 1: 0}, [("u", 0b11, 0)])
+    assert (r.failure, r.witness) == ("basic open of u does not correspond", 1)
