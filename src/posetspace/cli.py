@@ -326,8 +326,8 @@ OPERATION_COVERAGE = {
     "product": ("product_poset",),
     "gdelta": ("gdelta_mf_poset", "gdelta_uf_poset"),
     "formalballs": ("formal_ball_poset",),
-    "stargame": ("star_game_solve", "incompatible"),
-    "stargame-play": ("star_game_referee",),
+    "stargame": ("star_game_solve",),
+    "stargame-play": ("star_game_referee", "incompatible"),
     "choquet": ("canonical_choquet_strategy", "choquet_referee"),
     "mf-characterize": ("validate_condition", "condition_lt", "refine_conditions",
                         "mf_characterization_check"),

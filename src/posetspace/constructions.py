@@ -252,7 +252,7 @@ def product_poset(factors) -> ProductResult:
     position = {combo: c for c, combo in enumerate(combos)}
     check = verify_correspondence(
         range(len(combos)),
-        len(pspace.points),
+        len(pspace),
         dict(enumerate(images)),
         zip(names, src_opens, pspace.opens),
         inverse={i: position.get(t) for i, t in phi_inv.items()},
@@ -350,7 +350,7 @@ def gdelta_mf_poset(poset: FinitePoset, opens, stage_cap=None) -> GdeltaMfResult
         psi[j] = inter_of.get(closure)
     check = verify_correspondence(
         inter_points,
-        len(q_space.points),
+        len(q_space),
         phi,
         [(f"stage element {sid}", space.opens[p], q_space.opens[s])
          for s, (sid, (_, p)) in enumerate(zip(ids, stages))],
@@ -413,7 +413,7 @@ def open_subspace_uf(poset: FinitePoset, open_points) -> OpenSubspaceResult:
     mapping = {i: sub_of.get(space.points[i].mask() & kept_mask) for i in sorted(u)}
     check = verify_correspondence(
         sorted(u),
-        len(sub_space.points),
+        len(sub_space),
         mapping,
         [(r, space.opens[i], sub_space.opens[k]) for k, (r, i) in enumerate(zip(kept, at))],
     )
@@ -530,7 +530,7 @@ def gdelta_uf_poset(poset: FinitePoset, opens) -> GdeltaUfResult:
         sub_of = {lift(f.mask()): j for j, f in enumerate(sub_space.points)}
         check = verify_correspondence(
             inter_points,
-            len(sub_space.points),
+            len(sub_space),
             {i: sub_of.get(space.points[i].mask()) for i in inter_points},
             [(r, space.opens[i], sub_space.opens[a]) for a, (r, i) in enumerate(zip(carrier, at))],
         )

@@ -110,13 +110,19 @@ def canonical_choquet_strategy(space: PosetSpace) -> Strategy:
     Eligible means: the element lies in the filter just played, its basic
     open sits inside player I's open, and it refines the element that
     generated II's previous answer, so II's witnesses descend in the
-    poset.  A legal game always leaves an eligible element.
+    poset.  A legal game always leaves an eligible element.  The answer
+    depends on nothing but I's move and that witness, so each is worked
+    out once per strategy and reused across rounds and games.
     """
-    poset, opens = space.poset, space.opens
-    members = [poset.up_mask(g) for g in space.generators]
-    down = [poset.down_mask(e) for e in range(len(poset))]
+    opens, down = space.opens, space.poset.down_masks
+    members = [space.poset.up_mask(g) for g in space.generators]
+    answers = {}
 
     def move(position):
+        key = (position.pending, position.witness)
+        answer = answers.get(key)
+        if answer is not None:
+            return answer
         u, x = position.pending
         # the members of point x, in element order, that refine the previous witness
         eligible = members[x]
@@ -124,7 +130,8 @@ def canonical_choquet_strategy(space: PosetSpace) -> Strategy:
             eligible &= down[position.witness]
         for q in _bits(eligible):
             if not opens[q] & ~u:
-                return opens[q], q
+                answers[key] = answer = (opens[q], q)
+                return answer
         raise ConditionViolated(
             len(position.rounds), "no eligible element; the inputs broke the game rules"
         )
@@ -133,11 +140,28 @@ def canonical_choquet_strategy(space: PosetSpace) -> Strategy:
 
 
 def scripted_random_choquet_i(seed: int) -> Strategy:
-    """A legal player-I script: random basic open inside II's last answer."""
-    rng = random.Random(seed)
+    """A legal player-I script: random basic open inside II's last answer.
+
+    Once II's last answer (or, in round 0, the whole space) is a single
+    point {x}, every later move is forced: the only nonempty open inside
+    {x} is {x}, its only point is x, and a legal answer to ({x}, x) must
+    be an open inside {x} that holds x, so {x} again.  Such a position
+    is absorbing, so the script plays ({x}, x) there without drawing.
+    Every unforced position comes before every forced one, so the draws
+    it does make are the same as when each round draws: a choice among
+    the nonempty basic opens inside the last answer, in element order,
+    then among the points of the chosen open, in ascending order.  The
+    ``Random(seed)`` is built at the first unforced move.
+    """
+    rng = None
 
     def move(position):
+        nonlocal rng
         prev = position.rounds[-1].open_ii if position.rounds else position.whole
+        if not prev & (prev - 1):
+            return prev, prev.bit_length() - 1
+        if rng is None:
+            rng = random.Random(seed)
         # the nonempty basic opens inside prev, in element order
         u = rng.choice([u for u in position.space.opens if u and not u & ~prev])
         x = rng.choice(list(_bits(u)))
@@ -169,7 +193,7 @@ def choquet_referee(space: PosetSpace, strategy_i, strategy_ii, rounds: int) -> 
     """
     if rounds < 1:
         raise GameSetupError("rounds must be at least 1")
-    if not space.points:
+    if not len(space):
         raise GameSetupError("the space has no points to play on")
     pos = _Position(space)
     transcript = ChoquetTranscript(space, pos.rounds)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .poset_core import FinitePoset, PosetError, _bits
@@ -28,7 +29,7 @@ class PosetSpace:
     mask over point indices (bit i set when point i contains e).  Inside
     the library every open is such a mask; ``basic_open``,
     ``open_from_elements`` and ``whole`` build frozensets of point
-    indices when called.
+    indices when called, and ``points`` builds the filters on first use.
     """
 
     def __init__(self, poset: FinitePoset, mode: str):
@@ -37,24 +38,30 @@ class PosetSpace:
         self.poset = poset
         self.mode = mode
         self.generators = poset.minimal_indices()
-        self.points = tuple(Filter(poset, g) for g in self.generators)
-        self._point_of = {g: i for i, g in enumerate(self.generators)}
-        self.whole_mask = (1 << len(self.points)) - 1
+        self.whole_mask = (1 << len(self.generators)) - 1
         opens = [0] * len(poset)
         for i, g in enumerate(self.generators):
             for e in _bits(poset.up_mask(g)):
                 opens[e] |= 1 << i
         self.opens = tuple(opens)
 
+    @functools.cached_property
+    def points(self) -> tuple:
+        return tuple(Filter(self.poset, g) for g in self.generators)
+
+    @functools.cached_property
+    def _point_of(self) -> dict:
+        return {g: i for i, g in enumerate(self.generators)}
+
     def __len__(self):
-        return len(self.points)
+        return len(self.generators)
 
     def __repr__(self):
         return f"PosetSpace({self.mode}({self.poset.name}), {len(self)} points)"
 
     @property
     def whole(self) -> frozenset:
-        return frozenset(range(len(self.points)))
+        return frozenset(range(len(self)))
 
     def open_mask(self, elements) -> int:
         """The union of the basic opens of ``elements``, as a point mask."""
@@ -273,8 +280,8 @@ def restriction_homeomorphism_check(poset: FinitePoset, sub) -> HomeoReport:
     }
     images = {i: small_of.get(poset.up_mask(g) & r_mask) for i, g in enumerate(big.generators)}
     check = verify_correspondence(
-        range(len(big.points)),
-        len(small.points),
+        range(len(big)),
+        len(small),
         images,
         [(r, big.opens[at[k]], small.opens[k]) for k, r in enumerate(r_poset.elements)],
     )

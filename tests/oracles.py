@@ -29,7 +29,9 @@ The library plays the strong Choquet game on int point masks;
 ``choquet_referee`` with ``canonical_choquet_ii`` and
 ``scripted_random_choquet_i`` play it on frozensets of point indices,
 with the literal ``is_open`` and ``basic_open``, and give the same
-transcripts.
+transcripts.  This opener draws in every round; the library's skips the
+draws once II's last answer is a single point, where every later move
+is forced, and its canonical II reuses answers it has already worked out.
 """
 
 import itertools

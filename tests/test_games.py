@@ -1,10 +1,13 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
 import oracles
+from posetspace import games
 from posetspace.catalog import posets_up_to, random_dense_sets, random_poset
 from posetspace.games import (
+    ChoquetRound,
     ConditionViolated,
     SelectorFailed,
     baire_generic_filter,
@@ -194,6 +197,45 @@ def test_referee_matches_frozenset_oracle():
                 assert record(lib) == ref, (p.pairs(), mode, seed)
                 games += 1
     assert games == 2 * 5 * 242
+
+
+def test_canonical_answers_are_kept_apart_by_witness():
+    # c < a, d < a, d < b: the point of d lies in N_a and in N_b
+    p = validate_poset(["a", "b", "c", "d"], [("c", "a"), ("d", "a"), ("d", "b")], "N")
+    space = PosetSpace(p, "mf")
+    strategy = canonical_choquet_strategy(space)
+    whole_and_d = (space.whole_mask, 1)
+    for witness, expected in ((None, "a"), (p.index("b"), "b"), (None, "a")):
+        v, w = strategy(SimpleNamespace(pending=whole_and_d, witness=witness, rounds=[]))
+        assert (p.elements[w], v) == (expected, space.opens[w])
+
+
+def test_one_point_space_never_builds_a_random(chain2, monkeypatch):
+    # every round on a one-point space is forced, so the opener draws nothing
+    space = PosetSpace(chain2, "mf")
+    ref = oracles.choquet_referee(
+        space, oracles.scripted_random_choquet_i(4), oracles.canonical_choquet_ii(space), 6)
+
+    def no_random(seed):
+        raise AssertionError("a forced game built a Random")
+
+    monkeypatch.setattr(games.random, "Random", no_random)
+    lib = choquet_referee(space, scripted_random_choquet_i(4), canonical_choquet_strategy(space), 6)
+    assert record(lib) == ref
+
+
+def test_opener_repeats_a_one_point_answer(vee):
+    space = PosetSpace(vee, "mf")
+    opener = scripted_random_choquet_i(7)
+    for x in range(len(space)):
+        position = SimpleNamespace(
+            space=space, whole=space.whole_mask, rounds=[ChoquetRound(space.whole_mask, x, 1 << x)])
+        assert opener(position) == (1 << x, x)
+    # in a played game, every round after a one-point answer repeats it
+    t = choquet_referee(space, opener, canonical_choquet_strategy(space), 10)
+    for prev, r in zip(t.rounds, t.rounds[1:]):
+        if oracles.point_set(prev.open_ii) == {prev.point}:
+            assert (r.open_i, r.point, r.open_ii) == (prev.open_ii, prev.point, prev.open_ii)
 
 
 def _mask(points):

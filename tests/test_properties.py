@@ -111,6 +111,26 @@ def test_canonical_choquet_ii_plays_legally(poset_seed, n, game_seed, rounds, mo
 
 
 @fixed
+@given(st.integers(min_value=0, max_value=2**32), st.integers(1, 6), st.sampled_from(["mf", "uf"]),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=2**32), st.integers(1, 12)),
+                min_size=2, max_size=2))
+def test_forced_moves_match_the_oracle_that_draws_every_round(poset_seed, n, mode, games):
+    # the library's opener plays forced rounds without drawing, the oracle's
+    # draws in every round; one canonical II serves both games, so the second
+    # game reads answers the first one stored
+    p = random_poset(random.Random(poset_seed), n)
+    space = PosetSpace(p, mode)
+    lib_ii = canonical_choquet_strategy(space)
+    for game_seed, rounds in games:
+        t = choquet_referee(space, scripted_random_choquet_i(game_seed), lib_ii, rounds)
+        lines, witnesses, illegal = oracles.choquet_referee(
+            space, oracles.scripted_random_choquet_i(game_seed), oracles.canonical_choquet_ii(space), rounds)
+        assert illegal is None and t.illegal is None
+        assert t.log_lines() == lines
+        assert [r.witness_ii for r in t.rounds] == witnesses
+
+
+@fixed
 @given(st.integers(min_value=0, max_value=2**32), st.integers(0, 8), st.sampled_from(["mf", "uf"]),
        st.data())
 def test_filters_are_generator_indices(seed, n, mode, data):
