@@ -4,13 +4,23 @@ A condition packs a basic open set together with finitely many partial
 plays of the strong Choquet game that follow one fixed player-II
 strategy.  Ordered by one-step play extension, the conditions form a
 poset whose maximal filters pin down single points of a finite discrete
-space; this module enumerates bounded-depth slices of that poset and
-checks the correspondence by brute force.
+space (Kechris, *Classical Descriptive Set Theory*, GTM 156, 8.D); this
+module enumerates bounded-depth slices of that poset and checks the
+correspondence.
+
+A ``ConditionSystem`` numbers each play once, round by round in
+``_play_key`` order: play i keeps its parent's index, its last move
+(v, x, w) and its final open, and a condition's plays are an int mask
+over the indices.  Deeper plays, as refinements make, are numbered when
+first asked for.  The four well-formedness rules are mask tests; tuple
+plays appear only at the boundary.  A depth that must give more than
+MAX_CONDITIONS conditions is refused before its plays are built.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .poset_core import FinitePoset, PosetError, _bits
@@ -51,10 +61,11 @@ class BadDepth(PosetError, ValueError):
 
 
 class TooManyConditions(PosetError):
-    """A depth at which the space has more than MAX_CONDITIONS conditions."""
+    """A depth with more than MAX_CONDITIONS conditions; ``count`` is a lower bound unless ``exact``."""
 
-    def __init__(self, count, depth):
-        super().__init__(f"depth {depth} gives {count} conditions, more than the {MAX_CONDITIONS} a check builds")
+    def __init__(self, count, depth, exact=True):
+        super().__init__(f"depth {depth} gives {'' if exact else 'at least '}{count} conditions, "
+                         f"more than the {MAX_CONDITIONS} a check builds")
         self.count = count
 
 
@@ -73,171 +84,205 @@ def canonical_strategy_ii(space: FiniteTopSpace):
 class ConditionSystem:
     """Conditions over one space and one fixed player-II strategy.
 
-    A designated set is a point mask, and a play a tuple of moves
-    ``(v, x, w)``: player I's open mask v, its point index x, and player
-    II's answer mask w.
+    A designated set is a point mask.  At the boundary a play is a tuple
+    of moves ``(v, x, w)``: player I's open mask v, its point index x,
+    and player II's answer mask w.  Inside, play i has a parent, a last
+    move and a final open, ``parent[i]``, ``step[i]`` and ``final[i]``;
+    play 0 is the empty play.
     """
 
     def __init__(self, space: FiniteTopSpace, s_ii=None):
         self.space = space
         self.s_ii = s_ii if s_ii is not None else canonical_strategy_ii(space)
+        self.parent, self.step, self.final = [0], [None], [space.whole_mask]
+        self._ext = {}  # (play, v, x) -> the play extended by I's move (v, x) and II's answer
+        self._within = [0, 1]  # _within[k + 1]: the plays of at most k rounds, for whole rounds
+        self._fits = {a: 1 for a in space.basis if a}  # nonempty basic a -> plays a fits in
+        self._moves = {}  # final open -> player I's moves inside it, in _play_key order
 
-    def final_open(self, play) -> int:
-        return play[-1][2] if play else self.space.whole_mask
+    def play(self, i) -> tuple:
+        """Play i as a tuple of moves."""
+        moves = []
+        while i:
+            moves.append(self.step[i])
+            i = self.parent[i]
+        return tuple(reversed(moves))
 
-    def _check_play(self, play):
-        prev_open = self.space.whole_mask
+    def _extend(self, p, v, x) -> int:
+        """The index of play p extended by I's move (v, x) and II's answer."""
+        q = self._ext.get((p, v, x))
+        if q is None:
+            prefix = self.play(p)
+            w = self.s_ii(prefix, v, x)
+            if w & ~v or not w >> x & 1:
+                raise ConditionRequirementViolation(
+                    2, f"move {len(prefix)}: the strategy produced an illegal answer")
+            q = self._ext[p, v, x] = len(self.step)
+            self.parent.append(p)
+            self.step.append((v, x, w))
+            self.final.append(w)
+            for a in self._fits:
+                if not a & ~w:
+                    self._fits[a] |= 1 << q
+        return q
+
+    def _index(self, play) -> int:
+        """The index of a tuple play, numbered if new; rule 2 is checked move by move."""
+        p = 0
         for j, step in enumerate(play):
             if len(step) != 3:
-                return f"move {j} is not an (open, point, answer) triple"
+                raise ConditionRequirementViolation(2, f"move {j} is not an (open, point, answer) triple")
             v, x, w = step
             if not self.space.is_open(v) or not v:
-                return f"move {j}: player I's set is not a nonempty open"
-            if v & ~prev_open:
-                return f"move {j}: player I's set leaves player II's last answer"
-            if not v >> x & 1:
-                return f"move {j}: the chosen point is outside player I's set"
-            if w != self.s_ii(play[:j], v, x):
-                return f"move {j}: player II's answer does not follow the strategy"
-            if w & ~v or not w >> x & 1:
-                return f"move {j}: the strategy produced an illegal answer"
-            prev_open = w
-        return None
+                problem = "player I's set is not a nonempty open"
+            elif v & ~self.final[p]:
+                problem = "player I's set leaves player II's last answer"
+            elif not v >> x & 1:
+                problem = "the chosen point is outside player I's set"
+            else:
+                p = self._extend(p, v, x)
+                problem = self.step[p][2] != w and "player II's answer does not follow the strategy"
+            if problem:
+                raise ConditionRequirementViolation(2, f"move {j}: {problem}")
+        return p
 
     def validate(self, a, plays) -> "Condition":
         plays = frozenset(tuple(tuple(step) for step in p) for p in plays)
-        if not a or a not in self.space.basis:
-            raise ConditionRequirementViolation(1, "the designated set is not a nonempty basic open")
-        for p in sorted(plays, key=_play_key):
-            problem = self._check_play(p)
-            if problem:
-                raise ConditionRequirementViolation(2, problem)
-        for p in plays:
-            for j in range(len(p) + 1):
-                if p[:j] not in plays:
-                    raise ConditionRequirementViolation(
-                        3, f"missing initial segment of length {j} of a play"
-                    )
-        for p in plays:
-            if a & ~self.final_open(p):
-                raise ConditionRequirementViolation(
-                    4, "the designated set leaves the final open of a play"
-                )
-        return Condition(self, a, plays)
+        mask = 0
+        if a in self._fits:  # otherwise rule 1 fails first
+            for p in sorted(plays, key=_play_key):
+                mask |= 1 << self._index(p)
+        return self._checked(a, mask)
 
-    def extend_play(self, play, a, x):
-        step = (a, x, self.s_ii(play, a, x))
-        return tuple(play) + (step,)
+    def _checked(self, a, mask) -> "Condition":
+        """The condition (a, mask) after rules 1, 3 and 4; rule 2 held as its plays were numbered."""
+        if a not in self._fits:
+            raise ConditionRequirementViolation(1, "the designated set is not a nonempty basic open")
+        parents = 0
+        for q in _bits(mask):
+            parents |= 1 << self.parent[q]
+        missing = parents & ~mask
+        if missing:
+            m = (missing & -missing).bit_length() - 1
+            while m and not mask >> self.parent[m] & 1:
+                m = self.parent[m]
+            raise ConditionRequirementViolation(
+                3, f"missing initial segment of length {len(self.play(m))} of a play")
+        if mask & ~self._fits[a]:
+            raise ConditionRequirementViolation(4, "the designated set leaves the final open of a play")
+        return Condition(self, a, mask)
+
+    def _through(self, mask, a) -> int:
+        """The parents of the proper plays in ``mask`` whose last move was played on ``a``."""
+        out = 0
+        for q in _bits(mask & ~1):
+            if self.step[q][0] == a:
+                out |= 1 << self.parent[q]
+        return out
 
     def lt(self, c1: "Condition", c2: "Condition") -> bool:
-        """Strictly below: every play of c2 extends one step into c1 through c2's set."""
+        """Strictly below: every play of c2 extends one step into c1 through c2's set.
+
+        That is, every play of c2 is the parent of a play of c1 whose last move was played on c2's set.
+        """
         if c1.system is not c2.system:
             raise MixedSpaces("conditions live over different spaces or strategies")
-        if c1.a & ~c2.a:
-            return False
-        for p in c2.plays:
-            if not any(
-                self.extend_play(p, c2.a, x) in c1.plays for x in _bits(c2.a)
-            ):
-                return False
-        return True
+        return not c1.a & ~c2.a and not c2.mask & ~self._through(c1.mask, c2.a)
 
     def refine(self, c1: "Condition", c2: "Condition", x: int) -> "Condition":
         """A common refinement through a shared point of the designated sets.
 
-        Every play of either condition is extended one step through the
-        owner's designated set and the given point, the result is closed
-        under initial segments, and the designated set becomes the least
-        basic open around the point inside all final opens.
+        Every play of either condition is extended one step through its owner's
+        set and the point; with both play sets added the result is closed under
+        initial segments.  Its set is the least basic open around the point
+        inside every final open, that is, inside those of the extensions.
         """
         if c1.system is not c2.system:
             raise MixedSpaces("conditions live over different spaces or strategies")
         if not (c1.a & c2.a) >> x & 1:
             raise PreconditionFailed(f"point {x} is outside a designated set")
-        plays = set()
+        mask, constraint = c1.mask | c2.mask, self.space.whole_mask
         for c in (c1, c2):
-            for p in c.plays:
-                plays.add(self.extend_play(p, c.a, x))
-        for p in list(plays):
-            for j in range(len(p) + 1):
-                plays.add(p[:j])
-        constraint = self.space.whole_mask
-        for p in plays:
-            constraint &= self.final_open(p)
+            for p in _bits(c.mask):
+                q = self._extend(p, c.a, x)
+                mask |= 1 << q
+                constraint &= self.final[q]
         a = self.space.least_basic_containing(x, constraint)
         if a is None:
             raise PreconditionFailed("no basic open around the point fits inside the final opens")
-        return self.validate(a, plays)
+        return self._checked(a, mask)
 
     # -- enumeration ------------------------------------------------------
 
-    def all_plays(self, depth: int):
-        """Every strategy-following play of at most ``depth`` rounds.
+    def _number(self, depth: int, cap=None):
+        """Number every play of at most ``depth`` rounds, a round at a time; return them as a mask.
 
-        Player I's moves after a play are the nonempty opens inside its
-        final open, in order; they are listed once per distinct final open.
+        Player I's moves after a play are the nonempty opens inside its final
+        open, listed once per final open.  None once more than ``cap`` are numbered.
         """
-        inside = {}
-        plays = [()]
-        frontier = [()]
-        for _ in range(depth):
-            nxt = []
-            for p in frontier:
-                room = self.final_open(p)
-                if room not in inside:
-                    inside[room] = [v for v in self.space.opens if v and not v & ~room]
-                for v in inside[room]:
+        within, total = self._within, self._within[-1].bit_count()
+        while len(within) <= depth + 1 and within[-1] != within[-2]:
+            level = 0
+            for p in _bits(within[-1] & ~within[-2]):
+                room = self.final[p]
+                if room not in self._moves:
+                    self._moves[room] = sorted((v for v in self.space.opens if v and not v & ~room),
+                                               key=lambda v: tuple(_bits(v)))
+                for v in self._moves[room]:
                     for x in _bits(v):
-                        nxt.append(self.extend_play(p, v, x))
-            plays.extend(nxt)
-            frontier = nxt
-        return plays
+                        level |= 1 << self._extend(p, v, x)
+                        total += 1
+                        if cap is not None and total > cap:
+                            return None
+            within.append(within[-1] | level)
+        return within[min(depth + 1, len(within) - 1)]
 
-    def _play_trees(self, depth: int):
-        """Per nonempty basic open a, the play tree pruned to the plays a fits in.
+    def _closed_sets(self, allowed: int, count=False):
+        """The closed play sets inside ``allowed`` that hold the empty play, or their number.
 
-        Yields ``(a, kids)`` with ``kids[p]`` the one-round extensions of
-        play p whose final open holds a.  The conditions with designated
-        set a are the prefix-closed play sets of this tree.
+        Bottom-up by descending index (a play is numbered after its parent): the sets of
+        the subtree at p are p with, per child, nothing or one of the child's sets.
         """
-        plays = self.all_plays(depth)
-        for a in self.space.basis:
-            if a:
-                kids = {p: [] for p in plays}
-                for p in plays[1:]:
-                    if not a & ~self.final_open(p):
-                        kids[p[:-1]].append(p)
-                yield a, kids
+        below = {}
+        for q in sorted(_bits(allowed), reverse=True):
+            mine = below.pop(q, 1 if count else [1 << q])
+            if not q:
+                return mine
+            p = self.parent[q]
+            if allowed >> p & 1:
+                have = below.get(p, 1 if count else [1 << p])
+                below[p] = have * (1 + mine) if count else [h | s for h in have for s in (0, *mine)]
+        return 0 if count else []
 
     def count_conditions(self, depth: int) -> int:
-        """How many conditions have plays of at most ``depth`` rounds, without building them."""
+        """How many conditions have plays of at most ``depth`` rounds, without building them.
 
-        def count(kids, p):  # prefix-closed play sets of the subtree at p that hold p
-            out = 1
-            for kid in kids[p]:
-                out *= 1 + count(kids, kid)
-            return out
-
-        return sum(count(kids, ()) for _, kids in self._play_trees(depth))
+        Those with designated set a are the closed sets of the plays a fits in.
+        """
+        within = self._number(depth)
+        return sum(self._closed_sets(fits & within, count=True) for fits in self._fits.values())
 
     def enumerate_conditions(self, depth: int):
         """All conditions whose plays have at most ``depth`` rounds.
 
-        Raises TooManyConditions, before building any, when there are
-        more than MAX_CONDITIONS.
+        Raises TooManyConditions, before building any, when there are more
+        than MAX_CONDITIONS.  Each play p gives its own condition: the initial
+        segments of p, with a basic open around p's last point inside its
+        final open.  On a nonempty space player I can always play II's last
+        answer again, so there are at least depth + 1 plays.  So a depth of
+        MAX_CONDITIONS or more is refused before any play is numbered, and
+        numbering stops once it passes MAX_CONDITIONS plays.
         """
-        total = self.count_conditions(depth)
+        if len(self.space) and depth >= MAX_CONDITIONS:
+            raise TooManyConditions(depth + 1, depth, exact=False)
+        within = self._number(depth, MAX_CONDITIONS)
+        if within is None:
+            raise TooManyConditions(MAX_CONDITIONS + 1, depth, exact=False)
+        trees = [(a, fits & within) for a, fits in self._fits.items()]
+        total = sum(self._closed_sets(tree, count=True) for _, tree in trees)
         if total > MAX_CONDITIONS:
             raise TooManyConditions(total, depth)
-
-        def closed_subsets(kids, p):  # the sets that count() counts
-            combos = [frozenset([p])]
-            for kid in kids[p]:
-                combos = [c | extra for c in combos for extra in [frozenset()] + closed_subsets(kids, kid)]
-            return combos
-
-        return [self.validate(a, playset) for a, kids in self._play_trees(depth)
-                for playset in closed_subsets(kids, ())]
+        return [self._checked(a, mask) for a, tree in trees for mask in self._closed_sets(tree)]
 
 
 def _play_key(play):
@@ -248,16 +293,22 @@ def _play_key(play):
 class Condition:
     system: ConditionSystem = field(compare=False, hash=False)
     a: int  # the designated set, a point mask
-    plays: frozenset
+    mask: int  # the plays, a mask over the system's play indices
+
+    @property
+    def plays(self) -> frozenset:
+        return frozenset(map(self.system.play, _bits(self.mask)))
 
     def __str__(self):
-        return (
-            f"<{self.system.space.set_str(self.a)}; "
-            + f"{len(self.plays) - 1} proper plays>"
-        )
+        return f"<{self.system.space.set_str(self.a)}; {self.mask.bit_count() - 1} proper plays>"
 
     def key(self):
-        return (tuple(_bits(self.a)), len(self.plays), tuple(sorted(map(_play_key, self.plays))))
+        """Sort by the set's points, the play count, then the sorted play keys.
+
+        Whole rounds are numbered in ``_play_key`` order, so the indices stand for
+        the play keys, unless a deeper play was numbered before a whole round.
+        """
+        return tuple(_bits(self.a)), self.mask.bit_count(), tuple(_bits(self.mask))
 
 
 def validate_condition(space: FiniteTopSpace, s_ii, a, plays) -> Condition:
@@ -270,6 +321,30 @@ def condition_lt(c1: Condition, c2: Condition) -> bool:
 
 def refine_conditions(c1: Condition, c2: Condition, x: int) -> Condition:
     return c1.system.refine(c1, c2, x)
+
+
+def refinement_sample(conditions, k: int, rng: random.Random) -> list:
+    """``k`` distinct triples (i, j, x), x a point of both designated sets, drawn uniformly.
+
+    The pool, every such triple by i, then j, then x, is not built: row i
+    holds n * |a & b| triples per n conditions with set b, a being the set of condition i.
+    """
+    sets = Counter(c.a for c in conditions)
+    width = {a: sum(n * (a & b).bit_count() for b, n in sets.items()) for a in sets}
+    total = sum(width[c.a] for c in conditions)
+    out = []
+    for t in rng.sample(range(total), min(k, total)):
+        for i, ci in enumerate(conditions):
+            if t < width[ci.a]:
+                break
+            t -= width[ci.a]
+        for j, cj in enumerate(conditions):
+            shared = ci.a & cj.a
+            if t < shared.bit_count():
+                break
+            t -= shared.bit_count()
+        out.append((i, j, list(_bits(shared))[t]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -301,8 +376,8 @@ def mf_characterization_check(space: FiniteTopSpace, depth: int, s_ii=None,
     condition belongs to some filter mapped to a point exactly when the
     point lies in the condition's designated set; the truncation sends
     many filters to one point, so the fibers, not the raw filters, are
-    matched with the space.  A seeded sample of common refinements is
-    also validated both ways.
+    matched with the space.  A seeded uniform sample of common
+    refinements is also validated both ways.
     """
     if depth < 0:
         raise BadDepth(f"depth must be at least 0, got {depth}")
@@ -310,19 +385,18 @@ def mf_characterization_check(space: FiniteTopSpace, depth: int, s_ii=None,
         raise PreconditionFailed("the space is not T1")
     system = ConditionSystem(space, s_ii)
     conditions = sorted(system.enumerate_conditions(depth), key=Condition.key)
-    ids = [f"c{i}" for i in range(len(conditions))]
-    masks = [
-        sum(1 << j for j, cj in enumerate(conditions) if i == j or system.lt(ci, cj))
-        for i, ci in enumerate(conditions)
-    ]
-    poset = FinitePoset(ids, masks, f"{space.name}|conditions")
+    sets, up = {c.a for c in conditions}, []
+    for i, c1 in enumerate(conditions):  # the conditions c2 with c1 <= c2
+        through = {a: system._through(c1.mask, a) for a in sets if not c1.a & ~a}
+        up.append(sum(1 << j for j, c2 in enumerate(conditions)
+                      if i == j or c2.a in through and not c2.mask & ~through[c2.a]))
+    poset = FinitePoset([f"c{i}" for i in range(len(conditions))], up, f"{space.name}|conditions")
     cond_space = PosetSpace(poset, "mf")
 
-    phi = {}
-    stuck = []
-    for k, f in enumerate(cond_space.points):
+    phi, stuck = {}, []
+    for k, g in enumerate(cond_space.generators):
         inter = space.whole_mask
-        for c in _bits(f.mask()):
+        for c in _bits(poset.up_mask(g)):
             inter &= conditions[c].a
         if inter.bit_count() == 1:
             phi[k] = inter.bit_length() - 1
@@ -333,24 +407,17 @@ def mf_characterization_check(space: FiniteTopSpace, depth: int, s_ii=None,
     total = not stuck
 
     # a condition sits in some filter sent to x exactly when x is in its set
-    equivalence = True
+    # per point: the members of the filters sent to it, and the conditions whose set holds it
+    reach, holds = [0] * len(space.points), [0] * len(space.points)
+    for k, x in phi.items():
+        reach[x] |= poset.up_mask(cond_space.generators[k])
     for i, c in enumerate(conditions):
-        reachable = {phi[k] for k in phi if poset.leq_idx(cond_space.generators[k], i)}
-        if reachable != set(_bits(c.a)):
-            equivalence = False
-            break
+        for x in _bits(c.a):
+            holds[x] |= 1 << i
+    equivalence = reach == holds
 
-    rng = random.Random(seed)
-    pool = [
-        (i, j, x)
-        for i in range(len(conditions))
-        for j in range(len(conditions))
-        for x in _bits(conditions[i].a & conditions[j].a)
-    ]
-    rng.shuffle(pool)
-    checked = 0
-    refinements_ok = True
-    for i, j, x in pool[:refinement_samples]:
+    checked, refinements_ok = 0, True
+    for i, j, x in refinement_sample(conditions, refinement_samples, random.Random(seed)):
         c = system.refine(conditions[i], conditions[j], x)
         checked += 1
         if not (system.lt(c, conditions[i]) and system.lt(c, conditions[j]) and c.a >> x & 1):
@@ -365,16 +432,5 @@ def mf_characterization_check(space: FiniteTopSpace, depth: int, s_ii=None,
         failure = "the point map misses a point of the space"
     elif not equivalence:
         failure = "membership equivalence fails"
-    return CharacterizationReport(
-        condition_count=len(conditions),
-        filter_count=len(cond_space.points),
-        phi=phi,
-        bijection=bijection,
-        depth_too_small=tuple(stuck),
-        membership_equivalence=equivalence,
-        refinements_checked=checked,
-        refinements_ok=refinements_ok,
-        poset=poset,
-        conditions=tuple(conditions),
-        failure=failure,
-    )
+    return CharacterizationReport(len(conditions), len(cond_space), phi, bijection, tuple(stuck),
+                                  equivalence, checked, refinements_ok, poset, tuple(conditions), failure)

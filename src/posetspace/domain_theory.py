@@ -34,17 +34,8 @@ class Dcpo:
         p = self.poset
         return tuple(p.elements[i] for i in range(len(p)) if p.up_mask(i) == 1 << i)
 
-    def double_down(self, t: int) -> int:
-        """Mask of elements way below element ``t``."""
-        return self.poset.down_mask(t)
-
     def double_up(self, q: int) -> int:
         return self.poset.up_mask(q)
-
-    def scott_basic_opens(self):
-        """The generating family of the Scott topology, one set per element."""
-        p = self.poset
-        return {p.elements[q]: frozenset(_bits(p.up_mask(q))) for q in range(len(p))}
 
 
 def way_below(dcpo: Dcpo):

@@ -46,18 +46,10 @@ class SelectorFailed(PosetError):
         self.element = element
 
 
-@dataclass(frozen=True)
-class Strategy:
-    """A deterministic callable from positions to moves, with a name."""
-
-    name: str
-    move: object
-
-    def __call__(self, *args):
-        return self.move(*args)
-
-    def __str__(self):
-        return self.name
+def _named(name, move):
+    """A strategy is its move function itself; reports read its ``name``."""
+    move.name = name
+    return move
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +96,7 @@ class ChoquetTranscript:
         return lines
 
 
-def canonical_choquet_strategy(space: PosetSpace) -> Strategy:
+def canonical_choquet_strategy(space: PosetSpace):
     """Player II answers with the basic open of the least eligible element.
 
     Eligible means: the element lies in the filter just played, its basic
@@ -136,10 +128,10 @@ def canonical_choquet_strategy(space: PosetSpace) -> Strategy:
             len(position.rounds), "no eligible element; the inputs broke the game rules"
         )
 
-    return Strategy("canonical-least-refinement", move)
+    return _named("canonical-least-refinement", move)
 
 
-def scripted_random_choquet_i(seed: int) -> Strategy:
+def scripted_random_choquet_i(seed: int):
     """A legal player-I script: random basic open inside II's last answer.
 
     Once II's last answer (or, in round 0, the whole space) is a single
@@ -167,7 +159,7 @@ def scripted_random_choquet_i(seed: int) -> Strategy:
         x = rng.choice(list(_bits(u)))
         return u, x
 
-    return Strategy(f"scripted-random-{seed}", move)
+    return _named(f"scripted-random-{seed}", move)
 
 
 class _Position:
@@ -235,7 +227,7 @@ def choquet_referee(space: PosetSpace, strategy_i, strategy_ii, rounds: int) -> 
 class StarSolution:
     winner: str
     fixed_point: frozenset
-    strategy: Strategy
+    strategy: object  # a move function with a name
     iterations: int
 
 
@@ -269,17 +261,17 @@ def star_game_solve(poset: FinitePoset) -> StarSolution:
         return 1
 
     core = frozenset(poset.names_of(s))
-    return StarSolution("II", core, Strategy("constant-first-pick", move_ii), iterations)
+    return StarSolution("II", core, _named("constant-first-pick", move_ii), iterations)
 
 
-def splitting_strategy(tree) -> Strategy:
+def splitting_strategy(tree):
     """Player I plays the two one-bit extensions of the current node."""
 
     def move(current, round_no):
         base = tree.bits(current) if current is not None else ""
         return tree.encode(base + "0"), tree.encode(base + "1")
 
-    return Strategy("one-bit-splits", move)
+    return _named("one-bit-splits", move)
 
 
 @dataclass(frozen=True)

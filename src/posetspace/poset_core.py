@@ -327,41 +327,3 @@ class BinaryTreePoset(GeneratedPoset):
         x, y = self.bits(a), self.bits(b)
         return not (x.startswith(y) or y.startswith(x))
 
-
-def spot_check_generated(provider: GeneratedPoset, budget: int = 3) -> None:
-    """Check the provider contract on the elements reachable within budget.
-
-    Raises PosetError on any violation: non-strict refinements, budget
-    monotonicity failures, nondeterminism, or order-axiom failures on the
-    sampled elements.
-    """
-    seen = list(provider.roots())
-    if not seen:
-        raise PosetError("provider has no roots")
-    frontier = list(seen)
-    for _ in range(2):
-        nxt = []
-        for a in frontier:
-            for b in range(budget + 1):
-                refs = provider.refinements(a, b)
-                if refs != provider.refinements(a, b):
-                    raise PosetError(f"refinements({a!r}, {b}) is not deterministic")
-                if b > 0 and not set(provider.refinements(a, b - 1)) <= set(refs):
-                    raise PosetError(f"refinements({a!r}) shrank when the budget grew")
-                for r in refs:
-                    if not provider.leq(r, a) or provider.leq(a, r):
-                        raise PosetError(f"refinement {r!r} is not strictly below {a!r}")
-            for r in provider.refinements(a, 1):
-                if r not in seen:
-                    seen.append(r)
-                    nxt.append(r)
-        frontier = nxt
-    for a in seen:
-        if not provider.leq(a, a):
-            raise PosetError(f"leq not reflexive at {a!r}")
-        for b in seen:
-            if a != b and provider.leq(a, b) and provider.leq(b, a):
-                raise PosetError(f"leq not antisymmetric on {a!r}, {b!r}")
-            for c in seen:
-                if provider.leq(a, b) and provider.leq(b, c) and not provider.leq(a, c):
-                    raise PosetError(f"leq not transitive on {a!r}, {b!r}, {c!r}")

@@ -38,10 +38,11 @@ import itertools
 import random
 
 from posetspace import domain_theory as lib
+from posetspace.choquet_mf import ConditionRequirementViolation, PreconditionFailed
 from posetspace.constructions import INF
 from posetspace.filters import enumerate_filters
 from posetspace.games import ConditionViolated, IllegalMove
-from posetspace.poset_core import FinitePoset, incompatible
+from posetspace.poset_core import FinitePoset, PosetError, incompatible
 
 
 def product_up_masks(factors) -> list:
@@ -543,3 +544,135 @@ def gdelta_uf_claims(poset, result):
     claims[4] = not bad4
     details[4] = bad4
     return claims, details
+
+
+def spot_check_generated(provider, budget: int = 3) -> None:
+    """Check the provider contract on the elements reachable within budget.
+
+    Raises PosetError on any violation: non-strict refinements, budget
+    monotonicity failures, nondeterminism, or order-axiom failures on the
+    sampled elements.
+    """
+    seen = list(provider.roots())
+    if not seen:
+        raise PosetError("provider has no roots")
+    frontier = list(seen)
+    for _ in range(2):
+        nxt = []
+        for a in frontier:
+            for b in range(budget + 1):
+                refs = provider.refinements(a, b)
+                if refs != provider.refinements(a, b):
+                    raise PosetError(f"refinements({a!r}, {b}) is not deterministic")
+                if b > 0 and not set(provider.refinements(a, b - 1)) <= set(refs):
+                    raise PosetError(f"refinements({a!r}) shrank when the budget grew")
+                for r in refs:
+                    if not provider.leq(r, a) or provider.leq(a, r):
+                        raise PosetError(f"refinement {r!r} is not strictly below {a!r}")
+            for r in provider.refinements(a, 1):
+                if r not in seen:
+                    seen.append(r)
+                    nxt.append(r)
+        frontier = nxt
+    for a in seen:
+        if not provider.leq(a, a):
+            raise PosetError(f"leq not reflexive at {a!r}")
+        for b in seen:
+            if a != b and provider.leq(a, b) and provider.leq(b, a):
+                raise PosetError(f"leq not antisymmetric on {a!r}, {b!r}")
+            for c in seen:
+                if provider.leq(a, b) and provider.leq(b, c) and not provider.leq(a, c):
+                    raise PosetError(f"leq not transitive on {a!r}, {b!r}, {c!r}")
+
+
+def play_key(play):
+    """Plays by length, then move by move: (points of v, x, points of w)."""
+    return len(play), tuple((tuple(members(v)), x, tuple(members(w))) for v, x, w in play)
+
+
+def final_open(system, play) -> int:
+    """The last answer of a tuple play, or the whole space for the empty play."""
+    return play[-1][2] if play else system.space.whole_mask
+
+
+def extend_play(system, play, a, x) -> tuple:
+    """The tuple play extended by player I's move (a, x) and the strategy's answer."""
+    return tuple(play) + ((a, x, system.s_ii(play, a, x)),)
+
+
+def check_play(system, play):
+    """The first way a tuple play breaks the game rules or the strategy, or None."""
+    prev_open = system.space.whole_mask
+    for j, step in enumerate(play):
+        if len(step) != 3:
+            return f"move {j} is not an (open, point, answer) triple"
+        v, x, w = step
+        if not system.space.is_open(v) or not v:
+            return f"move {j}: player I's set is not a nonempty open"
+        if v & ~prev_open:
+            return f"move {j}: player I's set leaves player II's last answer"
+        if not v >> x & 1:
+            return f"move {j}: the chosen point is outside player I's set"
+        if w != system.s_ii(play[:j], v, x):
+            return f"move {j}: player II's answer does not follow the strategy"
+        if w & ~v or not w >> x & 1:
+            return f"move {j}: the strategy produced an illegal answer"
+        prev_open = w
+    return None
+
+
+def validate_condition(system, a, plays):
+    """``(a, plays)`` after the four condition rules on tuple plays, or the first violation."""
+    plays = frozenset(tuple(tuple(step) for step in p) for p in plays)
+    if not a or a not in system.space.basis:
+        raise ConditionRequirementViolation(1, "the designated set is not a nonempty basic open")
+    for p in sorted(plays, key=play_key):
+        problem = check_play(system, p)
+        if problem:
+            raise ConditionRequirementViolation(2, problem)
+    for p in plays:
+        for j in range(len(p) + 1):
+            if p[:j] not in plays:
+                raise ConditionRequirementViolation(3, f"missing initial segment of length {j} of a play")
+    for p in plays:
+        if a & ~final_open(system, p):
+            raise ConditionRequirementViolation(4, "the designated set leaves the final open of a play")
+    return a, plays
+
+
+def condition_lt(system, c1, c2) -> bool:
+    """c1 < c2: c1.a inside c2.a, and each play of c2 extends one step into c1 through c2.a."""
+    if c1.a & ~c2.a:
+        return False
+    return all(
+        any(extend_play(system, p, c2.a, x) in c1.plays for x in members(c2.a))
+        for p in c2.plays
+    )
+
+
+def refine_conditions(system, c1, c2, x):
+    """``(a, plays)`` of the common refinement through point x, built on tuple plays."""
+    plays = set()
+    for c in (c1, c2):
+        for p in c.plays:
+            plays.add(extend_play(system, p, c.a, x))
+    for p in list(plays):
+        for j in range(len(p) + 1):
+            plays.add(p[:j])
+    constraint = system.space.whole_mask
+    for p in plays:
+        constraint &= final_open(system, p)
+    a = system.space.least_basic_containing(x, constraint)
+    if a is None:
+        raise PreconditionFailed("no basic open around the point fits inside the final opens")
+    return validate_condition(system, a, plays)
+
+
+def refinement_pool(conditions) -> list:
+    """Every (i, j, x) with x a point of both designated sets, by i, then j, then x."""
+    return [
+        (i, j, x)
+        for i, ci in enumerate(conditions)
+        for j, cj in enumerate(conditions)
+        for x in members(ci.a & cj.a)
+    ]

@@ -1,9 +1,12 @@
+import random
 import time
 
 import pytest
 
+import oracles
 from posetspace.choquet_mf import (
     MAX_CONDITIONS,
+    Condition,
     ConditionRequirementViolation,
     ConditionSystem,
     MixedSpaces,
@@ -12,6 +15,7 @@ from posetspace.choquet_mf import (
     condition_lt,
     mf_characterization_check,
     refine_conditions,
+    refinement_sample,
     validate_condition,
 )
 from posetspace.constructions import FiniteTopSpace
@@ -31,13 +35,13 @@ def d3():
 def test_root_condition_is_valid(d2):
     system = ConditionSystem(d2)
     c = system.validate(d2.whole_mask, [()])
-    assert system.final_open(()) == d2.whole_mask
+    assert system.final[0] == d2.whole_mask
     assert c.a == d2.whole_mask
 
 
 def test_missing_prefix_violates_rule_3(d2):
     system = ConditionSystem(d2)
-    play = system.extend_play((), 0b01, 0)
+    play = oracles.extend_play(system, (), 0b01, 0)
     with pytest.raises(ConditionRequirementViolation) as err:
         system.validate(0b01, [play])  # the empty play is missing
     assert err.value.requirement == 3
@@ -45,7 +49,7 @@ def test_missing_prefix_violates_rule_3(d2):
 
 def test_set_outside_final_open_violates_rule_4(d2):
     system = ConditionSystem(d2)
-    play = system.extend_play((), 0b01, 0)  # final open {x}
+    play = oracles.extend_play(system, (), 0b01, 0)  # final open {x}
     with pytest.raises(ConditionRequirementViolation) as err:
         system.validate(0b11, [(), play])
     assert err.value.requirement == 4
@@ -120,7 +124,7 @@ def test_rule_6_follows_from_rule_5(d3):
             if c1 is c2:
                 continue
             below_without_nesting = all(
-                any(system.extend_play(p, c2.a, x) in c1.plays for x in _bits(c2.a))
+                any(oracles.extend_play(system, p, c2.a, x) in c1.plays for x in _bits(c2.a))
                 for p in c2.plays
             )
             if below_without_nesting:
@@ -201,3 +205,89 @@ def test_condition_cap_refuses_five_points_quickly():
         mf_characterization_check(space, 2)
     assert time.perf_counter() - start < 2
     assert err.value.count > MAX_CONDITIONS
+
+
+def discrete(n):
+    return FiniteTopSpace.discrete([f"x{i}" for i in range(n)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_masks_agree_with_tuple_oracles(n, depth):
+    system = ConditionSystem(discrete(n))
+    conditions = system.enumerate_conditions(depth)
+    oracle_keys = []
+    for c in conditions:
+        assert oracles.validate_condition(system, c.a, c.plays) == (c.a, c.plays)
+        assert system.validate(c.a, c.plays) == c
+        oracle_keys.append((tuple(_bits(c.a)), len(c.plays), tuple(sorted(map(oracles.play_key, c.plays)))))
+    # the key read off the mask orders the conditions as their play keys do
+    assert sorted(range(len(conditions)), key=lambda i: conditions[i].key()) == \
+        sorted(range(len(conditions)), key=oracle_keys.__getitem__)
+    for c1 in conditions:
+        for c2 in conditions:
+            assert system.lt(c1, c2) == oracles.condition_lt(system, c1, c2)
+            for x in _bits(c1.a & c2.a):
+                r = system.refine(c1, c2, x)
+                assert (r.a, r.plays) == oracles.refine_conditions(system, c1, c2, x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_condition_poset_is_the_pairwise_order(n):
+    report = mf_characterization_check(discrete(n), 2)
+    system = report.conditions[0].system
+    for i, c1 in enumerate(report.conditions):
+        want = sum(1 << j for j, c2 in enumerate(report.conditions) if i == j or system.lt(c1, c2))
+        assert report.poset.up_mask(i) == want
+
+
+def test_validate_texts_match_tuple_oracle(d3):
+    system = ConditionSystem(d3)
+    whole = d3.whole_mask
+    one = oracles.extend_play(system, (), whole, 1)  # final open {y}
+    two = oracles.extend_play(system, one, 0b010, 1)
+    candidates = [
+        (whole, [()]), (0b011, [()]), (0b010, [(), one, two]), (0b010, [(), two]),
+        (0b010, [one]), (whole, [(), one]), (0b010, [(), ((0b110, 1, 0b010),)]),
+        (0b010, [(), ((0, 1, 0b010),)]), (0b010, [(), ((0b1000, 3, 0b1000),)]),
+        (0b010, [(), one, one + ((0b110, 1, 0b010),)]), (0b010, [(), ((0b011, 2, 0b010),)]),
+        (0b010, [(), ((0b010, 1, 0b110),)]), (0b010, [(), ((0b101, 1, 0b001),)]),
+    ]
+    for a, plays in candidates:
+        try:
+            want = oracles.validate_condition(system, a, plays)
+        except ConditionRequirementViolation as err:
+            want = str(err)
+        try:
+            c = system.validate(a, plays)
+            got = (c.a, c.plays)
+        except ConditionRequirementViolation as err:
+            got = str(err)
+        assert got == want, (a, plays)
+
+
+def test_refinement_sample_is_distinct_and_in_pool(d3):
+    conditions = sorted(ConditionSystem(d3).enumerate_conditions(1), key=Condition.key)
+    pool = oracles.refinement_pool(conditions)
+    for seed in range(5):
+        triples = refinement_sample(conditions, 60, random.Random(seed))
+        assert len(set(triples)) == 60 and set(triples) <= set(pool)
+    # asking for the whole pool, or more, draws every triple once
+    assert sorted(refinement_sample(conditions, len(pool) + 5, random.Random(0))) == pool
+
+
+def test_four_points_at_depth_one():
+    report = mf_characterization_check(discrete(4), 1)
+    assert (report.condition_count, report.filter_count) == (1025, 1020)
+    assert report.bijection and report.refinements_ok
+
+
+def test_deep_chains_count_without_recursion():
+    # one point: the plays form one forced chain, and the conditions at
+    # depth d are its d + 1 initial segments
+    system = ConditionSystem(discrete(1))
+    assert system.count_conditions(1500) == 1501
+    with pytest.raises(TooManyConditions) as err:
+        system.enumerate_conditions(MAX_CONDITIONS)
+    assert err.value.count == MAX_CONDITIONS + 1
+    assert "gives at least 2001 conditions" in str(err.value)

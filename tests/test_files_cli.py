@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -270,6 +271,26 @@ def test_mf_characterize_refuses_too_many_conditions(tmp_path):
     code, out = run_cli(["mf-characterize", str(path), "--depth", "1"])
     assert code == 2
     assert out == "error: depth 1 gives 327681 conditions, more than the 2000 a check builds\n"
+
+
+def test_mf_characterize_deep_depths(tmp_path, files):
+    # a nonempty space has at least depth + 1 conditions: one forced chain
+    # of plays and its initial segments, all with designated set {x}
+    path = tmp_path / "one.space"
+    path.write_text("space one\npoint x\nopen U x\n")
+    code, out = run_cli(["mf-characterize", str(path), "--depth", "900"])
+    assert code == 0  # 901 conditions: under the cap, so checked in full
+    assert out.splitlines()[:2] == ["conditions: 901", "maximal-filters: 1"]
+    assert "bijection: true" in out
+    for argv, bound in [([str(path), "--depth", "2000"], 2001),
+                        ([files["d2.space"], "--depth", "1000"], 2001),
+                        ([files["d2.space"], "--depth", str(10**9)], 10**9 + 1)]:
+        start = time.perf_counter()
+        code, out = run_cli(["mf-characterize", *argv])
+        assert time.perf_counter() - start < 1, argv
+        assert code == 2, argv
+        assert out == (f"error: depth {argv[-1]} gives at least {bound} conditions, "
+                       "more than the 2000 a check builds\n")
 
 
 def test_domain_verbs(files):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oracles import spot_check_generated
 from posetspace.catalog import labeled_posets, posets_up_to, random_poset
 from posetspace.poset_core import (
     AntisymmetryViolation,
@@ -16,7 +17,6 @@ from posetspace.poset_core import (
     UnknownElementInPair,
     incompatible,
     poset_to_strict,
-    spot_check_generated,
     strict_to_poset,
     validate_poset,
 )
