@@ -32,6 +32,13 @@ with the literal ``is_open`` and ``basic_open``, and give the same
 transcripts.  This opener draws in every round; the library's skips the
 draws once II's last answer is a single point, where every later move
 is forced, and its canonical II reuses answers it has already worked out.
+
+The library holds a condition's plays as a mask over numbered play
+indices; ``validate_condition``, ``condition_lt`` and
+``refine_conditions`` below work on tuple plays, as the definitions
+read, and ``refinement_pool`` lists every triple the refinement sample
+draws from.  ``spot_check_generated`` checks the contract of a
+generated poset provider on the elements it reaches.
 """
 
 import itertools

@@ -196,9 +196,9 @@ def test_condition_cap_refuses_five_points_quickly():
     assert time.perf_counter() - start < 1
     assert err.value.count == 327_681 > MAX_CONDITIONS
     assert "327681 conditions" in str(err.value)
-    # 12 points at depth 2: 12 * 2^11 one-round plays, each ending in a
-    # singleton; player I's next moves are listed once per distinct final
-    # open, not by a scan of all 2^12 opens per play
+    # 12 points at depth 2: 12 * 2^11 one-round plays, each giving a
+    # condition of its own, so numbering stops once it passes
+    # MAX_CONDITIONS plays, long before the play tree is built
     space = FiniteTopSpace.discrete([f"x{i}" for i in range(12)])
     start = time.perf_counter()
     with pytest.raises(TooManyConditions) as err:
@@ -246,8 +246,9 @@ def test_validate_texts_match_tuple_oracle(d3):
     whole = d3.whole_mask
     one = oracles.extend_play(system, (), whole, 1)  # final open {y}
     two = oracles.extend_play(system, one, 0b010, 1)
+    three = oracles.extend_play(system, two, 0b010, 1)
     candidates = [
-        (whole, [()]), (0b011, [()]), (0b010, [(), one, two]), (0b010, [(), two]),
+        (whole, [()]), (0b011, [()]), (0b010, [(), one, two]), (0b010, [(), two]), (0b010, [(), three]),
         (0b010, [one]), (whole, [(), one]), (0b010, [(), ((0b110, 1, 0b010),)]),
         (0b010, [(), ((0, 1, 0b010),)]), (0b010, [(), ((0b1000, 3, 0b1000),)]),
         (0b010, [(), one, one + ((0b110, 1, 0b010),)]), (0b010, [(), ((0b011, 2, 0b010),)]),
@@ -274,6 +275,15 @@ def test_refinement_sample_is_distinct_and_in_pool(d3):
         assert len(set(triples)) == 60 and set(triples) <= set(pool)
     # asking for the whole pool, or more, draws every triple once
     assert sorted(refinement_sample(conditions, len(pool) + 5, random.Random(0))) == pool
+
+
+def test_shallow_depth_breaks_membership_equivalence(d2):
+    # depth 0: the three root conditions are pairwise incomparable, and the
+    # filter of the whole space keeps both points, so no filter sent to x
+    # holds the root condition on {x, y} although its set holds x
+    report = mf_characterization_check(d2, 0)
+    assert report.depth_too_small == (1,) and not report.membership_equivalence
+    assert report.failure == "some maximal filter keeps more than one point"
 
 
 def test_four_points_at_depth_one():
