@@ -38,6 +38,7 @@ from .constructions import (
     product_poset,
 )
 from .games import (
+    Strategy,
     baire_generic_filter,
     canonical_choquet_strategy,
     choquet_referee,

@@ -8,13 +8,13 @@ space (Kechris, *Classical Descriptive Set Theory*, GTM 156, 8.D); this
 module enumerates bounded-depth slices of that poset and checks the
 correspondence.
 
-A ``ConditionSystem`` numbers each play once, round by round in
-``_play_key`` order: play i keeps its parent's index, its last move
-(v, x, w) and its final open, and a condition's plays are an int mask
-over the indices.  Deeper plays, as refinements make, are numbered when
-first asked for.  The four well-formedness rules are mask tests; tuple
-plays appear only at the boundary.  A depth that must give more than
-MAX_CONDITIONS conditions is refused before its plays are built.
+A ``ConditionSystem`` numbers each play once, when first reached: play i
+keeps its parent's index, its last move (v, x, w), its final open and
+its sort key, and a condition's plays are an int mask over the indices.
+The order, the four well-formedness rules and the common refinement are
+mask operations; tuple plays appear only at the boundary.  A depth that
+must give more than MAX_CONDITIONS conditions, or a deep one, is refused
+before its plays are built.
 """
 
 from __future__ import annotations
@@ -87,18 +87,16 @@ class ConditionSystem:
     A designated set is a point mask.  At the boundary a play is a tuple
     of moves ``(v, x, w)``: player I's open mask v, its point index x,
     and player II's answer mask w.  Inside, play i has a parent, a last
-    move and a final open, ``parent[i]``, ``step[i]`` and ``final[i]``;
-    play 0 is the empty play.
+    move, a final open and a ``_play_key``: ``parent[i]``, ``step[i]``,
+    ``final[i]`` and ``keys[i]``; play 0 is the empty play.
     """
 
     def __init__(self, space: FiniteTopSpace, s_ii=None):
         self.space = space
         self.s_ii = s_ii if s_ii is not None else canonical_strategy_ii(space)
-        self.parent, self.step, self.final = [0], [None], [space.whole_mask]
+        self.parent, self.step, self.final, self.keys = [0], [None], [space.whole_mask], [(0, ())]
         self._ext = {}  # (play, v, x) -> the play extended by I's move (v, x) and II's answer
-        self._within = [0, 1]  # _within[k + 1]: the plays of at most k rounds, for whole rounds
         self._fits = {a: 1 for a in space.basis if a}  # nonempty basic a -> plays a fits in
-        self._moves = {}  # final open -> player I's moves inside it, in _play_key order
 
     def play(self, i) -> tuple:
         """Play i as a tuple of moves."""
@@ -121,6 +119,7 @@ class ConditionSystem:
             self.parent.append(p)
             self.step.append((v, x, w))
             self.final.append(w)
+            self.keys.append((self.keys[p][0] + 1, self.keys[p][1] + ((tuple(_bits(v)), x, tuple(_bits(w))),)))
             for a in self._fits:
                 if not a & ~w:
                     self._fits[a] |= 1 << q
@@ -158,10 +157,7 @@ class ConditionSystem:
         """The condition (a, mask) after rules 1, 3 and 4; rule 2 held as its plays were numbered."""
         if a not in self._fits:
             raise ConditionRequirementViolation(1, "the designated set is not a nonempty basic open")
-        parents = 0
-        for q in _bits(mask):
-            parents |= 1 << self.parent[q]
-        missing = parents & ~mask
+        missing = sum(1 << p for p in {self.parent[q] for q in _bits(mask)}) & ~mask
         if missing:
             m = (missing & -missing).bit_length() - 1
             while m and not mask >> self.parent[m] & 1:
@@ -172,30 +168,30 @@ class ConditionSystem:
             raise ConditionRequirementViolation(4, "the designated set leaves the final open of a play")
         return Condition(self, a, mask)
 
-    def _through(self, mask, a) -> int:
-        """The parents of the proper plays in ``mask`` whose last move was played on ``a``."""
-        out = 0
-        for q in _bits(mask & ~1):
-            if self.step[q][0] == a:
-                out |= 1 << self.parent[q]
+    def above(self, c1: "Condition", conditions) -> int:
+        """The mask of the conditions c2, all of this system, that c1 lies strictly below: c1's set is
+        inside c2's, and every play of c2 is the parent of a play of c1 last played on c2's set."""
+        a1, through, out = c1.a, {}, 0  # designated set -> the parents of c1's plays last played on it
+        for j, c2 in enumerate(conditions):
+            if not a1 & ~c2.a:
+                if c2.a not in through:
+                    through[c2.a] = sum(1 << p for p in {self.parent[q] for q in _bits(c1.mask & ~1)
+                                                         if self.step[q][0] == c2.a})
+                if not c2.mask & ~through[c2.a]:
+                    out |= 1 << j
         return out
 
     def lt(self, c1: "Condition", c2: "Condition") -> bool:
-        """Strictly below: every play of c2 extends one step into c1 through c2's set.
-
-        That is, every play of c2 is the parent of a play of c1 whose last move was played on c2's set.
-        """
+        """Strictly below: every play of c2 extends one step into c1 through c2's set."""
         if c1.system is not c2.system:
             raise MixedSpaces("conditions live over different spaces or strategies")
-        return not c1.a & ~c2.a and not c2.mask & ~self._through(c1.mask, c2.a)
+        return self.above(c1, (c2,)) == 1
 
     def refine(self, c1: "Condition", c2: "Condition", x: int) -> "Condition":
         """A common refinement through a shared point of the designated sets.
 
-        Every play of either condition is extended one step through its owner's
-        set and the point; with both play sets added the result is closed under
-        initial segments.  Its set is the least basic open around the point
-        inside every final open, that is, inside those of the extensions.
+        Every play of either condition is extended one step through its owner's set and the
+        point; its set is the least basic open around the point inside the extensions' final opens.
         """
         if c1.system is not c2.system:
             raise MixedSpaces("conditions live over different spaces or strategies")
@@ -214,28 +210,28 @@ class ConditionSystem:
 
     # -- enumeration ------------------------------------------------------
 
-    def _number(self, depth: int, cap=None):
+    def _number(self, depth: int, cap=None) -> int:
         """Number every play of at most ``depth`` rounds, a round at a time; return them as a mask.
 
-        Player I's moves after a play are the nonempty opens inside its final
-        open, listed once per final open.  None once more than ``cap`` are numbered.
+        Player I's moves after a play are the nonempty opens inside its final open.  Past ``cap``
+        plays raises TooManyConditions: each play gives a condition of its own.
         """
-        within, total = self._within, self._within[-1].bit_count()
-        while len(within) <= depth + 1 and within[-1] != within[-2]:
-            level = 0
-            for p in _bits(within[-1] & ~within[-2]):
+        plays, start, moves = [0], 0, {}
+        for _ in range(depth):
+            end = len(plays)
+            for p in plays[start:end]:
                 room = self.final[p]
-                if room not in self._moves:
-                    self._moves[room] = sorted((v for v in self.space.opens if v and not v & ~room),
-                                               key=lambda v: tuple(_bits(v)))
-                for v in self._moves[room]:
+                if room not in moves:
+                    moves[room] = [v for v in self.space.opens if v and not v & ~room]
+                for v in moves[room]:
                     for x in _bits(v):
-                        level |= 1 << self._extend(p, v, x)
-                        total += 1
-                        if cap is not None and total > cap:
-                            return None
-            within.append(within[-1] | level)
-        return within[min(depth + 1, len(within) - 1)]
+                        plays.append(self._extend(p, v, x))
+                        if cap is not None and len(plays) > cap:
+                            raise TooManyConditions(cap + 1, depth, exact=False)
+            if len(plays) == end:
+                break
+            start = end
+        return sum(1 << q for q in plays)
 
     def _closed_sets(self, allowed: int, count=False):
         """The closed play sets inside ``allowed`` that hold the empty play, or their number.
@@ -254,44 +250,39 @@ class ConditionSystem:
                 below[p] = have * (1 + mine) if count else [h | s for h in have for s in (0, *mine)]
         return 0 if count else []
 
-    def count_conditions(self, depth: int) -> int:
+    def count_conditions(self, depth: int, cap=None) -> int:
         """How many conditions have plays of at most ``depth`` rounds, without building them.
 
-        Those with designated set a are the closed sets of the plays a fits in.
+        Those with set a are the closed sets of the plays a fits in; see ``_number`` for ``cap``.
         """
-        within = self._number(depth)
+        within = self._number(depth, cap)
         return sum(self._closed_sets(fits & within, count=True) for fits in self._fits.values())
 
     def enumerate_conditions(self, depth: int):
-        """All conditions whose plays have at most ``depth`` rounds.
+        """All conditions whose plays have at most ``depth`` rounds; TooManyConditions past MAX_CONDITIONS.
 
-        Raises TooManyConditions, before building any, when there are more
-        than MAX_CONDITIONS.  Each play p gives its own condition: the initial
-        segments of p, with a basic open around p's last point inside its
-        final open.  On a nonempty space player I can always play II's last
-        answer again, so there are at least depth + 1 plays.  So a depth of
-        MAX_CONDITIONS or more is refused before any play is numbered, and
-        numbering stops once it passes MAX_CONDITIONS plays.
+        Each play p gives a condition: p's initial segments, with a basic open around p's last
+        point inside its final open.  On a nonempty space player I can always play II's last
+        answer again, so there are at least depth + 1 plays, and a depth of MAX_CONDITIONS or
+        more is refused before any play is numbered.
         """
         if len(self.space) and depth >= MAX_CONDITIONS:
             raise TooManyConditions(depth + 1, depth, exact=False)
-        within = self._number(depth, MAX_CONDITIONS)
-        if within is None:
-            raise TooManyConditions(MAX_CONDITIONS + 1, depth, exact=False)
-        trees = [(a, fits & within) for a, fits in self._fits.items()]
-        total = sum(self._closed_sets(tree, count=True) for _, tree in trees)
+        total = self.count_conditions(depth, MAX_CONDITIONS)
         if total > MAX_CONDITIONS:
             raise TooManyConditions(total, depth)
-        return [self._checked(a, mask) for a, tree in trees for mask in self._closed_sets(tree)]
+        within = self._number(depth)  # numbered already: lookups only
+        return [self._checked(a, mask) for a, fits in self._fits.items()
+                for mask in self._closed_sets(fits & within)]
 
 
 def _play_key(play):
     return (len(play), tuple((tuple(_bits(v)), x, tuple(_bits(w))) for v, x, w in play))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Condition:
-    system: ConditionSystem = field(compare=False, hash=False)
+    system: ConditionSystem
     a: int  # the designated set, a point mask
     mask: int  # the plays, a mask over the system's play indices
 
@@ -299,16 +290,22 @@ class Condition:
     def plays(self) -> frozenset:
         return frozenset(map(self.system.play, _bits(self.mask)))
 
+    def __eq__(self, other):  # the set and the plays; indices mean something inside one system only
+        if not isinstance(other, Condition):
+            return NotImplemented
+        same = self.mask == other.mask if self.system is other.system else self.plays == other.plays
+        return self.a == other.a and same
+
+    def __hash__(self):  # the play count does not depend on the numbering
+        return hash((self.a, self.mask.bit_count()))
+
     def __str__(self):
         return f"<{self.system.space.set_str(self.a)}; {self.mask.bit_count() - 1} proper plays>"
 
     def key(self):
-        """Sort by the set's points, the play count, then the sorted play keys.
-
-        Whole rounds are numbered in ``_play_key`` order, so the indices stand for
-        the play keys, unless a deeper play was numbered before a whole round.
-        """
-        return tuple(_bits(self.a)), self.mask.bit_count(), tuple(_bits(self.mask))
+        """Sort by the set's points, the play count, then the sorted play keys."""
+        keys = self.system.keys
+        return tuple(_bits(self.a)), self.mask.bit_count(), tuple(sorted(keys[q] for q in _bits(self.mask)))
 
 
 def validate_condition(space: FiniteTopSpace, s_ii, a, plays) -> Condition:
@@ -385,11 +382,7 @@ def mf_characterization_check(space: FiniteTopSpace, depth: int, s_ii=None,
         raise PreconditionFailed("the space is not T1")
     system = ConditionSystem(space, s_ii)
     conditions = sorted(system.enumerate_conditions(depth), key=Condition.key)
-    sets, up = {c.a for c in conditions}, []
-    for i, c1 in enumerate(conditions):  # the conditions c2 with c1 <= c2
-        through = {a: system._through(c1.mask, a) for a in sets if not c1.a & ~a}
-        up.append(sum(1 << j for j, c2 in enumerate(conditions)
-                      if i == j or c2.a in through and not c2.mask & ~through[c2.a]))
+    up = [system.above(c1, conditions) | 1 << i for i, c1 in enumerate(conditions)]
     poset = FinitePoset([f"c{i}" for i in range(len(conditions))], up, f"{space.name}|conditions")
     cond_space = PosetSpace(poset, "mf")
 
@@ -425,12 +418,8 @@ def mf_characterization_check(space: FiniteTopSpace, depth: int, s_ii=None,
             break
 
     bijection = total and surjective and equivalence
-    failure = ""
-    if not total:
-        failure = "some maximal filter keeps more than one point"
-    elif not surjective:
-        failure = "the point map misses a point of the space"
-    elif not equivalence:
-        failure = "membership equivalence fails"
+    failure = ("some maximal filter keeps more than one point" if not total else
+               "the point map misses a point of the space" if not surjective else
+               "membership equivalence fails" if not equivalence else "")
     return CharacterizationReport(len(conditions), len(cond_space), phi, bijection, tuple(stuck),
                                   equivalence, checked, refinements_ok, poset, tuple(conditions), failure)

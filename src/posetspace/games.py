@@ -46,10 +46,18 @@ class SelectorFailed(PosetError):
         self.element = element
 
 
-def _named(name, move):
-    """A strategy is its move function itself; reports read its ``name``."""
-    move.name = name
-    return move
+@dataclass(frozen=True)
+class Strategy:
+    """A deterministic callable from positions to moves, with a name; referees call ``move``."""
+
+    name: str
+    move: object
+
+    def __call__(self, *args):
+        return self.move(*args)
+
+    def __str__(self):
+        return self.name
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +104,7 @@ class ChoquetTranscript:
         return lines
 
 
-def canonical_choquet_strategy(space: PosetSpace):
+def canonical_choquet_strategy(space: PosetSpace) -> Strategy:
     """Player II answers with the basic open of the least eligible element.
 
     Eligible means: the element lies in the filter just played, its basic
@@ -128,10 +136,10 @@ def canonical_choquet_strategy(space: PosetSpace):
             len(position.rounds), "no eligible element; the inputs broke the game rules"
         )
 
-    return _named("canonical-least-refinement", move)
+    return Strategy("canonical-least-refinement", move)
 
 
-def scripted_random_choquet_i(seed: int):
+def scripted_random_choquet_i(seed: int) -> Strategy:
     """A legal player-I script: random basic open inside II's last answer.
 
     Once II's last answer (or, in round 0, the whole space) is a single
@@ -159,7 +167,7 @@ def scripted_random_choquet_i(seed: int):
         x = rng.choice(list(_bits(u)))
         return u, x
 
-    return _named(f"scripted-random-{seed}", move)
+    return Strategy(f"scripted-random-{seed}", move)
 
 
 class _Position:
@@ -187,13 +195,14 @@ def choquet_referee(space: PosetSpace, strategy_i, strategy_ii, rounds: int) -> 
         raise GameSetupError("rounds must be at least 1")
     if not len(space):
         raise GameSetupError("the space has no points to play on")
+    move_i, move_ii = (getattr(s, "move", s) for s in (strategy_i, strategy_ii))
     pos = _Position(space)
     transcript = ChoquetTranscript(space, pos.rounds)
     outside = ~pos.whole  # the bits of no point; every negative mask meets them
     prev = pos.whole
     for t in range(rounds):
         try:
-            u, x = strategy_i(pos)
+            u, x = move_i(pos)
             if u & outside:
                 raise IllegalMove("I", t, "played set is not open")
             if x < 0 or not u >> x & 1:
@@ -201,7 +210,7 @@ def choquet_referee(space: PosetSpace, strategy_i, strategy_ii, rounds: int) -> 
             if u & ~prev:
                 raise IllegalMove("I", t, "open not inside II's previous answer")
             pos.pending = (u, x)
-            v, w = strategy_ii(pos)
+            v, w = move_ii(pos)
             if v & outside:
                 raise IllegalMove("II", t, "played set is not open")
             if not v >> x & 1:
@@ -227,7 +236,7 @@ def choquet_referee(space: PosetSpace, strategy_i, strategy_ii, rounds: int) -> 
 class StarSolution:
     winner: str
     fixed_point: frozenset
-    strategy: object  # a move function with a name
+    strategy: Strategy
     iterations: int
 
 
@@ -261,17 +270,17 @@ def star_game_solve(poset: FinitePoset) -> StarSolution:
         return 1
 
     core = frozenset(poset.names_of(s))
-    return StarSolution("II", core, _named("constant-first-pick", move_ii), iterations)
+    return StarSolution("II", core, Strategy("constant-first-pick", move_ii), iterations)
 
 
-def splitting_strategy(tree):
+def splitting_strategy(tree) -> Strategy:
     """Player I plays the two one-bit extensions of the current node."""
 
     def move(current, round_no):
         base = tree.bits(current) if current is not None else ""
         return tree.encode(base + "0"), tree.encode(base + "1")
 
-    return _named("one-bit-splits", move)
+    return Strategy("one-bit-splits", move)
 
 
 @dataclass(frozen=True)
@@ -316,12 +325,13 @@ def star_game_referee(poset, strategy_i, f, rounds: int, budget: int = 6) -> Sta
         raise GameSetupError("rounds must be at least 1")
     if len(bits) < rounds:
         raise GameSetupError("the guide sequence is shorter than the number of rounds")
+    move_i = getattr(strategy_i, "move", strategy_i)
     current = None
     chain = []
     pairs = []
     picks = []
     for t in range(rounds):
-        p1, p2 = strategy_i(current, t)
+        p1, p2 = move_i(current, t)
         if current is not None:
             if not (poset.leq(p1, current) and poset.leq(p2, current)):
                 raise ConditionViolated(t, "pair does not refine player II's previous pick")

@@ -221,15 +221,49 @@ def test_masks_agree_with_tuple_oracles(n, depth):
         assert oracles.validate_condition(system, c.a, c.plays) == (c.a, c.plays)
         assert system.validate(c.a, c.plays) == c
         oracle_keys.append((tuple(_bits(c.a)), len(c.plays), tuple(sorted(map(oracles.play_key, c.plays)))))
-    # the key read off the mask orders the conditions as their play keys do
-    assert sorted(range(len(conditions)), key=lambda i: conditions[i].key()) == \
-        sorted(range(len(conditions)), key=oracle_keys.__getitem__)
+    # the key is the tuple plays' key, whatever order the plays were numbered in
+    assert [c.key() for c in conditions] == oracle_keys
     for c1 in conditions:
         for c2 in conditions:
             assert system.lt(c1, c2) == oracles.condition_lt(system, c1, c2)
             for x in _bits(c1.a & c2.a):
                 r = system.refine(c1, c2, x)
                 assert (r.a, r.plays) == oracles.refine_conditions(system, c1, c2, x)
+
+
+def test_key_follows_play_keys_after_a_refinement(d2):
+    # refine numbers a round-2 play before enumerate(2) numbers that round
+    # whole, so the play indices no longer follow the play keys
+    system = ConditionSystem(d2)
+    system.enumerate_conditions(1)
+    root = system.validate(0b01, [()])
+    late = system.validate(0b01, [(), ((d2.whole_mask, 0, 0b01),)])  # not the first round-1 play
+    system.refine(root, late, 0)  # numbers late's play extended: not the first round-2 play
+    conditions = system.enumerate_conditions(2)
+    want = [(tuple(_bits(c.a)), len(c.plays), tuple(sorted(map(oracles.play_key, c.plays)))) for c in conditions]
+    assert [c.key() for c in conditions] == want
+
+
+def test_empty_space_numbers_no_round():
+    # no play to extend: numbering stops after the first empty round
+    empty = FiniteTopSpace([], [0], "empty")
+    start = time.perf_counter()
+    assert ConditionSystem(empty).count_conditions(10**9) == 0
+    assert mf_characterization_check(empty, 10**9).condition_count == 0
+    assert time.perf_counter() - start < 1
+
+
+def test_conditions_from_separate_systems_compare_by_plays(d3):
+    # both conditions hold one proper play, numbered 1 in its own system
+    one, two = [oracles.extend_play(ConditionSystem(d3), (), d3.whole_mask, x) for x in (0, 1)]
+    cx = validate_condition(d3, None, 0b001, [(), one])
+    cy = validate_condition(d3, None, 0b001, [(), ((0b011, 0, 0b001),)])
+    assert cx.mask == cy.mask and cx != cy
+    system = ConditionSystem(d3)
+    system.validate(0b001, [(), ((0b011, 0, 0b001),)])
+    again = system.validate(0b001, [(), one])  # the same plays, numbered 0 and 2 here
+    assert again.mask != cx.mask and again == cx and hash(again) == hash(cx) and len({cx, cy, again}) == 2
+    assert validate_condition(d3, None, 0b010, [(), two]) != cx
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from types import SimpleNamespace
 
@@ -48,6 +49,21 @@ def test_canonical_strategy_legality(vee):
         assert r.point in oracles.point_set(r.open_ii) <= oracles.point_set(r.open_i)
     assert transcript.winner_at_horizon == "II"
     assert transcript.intersection
+
+
+def test_strategy_with_replaced_move_plays_it(vee):
+    # a profiler wraps a strategy's move with dataclasses.replace
+    space = PosetSpace(vee, "mf")
+    strategy, calls = canonical_choquet_strategy(space), []
+
+    def counted(position):
+        calls.append(position)
+        return strategy.move(position)
+
+    wrapped = dataclasses.replace(strategy, move=counted)
+    t = choquet_referee(space, scripted_random_choquet_i(3), wrapped, 5)
+    assert len(calls) == len(t.rounds) == 5 and str(wrapped) == "canonical-least-refinement"
+    assert t.log_lines() == choquet_referee(space, scripted_random_choquet_i(3), strategy, 5).log_lines()
 
 
 def test_canonical_answer_to_whole_space(vee):
