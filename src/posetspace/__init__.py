@@ -3,7 +3,6 @@
 from .poset_core import (
     BinaryTreePoset,
     FinitePoset,
-    GeneratedPoset,
     PosetError,
     incompatible,
     poset_to_strict,

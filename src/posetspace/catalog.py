@@ -4,8 +4,11 @@ Labeled posets are enumerated by deciding each unordered pair of
 elements (incomparable, below, or above) in a fixed order, pruning
 assignments that break transitivity; the decided part of the relation
 stays transitively closed throughout, so a single intermediate element
-witnesses every violation.  Topologies are enumerated through their
-specialization preorders.
+witnesses every violation.  The decided relation is held as strict up
+and down masks, so the test over every intermediate element is one
+AND.  Topologies are enumerated through their specialization
+preorders.  Posets above 6 elements and topologies above 5 points are
+refused: the output would not fit in memory, or the search not finish.
 """
 
 from __future__ import annotations
@@ -23,49 +26,57 @@ def _check_size(n: int) -> None:
         raise PosetError(f"cannot name {n} elements: sizes run from 0 to {len(_NAMES)}")
 
 
+# OEIS A001035: the number of labeled posets on n elements, n = 0..8
+_POSET_COUNTS = (1, 1, 3, 19, 219, 4231, 130023, 6129859, 431723379)
+
+
 @functools.lru_cache(maxsize=None)
 def labeled_posets(n: int) -> tuple:
-    """All partial orders on n labeled elements, up to relation identity."""
+    """All partial orders on n labeled elements, up to relation identity.
+
+    The search keeps strict up and down masks of the decided relation;
+    each transitivity test over the elements m < i is one mask operation.
+    Sizes above 6 are refused: the 6,129,859 posets on 7 elements would
+    hold about 4 GB.
+    """
     _check_size(n)
+    if n > 6:
+        raise PosetError(f"cannot hold the {_POSET_COUNTS[n]:,} labeled posets on {n} elements: "
+                         "sizes run from 0 to 6")
     if n == 0:
         return (FinitePoset((), (), "empty"),)
-    pairs = [(i, j) for j in range(n) for i in range(j)]
-    lt = [[False] * n for _ in range(n)]
+    elements = tuple(_NAMES[:n])
+    diagonal = [1 << i for i in range(n)]
+    pairs = [(i, j, (1 << i) - 1, 1 << i, 1 << j) for j in range(n) for i in range(j)]
+    up = [0] * n
+    down = [0] * n
     out = []
-
-    def emit():
-        masks = []
-        for i in range(n):
-            m = 1 << i
-            for j in range(n):
-                if lt[i][j]:
-                    m |= 1 << j
-            masks.append(m)
-        out.append(FinitePoset(tuple(_NAMES[:n]), tuple(masks), f"P{len(out)}"))
+    last = len(pairs)
 
     def rec(k):
-        if k == len(pairs):
-            emit()
+        if k == last:
+            ups, downs = [m | d for m, d in zip(up, diagonal)], [m | d for m, d in zip(down, diagonal)]
+            out.append(FinitePoset(elements, ups, f"P{len(out)}", downs))
             return
-        i, j = pairs[k]
-        forced_ij = any(lt[i][m] and lt[m][j] for m in range(i))
-        forced_ji = any(lt[j][m] and lt[m][i] for m in range(i))
+        i, j, low, bi, bj = pairs[k]
+        forced_ij = up[i] & down[j] & low
+        forced_ji = up[j] & down[i] & low
         if forced_ij and forced_ji:
             return
         if not forced_ij and not forced_ji:
             rec(k + 1)
-        if not forced_ji and all(
-            (not lt[m][i] or lt[m][j]) and (not lt[j][m] or lt[i][m]) for m in range(i)
-        ):
-            lt[i][j] = True
+        if not forced_ji and not (down[i] & ~down[j] | up[j] & ~up[i]) & low:
+            up[i] |= bj
+            down[j] |= bi
             rec(k + 1)
-            lt[i][j] = False
-        if not forced_ij and all(
-            (not lt[m][j] or lt[m][i]) and (not lt[i][m] or lt[j][m]) for m in range(i)
-        ):
-            lt[j][i] = True
+            up[i] ^= bj
+            down[j] ^= bi
+        if not forced_ij and not (down[j] & ~down[i] | up[i] & ~up[j]) & low:
+            up[j] |= bi
+            down[i] |= bj
             rec(k + 1)
-            lt[j][i] = False
+            up[j] ^= bi
+            down[i] ^= bj
 
     rec(0)
     return tuple(out)
@@ -96,8 +107,11 @@ def all_topologies(n: int) -> tuple:
     """All topologies on n labeled points, via their specialization preorders.
 
     Row x of a preorder, the points above x, is the minimal open
-    neighbourhood of x, so the rows form a basis of the topology.
+    neighbourhood of x, so the rows form a basis of the topology.  The
+    search closes each of the 2^(n(n-1)) relations, so n runs from 0 to 5.
     """
+    if not 0 <= n <= 5:
+        raise PosetError(f"cannot list the topologies on {n} points: sizes run from 0 to 5")
     points = tuple(f"x{i}" for i in range(n))
     preorders = set()
     offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poset_core import FinitePoset, GeneratedPoset, PosetError, _bits, check_element_id
+from .poset_core import FinitePoset, PosetError, _bits, check_element_id
 from .filters import ChainFilter, enumerate_filters, is_directed, is_upward_closed
 from .topology import PosetSpace, verify_correspondence
 
@@ -608,7 +608,7 @@ class RationalMetric:
 _BALL_RE = re.compile(r"^B\(([^,()]+),([0-9]+)(?:/([0-9]+))?\)$")
 
 
-class FormalBallPoset(GeneratedPoset):
+class FormalBallPoset:
     """Formal balls B(a, r) on a rational metric, ordered by strict containment.
 
     Radii live on the dyadic grid k / max_denom with 0 < r <= max_radius;

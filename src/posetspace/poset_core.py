@@ -1,8 +1,13 @@
-"""Finite and lazily generated partial orders: validation and order queries."""
+"""Finite and lazily generated partial orders: validation and order queries.
+
+A generated poset is any object with ``roots()``, a finite seed set of
+string codes; ``leq(a, b)``, deciding a partial order on the codes;
+``refinements(a, budget)``, elements strictly below ``a`` whose list only
+grows with the budget and is complete in its limit; and
+``incompatible(a, b)``, true when no element lies below both.
+"""
 
 from __future__ import annotations
-
-from abc import ABC, abstractmethod
 
 
 class PosetError(Exception):
@@ -187,20 +192,23 @@ class FinitePoset:
 
 
 def _transitive_close(masks):
-    n = len(masks)
-    masks = list(masks)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            m = masks[i]
-            new = m
-            for j in _bits(m):
-                new |= masks[j]
-            if new != m:
-                masks[i] = new
-                changed = True
-    return masks
+    """The transitive closure of a relation given as row masks.
+
+    Warshall's method ("A theorem on Boolean matrices", J. ACM 9, 1962):
+    after step k, row i holds every element reached from i through
+    intermediates among elements 0..k.  Any relation is accepted, cyclic
+    ones included; the diagonal is added only where a cycle puts it.
+    """
+    reached = 0
+    for i, m in enumerate(masks):
+        reached |= m & ~(1 << i)
+    for k in range(len(masks)):
+        row, bit = masks[k], 1 << k
+        # step k adds nothing unless another row holds k and row k holds another
+        # element; a k that starts in no other row never enters one
+        if reached & bit and row & ~bit:
+            masks = [m | row if m & bit else m for m in masks]
+    return list(masks)
 
 
 def validate_poset(elements, pairs, name="poset") -> FinitePoset:
@@ -227,11 +235,15 @@ def validate_poset(elements, pairs, name="poset") -> FinitePoset:
                 raise UnknownElementInPair(x, (a, b))
         masks[index[a]] |= 1 << index[b]
     masks = _transitive_close(masks)
-    for i in range(n):
-        for j in _bits(masks[i]):
-            if j != i and (masks[j] >> i) & 1:
-                raise AntisymmetryViolation(elems[min(i, j)], elems[max(i, j)])
-    return FinitePoset(elems, masks, name)
+    down = [0] * n
+    for i, m in enumerate(masks):
+        for j in _bits(m):
+            down[j] |= 1 << i
+    for i, m in enumerate(masks):
+        both = m & down[i] & ~(1 << i)
+        if both:  # the first such i is the lower of its pair, as a pair-by-pair scan finds it
+            raise AntisymmetryViolation(elems[i], elems[next(_bits(both))])
+    return FinitePoset(elems, masks, name, down)
 
 
 def incompatible(poset: FinitePoset, p, q) -> bool:
@@ -265,33 +277,7 @@ def poset_to_strict(poset: FinitePoset):
     return [(a, b) for a, b in poset.pairs() if a != b]
 
 
-class GeneratedPoset(ABC):
-    """A lazily enumerable, possibly infinite partial order.
-
-    Elements are string codes.  Providers promise that ``leq`` decides a
-    partial order on the codes, that every element returned by
-    ``refinements(a, budget)`` is strictly below ``a``, and that raising
-    the budget only ever extends the returned list.
-    """
-
-    @abstractmethod
-    def roots(self) -> list:
-        """A finite seed set of elements."""
-
-    @abstractmethod
-    def leq(self, a: str, b: str) -> bool:
-        ...
-
-    @abstractmethod
-    def refinements(self, a: str, budget: int) -> list:
-        """Elements strictly below ``a``, complete in the limit of the budget."""
-
-    def incompatible(self, a: str, b: str):
-        """Exact incompatibility when the provider can decide it, else None."""
-        return None
-
-
-class BinaryTreePoset(GeneratedPoset):
+class BinaryTreePoset:
     """Finite 0/1 strings ordered by reverse prefix: longer strings lie lower.
 
     The root (empty string) is encoded as "e"; every other element is its

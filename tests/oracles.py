@@ -6,6 +6,11 @@ element is compact.  The functions here evaluate the definitions
 themselves by scanning all 2^n subsets, so they only suit small posets.
 ``domain_mismatches`` compares the library's answers with them.
 
+The library enumerates labeled posets, closes relations and tests
+antisymmetry on masks; ``labeled_posets``, ``transitive_close`` and
+``validate_order`` below run the same searches on a list-of-lists
+relation, to a fixpoint, and pair by pair.
+
 The library also builds product orders, basic opens and the open test on
 index bitmasks; ``product_up_masks``, ``basic_open`` and ``is_open``
 below follow the definitions element by element and filter by filter.
@@ -49,7 +54,7 @@ from posetspace.choquet_mf import ConditionRequirementViolation, PreconditionFai
 from posetspace.constructions import INF
 from posetspace.filters import enumerate_filters
 from posetspace.games import ConditionViolated, IllegalMove
-from posetspace.poset_core import FinitePoset, PosetError, incompatible
+from posetspace.poset_core import AntisymmetryViolation, FinitePoset, PosetError, incompatible
 
 
 def product_up_masks(factors) -> list:
@@ -67,6 +72,80 @@ def product_up_masks(factors) -> list:
         )
         for t in tuples
     ]
+
+
+def labeled_posets(n) -> list:
+    """Every labeled poset on 1..6 elements, from a list-of-lists relation.
+
+    The same search as the library's, pair by pair and branch by branch
+    (incomparable, i < j, j < i), with each transitivity test a scan over
+    the elements m < i.  The posets transpose their own up masks.
+    """
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    lt = [[False] * n for _ in range(n)]
+    out = []
+
+    def rec(k):
+        if k == len(pairs):
+            masks = [sum(1 << j for j in range(n) if i == j or lt[i][j]) for i in range(n)]
+            out.append(FinitePoset(tuple("abcdefgh"[:n]), masks, f"P{len(out)}"))
+            return
+        i, j = pairs[k]
+        forced_ij = any(lt[i][m] and lt[m][j] for m in range(i))
+        forced_ji = any(lt[j][m] and lt[m][i] for m in range(i))
+        if forced_ij and forced_ji:
+            return
+        if not forced_ij and not forced_ji:
+            rec(k + 1)
+        if not forced_ji and all(
+            (not lt[m][i] or lt[m][j]) and (not lt[j][m] or lt[i][m]) for m in range(i)
+        ):
+            lt[i][j] = True
+            rec(k + 1)
+            lt[i][j] = False
+        if not forced_ij and all(
+            (not lt[m][j] or lt[m][i]) and (not lt[i][m] or lt[j][m]) for m in range(i)
+        ):
+            lt[j][i] = True
+            rec(k + 1)
+            lt[j][i] = False
+
+    rec(0)
+    return out
+
+
+def transitive_close(masks) -> list:
+    """The transitive closure of row masks, by OR-ing in reached rows to a fixpoint."""
+    masks = list(masks)
+    changed = True
+    while changed:
+        changed = False
+        for i, m in enumerate(masks):
+            new = m
+            for j in members(m):
+                new |= masks[j]
+            if new != m:
+                masks[i] = new
+                changed = True
+    return masks
+
+
+def validate_order(elements, pairs, name="poset") -> FinitePoset:
+    """The reflexive-transitive closure of ``pairs`` on distinct ``elements``.
+
+    Raises AntisymmetryViolation for the first two distinct elements that
+    lie below each other, scanning pair by pair: i ascending, then j.
+    """
+    index = {e: i for i, e in enumerate(elements)}
+    masks = [1 << i for i in range(len(elements))]
+    for a, b in pairs:
+        masks[index[a]] |= 1 << index[b]
+    masks = transitive_close(masks)
+    for i, m in enumerate(masks):
+        for j in members(m):
+            if j != i and masks[j] >> i & 1:
+                raise AntisymmetryViolation(elements[min(i, j)], elements[max(i, j)])
+    return FinitePoset(elements, masks, name)
 
 
 def star_game(poset):

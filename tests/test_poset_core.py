@@ -1,10 +1,12 @@
 import itertools
 import random
+import time
 
 import pytest
 
+import oracles
 from oracles import spot_check_generated
-from posetspace.catalog import labeled_posets, posets_up_to, random_poset
+from posetspace.catalog import all_topologies, labeled_posets, posets_up_to, random_poset
 from posetspace.poset_core import (
     AntisymmetryViolation,
     BinaryTreePoset,
@@ -157,6 +159,39 @@ def test_restrict_and_dual(vee):
 
 def test_labeled_poset_counts():
     assert [len(labeled_posets(n)) for n in range(6)] == [1, 1, 3, 19, 219, 4231]
+
+
+def _as_rows(posets):
+    return [(p.elements, p.up_masks, p.down_masks, p.name) for p in posets]
+
+
+def test_labeled_posets_match_the_list_of_lists_search():
+    assert _as_rows(labeled_posets(0)) == [((), (), (), "empty")]
+    for n in range(1, 6):
+        assert _as_rows(labeled_posets(n)) == _as_rows(oracles.labeled_posets(n)), n
+
+
+def test_labeled_posets_on_six_elements():
+    # uncached, so the 130,023 posets are freed after the test
+    posets = labeled_posets.__wrapped__(6)
+    assert len(posets) == 130023
+    assert [p.name for p in posets[:2]] == ["P0", "P1"] and posets[-1].name == "P130022"
+    for p in posets:
+        assert FinitePoset(p.elements, p.up_masks).down_masks == p.down_masks, p.name
+
+
+def test_catalog_refuses_sizes_it_cannot_hold():
+    for n, count in ((7, "6,129,859"), (8, "431,723,379")):
+        start = time.perf_counter()
+        with pytest.raises(PosetError, match=count):
+            labeled_posets(n)
+        assert time.perf_counter() - start < 1.0
+    for n in (-1, 6, 9):
+        start = time.perf_counter()
+        with pytest.raises(PosetError, match="sizes run from 0 to 5"):
+            all_topologies(n)
+        assert time.perf_counter() - start < 1.0
+    assert [len(all_topologies(n)) for n in range(4)] == [1, 1, 4, 29]
 
 
 def test_binary_tree_provider_contract():

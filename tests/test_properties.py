@@ -17,7 +17,7 @@ from posetspace.constructions import FiniteTopSpace, TopologyInvalid, _with_top,
 from posetspace.files import parse_poset_text, poset_to_text
 from posetspace.filters import Filter, NotAFilter
 from posetspace.games import canonical_choquet_strategy, choquet_referee, scripted_random_choquet_i
-from posetspace.poset_core import _bits, _transitive_close, validate_poset
+from posetspace.poset_core import AntisymmetryViolation, _bits, _transitive_close, validate_poset
 from posetspace.topology import PosetSpace
 
 fixed = settings(derandomize=True, database=None, deadline=None)
@@ -89,6 +89,32 @@ def test_closure_is_idempotent(seed, n, edge_prob):
     rng = random.Random(seed)
     once = _transitive_close([rng.getrandbits(n) | 1 << i for i in range(n)])
     assert _transitive_close(once) == once
+
+
+@fixed
+@given(st.integers(0, 12), st.booleans(), st.data())
+def test_mask_closure_and_validation_match_the_oracles(n, upward, data):
+    # upward relations only point from lower to higher index, so they close to posets
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30)) if n else []
+    if upward:
+        pairs = [(min(a, b), max(a, b)) for a, b in pairs]
+    rows = [0] * n
+    for a, b in pairs:
+        rows[a] |= 1 << b
+    assert _transitive_close(rows) == oracles.transitive_close(rows)
+    names = [f"e{i}" for i in range(n)]
+    named = [(names[a], names[b]) for a, b in pairs]
+    try:
+        expected = oracles.validate_order(names, named, "r")
+    except AntisymmetryViolation as err:
+        with pytest.raises(AntisymmetryViolation) as got:
+            validate_poset(names, named, "r")
+        assert got.value.pair == err.pair
+        return
+    p = validate_poset(names, named, "r")
+    assert (p.elements, p.up_masks, p.name) == (expected.elements, expected.up_masks, expected.name)
+    assert p.down_masks == expected.down_masks
+    assert_down_masks_transpose(p)
 
 
 @fixed
