@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .poset_core import FinitePoset, PosetError, _bits
 from .constructions import FiniteTopSpace
@@ -280,6 +281,7 @@ def _play_key(play):
     return (len(play), tuple((tuple(_bits(v)), x, tuple(_bits(w))) for v, x, w in play))
 
 
+# a dataclass, not a named tuple: a tuple subclass keeps tuple.__ne__, so != would disagree with __eq__
 @dataclass(frozen=True, eq=False)
 class Condition:
     system: ConditionSystem
@@ -344,8 +346,7 @@ def refinement_sample(conditions, k: int, rng: random.Random) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class CharacterizationReport:
+class CharacterizationReport(NamedTuple):
     condition_count: int
     filter_count: int
     phi: dict  # maximal-filter index -> space point index

@@ -11,8 +11,8 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .poset_core import FinitePoset, PosetError, _bits, check_element_id
 from .filters import ChainFilter, enumerate_filters, is_directed, is_upward_closed
@@ -147,8 +147,7 @@ class FiniteTopSpace:
 # products
 
 
-@dataclass(frozen=True)
-class ProductResult:
+class ProductResult(NamedTuple):
     poset: FinitePoset
     factors: tuple  # factor posets with a greatest element adjoined where needed
     adjoined_tops: tuple  # names of fresh tops, or None per factor
@@ -276,8 +275,7 @@ def product_poset(factors) -> ProductResult:
 # G-delta subspaces, maximal-filter side
 
 
-@dataclass(frozen=True)
-class GdeltaMfResult:
+class GdeltaMfResult(NamedTuple):
     poset: FinitePoset  # the stage poset Q
     stage_cap: int
     open_points: tuple  # the opens as point sets of MF(P)
@@ -377,8 +375,7 @@ def gdelta_mf_poset(poset: FinitePoset, opens, stage_cap=None) -> GdeltaMfResult
 # open subspaces and G-delta subspaces, unbounded-filter side
 
 
-@dataclass(frozen=True)
-class OpenSubspaceResult:
+class OpenSubspaceResult(NamedTuple):
     subposet: FinitePoset
     kept: tuple
     space: PosetSpace
@@ -420,8 +417,7 @@ def open_subspace_uf(poset: FinitePoset, open_points) -> OpenSubspaceResult:
     return OpenSubspaceResult(sub, kept, space, sub_space, mapping, check.ok, check.failure)
 
 
-@dataclass(frozen=True)
-class GdeltaUfResult:
+class GdeltaUfResult(NamedTuple):
     subposet: FinitePoset  # (R, with the rank-refined order)
     carrier: tuple
     ranks: dict  # element -> int rank, or INF
@@ -725,8 +721,7 @@ def open_poset(x: FiniteTopSpace, below, suffix):
     return opens, poset, space, [(i, space.opens[e], o) for e, (i, o) in enumerate(zip(ids, opens))]
 
 
-@dataclass(frozen=True)
-class PrecompactResult:
+class PrecompactResult(NamedTuple):
     poset: FinitePoset
     open_of: dict  # poset element id -> open (a point mask)
     hausdorff: bool

@@ -8,7 +8,7 @@ CUP 2003).  The answers here are read off the order masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .poset_core import FinitePoset, _bits
 from .filters import Filter, enumerate_filters
@@ -43,8 +43,7 @@ def way_below(dcpo: Dcpo):
     return dcpo.way_below_pairs()
 
 
-@dataclass(frozen=True)
-class DcpoClassification:
+class DcpoClassification(NamedTuple):
     is_continuous: bool
     is_algebraic: bool
     compact_elements: tuple
@@ -68,8 +67,7 @@ def dcpo_classify(dcpo: Dcpo) -> DcpoClassification:
     )
 
 
-@dataclass(frozen=True)
-class CompletionResult:
+class CompletionResult(NamedTuple):
     dcpo: Dcpo
     filter_of: dict  # dcpo element id -> the Filter it stands for
     maximal_table: dict  # maximal filter (printed) -> dcpo element id
@@ -102,8 +100,7 @@ def filter_completion(poset: FinitePoset) -> CompletionResult:
     return CompletionResult(dcpo, filter_of, maximal_table, compact_table, compact_matches)
 
 
-@dataclass(frozen=True)
-class ScottReport:
+class ScottReport(NamedTuple):
     ok: bool
     table: tuple  # (poset element, matching completion element) pairs
     detail: str = ""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .poset_core import FinitePoset, PosetError, _bits
 
@@ -19,8 +19,7 @@ def _least(poset: FinitePoset, mask: int):
     return next((i for i in _bits(mask) if poset.up_mask(i) & mask == mask), None)
 
 
-@dataclass(frozen=True)
-class Filter:
+class Filter(NamedTuple):
     """A filter on a finite poset, named by the index of its least member.
 
     Every filter on a finite poset is the upset of its least member, so the
@@ -88,8 +87,7 @@ def is_upward_closed(poset: FinitePoset, mask: int) -> bool:
     return up == mask
 
 
-@dataclass(frozen=True)
-class FilterClassification:
+class FilterClassification(NamedTuple):
     is_filter: bool
     is_unbounded: bool
     is_maximal: bool
@@ -142,8 +140,7 @@ def extend_to_maximal(poset: FinitePoset, filt: Filter) -> Filter:
     return Filter(poset, next(i for i in poset.minimal_indices() if poset.leq_idx(i, filt.generator)))
 
 
-@dataclass(frozen=True)
-class ChainFilter:
+class ChainFilter(NamedTuple):
     """A filter on a generated poset, represented by a descending chain.
 
     The chain lists generators from shallow to deep; the filter it

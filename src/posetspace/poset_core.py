@@ -86,7 +86,7 @@ class FinitePoset:
     def __init__(self, elements, up_masks, name="poset", down_masks=None):
         self.name = name
         self.elements = tuple(elements)
-        self._index = {e: i for i, e in enumerate(self.elements)}
+        self._index = None  # the name table, built on first lookup: most posets never need it
         self._up = tuple(up_masks)
         n = len(self.elements)
         if len(self._up) != n:
@@ -116,14 +116,19 @@ class FinitePoset:
     def __hash__(self):
         return self._hash
 
+    def _names(self) -> dict:
+        if self._index is None:
+            self._index = {e: i for i, e in enumerate(self.elements)}
+        return self._index
+
     def index(self, element) -> int:
         try:
-            return self._index[element]
+            return self._names()[element]
         except KeyError:
             raise UnknownElement(element) from None
 
     def __contains__(self, element):
-        return element in self._index
+        return element in self._names()
 
     def up_mask(self, i: int) -> int:
         return self._up[i]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .poset_core import FinitePoset, PosetError, _bits
 from .constructions import FiniteTopSpace, _set_key, open_poset
@@ -40,8 +40,7 @@ def _subsets(space: FiniteTopSpace) -> list:
     return sorted(range(1 << len(space)), key=_set_key)
 
 
-@dataclass(frozen=True)
-class SubsetOrder:
+class SubsetOrder(NamedTuple):
     """A relation on the subsets of a finite space of at most four points."""
 
     space: FiniteTopSpace
@@ -56,8 +55,7 @@ class SubsetOrder:
         return [f"rel {fmt(v)} {fmt(w)}".replace(", ", ",") for v, w in pairs]
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     axioms_ok: bool
     generates: bool
     violations: tuple
@@ -112,8 +110,7 @@ def interval_order(space: FiniteTopSpace) -> SubsetOrder:
     return SubsetOrder(space, frozenset((v, w) for w in dom for v in dom if not v & ~space.interior(w)))
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
+class CompletenessReport(NamedTuple):
     complete: bool
     meeting_filters: int
 
@@ -137,8 +134,7 @@ def completeness_check(space: FiniteTopSpace, order: SubsetOrder) -> Completenes
     return CompletenessReport(True, meeting)
 
 
-@dataclass(frozen=True)
-class MfFromOrderResult:
+class MfFromOrderResult(NamedTuple):
     poset: FinitePoset
     open_of: dict  # poset element id -> open point mask
     point_filters: dict  # space point index -> frozenset of poset element ids
@@ -220,8 +216,7 @@ def check_order_condition(poset: FinitePoset):
     return witnesses, only_reflexive
 
 
-@dataclass(frozen=True)
-class OrderFromPosetResult:
+class OrderFromPosetResult(NamedTuple):
     order: SubsetOrder
     space: FiniteTopSpace  # the filter space, as a finite topological space
     axioms: AxiomReport

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .poset_core import FinitePoset, PosetError, _bits
 from .filters import Filter, _least
@@ -97,8 +97,7 @@ class PosetSpace:
         return "{" + ", ".join(str(self.points[i]) for i in sorted(point_set)) + "}"
 
 
-@dataclass(frozen=True)
-class Correspondence:
+class Correspondence(NamedTuple):
     ok: bool
     bijective: bool
     failure: str = ""
@@ -149,8 +148,7 @@ def verify_correspondence(src_points, dst_count, point_map, open_pairs, inverse=
     return Correspondence(True, True)
 
 
-@dataclass(frozen=True)
-class SeparationReport:
+class SeparationReport(NamedTuple):
     t0: bool
     t1: bool
     uf_equals_mf: bool
@@ -177,8 +175,7 @@ def _check_seed_is_basis(space: PosetSpace, seed) -> None:
                 raise NotABasis(space.poset.elements[p], str(space.points[i]))
 
 
-@dataclass(frozen=True)
-class ReduceResult:
+class ReduceResult(NamedTuple):
     subposet: FinitePoset
     kept: tuple
     stages: int
@@ -251,8 +248,7 @@ def reduce_countable_subposet(poset: FinitePoset, seed_basis, stage_cap=None) ->
     return ReduceResult(subposet=sub, kept=kept, stages=stages, mapping=tuple(mapping))
 
 
-@dataclass(frozen=True)
-class HomeoReport:
+class HomeoReport(NamedTuple):
     ok: bool
     reason: str = ""
     counterexample: object = None

@@ -220,3 +220,17 @@ def test_constructor_needs_one_mask_per_element():
     with pytest.raises(PosetError):
         FinitePoset(("a",), (1, 2))
     assert len(FinitePoset(("a",), (1,))) == 1
+
+
+def test_name_lookups_on_a_fresh_poset():
+    def fresh():
+        return FinitePoset(("a", "b"), (0b11, 0b10))
+
+    assert fresh().index("b") == 1
+    assert "a" in fresh() and "z" not in fresh()
+    p = fresh()
+    with pytest.raises(UnknownElement):
+        p.index("z")
+    assert p.index("a") == 0 and "b" in p and "z" not in p
+    with pytest.raises(UnknownElement):
+        p.index("z")
