@@ -39,17 +39,17 @@ def _elements_list(text):
 
 def _cmd_filters(args, out):
     poset = _load(args.file, FinitePoset)
-    if args.upclose:
+    if args.upclose is not None:
         closed = filters.upward_closure(poset, _elements_list(args.upclose))
         out(f"upward-closure: {{{', '.join(sorted(closed, key=poset.index))}}}")
         return 0
-    if args.classify:
+    if args.classify is not None:
         cls = filters.classify_filter(poset, _elements_list(args.classify))
         out(f"is_filter: {str(cls.is_filter).lower()}")
         out(f"is_unbounded: {str(cls.is_unbounded).lower()}")
         out(f"is_maximal: {str(cls.is_maximal).lower()}")
         return 0
-    if args.extend:
+    if args.extend is not None:
         base = filters.Filter.of(poset, _elements_list(args.extend))
         out(f"maximal-extension: {filters.extend_to_maximal(poset, base)}")
         return 0
@@ -88,7 +88,7 @@ def _cmd_space(args, out):
         for p in poset.elements:
             out(f"basic-open {p}: {space.set_str(space.basic_open(p))}")
     if args.check in ("reduce", "all"):
-        seed = _elements_list(args.seed_basis) if args.seed_basis else list(poset.elements)
+        seed = list(poset.elements) if args.seed_basis is None else _elements_list(args.seed_basis)
         result = topology.reduce_countable_subposet(poset, seed)
         out(f"reduced-elements: {', '.join(result.kept)}")
         out(f"stages: {result.stages}")

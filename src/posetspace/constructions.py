@@ -655,8 +655,10 @@ class FormalBallPoset:
         return self.metric.d(a, b) + r < s
 
     def refinements(self, x, budget: int):
+        if budget < 0:
+            raise PosetError(f"refinement budget must be at least 0, got {budget}")
         a, r = self.decode(x)
-        denom = min(self.max_denom, 2 ** max(0, budget))
+        denom = min(self.max_denom, 2 ** budget)
         out = []
         for b in sorted(self.metric.points):
             base = self.metric.d(a, b)
@@ -694,6 +696,8 @@ def point_chain(balls: FormalBallPoset, point, length: int) -> ChainFilter:
     """
     if point not in balls.metric.points:
         raise PosetError(f"unknown point {point!r}")
+    if length < 0:
+        raise PosetError(f"chain length must be at least 0, got {length}")
     radii = [balls.max_radius / 2**j for j in range(length + 1)]
     if any(not balls._on_grid(r) for r in radii):
         raise PosetError("grid too coarse for the requested chain length")

@@ -161,6 +161,8 @@ class ChainFilter(NamedTuple):
                 if not over.leq(x, cleaned[-1]):
                     raise PosetError(f"chain is not descending at {x!r}")
             cleaned.append(x)
+        if not cleaned:
+            raise PosetError("a chain filter needs at least one element")
         return cls(over, tuple(cleaned))
 
     def last(self):

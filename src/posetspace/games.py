@@ -81,11 +81,17 @@ class ChoquetTranscript:
 
     @property
     def intersection(self) -> int:
-        """The points in every answer of player II, as a point mask."""
-        out = (1 << len(self.space)) - 1
-        for r in self.rounds:
-            out &= r.open_ii
-        return out
+        """The points in every answer of player II, as a point mask.
+
+        That is II's last answer, or every point when no round was played.
+        The referee keeps only legal rounds, and each legal answer lies
+        inside I's open of its round, which lies inside II's answer of the
+        round before; so the answers descend and the last one is their
+        intersection.
+        """
+        if self.rounds:
+            return self.rounds[-1].open_ii
+        return (1 << len(self.space)) - 1
 
     @property
     def winner_at_horizon(self) -> str:
@@ -118,11 +124,12 @@ def canonical_choquet_strategy(space: PosetSpace) -> Strategy:
     """
     opens, down = space.opens, space.poset.down_masks
     members = [space.poset.up_mask(g) for g in space.generators]
-    answers = {}
+    # the answers worked out so far: previous witness -> I's move -> answer
+    answers = {w: {} for w in (None, *range(len(down)))}
 
     def move(position):
-        key = (position.pending, position.witness)
-        answer = answers.get(key)
+        known = answers[position.witness]
+        answer = known.get(position.pending)
         if answer is not None:
             return answer
         u, x = position.pending
@@ -132,7 +139,7 @@ def canonical_choquet_strategy(space: PosetSpace) -> Strategy:
             eligible &= down[position.witness]
         for q in _bits(eligible):
             if not opens[q] & ~u:
-                answers[key] = answer = (opens[q], q)
+                known[position.pending] = answer = (opens[q], q)
                 return answer
         raise ConditionViolated(
             len(position.rounds), "no eligible element; the inputs broke the game rules"
@@ -175,6 +182,8 @@ def scripted_random_choquet_i(seed: int) -> Strategy:
 class _Position:
     """What the players see: the rounds so far, I's move to answer, II's last witness."""
 
+    __slots__ = ("space", "whole", "rounds", "pending", "witness")
+
     def __init__(self, space):
         self.space = space
         self.whole = (1 << len(space)) - 1  # every point, as a mask
@@ -192,6 +201,13 @@ def choquet_referee(space: PosetSpace, strategy_i, strategy_ii, rounds: int) -> 
     move aborts the run with the offender losing.  At the horizon the
     nonemptiness of the intersection of II's opens decides the bounded
     verdict.
+
+    Each move passes one test that implies all of its player's rules:
+    I's ``u`` inside II's last answer (which lies inside the space, so u
+    is open) with ``x`` a point of u, and II's ``v`` inside u with x in
+    v.  Only a move that fails it is checked rule by rule, in the order
+    that names the offence.  A round equal to the one before, as every
+    round after a one-point answer is, is kept as the same record.
     """
     if rounds < 1:
         raise GameSetupError("rounds must be at least 1")
@@ -200,33 +216,36 @@ def choquet_referee(space: PosetSpace, strategy_i, strategy_ii, rounds: int) -> 
     move_i, move_ii = (getattr(s, "move", s) for s in (strategy_i, strategy_ii))
     pos = _Position(space)
     transcript = ChoquetTranscript(space, pos.rounds)
+    names = space.poset.elements
     outside = ~pos.whole  # the bits of no point; every negative mask meets them
-    prev = pos.whole
-    for t in range(rounds):
-        try:
+    prev = pos.whole  # II's last answer
+    last_u = last_x = last_w = last = None  # the last round kept, and its moves
+    try:
+        for t in range(rounds):
             u, x = move_i(pos)
-            if u & outside:
-                raise IllegalMove("I", t, "played set is not open")
-            if x < 0 or not u >> x & 1:
-                raise IllegalMove("I", t, "point lies outside the played open")
-            if u & ~prev:
+            if u & ~prev or x < 0 or not u >> x & 1:
+                if u & outside:
+                    raise IllegalMove("I", t, "played set is not open")
+                if x < 0 or not u >> x & 1:
+                    raise IllegalMove("I", t, "point lies outside the played open")
                 raise IllegalMove("I", t, "open not inside II's previous answer")
             pos.pending = (u, x)
             v, w = move_ii(pos)
-            if v & outside:
-                raise IllegalMove("II", t, "played set is not open")
-            if not v >> x & 1:
-                raise IllegalMove("II", t, "answer misses player I's point")
-            if v & ~u:
+            if v & ~u or not v >> x & 1:
+                if v & outside:
+                    raise IllegalMove("II", t, "played set is not open")
+                if not v >> x & 1:
+                    raise IllegalMove("II", t, "answer misses player I's point")
                 raise IllegalMove("II", t, "answer not inside player I's open")
-        except IllegalMove as bad:
-            transcript.illegal = bad
-            return transcript
-        if w is not None:
-            pos.witness = w
-            w = space.poset.elements[w]
-        pos.rounds.append(ChoquetRound(u, x, v, w))
-        prev = v
+            if u != last_u or x != last_x or v != prev or w != last_w:
+                if w is not None:
+                    pos.witness = w
+                last = ChoquetRound(u, x, v, None if w is None else names[w])
+                last_u, last_x, last_w = u, x, w
+            pos.rounds.append(last)
+            prev = v
+    except IllegalMove as bad:
+        transcript.illegal = bad
     return transcript
 
 

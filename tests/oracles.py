@@ -33,8 +33,10 @@ closes a basis under unions and validates the opens pair by pair,
 The library plays the strong Choquet game on int point masks;
 ``choquet_referee`` with ``canonical_choquet_ii`` and
 ``scripted_random_choquet_i`` play it on frozensets of point indices,
-with the literal ``is_open`` and ``basic_open``, and give the same
-transcripts.  This opener draws in every round; the library's skips the
+with the literal ``is_open`` and ``basic_open``, check every rule as
+stated, and give the same transcripts.  ``answers_meet`` folds II's
+answers into their intersection, which the library reads off the last
+answer.  This opener draws in every round; the library's skips the
 draws once II's last answer is a single point, where every later move
 is forced, and its canonical II reuses answers it has already worked out.
 
@@ -242,13 +244,23 @@ def choquet_referee(space, strategy_i, strategy_ii, rounds):
         lines.append(f"illegal: {illegal}")
         winner = "II" if illegal.player == "I" else "I"
     else:
-        inter = frozenset(range(len(space.points)))
-        for r in pos.rounds:
-            inter &= r[2]
+        inter = answers_meet(frozenset(range(len(space.points))), [r[2] for r in pos.rounds])
         winner = "II" if inter else "I"
     lines.append(f"winner-at-horizon: {winner}")
     verdict = None if illegal is None else (illegal.player, illegal.round_no, illegal.reason)
     return lines, [r[3] for r in pos.rounds], verdict
+
+
+def answers_meet(whole, answers):
+    """The intersection of player II's answers, folded from ``whole``.
+
+    Works on point sets and on point masks alike; the library reads the
+    same set off II's last answer.
+    """
+    out = whole
+    for v in answers:
+        out &= v
+    return out
 
 
 def canonical_choquet_ii(space):

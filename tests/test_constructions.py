@@ -22,6 +22,7 @@ from posetspace.constructions import (
     precompact_open_poset,
     product_poset,
 )
+from posetspace.poset_core import PosetError
 from posetspace.topology import PosetSpace
 
 
@@ -344,6 +345,17 @@ def test_refinements_monotone_and_strict(two_points):
     r2 = balls.refinements(root, 2)
     assert set(r1) <= set(r2)
     assert all(balls.leq(r, root) and r != root for r in r2)
+
+
+def test_negative_ball_sizes_are_refused(two_points):
+    # a negative budget used to be computed as budget 0, a negative length
+    # used to give an empty chain
+    balls = formal_ball_poset(two_points, max_denom=8, max_radius=2)
+    with pytest.raises(PosetError, match="budget must be at least 0"):
+        balls.refinements("B(p0,2)", -1)
+    with pytest.raises(PosetError, match="length must be at least 0"):
+        point_chain(balls, "p0", -1)
+    assert point_chain(balls, "p0", 0).chain == ("B(p0,2)",)
 
 
 def test_ball_incompatibility(two_points):

@@ -21,7 +21,9 @@ from posetspace.files import (
     parse_space_text,
     poset_to_text,
 )
+from posetspace.filters import Filter, NotAFilter
 from posetspace.poset_core import FinitePoset
+from posetspace.topology import NotABasis, reduce_countable_subposet
 
 
 CHAIN2 = "poset chain2\nelem x\nelem y\nle x y\n"
@@ -242,6 +244,43 @@ def test_formalballs_bad_grid_exits_2(files, flags):
     code, out = run_cli(["formalballs", files["two.metric"], *flags])
     assert code == 2
     assert out.startswith("error: ") and "Traceback" not in out
+
+
+@pytest.mark.parametrize("flags, refused", [
+    (["--depth", "-1"], "error: chain length must be at least 0, got -1"),
+    (["--budget", "-1"], "error: refinement budget must be at least 0, got -1"),
+])
+def test_formalballs_negative_sizes_exit_2(files, flags, refused):
+    code, out = run_cli(["formalballs", files["two.metric"], *flags])
+    assert code == 2
+    assert out.splitlines()[-1] == refused
+    assert "at budget -1" not in out and "point-chain:" not in out
+
+
+@pytest.mark.parametrize("option, expected, want", [
+    ("--classify", ["is_filter: false", "is_unbounded: false", "is_maximal: false"], 0),
+    ("--upclose", ["upward-closure: {}"], 0),
+    ("--extend", ["error: [] is not a filter: directedness or upward closure fails"], 2),
+])
+def test_filters_empty_option_value_is_an_empty_set(files, option, expected, want):
+    # an empty element list is a value, not an absent option: no maximal-filter listing
+    code, out = run_cli(["filters", files["v.poset"], option, ""])
+    assert (code, out.splitlines()) == (want, expected)
+
+
+def test_extend_from_no_elements_raises_not_a_filter():
+    with pytest.raises(NotAFilter):
+        Filter.of(parse_poset_text(VEE), [])
+
+
+def test_empty_seed_basis_is_refused(files):
+    code, out = run_cli(["space", files["v.poset"], "--check", "reduce", "--seed-basis", ""])
+    assert code == 2
+    assert out.splitlines()[-1].startswith("error: seed basis has no member around point")
+    with pytest.raises(NotABasis):
+        reduce_countable_subposet(parse_poset_text(VEE), [])
+    code, out = run_cli(["space", files["v.poset"], "--check", "reduce"])
+    assert code == 0 and "restriction-homeomorphism: true" in out
 
 
 def test_formalballs_on_a_metric_without_points_exits_2(tmp_path):

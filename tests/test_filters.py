@@ -114,3 +114,8 @@ def test_chain_filter_dedup_and_membership():
     assert cf.extended("010").last() == "010"
     with pytest.raises(PosetError):
         ChainFilter.make(tree, ["0", "1"])
+
+
+def test_chain_filter_refuses_an_empty_chain():
+    with pytest.raises(PosetError, match="at least one element"):
+        ChainFilter.make(BinaryTreePoset(), [])

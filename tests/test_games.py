@@ -160,9 +160,10 @@ def test_illegal_answer_outside_player_i_open(vee):
     assert t.winner_at_horizon == "I"
 
 
-@pytest.mark.parametrize("answer", [1 | 1 << 2, 1 | 1 << 64, -1])
+@pytest.mark.parametrize("answer", [1 | 1 << 2, 1 | 1 << 64, -1, -2, -1 << 64])
 def test_illegal_answer_not_open(vee, answer):
-    # vee has 2 points: bit 2 and above, and every negative mask, hold no point
+    # vee has 2 points: bit 2 and above, and every negative mask, hold no point;
+    # -2 and -1 << 64 also miss player I's point 0
     space = PosetSpace(vee, "mf")
 
     def opener(position):
@@ -172,6 +173,7 @@ def test_illegal_answer_not_open(vee, answer):
     assert (t.illegal.player, t.illegal.round_no, t.illegal.reason) == (
         "II", 0, "played set is not open")
     assert t.winner_at_horizon == "I"
+    assert t.rounds == [] and t.intersection == space.whole_mask
 
 
 def test_referee_deterministic(vee):
@@ -254,6 +256,17 @@ def test_opener_repeats_a_one_point_answer(vee):
             assert (r.open_i, r.point, r.open_ii) == (prev.open_ii, prev.point, prev.open_ii)
 
 
+def test_repeated_rounds_share_one_record(chain2):
+    # chain2 has one point, and both elements have the basic open {0}: a round
+    # is kept as the record before it only when the witness repeats as well
+    space = PosetSpace(chain2, "mf")
+    witnesses = iter([0, 0, 1, 1, None, 0])
+    t = choquet_referee(space, scripted_random_choquet_i(0), lambda pos: (1, next(witnesses)), 6)
+    assert [r.witness_ii for r in t.rounds] == ["x", "x", "y", "y", None, "x"]
+    assert [t.rounds[i] is t.rounds[i - 1] for i in range(1, 6)] == [True, False, True, False, False]
+    assert all(r == ChoquetRound(1, 0, 1, r.witness_ii) for r in t.rounds)
+
+
 def _mask(points):
     return sum(1 << i for i in points)
 
@@ -264,6 +277,12 @@ BAD_OPENERS = [
     [({0, 1}, -1)],  # no such point
     [({0, 99}, 0)],  # 99 is not a point
     [({0}, 0), ({0, 1}, 1)],  # escapes II's answer
+    # several rules at once: the first broken one is named
+    [({0}, 0), ({0, 1, 99}, 1)],  # not open, and escapes II's answer
+    [({0}, 0), ({1, 99}, 0)],  # not open, point outside, escapes II's answer
+    [({0}, 0), ({1}, 0)],  # point outside the open, and escapes II's answer
+    [({0}, 0), ({0, 1}, -1)],  # no such point, and escapes II's answer
+    [({0, 1, 99}, -1)],  # not open, and no such point
 ]
 # player II's answers on MF(V) as point sets, against scripted player I
 BAD_ANSWERS = [set(), {0, 1}, {0, 1, 2}, {0, 64}]
@@ -279,6 +298,63 @@ def test_referee_matches_oracle_on_bad_openers(vee, moves):
         space, lambda pos: next(ref_moves), oracles.canonical_choquet_ii(space), len(moves))
     assert record(lib) == ref
     assert ref[2] is not None and ref[2][0] == "I"
+
+
+@pytest.mark.parametrize("moves, reason", [
+    ([(-1, 0)], "played set is not open"),  # a negative mask holds every non-point
+    ([(-1, -1)], "played set is not open"),
+    ([(1, 0), (-2, 1)], "played set is not open"),  # and escapes II's answer {0}
+    ([(0b11, -1)], "point lies outside the played open"),
+    ([(1, 0), (0b11, -5)], "point lies outside the played open"),  # and escapes {0}
+])
+def test_negative_moves_by_i(vee, moves, reason):
+    space = PosetSpace(vee, "mf")
+    moves = iter(moves)
+    t = choquet_referee(space, lambda pos: next(moves), canonical_choquet_strategy(space), 2)
+    rounds = len(t.rounds)
+    assert (t.illegal.player, t.illegal.round_no, t.illegal.reason) == ("I", rounds, reason)
+    assert t.intersection == (t.rounds[-1].open_ii if t.rounds else space.whole_mask)
+
+
+@pytest.mark.parametrize("answer, reason", [
+    ({1}, "answer misses player I's point"),  # and escapes I's open {0}
+    ({1, 2}, "played set is not open"),  # and misses the point, and escapes
+    ({0, 1}, "answer not inside player I's open"),
+])
+def test_answers_breaking_several_rules(vee, answer, reason):
+    # I plays N_a = {0} at point 0
+    space = PosetSpace(vee, "mf")
+    lib = choquet_referee(space, lambda pos: (1, 0), lambda pos: (_mask(answer), None), 1)
+    ref = oracles.choquet_referee(
+        space, lambda pos: (frozenset({0}), 0), lambda pos: (frozenset(answer), None), 1)
+    assert record(lib) == ref
+    assert ref[2] == ("II", 0, reason)
+
+
+def test_intersection_is_the_fold_of_the_answers():
+    # every game of a seeded slice of the posets with at most 5 elements,
+    # the illegal ones included: the fold and the last answer agree
+    posets = [p for p in posets_up_to(5) if len(p)]
+    for p in random.Random(14).sample(posets, 120):
+        space = PosetSpace(p, "mf")
+        strategy = canonical_choquet_strategy(space)
+        for seed in range(4):
+            for opener in (scripted_random_choquet_i(seed), _stray_at(seed % 4)):
+                t = choquet_referee(space, opener, strategy, 10)
+                answers = [r.open_ii for r in t.rounds]
+                assert t.intersection == oracles.answers_meet(space.whole_mask, answers), (p.pairs(), seed)
+
+
+def _stray_at(round_no):
+    """Player I: the whole of II's last answer at its least point, until it strays in ``round_no``."""
+
+    def move(pos):
+        if len(pos.rounds) == round_no:
+            return pos.whole << 1, 0
+        prev = pos.rounds[-1].open_ii if pos.rounds else pos.whole
+        return prev, (prev & -prev).bit_length() - 1
+
+    return move
 
 
 @pytest.mark.parametrize("answer", BAD_ANSWERS)

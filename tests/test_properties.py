@@ -156,6 +156,66 @@ def test_forced_moves_match_the_oracle_that_draws_every_round(poset_seed, n, mod
         assert [r.witness_ii for r in t.rounds] == witnesses
 
 
+def _oracle_set(mask):
+    """A move's point mask as the oracle's point set; a negative mask holds the non-point -1."""
+    return frozenset([-1]) if mask < 0 else oracles.point_set(mask)
+
+
+@settings(fixed, max_examples=300)
+@given(st.integers(min_value=0, max_value=2**32), st.integers(1, 5), st.sampled_from(["mf", "uf"]),
+       st.data())
+def test_referee_names_the_offence_the_oracle_names(poset_seed, n, mode, data):
+    # I's move is legal (None), a drawn mask and point, or drawn points at
+    # their least one (a 1-tuple); II's answer is legal (None), a drawn
+    # mask, or drawn points joined with I's point (a 1-tuple).  Drawn masks
+    # may be negative, hold a non-point, or break several rules at once.
+    p = random_poset(random.Random(poset_seed), n)
+    space = PosetSpace(p, mode)
+    k = len(space)
+    points = st.integers(0, (1 << k) - 1)
+    mask = points | st.integers(-(1 << (k + 1)), (1 << (k + 1)) - 1)
+    rounds = data.draw(st.integers(1, 6))
+    moves = data.draw(st.lists(st.none() | st.tuples(mask, st.integers(-1, k)) | st.tuples(points),
+                               min_size=rounds, max_size=rounds))
+    answers = data.draw(st.lists(st.none() | mask | st.tuples(points), min_size=rounds, max_size=rounds))
+
+    def answer(pos):
+        v, x = answers[len(pos.rounds)], pos.pending[1]
+        if v is None:
+            return 1 << x
+        return v[0] | 1 << x if isinstance(v, tuple) else v
+
+    def least(u):
+        return (u & -u).bit_length() - 1
+
+    def lib_i(pos):
+        move = moves[len(pos.rounds)]
+        if move is None:  # the whole of II's last answer, at its least point
+            prev = pos.rounds[-1].open_ii if pos.rounds else pos.whole
+            return prev, least(prev)
+        return (move[0], least(move[0])) if len(move) == 1 else move
+
+    def lib_ii(pos):
+        return answer(pos), None
+
+    def ref_i(pos):
+        move = moves[len(pos.rounds)]
+        if move is None:
+            prev = pos.rounds[-1][2] if pos.rounds else frozenset(range(k))
+            return prev, min(prev)
+        return _oracle_set(move[0]), (least(move[0]) if len(move) == 1 else move[1])
+
+    def ref_ii(pos):
+        return _oracle_set(answer(pos)), None
+
+    t = choquet_referee(space, lib_i, lib_ii, rounds)
+    lines, _, illegal = oracles.choquet_referee(space, ref_i, ref_ii, rounds)
+    bad = t.illegal
+    assert (None if bad is None else (bad.player, bad.round_no, bad.reason)) == illegal
+    assert t.log_lines() == lines
+    assert t.intersection == oracles.answers_meet(space.whole_mask, [r.open_ii for r in t.rounds])
+
+
 @fixed
 @given(st.integers(min_value=0, max_value=2**32), st.integers(0, 8), st.sampled_from(["mf", "uf"]),
        st.data())
