@@ -9,8 +9,9 @@ module enumerates bounded-depth slices of that poset and checks the
 correspondence.
 
 A ``ConditionSystem`` numbers each play once, when first reached: play i
-keeps its parent's index, its last move (v, x, w), its final open and
-its sort key, and a condition's plays are an int mask over the indices.
+keeps its parent's index, its last move (v, x, w) and its final open, and
+a condition's plays are an int mask over the indices; a play's sort key
+is built only when conditions are sorted.
 The order, the four well-formedness rules and the common refinement are
 mask operations; tuple plays appear only at the boundary.  A depth that
 must give more than MAX_CONDITIONS conditions, or a deep one, is refused
@@ -20,8 +21,9 @@ before its plays are built.
 from __future__ import annotations
 
 import random
-from collections import Counter
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 from .poset_core import FinitePoset, PosetError, _bits
@@ -88,14 +90,14 @@ class ConditionSystem:
     A designated set is a point mask.  At the boundary a play is a tuple
     of moves ``(v, x, w)``: player I's open mask v, its point index x,
     and player II's answer mask w.  Inside, play i has a parent, a last
-    move, a final open and a ``_play_key``: ``parent[i]``, ``step[i]``,
-    ``final[i]`` and ``keys[i]``; play 0 is the empty play.
+    move and a final open: ``parent[i]``, ``step[i]`` and ``final[i]``;
+    play 0 is the empty play.
     """
 
     def __init__(self, space: FiniteTopSpace, s_ii=None):
         self.space = space
         self.s_ii = s_ii if s_ii is not None else canonical_strategy_ii(space)
-        self.parent, self.step, self.final, self.keys = [0], [None], [space.whole_mask], [(0, ())]
+        self.parent, self.step, self.final, self._keys = [0], [None], [space.whole_mask], [(0, ())]
         self._ext = {}  # (play, v, x) -> the play extended by I's move (v, x) and II's answer
         self._fits = {a: 1 for a in space.basis if a}  # nonempty basic a -> plays a fits in
 
@@ -106,6 +108,14 @@ class ConditionSystem:
             moves.append(self.step[i])
             i = self.parent[i]
         return tuple(reversed(moves))
+
+    def key(self, i) -> tuple:
+        """Play i's ``_play_key``; the first call after new plays were numbered builds theirs."""
+        for q in range(len(self._keys), len(self.step)):  # a play is numbered after its parent
+            v, x, w = self.step[q]
+            length, moves = self._keys[self.parent[q]]
+            self._keys.append((length + 1, moves + ((tuple(_bits(v)), x, tuple(_bits(w))),)))
+        return self._keys[i]
 
     def _extend(self, p, v, x) -> int:
         """The index of play p extended by I's move (v, x) and II's answer."""
@@ -120,7 +130,6 @@ class ConditionSystem:
             self.parent.append(p)
             self.step.append((v, x, w))
             self.final.append(w)
-            self.keys.append((self.keys[p][0] + 1, self.keys[p][1] + ((tuple(_bits(v)), x, tuple(_bits(w))),)))
             for a in self._fits:
                 if not a & ~w:
                     self._fits[a] |= 1 << q
@@ -158,7 +167,10 @@ class ConditionSystem:
         """The condition (a, mask) after rules 1, 3 and 4; rule 2 held as its plays were numbered."""
         if a not in self._fits:
             raise ConditionRequirementViolation(1, "the designated set is not a nonempty basic open")
-        missing = sum(1 << p for p in {self.parent[q] for q in _bits(mask)}) & ~mask
+        missing = 0
+        for q in _bits(mask):
+            missing |= 1 << self.parent[q]
+        missing &= ~mask
         if missing:
             m = (missing & -missing).bit_length() - 1
             while m and not mask >> self.parent[m] & 1:
@@ -169,24 +181,30 @@ class ConditionSystem:
             raise ConditionRequirementViolation(4, "the designated set leaves the final open of a play")
         return Condition(self, a, mask)
 
-    def above(self, c1: "Condition", conditions) -> int:
-        """The mask of the conditions c2, all of this system, that c1 lies strictly below: c1's set is
-        inside c2's, and every play of c2 is the parent of a play of c1 last played on c2's set."""
-        a1, through, out = c1.a, {}, 0  # designated set -> the parents of c1's plays last played on it
-        for j, c2 in enumerate(conditions):
-            if not a1 & ~c2.a:
-                if c2.a not in through:
-                    through[c2.a] = sum(1 << p for p in {self.parent[q] for q in _bits(c1.mask & ~1)
-                                                         if self.step[q][0] == c2.a})
-                if not c2.mask & ~through[c2.a]:
-                    out |= 1 << j
-        return out
+    def _through(self, c1: "Condition") -> dict:
+        """Designated set v -> the mask of the parents of c1's proper plays last played on v."""
+        through = {}
+        for q in _bits(c1.mask & ~1):
+            v = self.step[q][0]
+            through[v] = through.get(v, 0) | 1 << self.parent[q]
+        return through
 
-    def lt(self, c1: "Condition", c2: "Condition") -> bool:
-        """Strictly below: every play of c2 extends one step into c1 through c2's set."""
-        if c1.system is not c2.system:
+    def up_masks(self, conditions) -> list:
+        """Per condition c1, the mask of c1 and of the conditions it lies strictly below; only
+        those whose set is one that a play of c1 was last played on are tested."""
+        by_set = {}
+        for j, c2 in enumerate(conditions):
+            by_set.setdefault(c2.a, []).append((j, c2.mask))
+        return [sum((1 << j for v, parents in self._through(c1).items() if not c1.a & ~v
+                     for j, mask in by_set.get(v, ()) if not mask & ~parents), 1 << i)
+                for i, c1 in enumerate(conditions)]
+
+    def lt(self, c1: "Condition", *c2s: "Condition") -> bool:
+        """Strictly below each of ``c2s``: every play of c2 extends one step into c1 through c2's set."""
+        if any(c2.system is not c1.system for c2 in c2s):
             raise MixedSpaces("conditions live over different spaces or strategies")
-        return self.above(c1, (c2,)) == 1
+        through = self._through(c1)
+        return all(not c1.a & ~c2.a and not c2.mask & ~through.get(c2.a, 0) for c2 in c2s)
 
     def refine(self, c1: "Condition", c2: "Condition", x: int) -> "Condition":
         """A common refinement through a shared point of the designated sets.
@@ -306,8 +324,7 @@ class Condition:
 
     def key(self):
         """Sort by the set's points, the play count, then the sorted play keys."""
-        keys = self.system.keys
-        return tuple(_bits(self.a)), self.mask.bit_count(), tuple(sorted(keys[q] for q in _bits(self.mask)))
+        return tuple(_bits(self.a)), self.mask.bit_count(), tuple(sorted(map(self.system.key, _bits(self.mask))))
 
 
 def validate_condition(space: FiniteTopSpace, s_ii, a, plays) -> Condition:
@@ -326,23 +343,19 @@ def refinement_sample(conditions, k: int, rng: random.Random) -> list:
     """``k`` distinct triples (i, j, x), x a point of both designated sets, drawn uniformly.
 
     The pool, every such triple by i, then j, then x, is not built: row i
-    holds n * |a & b| triples per n conditions with set b, a being the set of condition i.
+    holds |a & b| triples per condition j with set b, a being the set of
+    condition i, and a draw finds its row and its column by bisecting prefix sums.
     """
-    sets = Counter(c.a for c in conditions)
-    width = {a: sum(n * (a & b).bit_count() for b, n in sets.items()) for a in sets}
-    total = sum(width[c.a] for c in conditions)
+    sets = [c.a for c in conditions]
+    cols = {a: [0, *accumulate((a & b).bit_count() for b in sets)] for a in set(sets)}
+    starts = [0, *accumulate(cols[a][-1] for a in sets)]
     out = []
-    for t in rng.sample(range(total), min(k, total)):
-        for i, ci in enumerate(conditions):
-            if t < width[ci.a]:
-                break
-            t -= width[ci.a]
-        for j, cj in enumerate(conditions):
-            shared = ci.a & cj.a
-            if t < shared.bit_count():
-                break
-            t -= shared.bit_count()
-        out.append((i, j, list(_bits(shared))[t]))
+    for t in rng.sample(range(starts[-1]), min(k, starts[-1])):
+        i = bisect_right(starts, t) - 1
+        t -= starts[i]
+        col = cols[sets[i]]
+        j = bisect_right(col, t) - 1
+        out.append((i, j, list(_bits(sets[i] & sets[j]))[t - col[j]]))
     return out
 
 
@@ -383,8 +396,8 @@ def mf_characterization_check(space: FiniteTopSpace, depth: int, s_ii=None,
         raise PreconditionFailed("the space is not T1")
     system = ConditionSystem(space, s_ii)
     conditions = sorted(system.enumerate_conditions(depth), key=Condition.key)
-    up = [system.above(c1, conditions) | 1 << i for i, c1 in enumerate(conditions)]
-    poset = FinitePoset([f"c{i}" for i in range(len(conditions))], up, f"{space.name}|conditions")
+    poset = FinitePoset([f"c{i}" for i in range(len(conditions))], system.up_masks(conditions),
+                        f"{space.name}|conditions")
     cond_space = PosetSpace(poset, "mf")
 
     phi, stuck = {}, []
@@ -414,7 +427,7 @@ def mf_characterization_check(space: FiniteTopSpace, depth: int, s_ii=None,
     for i, j, x in refinement_sample(conditions, refinement_samples, random.Random(seed)):
         c = system.refine(conditions[i], conditions[j], x)
         checked += 1
-        if not (system.lt(c, conditions[i]) and system.lt(c, conditions[j]) and c.a >> x & 1):
+        if not (system.lt(c, conditions[i], conditions[j]) and c.a >> x & 1):
             refinements_ok = False
             break
 

@@ -167,14 +167,14 @@ def _cmd_formalballs(args, out):
     if not metric.points:
         raise PosetError(f"metric {metric.name} has no point to start the point chain from")
     balls = constructions.formal_ball_poset(metric, args.max_denom, args.max_radius)
+    found = {root: balls.refinements(root, args.budget) for root in balls.roots()}  # refusals print alone
+    chain = constructions.point_chain(balls, sorted(metric.points)[0], args.depth)
     out(f"metric: {metric.name}")
     out(f"grid: k/{args.max_denom} up to {balls.max_radius}")
-    for root in balls.roots():
-        refs = balls.refinements(root, args.budget)
+    for root, refs in found.items():
         out(f"root {root}: {len(refs)} refinements at budget {args.budget}")
         for r in refs[:5]:
             out(f"  {r}")
-    chain = constructions.point_chain(balls, sorted(metric.points)[0], args.depth)
     out(f"point-chain: {' > '.join(chain.chain)}")
     return 0
 

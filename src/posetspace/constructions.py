@@ -578,27 +578,18 @@ class RationalMetric:
             d.setdefault((p, p), Fraction(0))
             if d[(p, p)] != 0:
                 raise MetricAxiomViolation(f"nonzero self-distance at {p!r}")
-        for a in self.points:
-            for b in self.points:
-                if (a, b) not in d:
-                    raise MetricAxiomViolation(f"missing distance between {a!r} and {b!r}")
-                if a != b and d[(a, b)] <= 0:
-                    raise MetricAxiomViolation(f"non-positive distance between {a!r} and {b!r}")
-        for a in self.points:
-            for b in self.points:
-                for c in self.points:
-                    if d[(a, c)] > d[(a, b)] + d[(b, c)]:
-                        raise MetricAxiomViolation(
-                            f"triangle inequality fails on {a!r}, {b!r}, {c!r}"
-                        )
+        for a, b in itertools.product(self.points, repeat=2):
+            if (a, b) not in d:
+                raise MetricAxiomViolation(f"missing distance between {a!r} and {b!r}")
+            if a != b and d[(a, b)] <= 0:
+                raise MetricAxiomViolation(f"non-positive distance between {a!r} and {b!r}")
+        for a, b, c in itertools.product(self.points, repeat=3):
+            if d[(a, c)] > d[(a, b)] + d[(b, c)]:
+                raise MetricAxiomViolation(f"triangle inequality fails on {a!r}, {b!r}, {c!r}")
         self._d = d
 
     def d(self, a, b) -> Fraction:
         return self._d[(a, b)]
-
-    def min_positive_distance(self) -> Fraction:
-        vals = [v for k, v in self._d.items() if v > 0]
-        return min(vals) if vals else Fraction(0)
 
 
 _BALL_RE = re.compile(r"^B\(([^,()]+),([0-9]+)(?:/([0-9]+))?\)$")
@@ -610,9 +601,10 @@ class FormalBallPoset:
     Radii live on the dyadic grid k / max_denom with 0 < r <= max_radius;
     max_denom must be a power of two.  A ball lies strictly below another
     when the distance between the centers plus the smaller radius is less
-    than the larger radius.  Budgets cap the radius denominator at 2 to
-    the budget, so refinement lists grow monotonically toward the whole
-    grid below a ball.
+    than the larger radius.  A budget caps the radius denominator at 2 to
+    the budget, so refinement lists grow toward the whole grid below a
+    ball.  They are integer numerators k up to one bound per center, and
+    the code of k / denom is printed reduced, as str(Fraction) prints it.
     """
 
     def __init__(self, metric: RationalMetric, max_denom: int = 8, max_radius=2):
@@ -640,9 +632,7 @@ class FormalBallPoset:
         return center, radius
 
     def _on_grid(self, r: Fraction) -> bool:
-        return 0 < r <= self.max_radius and (r.denominator <= self.max_denom) and (
-            self.max_denom % r.denominator == 0
-        )
+        return 0 < r <= self.max_radius and self.max_denom % r.denominator == 0
 
     def roots(self):
         return [self.encode(a, self.max_radius) for a in sorted(self.metric.points)]
@@ -659,27 +649,20 @@ class FormalBallPoset:
             raise PosetError(f"refinement budget must be at least 0, got {budget}")
         a, r = self.decode(x)
         denom = min(self.max_denom, 2 ** budget)
+        top = math.floor(self.max_radius * denom)
         out = []
         for b in sorted(self.metric.points):
-            base = self.metric.d(a, b)
-            for num in range(1, int(self.max_radius * denom) + 1):
-                s = Fraction(num, denom)
-                if base + s < r:
-                    out.append(self.encode(b, s))
+            # d(a, b) + k / denom < r exactly when k < (r - d(a, b)) * denom
+            for k in range(1, min(top + 1, math.ceil((r - self.metric.d(a, b)) * denom))):
+                g = math.gcd(k, denom)
+                out.append(f"B({b},{k // g})" if g == denom else f"B({b},{k // g}/{denom // g})")
         return out
 
     def incompatible(self, x, y):
         a, r = self.decode(x)
         b, s = self.decode(y)
         tiny = Fraction(1, self.max_denom)
-        for c in self.metric.points:
-            if self.metric.d(a, c) + tiny < r and self.metric.d(b, c) + tiny < s:
-                return False
-        return True
-
-    def contains_point(self, code, point) -> bool:
-        a, r = self.decode(code)
-        return self.metric.d(a, point) < r
+        return not any(self.metric.d(a, c) + tiny < r and self.metric.d(b, c) + tiny < s for c in self.metric.points)
 
 
 def formal_ball_poset(metric: RationalMetric, max_denom: int = 8, max_radius=2) -> FormalBallPoset:

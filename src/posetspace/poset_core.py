@@ -3,8 +3,9 @@
 A generated poset is any object with ``roots()``, a finite seed set of
 string codes; ``leq(a, b)``, deciding a partial order on the codes;
 ``refinements(a, budget)``, elements strictly below ``a`` whose list only
-grows with the budget and is complete in its limit; and
-``incompatible(a, b)``, true when no element lies below both.
+grows with the budget and is complete in its limit (a negative budget
+raises PosetError); and ``incompatible(a, b)``, true when no element lies
+below both.
 """
 
 from __future__ import annotations
@@ -307,12 +308,10 @@ class BinaryTreePoset:
         return x.startswith(y)
 
     def refinements(self, a, budget):
+        if budget < 0:
+            raise PosetError(f"refinement budget must be at least 0, got {budget}")
         base = self.bits(a)
-        out = []
-        for extra in range(1, max(0, budget) + 1):
-            for k in range(2 ** extra):
-                out.append(base + format(k, f"0{extra}b"))
-        return out
+        return [base + format(k, f"0{extra}b") for extra in range(1, budget + 1) for k in range(2 ** extra)]
 
     def incompatible(self, a, b):
         x, y = self.bits(a), self.bits(b)

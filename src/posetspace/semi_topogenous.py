@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import operator
 from typing import NamedTuple
 
 from .poset_core import FinitePoset, PosetError, _bits
@@ -11,20 +13,15 @@ from .topology import PosetSpace, verify_correspondence
 
 class HypothesisFailed(PosetError):
     def __init__(self, hypothesis, detail=""):
-        message = f"hypothesis failed: {hypothesis}"
-        if detail:
-            message += f" ({detail})"
-        super().__init__(message)
+        super().__init__(f"hypothesis failed: {hypothesis}" + (f" ({detail})" if detail else ""))
         self.hypothesis = hypothesis
 
 
 class ConditionFailed(PosetError):
     def __init__(self, witness, only_reflexive):
         p, q, r = witness
-        super().__init__(
-            f"order condition fails on ({p}, {q}, {r})"
-            + ("; every failure has r = p" if only_reflexive else "")
-        )
+        super().__init__(f"order condition fails on ({p}, {q}, {r})"
+                         + ("; every failure has r = p" if only_reflexive else ""))
         self.witness = witness
         self.only_reflexive = only_reflexive
 
@@ -32,27 +29,52 @@ class ConditionFailed(PosetError):
 FULL_POWERSET_CAP = 4
 
 
-def _subsets(space: FiniteTopSpace) -> list:
-    """Every subset of the space as a point mask, by size and then contents."""
-    if len(space) > FULL_POWERSET_CAP:
-        raise PosetError(f"spaces over {FULL_POWERSET_CAP} points are too large: "
-                         "the checks walk every subset")
-    return sorted(range(1 << len(space)), key=_set_key)
+@functools.lru_cache(maxsize=None)
+def _subsets(n: int) -> tuple:
+    """The subsets of n points by size then contents, their supersets (bit w: subset w), and by points."""
+    if n > FULL_POWERSET_CAP:
+        raise PosetError(f"spaces over {FULL_POWERSET_CAP} points are too large: the checks walk every subset")
+    size = 1 << n
+    return (tuple(sorted(range(size), key=_set_key)),
+            tuple(sum(1 << w for w in range(size) if not u & ~w) for u in range(size)),
+            tuple(sorted(range(size), key=lambda u: tuple(_bits(u)))))
+
+
+def _reach(rows, families) -> list:
+    """Per family of subsets, a mask with bit v for the subset v, the union of its members' rows."""
+    return [functools.reduce(operator.or_, map(rows.__getitem__, _bits(f)), 0) for f in families]
 
 
 class SubsetOrder(NamedTuple):
-    """A relation on the subsets of a finite space of at most four points."""
+    """A relation on the subsets of a finite space of at most four points.
+
+    ``rel`` holds the related pairs (v, w) of point masks, as reports count
+    and print them.  The checks read ``rows()`` instead: one mask per
+    subset v, with bit w set when v is related to w.
+    """
 
     space: FiniteTopSpace
     rel: frozenset  # pairs (v, w) of point masks
+
+    @classmethod
+    def from_rows(cls, space, rows):
+        return cls(space, frozenset((v, w) for v, row in enumerate(rows) for w in _bits(row)))
+
+    def rows(self) -> list:
+        rows = [0] * (1 << len(self.space))
+        for v, w in self.rel:
+            if not (0 <= v < len(rows) and 0 <= w < len(rows)):
+                raise PosetError(f"related pair ({v}, {w}) is not a pair of sets of {self.space.name}")
+            rows[v] |= 1 << w
+        return rows
 
     def holds(self, v, w) -> bool:
         return (v, w) in self.rel
 
     def serialize(self):
-        fmt = self.space.set_str
-        pairs = sorted(self.rel, key=lambda p: (tuple(_bits(p[0])), tuple(_bits(p[1]))))
-        return [f"rel {fmt(v)} {fmt(w)}".replace(", ", ",") for v, w in pairs]
+        rows, points, lex = self.rows(), self.space.points, _subsets(len(self.space))[2]
+        name = {u: "{" + ",".join(points[i] for i in _bits(u)) + "}" for u in lex}
+        return [f"rel {name[v]} {name[w]}" for v in lex for w in lex if rows[v] >> w & 1]
 
 
 class AxiomReport(NamedTuple):
@@ -66,37 +88,34 @@ def check_axioms_and_generation(order: SubsetOrder) -> AxiomReport:
 
     Generation means: for every subset u, the union of all v related
     below u is exactly the open kernel (interior) of u.  The related
-    pairs are walked in sorted order, so each violation names the same
-    witness on every run.
+    pairs are walked in sorted order and the subsets by size and then
+    contents, so each violation names the same witness on every run.
     """
-    space = order.space
-    dom = _subsets(space)
-    rel = sorted(order.rel)
+    space, rows = order.space, order.rows()
+    dom, sup, _ = _subsets(len(space))
+    fmt, whole = space.set_str, space.whole_mask
     violations = []
-    whole = space.whole_mask
-    if not order.holds(0, 0):
+    if not rows[0] & 1:
         violations.append("the empty set is not related to itself")
-    if not order.holds(whole, whole):
+    if not rows[whole] >> whole & 1:
         violations.append("the whole space is not related to itself")
-    for v, w in rel:
-        if v & ~w:
-            violations.append(f"related pair is not nested: {space.set_str(v)} vs {space.set_str(w)}")
-    u = next((u for u in dom for v, w in rel if not u & ~v and not order.holds(u, w)), None)
+    for v, row in enumerate(rows):
+        for w in _bits(row & ~sup[v]):
+            violations.append(f"related pair is not nested: {fmt(v)} vs {fmt(w)}")
+    reach = _reach(rows, sup)  # what some superset of u is related to, u must be related to
+    u = next((u for u in dom if reach[u] & ~rows[u]), None)
     if u is not None:
-        violations.append(f"shrinking the left side breaks the relation at {space.set_str(u)}")
-    u = next((u for v, w in rel for u in dom if not w & ~u and not order.holds(v, u)), None)
+        violations.append(f"shrinking the left side breaks the relation at {fmt(u)}")
+    grown = next((sup[w] & ~row for row in rows for w in _bits(row) if sup[w] & ~row), 0)  # first pair's misses
+    u = next((u for u in dom if grown >> u & 1), None)
     if u is not None:
-        violations.append(f"growing the right side breaks the relation at {space.set_str(u)}")
+        violations.append(f"growing the right side breaks the relation at {fmt(u)}")
 
-    generates = True
-    for u in dom:
-        union = 0
-        for v in dom:
-            if order.holds(v, u):
-                union |= v
-        if union != space.interior(u):
-            generates = False
-            break
+    union = [0] * len(rows)  # per subset u, the union of the subsets related to u
+    for v, row in enumerate(rows):
+        for w in _bits(row):
+            union[w] |= v
+    generates = all(union[u] == space.interior(u) for u in range(len(rows)))
     return AxiomReport(axioms_ok=not violations, generates=generates, violations=tuple(violations))
 
 
@@ -106,8 +125,9 @@ def interval_order(space: FiniteTopSpace) -> SubsetOrder:
     The least open set around v is up(v), the union of the U_x of its
     points; it sits inside w exactly when v sits inside the interior of w.
     """
-    dom = _subsets(space)
-    return SubsetOrder(space, frozenset((v, w) for w in dom for v in dom if not v & ~space.interior(w)))
+    inner = [space.interior(w) for w in range(len(_subsets(len(space))[1]))]  # per subset, its interior
+    rows = [sum(1 << w for w, i in enumerate(inner) if not v & ~i) for v in range(len(inner))]
+    return SubsetOrder.from_rows(space, rows)
 
 
 class CompletenessReport(NamedTuple):
@@ -126,12 +146,9 @@ def completeness_check(space: FiniteTopSpace, order: SubsetOrder) -> Completenes
     member, so the points of the core are common to all of them: every
     order on a finite space is complete.
     """
-    subsets = _subsets(space)
-    meeting = 0
-    for core in subsets[1:]:  # subsets[0] is the empty set
-        members = [u for u in subsets if not core & ~u]
-        meeting += all(any(order.holds(v, w) for v in members) for w in members)
-    return CompletenessReport(True, meeting)
+    sup = _subsets(len(space))[1]
+    reach = _reach(order.rows(), sup)
+    return CompletenessReport(True, sum(not sup[core] & ~reach[core] for core in range(1, len(sup))))
 
 
 class MfFromOrderResult(NamedTuple):
@@ -163,11 +180,10 @@ def mf_poset_from_order(space: FiniteTopSpace, order: SubsetOrder) -> MfFromOrde
     if not report.generates:
         raise HypothesisFailed("generation", "the order does not generate the topology")
 
-    opens, poset, mf_space, pairs = open_poset(space, order.holds, "order")
-    point_filters = {
-        x: frozenset(i for i, o in zip(poset.elements, opens) if order.holds(1 << x, o))
-        for x in range(len(space.points))
-    }
+    rows = order.rows()
+    opens, poset, mf_space, pairs = open_poset(space, lambda v, w: rows[v] >> w & 1, "order")
+    point_filters = {x: frozenset(i for i, o in zip(poset.elements, opens) if rows[1 << x] >> o & 1)
+                     for x in range(len(space.points))}
     point_of = {f.mask(): k for k, f in enumerate(mf_space.points)}
     check = verify_correspondence(
         range(len(space.points)),
@@ -176,11 +192,8 @@ def mf_poset_from_order(space: FiniteTopSpace, order: SubsetOrder) -> MfFromOrde
         pairs,
     )
 
-    # every maximal filter's open family meets the order
-    meets = all(
-        all(any(order.holds(opens[v], opens[w]) for v in _bits(f.mask())) for w in _bits(f.mask()))
-        for f in mf_space.points
-    )
+    # each maximal filter's family of opens meets the order: each is in the row of one of them
+    families = [sum(1 << opens[e] for e in _bits(f.mask())) for f in mf_space.points]
 
     return MfFromOrderResult(
         poset=poset,
@@ -188,7 +201,7 @@ def mf_poset_from_order(space: FiniteTopSpace, order: SubsetOrder) -> MfFromOrde
         point_filters=point_filters,
         bijective=check.bijective,
         membership_equivalence=check.ok,
-        maximal_filters_meet=meets,
+        maximal_filters_meet=all(not f & ~r for f, r in zip(families, _reach(rows, families))),
         space=mf_space,
         failure=check.failure,
     )
@@ -202,16 +215,9 @@ def check_order_condition(poset: FinitePoset):
     below r.  Returns (witnesses, only_reflexive): failing triples and
     whether every failure has r equal to p.
     """
-    opens = PosetSpace(poset, "mf").opens
-    n = len(poset)
-    witnesses = []
-    for p in range(n):
-        for q in range(n):
-            if p == q or not poset.leq_idx(p, q):
-                continue
-            for r in range(n):
-                if not opens[q] & ~opens[r] and (p == r or not poset.leq_idx(p, r)):
-                    witnesses.append((poset.elements[p], poset.elements[q], poset.elements[r]))
+    opens, n, names = PosetSpace(poset, "mf").opens, len(poset), poset.elements
+    witnesses = [(names[p], names[q], names[r]) for p in range(n) for q in range(n) if p != q and poset.leq_idx(p, q)
+                 for r in range(n) if not opens[q] & ~opens[r] and (p == r or not poset.leq_idx(p, r))]
     only_reflexive = bool(witnesses) and all(w[2] == w[0] for w in witnesses)
     return witnesses, only_reflexive
 
@@ -244,18 +250,17 @@ def order_from_poset(poset: FinitePoset) -> OrderFromPosetResult:
     # MF(P) is discrete (see PosetSpace.is_open): its opens are all sets of
     # points, and its atoms, the minimal nonempty opens, are the singletons
     space = FiniteTopSpace([f"F{i}" for i in range(len(mf.points))], mf.opens, name=f"MF({poset.name})")
-    subsets = _subsets(space)
+    sup = _subsets(len(space))[1]
     n = len(poset)
     lt_opens = [(mf.opens[p], mf.opens[q]) for p in range(n) for q in range(n) if p != q and poset.leq_idx(p, q)]
-    rel = set()
-    for v in subsets:
-        for w in subsets:
-            if v & ~w:
-                continue
-            if (not v or w == space.whole_mask or v.bit_count() == 1
-                    or any(not v & ~lower and not upper & ~w for lower, upper in lt_opens)):
-                rel.add((v, w))
-    order = SubsetOrder(space, frozenset(rel))
+    rows = []
+    for v in range(len(sup)):  # the empty set and the atoms below every superset, every set below the whole
+        row = -1 if v.bit_count() <= 1 else 1 << space.whole_mask
+        for lower, upper in lt_opens:
+            if not v & ~lower:
+                row |= sup[upper]
+        rows.append(row & sup[v])
+    order = SubsetOrder.from_rows(space, rows)
     axioms = check_axioms_and_generation(order)
     completeness = completeness_check(space, order)
     return OrderFromPosetResult(

@@ -44,19 +44,31 @@ The library holds a condition's plays as a mask over numbered play
 indices; ``validate_condition``, ``condition_lt`` and
 ``refine_conditions`` below work on tuple plays, as the definitions
 read, and ``refinement_pool`` lists every triple the refinement sample
-draws from.  ``spot_check_generated`` checks the contract of a
-generated poset provider on the elements it reaches.
+draws from; ``refinement_sample`` draws from it by a linear scan over
+the rows and columns, where the library bisects prefix sums.
+``spot_check_generated`` checks the contract of a generated poset
+provider on the elements it reaches.
+
+The library checks a subset order on one row mask per subset;
+``order_axioms``, ``order_completeness``, ``filters_meet_order``,
+``serialize_order`` and ``order_rel_from_poset`` walk the frozenset of
+related pairs, pair by pair and subset by subset, and give the same
+reports and violation texts.  ``ball_refinements`` lists formal-ball
+refinements with ``Fraction`` arithmetic, where the library counts
+integer numerators.
 """
 
 import itertools
 import random
+from fractions import Fraction
 
 from posetspace import domain_theory as lib
 from posetspace.choquet_mf import ConditionRequirementViolation, PreconditionFailed
-from posetspace.constructions import INF
+from posetspace.constructions import INF, _set_key
 from posetspace.filters import enumerate_filters
 from posetspace.games import ConditionViolated, IllegalMove
 from posetspace.poset_core import AntisymmetryViolation, FinitePoset, PosetError, incompatible
+from posetspace.topology import PosetSpace
 
 
 def product_up_masks(factors) -> list:
@@ -774,3 +786,110 @@ def refinement_pool(conditions) -> list:
         for j, cj in enumerate(conditions)
         for x in members(ci.a & cj.a)
     ]
+
+
+def refinement_sample(conditions, k: int, rng: random.Random) -> list:
+    """The library's refinement sample, each draw found by scanning rows i, then columns j."""
+    sets = {}
+    for c in conditions:
+        sets[c.a] = sets.get(c.a, 0) + 1
+    width = {a: sum(n * (a & b).bit_count() for b, n in sets.items()) for a in sets}
+    total = sum(width[c.a] for c in conditions)
+    out = []
+    for t in rng.sample(range(total), min(k, total)):
+        for i, ci in enumerate(conditions):
+            if t < width[ci.a]:
+                break
+            t -= width[ci.a]
+        for j, cj in enumerate(conditions):
+            shared = ci.a & cj.a
+            if t < shared.bit_count():
+                break
+            t -= shared.bit_count()
+        out.append((i, j, list(members(shared))[t]))
+    return out
+
+
+def order_axioms(order):
+    """``(axioms_ok, generates, violations)`` of a subset order, walking its sorted pairs."""
+    space = order.space
+    dom = sorted(range(1 << len(space)), key=_set_key)
+    rel = sorted(order.rel)
+    violations = []
+    whole = space.whole_mask
+    if not order.holds(0, 0):
+        violations.append("the empty set is not related to itself")
+    if not order.holds(whole, whole):
+        violations.append("the whole space is not related to itself")
+    for v, w in rel:
+        if v & ~w:
+            violations.append(f"related pair is not nested: {space.set_str(v)} vs {space.set_str(w)}")
+    u = next((u for u in dom for v, w in rel if not u & ~v and not order.holds(u, w)), None)
+    if u is not None:
+        violations.append(f"shrinking the left side breaks the relation at {space.set_str(u)}")
+    u = next((u for v, w in rel for u in dom if not w & ~u and not order.holds(v, u)), None)
+    if u is not None:
+        violations.append(f"growing the right side breaks the relation at {space.set_str(u)}")
+    generates = True
+    for u in dom:
+        union = 0
+        for v in dom:
+            if order.holds(v, u):
+                union |= v
+        if union != space.interior(u):
+            generates = False
+            break
+    return not violations, generates, tuple(violations)
+
+
+def order_completeness(space, order):
+    """``(complete, meeting_filters)``: the set-filters by their cores, with the pairs tested one by one."""
+    subsets = sorted(range(1 << len(space)), key=_set_key)
+    meeting = 0
+    for core in subsets[1:]:
+        members_ = [u for u in subsets if not core & ~u]
+        meeting += all(any(order.holds(v, w) for v in members_) for w in members_)
+    return True, meeting
+
+
+def filters_meet_order(order, opens, mf_space) -> bool:
+    """Every maximal filter's family of opens has, for each member, a member related below it."""
+    return all(
+        all(any(order.holds(opens[v], opens[w]) for v in members(f.mask())) for w in members(f.mask()))
+        for f in mf_space.points
+    )
+
+
+def serialize_order(order) -> list:
+    """The ``rel`` lines of a subset order, its pairs sorted by their points."""
+    fmt = order.space.set_str
+    pairs = sorted(order.rel, key=lambda p: (tuple(members(p[0])), tuple(members(p[1]))))
+    return [f"rel {fmt(v)} {fmt(w)}".replace(", ", ",") for v, w in pairs]
+
+
+def order_rel_from_poset(poset) -> frozenset:
+    """The pairs ``order_from_poset`` relates, pair by pair over the subsets of MF(P)."""
+    mf = PosetSpace(poset, "mf")
+    subsets = sorted(range(1 << len(mf.points)), key=_set_key)
+    whole = (1 << len(mf.points)) - 1
+    n = len(poset)
+    lt_opens = [(mf.opens[p], mf.opens[q]) for p in range(n) for q in range(n) if p != q and poset.leq_idx(p, q)]
+    return frozenset(
+        (v, w) for v in subsets for w in subsets
+        if not v & ~w and (not v or w == whole or v.bit_count() == 1
+                           or any(not v & ~lower and not upper & ~w for lower, upper in lt_opens))
+    )
+
+
+def ball_refinements(balls, x, budget) -> list:
+    """Formal-ball refinements by ``Fraction`` arithmetic, every grid radius tried."""
+    a, r = balls.decode(x)
+    denom = min(balls.max_denom, 2 ** budget)
+    out = []
+    for b in sorted(balls.metric.points):
+        base = balls.metric.d(a, b)
+        for num in range(1, int(balls.max_radius * denom) + 1):
+            s = Fraction(num, denom)
+            if base + s < r:
+                out.append(balls.encode(b, s))
+    return out

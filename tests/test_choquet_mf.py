@@ -311,6 +311,30 @@ def test_refinement_sample_is_distinct_and_in_pool(d3):
     assert sorted(refinement_sample(conditions, len(pool) + 5, random.Random(0))) == pool
 
 
+@pytest.mark.parametrize("n, depth", [(2, 2), (3, 1)])
+def test_refinement_sample_matches_the_linear_scan(n, depth):
+    # the library bisects prefix sums; the oracle scans rows and columns, with the same draws
+    conditions = sorted(ConditionSystem(discrete(n)).enumerate_conditions(depth), key=Condition.key)
+    pool = len(oracles.refinement_pool(conditions))
+    for seed in range(10):
+        for k in (1, 40, 400, pool + 3):
+            want = oracles.refinement_sample(conditions, k, random.Random(seed))
+            assert refinement_sample(conditions, k, random.Random(seed)) == want, (seed, k)
+
+
+def test_refinement_sample_of_no_conditions_is_empty():
+    assert refinement_sample([], 40, random.Random(0)) == []
+
+
+def test_lt_tests_every_given_condition(d3):
+    conditions = sorted(ConditionSystem(d3).enumerate_conditions(1), key=Condition.key)
+    system = conditions[0].system
+    for c in conditions:
+        below = [d for d in conditions if system.lt(c, d)]
+        assert system.lt(c, *below) and system.lt(c)
+        assert not any(system.lt(c, *below, d) for d in conditions if d not in below)
+
+
 def test_shallow_depth_breaks_membership_equivalence(d2):
     # depth 0: the three root conditions are pairwise incomparable, and the
     # filter of the whole space keeps both points, so no filter sent to x

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from posetspace.catalog import all_topologies, posets_up_to, random_poset
@@ -305,11 +306,16 @@ def test_halving_chain_descends(two_points):
 def test_chain_separates_points(two_points):
     balls = formal_ball_poset(two_points, max_denom=64, max_radius=2)
     chain = point_chain(balls, "p0", 6)
-    half_min = two_points.min_positive_distance() / 2
+
+    def contains(code, point):
+        center, radius = balls.decode(code)
+        return two_points.d(center, point) < radius
+
+    half_min = two_points.d("p0", "p1") / 2
     deep = [c for c in chain.chain if balls.decode(c)[1] < half_min]
     assert deep
-    assert all(not balls.contains_point(c, "p1") for c in deep)
-    assert all(balls.contains_point(c, "p0") for c in chain.chain)
+    assert all(not contains(c, "p1") for c in deep)
+    assert all(contains(c, "p0") for c in chain.chain)
 
 
 def test_ball_membership_mod_grid(two_points):
@@ -356,6 +362,30 @@ def test_negative_ball_sizes_are_refused(two_points):
     with pytest.raises(PosetError, match="length must be at least 0"):
         point_chain(balls, "p0", -1)
     assert point_chain(balls, "p0", 0).chain == ("B(p0,2)",)
+
+
+# points on a rational line: distinct integer positions over one denominator,
+# which need not divide the grid's
+line_metrics = st.tuples(
+    st.lists(st.integers(0, 40), min_size=1, max_size=4, unique=True),
+    st.sampled_from([1, 2, 3, 4, 8]),
+).map(lambda drawn: RationalMetric(
+    [f"p{i}" for i in range(len(drawn[0]))],
+    {(f"p{i}", f"p{j}"): Fraction(abs(x - y), drawn[1])
+     for i, x in enumerate(drawn[0]) for j, y in enumerate(drawn[0]) if i < j},
+))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(line_metrics, st.sampled_from([1, 2, 4, 8, 16]),
+       st.sampled_from([1, 2, 4, Fraction(3, 2), Fraction(5, 4)]), st.integers(0, 3))
+def test_ball_refinements_match_the_fraction_loop(metric, max_denom, max_radius, budget):
+    # integer numerators against every grid radius tried with Fraction arithmetic
+    assume((max_radius * max_denom).denominator == 1)  # the roots lie on the grid
+    balls = formal_ball_poset(metric, max_denom=max_denom, max_radius=max_radius)
+    for root in balls.roots():
+        for x in [root, *balls.refinements(root, 1)[-1:]]:
+            assert balls.refinements(x, budget) == oracles.ball_refinements(balls, x, budget), (x, budget)
 
 
 def test_ball_incompatibility(two_points):

@@ -1,7 +1,9 @@
 import ast
 import contextlib
 import glob
+import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -249,12 +251,13 @@ def test_formalballs_bad_grid_exits_2(files, flags):
 @pytest.mark.parametrize("flags, refused", [
     (["--depth", "-1"], "error: chain length must be at least 0, got -1"),
     (["--budget", "-1"], "error: refinement budget must be at least 0, got -1"),
+    (["--depth", "6"], "error: grid too coarse for the requested chain length"),  # 4/64 is off k/8
 ])
 def test_formalballs_negative_sizes_exit_2(files, flags, refused):
+    # the refinements and the chain are built before any report line is printed
     code, out = run_cli(["formalballs", files["two.metric"], *flags])
     assert code == 2
-    assert out.splitlines()[-1] == refused
-    assert "at budget -1" not in out and "point-chain:" not in out
+    assert out == refused + "\n"
 
 
 @pytest.mark.parametrize("option, expected, want", [
@@ -449,6 +452,34 @@ def test_every_operation_reachable():
     assert spec_operations <= covered
     parser = cli.build_parser()
     assert set(cli.OPERATION_COVERAGE) == set(parser._subparsers._group_actions[0].choices)
+
+
+# --- the recorded cli-verbs reports ---------------------------------------------------
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+with open(os.path.join(REPO, "bench", "fixtures", "cli_expected.json"), encoding="utf-8") as _handle:
+    RECORDED = json.load(_handle)
+
+
+@pytest.mark.parametrize("label", sorted(RECORDED))
+def test_recorded_cli_reports_keep_their_digests(label, tmp_path, monkeypatch):
+    # the benchmark's record of every well-formed case: exit code and stdout sha256,
+    # run from the repository root as recorded; a written file goes to tmp_path, and
+    # its path is printed as recorded
+    monkeypatch.chdir(REPO)
+    argv = list(RECORDED[label]["argv"])
+    swaps = {}
+    if "-o" in argv:
+        k = argv.index("-o") + 1
+        swaps[str(tmp_path / os.path.basename(argv[k]))] = argv[k]
+        argv[k] = str(tmp_path / os.path.basename(argv[k]))
+    with contextlib.redirect_stderr(io.StringIO()):
+        code, out = run_cli(argv)
+    for written, recorded in swaps.items():
+        out = out.replace(written, recorded)
+    assert code == RECORDED[label]["exit"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == RECORDED[label]["sha256"]
 
 
 # --- one parser per process ---------------------------------------------------------

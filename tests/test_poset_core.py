@@ -7,6 +7,7 @@ import pytest
 import oracles
 from oracles import spot_check_generated
 from posetspace.catalog import all_topologies, labeled_posets, posets_up_to, random_poset
+from posetspace.constructions import RationalMetric, formal_ball_poset
 from posetspace.poset_core import (
     AntisymmetryViolation,
     BinaryTreePoset,
@@ -202,6 +203,20 @@ def test_binary_tree_provider_contract():
     assert tree.incompatible("00", "01") is True
     assert tree.incompatible("0", "01") is False
     assert tree.refinements("e", 1) == ["0", "1"]
+
+
+@pytest.mark.parametrize("provider", [
+    BinaryTreePoset(),
+    formal_ball_poset(RationalMetric(["p0", "p1"], {("p0", "p1"): 1}), max_denom=8, max_radius=2),
+], ids=["bintree", "formalballs"])
+def test_providers_refuse_a_negative_budget(provider):
+    # the provider contract: refinements(a, budget) raises PosetError for budget < 0
+    root = provider.roots()[0]
+    for budget in (-1, -5):
+        with pytest.raises(PosetError) as err:
+            provider.refinements(root, budget)
+        assert str(err.value) == f"refinement budget must be at least 0, got {budget}"
+    assert set(provider.refinements(root, 0)) <= set(provider.refinements(root, 1))
 
 
 def test_generators_refuse_sizes_they_cannot_name():

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from posetspace.catalog import all_topologies, posets_up_to
@@ -141,6 +142,87 @@ def test_order_from_poset_corpus():
         assert result.ok
 
 
+def reports(order):
+    """The axiom, generation and completeness reports and the serialization of an order."""
+    axioms = check_axioms_and_generation(order)
+    completeness = completeness_check(order.space, order)
+    return ((axioms.axioms_ok, axioms.generates, axioms.violations),
+            (completeness.complete, completeness.meeting_filters), order.serialize())
+
+
+def pair_reports(order):
+    """``reports`` computed from the frozenset of pairs."""
+    return (oracles.order_axioms(order), oracles.order_completeness(order.space, order),
+            oracles.serialize_order(order))
+
+
+def broken(order):
+    """The order with each axiom broken in turn: a pair dropped or added at both ends."""
+    whole, pairs = order.space.whole_mask, sorted(order.rel)
+    yield SubsetOrder(order.space, order.rel - {(0, 0)})
+    yield SubsetOrder(order.space, order.rel - {(whole, whole)})
+    yield SubsetOrder(order.space, order.rel - {pairs[len(pairs) // 2]})
+    yield SubsetOrder(order.space, order.rel | {(whole, 0)})
+    yield SubsetOrder(order.space, order.rel | {(0, whole), (whole, whole)} - {(whole, 0)})
+    yield SubsetOrder(order.space, frozenset())
+
+
+def test_row_masks_match_the_pair_oracles_on_every_small_topology():
+    spaces = 0
+    for n in range(5):
+        for space in all_topologies(n):
+            order = interval_order(space)
+            for o in (order, *broken(order)):
+                assert reports(o) == pair_reports(o), (space.name, sorted(o.rel))
+            spaces += 1
+    assert spaces == 1 + 389
+
+
+def test_row_masks_match_the_pair_oracles_on_broken_orders():
+    space = FiniteTopSpace.discrete(["x", "y"])
+    order = interval_order(space)
+    orders = [SubsetOrder(space, frozenset(p for p in order.rel if p != (0, 0))),
+              SubsetOrder(space, order.rel | {(0b01, 0b10), (0b11, 0b01)}),
+              SubsetOrder(space, frozenset((v, w) for v in range(4) for w in range(4)))]
+    orders += [o for p in condition_one_corpus() if len(PosetSpace(p, "mf").points) <= 3
+               for o in broken(order_from_poset(p).order)]
+    for o in orders:
+        assert reports(o) == pair_reports(o), sorted(o.rel)
+    assert {len(check_axioms_and_generation(o).violations) for o in orders} >= {1, 2, 3}
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+    st.integers(0, len(all_topologies(n)) - 1).map(lambda k: all_topologies(n)[k]),
+    st.frozensets(st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1)), max_size=40))))
+def test_row_masks_match_the_pair_oracles_on_drawn_relations(drawn):
+    space, rel = drawn
+    order = SubsetOrder(space, rel)
+    assert reports(order) == pair_reports(order)
+    grown = SubsetOrder(space, rel | interval_order(space).rel)
+    assert reports(grown) == pair_reports(grown)
+
+
+@pytest.mark.parametrize("pair", [(0, 4), (4, 4), (-1, 3), (3, -1)])
+def test_pairs_outside_the_space_are_refused(pair):
+    # a row mask per subset has no row for a set outside the space
+    space = FiniteTopSpace.discrete(["x", "y"])
+    order = SubsetOrder(space, interval_order(space).rel | {pair})
+    for check in (check_axioms_and_generation, lambda o: completeness_check(space, o), SubsetOrder.serialize):
+        with pytest.raises(PosetError, match="is not a pair of sets of discrete"):
+            check(order)
+
+
+def test_meet_test_matches_the_pair_oracle():
+    orders = [interval_order(FiniteTopSpace.discrete([f"x{i}" for i in range(n)])) for n in range(1, 5)]
+    orders += [order_from_poset(p).order for p in condition_one_corpus()]
+    for order in orders:
+        result = mf_poset_from_order(order.space, order)
+        opens = list(result.open_of.values())
+        assert result.maximal_filters_meet == oracles.filters_meet_order(order, opens, result.space)
+        assert result.maximal_filters_meet
+
+
 def test_order_from_poset_opens_match_oracle():
     # MF(P) is discrete, so its opens are every set of points; the oracle
     # takes the unions of basic opens over every element subset instead
@@ -154,6 +236,7 @@ def test_order_from_poset_opens_match_oracle():
                 order_from_poset(p)
             continue
         result = order_from_poset(p)
+        assert result.order.rel == oracles.order_rel_from_poset(p), p.pairs()
         opens = {oracles.point_set(o) for o in result.space.opens}
         assert opens == oracles.filter_space_opens(mf), p.pairs()
         checked += 1
