@@ -1,12 +1,13 @@
 """Command-line dispatch: parse inputs, run one operation, print a report.
 
-Reports are deterministic key/value or table lines, so identical
-invocations produce byte-identical output.  Exit codes: 0 for success or
-a verified property, 1 for a property-check failure (the witness is
-printed), 2 for usage or parse errors.
+Each verb returns its report as rows and a failure text and prints
+nothing; run() renders them.  A row prints as "key: value", with
+booleans as true/false, or as a plain line.  Exit 0: every check held.
+Exit 1: a property check failed, and the last line is "witness: ...".
+Exit 2: a usage, parse or input error, and its one error line is all
+that is printed.  A closed stdout ends the program by SIGPIPE where the
+platform has that signal, as it ends cat.
 """
-
-from __future__ import annotations
 
 import argparse
 import contextlib
@@ -37,160 +38,114 @@ def _elements_list(text):
     return [x for x in text.split(",") if x]
 
 
-def _cmd_filters(args, out):
+def _cmd_filters(args):
     poset = _load(args.file, FinitePoset)
     if args.upclose is not None:
         closed = filters.upward_closure(poset, _elements_list(args.upclose))
-        out(f"upward-closure: {{{', '.join(sorted(closed, key=poset.index))}}}")
-        return 0
+        return [("upward-closure", f"{{{', '.join(sorted(closed, key=poset.index))}}}")], ""
     if args.classify is not None:
         cls = filters.classify_filter(poset, _elements_list(args.classify))
-        out(f"is_filter: {str(cls.is_filter).lower()}")
-        out(f"is_unbounded: {str(cls.is_unbounded).lower()}")
-        out(f"is_maximal: {str(cls.is_maximal).lower()}")
-        return 0
+        return [("is_filter", cls.is_filter), ("is_unbounded", cls.is_unbounded),
+                ("is_maximal", cls.is_maximal)], ""
     if args.extend is not None:
         base = filters.Filter.of(poset, _elements_list(args.extend))
-        out(f"maximal-extension: {filters.extend_to_maximal(poset, base)}")
-        return 0
-    for f in filters.enumerate_filters(poset, args.kind):
-        out(f"filter: {f}")
-    return 0
+        return [("maximal-extension", filters.extend_to_maximal(poset, base))], ""
+    return [("filter", f) for f in filters.enumerate_filters(poset, args.kind)], ""
 
 
-def _cmd_space(args, out):
+def _cmd_space(args):
     if args.check == "subspace" and len(args.open or []) > 1:
         raise _Usage("--check subspace takes one --open")
     obj = parse_input_file(args.file)
     if isinstance(obj, FiniteTopSpace):
         result = constructions.precompact_open_poset(obj)
-        out(f"space: {obj.name}")
-        out(f"opens: {len(result.poset)}")
-        out(f"mf-points: {len(result.space.points)}")
-        out(f"hausdorff: {str(result.hausdorff).lower()}")
-        out(f"bijective: {str(result.bijective).lower()}")
-        out(f"opens-correspond: {str(result.opens_correspond).lower()}")
-        if not (result.bijective and result.opens_correspond):
-            out(f"witness: {result.failure}")
-            return 1
-        return 0
-    poset = obj
+        rows = [("space", obj.name), ("opens", len(result.poset)), ("mf-points", len(result.space.points)),
+                ("hausdorff", result.hausdorff), ("bijective", result.bijective),
+                ("opens-correspond", result.opens_correspond)]
+        return rows, result.failure
+    poset, failure = obj, ""
     space = topology.PosetSpace(poset, args.mode)
-    out(f"space: {args.mode}({poset.name})")
-    out(f"points: {len(space.points)}")
-    code = 0
+    rows = [("space", f"{args.mode}({poset.name})"), ("points", len(space.points))]
     if args.check in ("separation", "all"):
         rep = topology.separation_check(space)
-        out(f"T0: {str(rep.t0).lower()}")
-        out(f"T1: {str(rep.t1).lower()}")
-        out(f"uf_equals_mf: {str(rep.uf_equals_mf).lower()}")
+        rows += [("T0", rep.t0), ("T1", rep.t1), ("uf_equals_mf", rep.uf_equals_mf)]
     if args.check in ("opens", "all"):
-        for p in poset.elements:
-            out(f"basic-open {p}: {space.set_str(space.basic_open(p))}")
+        rows += [(f"basic-open {p}", space.set_str(space.basic_open(p))) for p in poset.elements]
     if args.check in ("reduce", "all"):
         seed = list(poset.elements) if args.seed_basis is None else _elements_list(args.seed_basis)
         result = topology.reduce_countable_subposet(poset, seed)
-        out(f"reduced-elements: {', '.join(result.kept)}")
-        out(f"stages: {result.stages}")
         rep = topology.restriction_homeomorphism_check(poset, result.subposet)
-        out(f"restriction-homeomorphism: {str(rep.ok).lower()}")
-        if not rep.ok:
-            out(f"witness: {rep.reason} ({rep.counterexample})")
-            code = 1
+        rows += [("reduced-elements", ", ".join(result.kept)), ("stages", result.stages),
+                 ("restriction-homeomorphism", rep.ok)]
+        failure = "" if rep.ok else f"{rep.reason} ({rep.counterexample})"
     if args.check == "subspace":
-        space_uf = topology.PosetSpace(poset, "uf")
-        u = space_uf.open_from_elements(_elements_list(args.open[0]) if args.open else [])
+        u = topology.PosetSpace(poset, "uf").open_from_elements(_elements_list((args.open or [""])[0]))
         result = constructions.open_subspace_uf(poset, u)
-        out(f"subspace-elements: {', '.join(result.kept) if result.kept else '(none)'}")
-        out(f"uf-points: {len(result.sub_space.points)}")
-        out(f"bijection: {str(result.ok).lower()}")
-        if not result.ok:
-            out(f"witness: {result.failure}")
-            code = 1
-    return code
+        rows += [("subspace-elements", ", ".join(result.kept) or "(none)"),
+                 ("uf-points", len(result.sub_space.points)), ("bijection", result.ok)]
+        failure = result.failure
+    return rows, failure
 
 
-def _cmd_product(args, out):
+def _cmd_product(args):
     factors = [_load(path, FinitePoset) for path in args.files]
     result = constructions.product_poset(factors)
-    out(f"product-elements: {len(result.poset)}")
-    for k, t in enumerate(result.adjoined_tops):
-        if t is not None:
-            out(f"adjoined-top {k}: {t}")
-    out(f"mf-points: {len(result.space.points)}")
-    sizes = " * ".join(str(len(sp.points)) for sp in result.factor_spaces)
-    out(f"factor-mf-points: {sizes}")
-    out(f"maps-verified: {str(result.ok).lower()}")
+    rows = [("product-elements", len(result.poset))]
+    rows += [(f"adjoined-top {k}", t) for k, t in enumerate(result.adjoined_tops) if t is not None]
+    rows += [("mf-points", len(result.space.points)),
+             ("factor-mf-points", " * ".join(str(len(sp.points)) for sp in result.factor_spaces)),
+             ("maps-verified", result.ok)]
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(poset_to_text(result.poset))
-        out(f"written: {args.output}")
-    if not result.ok:
-        out(f"witness: {result.failure}")
-        return 1
-    return 0
+        rows.append(("written", args.output))
+    return rows, result.failure
 
 
-def _cmd_gdelta(args, out):
+def _cmd_gdelta(args):
     poset = _load(args.file, FinitePoset)
     opens = [_elements_list(u) for u in args.open or []]
     if args.mode == "mf":
         result = constructions.gdelta_mf_poset(poset, opens)
-        out(f"stage-poset-elements: {len(result.poset)}")
-        out(f"stage-cap: {result.stage_cap}")
-        out(f"empty-intersection: {str(result.empty_intersection).lower()}")
-        out(f"intersection-points: {len(result.intersection)}")
-        out(f"stage-mf-points: {len(result.stage_space.points)}")
-        out(f"bijection: {str(result.ok).lower()}")
-        if not result.ok:
-            out(f"witness: {result.failure}")
-            return 1
-        return 0
+        rows = [("stage-poset-elements", len(result.poset)), ("stage-cap", result.stage_cap),
+                ("empty-intersection", result.empty_intersection),
+                ("intersection-points", len(result.intersection)),
+                ("stage-mf-points", len(result.stage_space.points)), ("bijection", result.ok)]
+        return rows, result.failure
     result = constructions.gdelta_uf_poset(poset, opens)
-    out(f"carrier: {', '.join(result.carrier) if result.carrier else '(none)'}")
-    ranks = ", ".join(
-        f"{p}={'inf' if result.ranks[p] == constructions.INF else result.ranks[p]}"
-        for p in result.carrier
-    )
-    out(f"ranks: {ranks if ranks else '(none)'}")
-    for c in sorted(result.claims):
-        out(f"claim-{c}: {str(result.claims[c]).lower()}")
-    out(f"bijection: {str(result.ok).lower()}")
-    if not result.ok:
-        out(f"witness: {result.failure}")
-        return 1
-    return 0
+    inf = constructions.INF
+    ranks = ", ".join(f"{p}={'inf' if result.ranks[p] == inf else result.ranks[p]}" for p in result.carrier)
+    rows = [("carrier", ", ".join(result.carrier) or "(none)"), ("ranks", ranks or "(none)")]
+    rows += [(f"claim-{c}", result.claims[c]) for c in sorted(result.claims)]
+    rows.append(("bijection", result.ok))
+    return rows, result.failure
 
 
-def _cmd_formalballs(args, out):
+def _cmd_formalballs(args):
     metric = _load(args.file, RationalMetric)
     if not metric.points:
         raise PosetError(f"metric {metric.name} has no point to start the point chain from")
     balls = constructions.formal_ball_poset(metric, args.max_denom, args.max_radius)
-    found = {root: balls.refinements(root, args.budget) for root in balls.roots()}  # refusals print alone
+    rows = [("metric", metric.name), ("grid", f"k/{args.max_denom} up to {balls.max_radius}")]
+    for root in balls.roots():
+        refs = balls.refinements(root, args.budget)
+        rows.append((f"root {root}", f"{len(refs)} refinements at budget {args.budget}"))
+        rows += [f"  {r}" for r in refs[:5]]
     chain = constructions.point_chain(balls, sorted(metric.points)[0], args.depth)
-    out(f"metric: {metric.name}")
-    out(f"grid: k/{args.max_denom} up to {balls.max_radius}")
-    for root, refs in found.items():
-        out(f"root {root}: {len(refs)} refinements at budget {args.budget}")
-        for r in refs[:5]:
-            out(f"  {r}")
-    out(f"point-chain: {' > '.join(chain.chain)}")
-    return 0
+    rows.append(("point-chain", " > ".join(chain.chain)))
+    return rows, ""
 
 
-def _cmd_stargame(args, out):
+def _cmd_stargame(args):
     poset = _load(args.file, FinitePoset)
     solution = games.star_game_solve(poset)
-    out(f"winner: {solution.winner}")
-    out(f"core: {{{', '.join(sorted(solution.fixed_point, key=poset.index))}}}")
-    out(f"iterations: {solution.iterations}")
-    out(f"strategy: {solution.strategy.name}")
-    out("table: every pick wins; player I cannot sustain the conditions")
-    return 0
+    return [("winner", solution.winner),
+            ("core", f"{{{', '.join(sorted(solution.fixed_point, key=poset.index))}}}"),
+            ("iterations", solution.iterations), ("strategy", solution.strategy.name),
+            ("table", "every pick wins; player I cannot sustain the conditions")], ""
 
 
-def _cmd_stargame_play(args, out):
+def _cmd_stargame_play(args):
     if args.poset != "bintree":
         raise _Usage("only the built-in 'bintree' generated poset is available")
     tree = BinaryTreePoset()
@@ -198,122 +153,95 @@ def _cmd_stargame_play(args, out):
     if any(b not in (0, 1) for b in bits):
         raise _Usage("--f must be a string of 0s and 1s")
     play = games.star_game_referee(tree, games.splitting_strategy(tree), bits, args.rounds)
-    for line in play.log_lines():
-        out(line)
-    out(f"chain: {' > '.join(play.chain.chain)}")
-    return 0
+    return play.log_lines() + [("chain", " > ".join(play.chain.chain))], ""
 
 
-def _cmd_choquet(args, out):
+def _cmd_choquet(args):
     poset = _load(args.file, FinitePoset)
     space = topology.PosetSpace(poset, args.mode)
-    transcript = games.choquet_referee(
-        space,
-        games.scripted_random_choquet_i(args.seed),
-        games.canonical_choquet_strategy(space),
-        args.rounds,
-    )
-    for line in transcript.log_lines():
-        out(line)
-    return 0 if transcript.winner_at_horizon == "II" else 1
+    transcript = games.choquet_referee(space, games.scripted_random_choquet_i(args.seed),
+                                       games.canonical_choquet_strategy(space), args.rounds)
+    failure = transcript.illegal or "II's answers have an empty intersection"
+    return transcript.log_lines(), "" if transcript.winner_at_horizon == "II" else str(failure)
 
 
-def _cmd_mf_characterize(args, out):
+def _cmd_mf_characterize(args):
     space = _load(args.file, FiniteTopSpace)
     report = choquet_mf.mf_characterization_check(space, args.depth, seed=args.seed)
-    out(f"conditions: {report.condition_count}")
-    out(f"maximal-filters: {report.filter_count}")
-    out(f"depth-too-small: {len(report.depth_too_small)}")
-    out(f"refinements-checked: {report.refinements_checked}")
-    out(f"refinements-ok: {str(report.refinements_ok).lower()}")
-    out(f"bijection: {str(report.bijection).lower()}")
-    for k in sorted(report.phi):
-        out(f"phi {k}: {space.points[report.phi[k]]}")
-    if not (report.bijection and report.refinements_ok):
-        out(f"witness: {report.failure or 'a sampled refinement failed'}")
-        return 1
-    return 0
+    rows = [("conditions", report.condition_count), ("maximal-filters", report.filter_count),
+            ("depth-too-small", len(report.depth_too_small)),
+            ("refinements-checked", report.refinements_checked),
+            ("refinements-ok", report.refinements_ok), ("bijection", report.bijection)]
+    rows += [(f"phi {k}", space.points[report.phi[k]]) for k in sorted(report.phi)]
+    ok = report.bijection and report.refinements_ok
+    return rows, "" if ok else report.failure or "a sampled refinement failed"
 
 
-def _cmd_domain(args, out):
+def _cmd_domain(args):
     poset = _load(args.file, FinitePoset)
     if args.check == "ideal":
-        completion = domain_theory.ideal_completion(poset)
-        out(f"ideals: {len(completion.dcpo.poset)}")
-        out(f"maximal: {', '.join(completion.dcpo.maximal_elements())}")
-        return 0
+        dcpo = domain_theory.ideal_completion(poset).dcpo
+        return [("ideals", len(dcpo.poset)), ("maximal", ", ".join(dcpo.maximal_elements()))], ""
     completion = domain_theory.filter_completion(poset)
-    out(f"filters: {len(completion.dcpo.poset)}")
-    out(f"compact-equals-principal: {str(completion.compact_matches_principal).lower()}")
     cls = domain_theory.dcpo_classify(completion.dcpo)
-    out(f"continuous: {str(cls.is_continuous).lower()}")
-    out(f"algebraic: {str(cls.is_algebraic).lower()}")
     report = domain_theory.scott_max_homeomorphism_check(poset)
-    for p, match in report.table:
-        out(f"correspondence {p}: {match}")
-    out(f"scott-topology-matches: {str(report.ok).lower()}")
-    if not (report.ok and completion.compact_matches_principal):
-        out(f"witness: {report.detail or 'compact elements differ from principal filters'}")
-        return 1
-    return 0
+    rows = [("filters", len(completion.dcpo.poset)),
+            ("compact-equals-principal", completion.compact_matches_principal),
+            ("continuous", cls.is_continuous), ("algebraic", cls.is_algebraic)]
+    rows += [(f"correspondence {p}", match) for p, match in report.table]
+    rows.append(("scott-topology-matches", report.ok))
+    ok = report.ok and completion.compact_matches_principal
+    return rows, "" if ok else report.detail or "compact elements differ from principal filters"
 
 
-def _cmd_topo_order(args, out):
-    code = 0
-    if args.construct == "interval":
+def _order_failure(axioms, complete):
+    """The first reason a subset order fails its checks, or "" when it passes them."""
+    if axioms.violations:
+        return axioms.violations[0]
+    if not axioms.generates:
+        return "the order does not generate the topology"
+    return "" if complete else "a set-filter meeting the order has no common point"
+
+
+def _cmd_topo_order(args):
+    if args.construct == "from-poset":
+        result = semi_topogenous.order_from_poset(_load(args.file, FinitePoset))
+        order, axioms, comp, note = result.order, result.axioms, result.completeness, ()
+    else:
         space = _load(args.file, FiniteTopSpace)
         order = semi_topogenous.interval_order(space)
-        rep = semi_topogenous.check_axioms_and_generation(order)
-        out(f"relation-pairs: {len(order.rel)}")
-        out(f"axioms: {str(rep.axioms_ok).lower()}")
-        out(f"generates: {str(rep.generates).lower()}")
+        axioms = semi_topogenous.check_axioms_and_generation(order)
         comp = semi_topogenous.completeness_check(space, order)
-        out(f"complete: {str(comp.complete).lower()} ({comp.meeting_filters} meeting filters)")
-        if args.check == "all" and space.is_t1():
-            result = semi_topogenous.mf_poset_from_order(space, order)
-            out(f"mf-bijection: {str(result.bijective and result.membership_equivalence).lower()}")
-            if not (result.bijective and result.membership_equivalence):
-                out(f"witness: {result.failure}")
-                code = 1
-        if not (rep.axioms_ok and rep.generates and comp.complete):
-            code = 1
-        if args.serialize:
-            for line in order.serialize():
-                out(line)
-        return code
-    poset = _load(args.file, FinitePoset)
-    result = semi_topogenous.order_from_poset(poset)
-    out(f"relation-pairs: {len(result.order.rel)}")
-    out(f"axioms: {str(result.axioms.axioms_ok).lower()}")
-    out(f"generates: {str(result.axioms.generates).lower()}")
-    out(f"complete: {str(result.completeness.complete).lower()}")
+        note = (f"({comp.meeting_filters} meeting filters)",)
+    rows = [("relation-pairs", len(order.rel)), ("axioms", axioms.axioms_ok),
+            ("generates", axioms.generates), ("complete", comp.complete, *note)]
+    failure = _order_failure(axioms, comp.complete)
+    if args.construct == "interval" and args.check == "all" and space.is_t1():
+        result = semi_topogenous.mf_poset_from_order(space, order)
+        rows.append(("mf-bijection", result.bijective and result.membership_equivalence))
+        failure = failure or result.failure
     if args.serialize:
-        for line in result.order.serialize():
-            out(line)
-    return 0 if result.ok else 1
+        rows += order.serialize()
+    return rows, failure
 
 
-def _cmd_baire(args, out):
+def _cmd_baire(args):
     poset = _load(args.file, FinitePoset)
     if not len(poset):
         raise _Usage(f"poset {poset.name} has no elements; the game needs one to start from")
-    dense_sets = [frozenset(_elements_list(d)) for d in args.dense or []]
-    if not dense_sets:
-        dense_sets = [frozenset(poset.minimals())]
+    dense_sets = [frozenset(_elements_list(d)) for d in args.dense or []] or [frozenset(poset.minimals())]
     for i, d in enumerate(dense_sets):
         if not games.is_dense_elements(poset, d):
             raise _Usage(f"--dense set {i} is not dense")
     selectors = [games.element_set_selector(poset, d) for d in dense_sets]
-    start = args.start or poset.elements[0]
-    play = games.baire_generic_filter(poset, selectors, start, args.rounds)
-    out(f"chain: {' > '.join(play.chain)}")
+    play = games.baire_generic_filter(poset, selectors, args.start or poset.elements[0], args.rounds)
     landing = games.landing_filter(poset, play)
-    out(f"maximal-filter: {landing}")
     space = topology.PosetSpace(poset, "mf")
     idx = space.point_index(landing)
-    hits = all(idx in space.open_from_elements(d) for d in dense_sets)
-    out(f"lands-in-every-open: {str(hits).lower()}")
-    return 0 if hits else 1
+    miss = next((i for i, d in enumerate(dense_sets) if idx not in space.open_from_elements(d)), None)
+    rows = [("chain", " > ".join(play.chain)), ("maximal-filter", landing),
+            ("lands-in-every-open", miss is None)]
+    return rows, "" if miss is None else f"dense set {miss} misses the maximal filter"
 
 
 # every public module operation, grouped by the verb that drives it
@@ -427,34 +355,44 @@ def build_parser():
     return parser
 
 
+def _line(row) -> str:
+    """A plain string as it is; ``(key, *values)`` as ``key: value ...``, booleans lowercased."""
+    if isinstance(row, str):
+        return row
+    key, *values = row
+    return f"{key}: " + " ".join(str(v).lower() if isinstance(v, bool) else f"{v}" for v in values)
+
+
 def run(argv=None, stdout=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
-
-    def out(line):
-        print(line, file=stdout)
-
     try:
         with contextlib.redirect_stdout(stdout):  # --help reaches the caller's stream
             args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.run(args, out)
+        rows, failure = args.run(args)
     except _Usage as exc:
-        out(f"usage error: {exc}")
-        return 2
+        error = f"usage error: {exc}"
     except ParseError as exc:
-        out(f"parse error: {exc}")
-        return 2
+        error = f"parse error: {exc}"
     except FileNotFoundError as exc:
-        out(f"cannot read {exc.filename}")
-        return 2
+        error = f"cannot read {exc.filename}"
     except PosetError as exc:
-        out(f"error: {exc}")
-        return 2
+        error = f"error: {exc}"
+    else:
+        if failure:
+            rows.append(("witness", failure))
+        stdout.write("".join(_line(row) + "\n" for row in rows))
+        return 1 if failure else 0
+    print(error, file=stdout)
+    return 2
 
 
 def main():
+    import signal  # imported here, so that importing this module loads nothing new
+    if hasattr(signal, "SIGPIPE"):  # a closed stdout ends the run as it ends cat, not as a failed check
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
 
 

@@ -599,12 +599,13 @@ class FormalBallPoset:
     """Formal balls B(a, r) on a rational metric, ordered by strict containment.
 
     Radii live on the dyadic grid k / max_denom with 0 < r <= max_radius;
-    max_denom must be a power of two.  A ball lies strictly below another
-    when the distance between the centers plus the smaller radius is less
-    than the larger radius.  A budget caps the radius denominator at 2 to
-    the budget, so refinement lists grow toward the whole grid below a
-    ball.  They are integer numerators k up to one bound per center, and
-    the code of k / denom is printed reduced, as str(Fraction) prints it.
+    max_denom must be a power of two, and max_radius must lie on the grid.
+    A ball lies strictly below another when the distance between the
+    centers plus the smaller radius is less than the larger radius.  A
+    budget caps the radius denominator at 2 to the budget, so refinement
+    lists grow toward the whole grid below a ball.  They are integer
+    numerators k up to one bound per center, and the code of k / denom is
+    printed reduced, as str(Fraction) prints it.
     """
 
     def __init__(self, metric: RationalMetric, max_denom: int = 8, max_radius=2):
@@ -615,6 +616,8 @@ class FormalBallPoset:
         self.max_radius = Fraction(max_radius)
         if self.max_radius <= 0:
             raise BadBallGrid("max_radius must be positive")
+        if max_denom % self.max_radius.denominator:
+            raise BadBallGrid(f"max_radius {self.max_radius} is off the grid k/{max_denom}")
 
     def encode(self, center, radius) -> str:
         return f"B({center},{Fraction(radius)})"

@@ -39,6 +39,7 @@ def parse_poset_text(text) -> FinitePoset:
     """
     name = None
     elems = []
+    seen = set()
     pairs = []
     strict = None
     for line_no, fields in _records(text):
@@ -52,9 +53,10 @@ def parse_poset_text(text) -> FinitePoset:
         elif kind == "elem":
             if len(fields) != 2:
                 raise ParseError(line_no, "expected: elem <id>")
-            if fields[1] in set(e for e, _ in elems):
+            if fields[1] in seen:
                 raise ParseError(line_no, f"duplicate element {fields[1]!r}")
-            elems.append((fields[1], line_no))
+            seen.add(fields[1])
+            elems.append(fields[1])
         elif kind in ("le", "lt"):
             if len(fields) != 3:
                 raise ParseError(line_no, f"expected: {kind} <a> <b>")
@@ -67,19 +69,18 @@ def parse_poset_text(text) -> FinitePoset:
             raise ParseError(line_no, f"unknown directive {kind!r}")
     if name is None:
         raise ParseError(None, "missing poset header")
-    known = {e for e, _ in elems}
     for (a, b), line_no in pairs:
         for x in (a, b):
-            if x not in known:
+            if x not in seen:
                 raise ParseError(line_no, f"relation mentions undeclared element {x!r}")
     build = strict_to_poset if strict else validate_poset
     try:
-        return build([e for e, _ in elems], [p for p, _ in pairs], name)
+        return build(elems, [p for p, _ in pairs], name)
     except (AntisymmetryViolation, IrreflexivityViolation):
         # replay the pairs one at a time to pin the offending line
         for upto in range(1, len(pairs) + 1):
             try:
-                build([e for e, _ in elems], [p for p, _ in pairs[:upto]], name)
+                build(elems, [p for p, _ in pairs[:upto]], name)
             except (AntisymmetryViolation, IrreflexivityViolation) as err:
                 raise ParseError(pairs[upto - 1][1], str(err)) from None
         raise

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 import oracles
 from posetspace.catalog import all_topologies, posets_up_to, random_poset
 from posetspace.constructions import (
+    BadBallGrid,
     EmptyFactorList,
     FiniteTopSpace,
     INF,
@@ -386,6 +387,15 @@ def test_ball_refinements_match_the_fraction_loop(metric, max_denom, max_radius,
     for root in balls.roots():
         for x in [root, *balls.refinements(root, 1)[-1:]]:
             assert balls.refinements(x, budget) == oracles.ball_refinements(balls, x, budget), (x, budget)
+
+
+@pytest.mark.parametrize("max_denom, max_radius", [(1, Fraction(3, 2)), (8, Fraction(1, 16)), (4, Fraction(7, 3))])
+def test_off_grid_max_radius_is_refused(two_points, max_denom, max_radius):
+    # roots are balls of radius max_radius, which decode would refuse off the grid
+    with pytest.raises(BadBallGrid, match="off the grid"):
+        formal_ball_poset(two_points, max_denom=max_denom, max_radius=max_radius)
+    balls = formal_ball_poset(two_points, max_denom=2, max_radius=Fraction(3, 2))  # on the grid k/2
+    assert [balls.decode(root) for root in balls.roots()] == [("p0", Fraction(3, 2)), ("p1", Fraction(3, 2))]
 
 
 def test_ball_incompatibility(two_points):

@@ -24,7 +24,9 @@ from posetspace.files import (
     poset_to_text,
 )
 from posetspace.filters import Filter, NotAFilter
+from posetspace.games import IllegalMove
 from posetspace.poset_core import FinitePoset
+from posetspace.semi_topogenous import AxiomReport
 from posetspace.topology import NotABasis, reduce_countable_subposet
 
 
@@ -74,6 +76,11 @@ def test_parse_poset_undeclared_element():
     with pytest.raises(ParseError) as err:
         parse_poset_text("poset t\nelem x\nle x z\n")
     assert err.value.line_no == 3
+
+
+def test_parse_poset_duplicate_element_line():
+    with pytest.raises(ParseError, match=r"^line 4: duplicate element 'a'$"):
+        parse_poset_text("poset t\nelem a\nelem b\nelem a\nle a b\n")
 
 
 def test_parse_poset_antisymmetry_line():
@@ -575,3 +582,141 @@ def test_subspace_check_refuses_two_opens(files):
     code, out = run_cli(argv + ["--open", "b"])
     assert code == 2 and out.startswith("usage error: ") and "--open" in out
     assert run_cli(argv)[0] == 0
+
+
+# --- the report contract: witness last on exit 1, one error line on exit 2 -------------
+
+
+def _forced(**fields):
+    """Wrap a library call so that its result record comes back with these fields."""
+    return lambda real: lambda *args, **kwargs: real(*args, **kwargs)._replace(**fields)
+
+
+def _transcript(change):
+    """Wrap the Choquet referee so that ``change`` edits the transcript it returns."""
+    def wrap(real):
+        def play(*args):
+            transcript = real(*args)
+            change(transcript)
+            return transcript
+        return play
+    return wrap
+
+
+def _ii_illegal(transcript):
+    transcript.illegal = IllegalMove("II", 0, "forced")
+
+
+def _ii_empty(transcript):
+    transcript.rounds[-1] = transcript.rounds[-1]._replace(open_ii=0)
+
+
+# label: (argv, patched object, attribute, wrapper of the real attribute, witness); a
+# failure that no real input reaches is forced by patching the library call's result
+FAILING_REPORTS = {
+    "space-file": (["space", "{sierp}"], None, None, None, "point map is not surjective"),
+    "space-reduce": (["space", "{v}", "--check", "reduce"], cli.topology, "restriction_homeomorphism_check",
+                     _forced(ok=False, reason="forced", counterexample="c"), "forced (c)"),
+    "space-subspace": (["space", "{v}", "--mode", "uf", "--check", "subspace", "--open", "a"],
+                       cli.constructions, "open_subspace_uf", _forced(ok=False, failure="forced"), "forced"),
+    "product": (["product", "{v}", "{chain2}"], cli.constructions, "product_poset",
+                _forced(ok=False, failure="forced"), "forced"),
+    "gdelta-mf": (["gdelta", "{v}", "--open", "a"], cli.constructions, "gdelta_mf_poset",
+                  _forced(ok=False, failure="forced"), "forced"),
+    "gdelta-uf": (["gdelta", "{v}", "--mode", "uf", "--open", "a"], cli.constructions, "gdelta_uf_poset",
+                  _forced(ok=False, failure="forced"), "forced"),
+    "mf-characterize": (["mf-characterize", "{d2}", "--depth", "0"], None, None, None,
+                        "some maximal filter keeps more than one point"),
+    "domain": (["domain", "{v}"], cli.domain_theory, "scott_max_homeomorphism_check",
+               _forced(ok=False, detail="forced"), "forced"),
+    "choquet-illegal": (["choquet", "{v}", "--rounds", "3"], cli.games, "choquet_referee",
+                        _transcript(_ii_illegal), "illegal move by II in round 0: forced"),
+    "choquet-empty": (["choquet", "{v}", "--rounds", "3"], cli.games, "choquet_referee",
+                      _transcript(_ii_empty), "II's answers have an empty intersection"),
+    "baire": (["baire", "{v}", "--dense", "a,b", "--dense", "a,b"], cli.topology.PosetSpace,
+              "open_from_elements", lambda real: lambda self, elements: frozenset(),
+              "dense set 0 misses the maximal filter"),
+    "topo-order-axioms": (["topo-order", "{d2}", "--check", "axioms"], cli.semi_topogenous,
+                          "check_axioms_and_generation", lambda real: lambda order: AxiomReport(
+                              False, True, ("forced violation", "second violation")), "forced violation"),
+    # generation alone fails: no violation text, and still exit 1
+    "topo-order-generation": (["topo-order", "{d2}", "--check", "axioms"], cli.semi_topogenous,
+                              "check_axioms_and_generation", lambda real: lambda order: AxiomReport(True, False, ()),
+                              "the order does not generate the topology"),
+    "topo-order-mf": (["topo-order", "{d2}", "--serialize"], cli.semi_topogenous, "mf_poset_from_order",
+                      _forced(membership_equivalence=False, failure="forced"), "forced"),
+    "topo-order-from-poset": (["topo-order", "{v}", "--construct", "from-poset", "--serialize"],
+                              cli.semi_topogenous, "order_from_poset",
+                              _forced(axioms=AxiomReport(True, False, ()), ok=False),
+                              "the order does not generate the topology"),
+}
+
+
+def contract_paths(files, tmp_path):
+    sierp = tmp_path / "sierp.space"
+    sierp.write_text("space sierpinski\npoint x\npoint y\nopen U x\nopen W x y\n")
+    return {"v": files["v.poset"], "chain2": files["chain2.poset"], "d2": files["d2.space"],
+            "sierp": str(sierp), "tree7": os.path.join(REPO, "bench", "fixtures", "tree7.poset")}
+
+
+def test_every_checking_verb_has_a_failing_report():
+    unchecked = {"filters", "formalballs", "stargame", "stargame-play"}
+    assert {argv[0] for argv, *_ in FAILING_REPORTS.values()} == set(cli.OPERATION_COVERAGE) - unchecked
+
+
+@pytest.mark.parametrize("label", sorted(FAILING_REPORTS))
+def test_failed_check_ends_in_its_witness(label, files, tmp_path, monkeypatch):
+    argv, target, attr, wrap, witness = FAILING_REPORTS[label]
+    if target is not None:
+        monkeypatch.setattr(target, attr, wrap(getattr(target, attr)))
+    code, out = run_cli([arg.format(**contract_paths(files, tmp_path)) for arg in argv])
+    lines = out.splitlines()
+    assert (code, lines[-1]) == (1, f"witness: {witness}")
+    assert not [line for line in lines[:-1] if line.startswith("witness:")]
+    if "--serialize" in argv:  # the rel lines are report rows too: the witness follows them
+        assert lines[-2].startswith("rel ")
+
+
+def test_passing_reports_have_no_witness(files, tmp_path):
+    for argv in readme_argvs(files, tmp_path):
+        code, out = run_cli(argv)
+        assert code == 0 and "witness:" not in out, argv
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["space", "{tree7}", "--check", "reduce", "--seed-basis", "r"],
+     "error: seed basis has no member around point {r, l, ll} inside the basic open of 'l'"),
+    (["space", "{v}", "--check", "all", "--seed-basis", "zz"], "error: unknown element 'zz'"),
+])
+def test_error_partway_prints_only_the_error_line(argv, error, files, tmp_path):
+    code, out = run_cli([arg.format(**contract_paths(files, tmp_path)) for arg in argv])
+    assert (code, out) == (2, error + "\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["filters", "{v}", "--kind", "all"],
+    ["topo-order", "{tree7}", "--construct", "from-poset", "--serialize"],
+])
+def test_closed_stdout_is_not_a_failed_check(argv, files, tmp_path):
+    # exit 1 means only that a property check failed; a reader that goes away ends the
+    # run as it ends cat, without a traceback
+    src = os.path.dirname(os.path.dirname(posetspace.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [arg.format(**contract_paths(files, tmp_path)) for arg in argv]
+    proc = subprocess.Popen([sys.executable, "-m", "posetspace.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) not in (0, 1)
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def test_importing_the_cli_loads_no_signal_module():
+    code = "import sys; import posetspace.cli; print('signal' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(posetspace.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    base = subprocess.run([sys.executable, "-c", "import sys; print('signal' in sys.modules)"],
+                          capture_output=True, text=True, env=env, timeout=60).stdout
+    assert subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60).stdout == base
