@@ -24,6 +24,10 @@ class _Usage(Exception):
     pass
 
 
+class _CannotWrite(Exception):
+    pass
+
+
 def _load(path, want):
     obj = parse_input_file(path)
     names = {FinitePoset: "poset", RationalMetric: "metric", FiniteTopSpace: "space"}
@@ -96,8 +100,11 @@ def _cmd_product(args):
              ("factor-mf-points", " * ".join(str(len(sp.points)) for sp in result.factor_spaces)),
              ("maps-verified", result.ok)]
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(poset_to_text(result.poset))
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(poset_to_text(result.poset))
+        except OSError:
+            raise _CannotWrite(args.output) from None
         rows.append(("written", args.output))
     return rows, result.failure
 
@@ -149,9 +156,9 @@ def _cmd_stargame_play(args):
     if args.poset != "bintree":
         raise _Usage("only the built-in 'bintree' generated poset is available")
     tree = BinaryTreePoset()
-    bits = [int(b) for b in args.f]
-    if any(b not in (0, 1) for b in bits):
+    if set(args.f) - {"0", "1"}:
         raise _Usage("--f must be a string of 0s and 1s")
+    bits = [int(b) for b in args.f]
     play = games.star_game_referee(tree, games.splitting_strategy(tree), bits, args.rounds)
     return play.log_lines() + [("chain", " > ".join(play.chain.chain))], ""
 
@@ -194,13 +201,11 @@ def _cmd_domain(args):
     return rows, "" if ok else report.detail or "compact elements differ from principal filters"
 
 
-def _order_failure(axioms, complete):
-    """The first reason a subset order fails its checks, or "" when it passes them."""
+def _order_failure(axioms):
+    """The first axiom or generation failure of a subset order, or "": every order is complete."""
     if axioms.violations:
         return axioms.violations[0]
-    if not axioms.generates:
-        return "the order does not generate the topology"
-    return "" if complete else "a set-filter meeting the order has no common point"
+    return "" if axioms.generates else "the order does not generate the topology"
 
 
 def _cmd_topo_order(args):
@@ -215,7 +220,7 @@ def _cmd_topo_order(args):
         note = (f"({comp.meeting_filters} meeting filters)",)
     rows = [("relation-pairs", len(order.rel)), ("axioms", axioms.axioms_ok),
             ("generates", axioms.generates), ("complete", comp.complete, *note)]
-    failure = _order_failure(axioms, comp.complete)
+    failure = _order_failure(axioms)
     if args.construct == "interval" and args.check == "all" and space.is_t1():
         result = semi_topogenous.mf_poset_from_order(space, order)
         rows.append(("mf-bijection", result.bijective and result.membership_equivalence))
@@ -376,8 +381,10 @@ def run(argv=None, stdout=None) -> int:
         error = f"usage error: {exc}"
     except ParseError as exc:
         error = f"parse error: {exc}"
-    except FileNotFoundError as exc:
+    except OSError as exc:
         error = f"cannot read {exc.filename}"
+    except _CannotWrite as exc:
+        error = f"cannot write {exc}"
     except PosetError as exc:
         error = f"error: {exc}"
     else:

@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .poset_core import FinitePoset, PosetError, _bits, check_element_id
-from .filters import ChainFilter, enumerate_filters, is_directed, is_upward_closed
-from .topology import PosetSpace, verify_correspondence
+from .filters import ChainFilter, bounded, enumerate_filters, filter_generator
+from .topology import PosetSpace, verify_correspondence, verify_restriction
 
 
 class EmptyFactorList(PosetError):
@@ -402,18 +402,10 @@ def open_subspace_uf(poset: FinitePoset, open_points) -> OpenSubspaceResult:
         raise NotOpen(f"{stray[0]!r} is not a point of {space!r}")
     u_mask = sum(1 << i for i in u)
     kept_mask = sum(1 << e for e, np in enumerate(space.opens) if not np & ~u_mask)
-    at = list(_bits(kept_mask))  # the index in P of each kept element
     kept = poset.names_of(kept_mask)
     sub = poset.restrict(kept, name=f"{poset.name}|open")
     sub_space = PosetSpace(sub, "uf")
-    sub_of = {poset.up_mask(at[g]) & kept_mask: j for j, g in enumerate(sub_space.generators)}
-    mapping = {i: sub_of.get(space.points[i].mask() & kept_mask) for i in sorted(u)}
-    check = verify_correspondence(
-        sorted(u),
-        len(sub_space),
-        mapping,
-        [(r, space.opens[i], sub_space.opens[k]) for k, (r, i) in enumerate(zip(kept, at))],
-    )
+    check, mapping = verify_restriction(space, sub_space, list(_bits(kept_mask)), sorted(u))
     return OpenSubspaceResult(sub, kept, space, sub_space, mapping, check.ok, check.failure)
 
 
@@ -431,18 +423,6 @@ class GdeltaUfResult(NamedTuple):
     failure: str = ""
 
 
-def _is_filter_mask(poset: FinitePoset, mask: int) -> bool:
-    return is_directed(poset, mask) and is_upward_closed(poset, mask)
-
-
-def _bounded(poset: FinitePoset, mask: int) -> bool:
-    """Some element outside the set lies below every member, hence strictly below."""
-    below = (1 << len(poset)) - 1
-    for q in _bits(mask):
-        below &= poset.down_mask(q)
-    return below & ~mask != 0
-
-
 def gdelta_uf_poset(poset: FinitePoset, opens) -> GdeltaUfResult:
     """Rank-refined subposet for a descending intersection of UF opens.
 
@@ -453,7 +433,7 @@ def gdelta_uf_poset(poset: FinitePoset, opens) -> GdeltaUfResult:
     open sits inside the whole intersection (the finite list is read as
     eventually constant).  The refined strict order descends in P while
     the rank strictly rises, except between two elements of infinite
-    rank, which keep the order of P.  The report checks, by enumeration:
+    rank, which keep the order of P.  The report checks:
 
     1. every unbounded filter of P inside the intersection is an
        unbounded filter of the refined subposet;
@@ -464,7 +444,8 @@ def gdelta_uf_poset(poset: FinitePoset, opens) -> GdeltaUfResult:
     4. every unbounded filter of the subposet is an unbounded filter of
        P lying inside the intersection;
 
-    together with the identity bijection and basic-open matching.
+    claims 2 and 3 by enumeration, and 1 and 4 on the restriction map, with
+    the bijection and basic-open matching that verify_restriction checks.
     """
     space = PosetSpace(poset, "uf")
     open_masks = [space.open_mask(u) for u in opens]
@@ -502,34 +483,24 @@ def gdelta_uf_poset(poset: FinitePoset, opens) -> GdeltaUfResult:
 
     position = {i: a for a, i in enumerate(at)}
 
-    def lift(m):  # a subposet mask, over the indices of P
-        return sum(1 << at[a] for a in _bits(m))
-
     def unbounded_filter_of_sub(m):  # m is a mask over the indices of P
         if m & ~carrier_mask:
             return False
         m = sum(1 << position[i] for i in _bits(m))
-        return _is_filter_mask(sub, m) and not _bounded(sub, m)
+        return filter_generator(sub, m) is not None and not bounded(sub, m)
 
-    # the points of UF(P) inside the intersection are its unbounded filters there
-    inter_masks = {space.points[i].mask() for i in inter_points}
-    bad = [space.points[i] for i in inter_points if not unbounded_filter_of_sub(space.points[i].mask())]
+    # unbounded filters are UF points: claim 1 is the map's totality, claim 4 its reach
+    check, mapping = verify_restriction(space, sub_space, at, inter_points)
+    bad = [space.points[i] for i in inter_points if mapping[i] is None]
     bad2 = [f for f in enumerate_filters(sub, "all")
-            if max(rank_at[a] for a in _bits(f.mask())) != INF and not _bounded(sub, f.mask())]
+            if max(rank_at[a] for a in _bits(f.mask())) != INF and not bounded(sub, f.mask())]
     bad3 = [f for f in enumerate_filters(poset, "all")
-            if _bounded(poset, f.mask()) and unbounded_filter_of_sub(f.mask())]
-    bad4 = [f for f in sub_space.points if lift(f.mask()) not in inter_masks]
+            if bounded(poset, f.mask()) and unbounded_filter_of_sub(f.mask())]
+    bad4 = [f for j, f in enumerate(sub_space.points) if j not in mapping.values()]
     details = {c: [str(f) for f in fs] for c, fs in enumerate((bad, bad2, bad3, bad4), start=1)}
     claims = {c: not fs for c, fs in details.items()}
 
     if all(claims.values()):
-        sub_of = {lift(f.mask()): j for j, f in enumerate(sub_space.points)}
-        check = verify_correspondence(
-            inter_points,
-            len(sub_space),
-            {i: sub_of.get(space.points[i].mask()) for i in inter_points},
-            [(r, space.opens[i], sub_space.opens[a]) for a, (r, i) in enumerate(zip(carrier, at))],
-        )
         ok, failure = check.ok, check.failure
     else:
         ok = False

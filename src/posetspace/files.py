@@ -188,4 +188,7 @@ def parse_input_text(text):
 
 def parse_input_file(path):
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_input_text(handle.read())
+        try:
+            return parse_input_text(handle.read())
+        except UnicodeDecodeError as exc:
+            raise ParseError(None, f"{path} is not UTF-8 text (byte {exc.start})") from None

@@ -14,9 +14,24 @@ class NotAFilter(PosetError):
         self.reason = reason
 
 
-def _least(poset: FinitePoset, mask: int):
-    """The index of the least member of ``mask``, or None when it has none."""
-    return next((i for i in _bits(mask) if poset.up_mask(i) & mask == mask), None)
+def filter_generator(poset: FinitePoset, mask: int):
+    """The filter test: the element whose upset is exactly ``mask``, or None.
+
+    A filter (nonempty, upward closed, down-directed) on a finite poset
+    is the upset of its least member, and every upset is a filter.  A
+    nonempty finite down-directed set x1, ..., xk has a least member: put
+    y1 = x1, let y(j+1) be a member below yj and x(j+1); yk lies below
+    every member.  Upward closure then makes a filter equal up(yk).
+    """
+    return next((i for i in _bits(mask) if poset.up_mask(i) == mask), None)
+
+
+def bounded(poset: FinitePoset, mask: int) -> bool:
+    """Some element lies strictly below every member: one outside the set lies below them all."""
+    below = (1 << len(poset)) - 1
+    for q in _bits(mask):
+        below &= poset.down_mask(q)
+    return below & ~mask != 0
 
 
 class Filter(NamedTuple):
@@ -34,10 +49,10 @@ class Filter(NamedTuple):
     def of(cls, poset: FinitePoset, names) -> "Filter":
         """The filter with exactly these members; NotAFilter when they form none."""
         names = frozenset(names)
-        mask = poset.mask_of(names)
-        if not (mask and is_directed(poset, mask) and is_upward_closed(poset, mask)):
+        generator = filter_generator(poset, poset.mask_of(names))
+        if generator is None:
             raise NotAFilter(names, "directedness or upward closure fails")
-        return cls(poset, _least(poset, mask))
+        return cls(poset, generator)
 
     @property
     def members(self) -> frozenset:
@@ -70,23 +85,6 @@ def upward_closure(poset: FinitePoset, members) -> frozenset:
     return frozenset(poset.names_of(m))
 
 
-def is_directed(poset: FinitePoset, mask: int) -> bool:
-    for i in _bits(mask):
-        for j in _bits(mask):
-            if j < i:
-                continue
-            if poset.down_mask(i) & poset.down_mask(j) & mask == 0:
-                return False
-    return True
-
-
-def is_upward_closed(poset: FinitePoset, mask: int) -> bool:
-    up = 0
-    for i in _bits(mask):
-        up |= poset.up_mask(i)
-    return up == mask
-
-
 class FilterClassification(NamedTuple):
     is_filter: bool
     is_unbounded: bool
@@ -97,24 +95,13 @@ def classify_filter(poset: FinitePoset, members) -> FilterClassification:
     """Classify an element set as filter / unbounded / maximal.
 
     Unboundedness is checked on the raw set: no element of the poset lies
-    strictly below every member.  Maximality uses the least-generator
-    criterion (the upset of a minimal element), which on finite posets
-    agrees with a brute-force scan over filter supersets.
+    strictly below every member (see bounded).  A filter up(g) is
+    unbounded exactly when g is minimal, which is when it is maximal
+    (see topology.separation_check), so maximal means an unbounded filter.
     """
     mask = poset.mask_of(members)
-    filt = mask != 0 and is_directed(poset, mask) and is_upward_closed(poset, mask)
-    unbounded = True
-    n = len(poset)
-    for r in range(n):
-        if mask >> r & 1:
-            continue
-        if all(poset.leq_idx(r, q) and r != q for q in _bits(mask)):
-            unbounded = False
-            break
-    if mask == 0:
-        unbounded = len(poset) == 0
-    maximal = filt and _least(poset, mask) in poset.minimal_indices()
-    return FilterClassification(filt, unbounded, maximal)
+    filt, unbounded = filter_generator(poset, mask) is not None, not bounded(poset, mask)
+    return FilterClassification(filt, unbounded, filt and unbounded)
 
 
 def enumerate_filters(poset: FinitePoset, kind: str = "all") -> list:

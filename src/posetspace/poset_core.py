@@ -240,16 +240,12 @@ def validate_poset(elements, pairs, name="poset") -> FinitePoset:
             if x not in index:
                 raise UnknownElementInPair(x, (a, b))
         masks[index[a]] |= 1 << index[b]
-    masks = _transitive_close(masks)
-    down = [0] * n
-    for i, m in enumerate(masks):
-        for j in _bits(m):
-            down[j] |= 1 << i
-    for i, m in enumerate(masks):
-        both = m & down[i] & ~(1 << i)
+    poset = FinitePoset(elems, _transitive_close(masks), name)
+    for i, (m, d) in enumerate(zip(poset.up_masks, poset.down_masks)):
+        both = m & d & ~(1 << i)
         if both:  # the first such i is the lower of its pair, as a pair-by-pair scan finds it
             raise AntisymmetryViolation(elems[i], elems[next(_bits(both))])
-    return FinitePoset(elems, masks, name, down)
+    return poset
 
 
 def incompatible(poset: FinitePoset, p, q) -> bool:

@@ -6,7 +6,7 @@ import functools
 from typing import NamedTuple
 
 from .poset_core import FinitePoset, PosetError, _bits
-from .filters import Filter, _least
+from .filters import Filter, filter_generator
 
 
 class NotABasis(PosetError):
@@ -148,6 +148,27 @@ def verify_correspondence(src_points, dst_count, point_map, open_pairs, inverse=
     return Correspondence(True, True)
 
 
+def verify_restriction(space: PosetSpace, sub_space: PosetSpace, at, points):
+    """Verify x -> x intersect R from the point indices ``points`` onto ``sub_space``.
+
+    The k-th element of R, the poset of ``sub_space``, is element
+    ``at[k]`` of ``space.poset``; R may carry an order of its own.
+    Returns the Correspondence, checked with the basic open of every
+    element of R, and the map (None where x intersect R is no point).
+    """
+    r_mask = sum(1 << i for i in at)
+    sub = sub_space.poset
+    point_of = {sum(1 << at[k] for k in _bits(sub.up_mask(g))): j for j, g in enumerate(sub_space.generators)}
+    mapping = {x: point_of.get(space.poset.up_mask(space.generators[x]) & r_mask) for x in points}
+    check = verify_correspondence(
+        points,
+        len(sub_space),
+        mapping,
+        [(r, space.opens[at[k]], sub_space.opens[k]) for k, r in enumerate(sub.elements)],
+    )
+    return check, mapping
+
+
 class SeparationReport(NamedTuple):
     t0: bool
     t1: bool
@@ -243,8 +264,8 @@ def reduce_countable_subposet(poset: FinitePoset, seed_basis, stage_cap=None) ->
     position = {i: k for k, i in enumerate(_bits(kept_mask))}
     mapping = []
     for f in space.points:
-        least = _least(poset, f.mask() & kept_mask)
-        mapping.append((f, None if least is None else Filter(sub, position[least])))
+        g = filter_generator(sub, sum(1 << position[i] for i in _bits(f.mask() & kept_mask)))
+        mapping.append((f, None if g is None else Filter(sub, g)))
     return ReduceResult(subposet=sub, kept=kept, stages=stages, mapping=tuple(mapping))
 
 
@@ -258,32 +279,13 @@ def restriction_homeomorphism_check(poset: FinitePoset, sub) -> HomeoReport:
     """Decide whether F -> F intersect R is a homeomorphism onto MF(R).
 
     ``sub`` may be a FinitePoset on a subset of the elements or an
-    iterable of element names.  The check enumerates both point sets,
-    verifies the restriction map is a bijection under which basic opens
-    of R correspond, and verifies that images of basic opens are open.
+    iterable of element names.  The map must be a bijection under which
+    the basic opens of R correspond (see verify_restriction), so it is
+    continuous; it is open because MF(R) is discrete (see
+    PosetSpace.is_open).
     """
-    if isinstance(sub, FinitePoset):
-        r_poset = sub
-    else:
-        r_poset = poset.restrict(tuple(sub))
-
+    r_poset = sub if isinstance(sub, FinitePoset) else poset.restrict(tuple(sub))
     big = PosetSpace(poset, "mf")
-    small = PosetSpace(r_poset, "mf")
     at = [poset.index(r) for r in r_poset.elements]  # the index in P of each element of R
-    r_mask = sum(1 << i for i in at)
-    small_of = {
-        sum(1 << at[k] for k in _bits(r_poset.up_mask(g))): j for j, g in enumerate(small.generators)
-    }
-    images = {i: small_of.get(poset.up_mask(g) & r_mask) for i, g in enumerate(big.generators)}
-    check = verify_correspondence(
-        range(len(big)),
-        len(small),
-        images,
-        [(r, big.opens[at[k]], small.opens[k]) for k, r in enumerate(r_poset.elements)],
-    )
-    if not check.ok:
-        return HomeoReport(False, check.failure, check.witness)
-    for p, np in zip(poset.elements, big.opens):
-        if not small.is_open(images[i] for i in _bits(np)):
-            return HomeoReport(False, "image of a basic open is not open", p)
-    return HomeoReport(True)
+    check, _ = verify_restriction(big, PosetSpace(r_poset, "mf"), at, range(len(big)))
+    return HomeoReport(check.ok, check.failure, check.witness)

@@ -18,7 +18,11 @@ below follow the definitions element by element and filter by filter.
 
 Filters are generator indices in the library; ``brute_force_classify``
 checks the filter definitions on element names, maximality by a scan
-over all supersets.  ``separation``, ``gdelta_uf_claims`` and
+over all supersets, and ``maximal_filters`` lists the maximal filters
+by a scan over every subset.  ``restriction_homeomorphism`` checks the
+restriction map onto a subposet's maximal filters on those name sets,
+the openness of its images included, which the library takes from the
+discreteness of MF(R).  ``separation``, ``gdelta_uf_claims`` and
 ``filter_space_opens`` evaluate the separation axioms, the four G-delta
 claims of ``gdelta_uf_poset`` and the opens of MF(P) element by element
 and filter by filter, where the library uses the finite-case theorems
@@ -561,6 +565,53 @@ def brute_force_classify(poset, members):
                 maximal = False
                 break
     return is_filter, unbounded, maximal
+
+
+def maximal_filters(poset) -> list:
+    """The maximal filters as name sets, by a scan over every subset.
+
+    Listed in the order of their least members, the order of the points
+    of ``PosetSpace(poset, "mf")``.
+    """
+    subsets = [frozenset(e for i, e in enumerate(poset.elements) if r >> i & 1) for r in range(2 ** len(poset))]
+    found = [s for s in subsets if brute_force_is_filter(poset, s)]
+    maximal = [f for f in found if not any(f < g for g in found)]
+    return sorted(maximal, key=lambda f: min(poset.index(e) for e in f if all(poset.leq(e, q) for q in f)))
+
+
+def restriction_homeomorphism(poset, names):
+    """``(ok, reason, counterexample)`` for F -> F intersect R from MF(P) onto MF(R), on name sets.
+
+    R is the subposet on ``names``.  The map must be total and injective
+    (checked point by point), onto, and must match the basic open of
+    every element of R; the counterexample is the first failing point of
+    MF(P), or the first missed point of MF(R), by index.  Images of
+    opens are checked open as the definition of a homeomorphism reads,
+    open meaning a union of basic opens of R.
+    """
+    sub = poset.restrict(tuple(names))
+    big, small = maximal_filters(poset), maximal_filters(sub)
+    image = {}
+    for x, f in enumerate(big):
+        restricted = f & set(sub.elements)
+        if restricted not in small:
+            return False, "point map is not total", x
+        if small.index(restricted) in image.values():
+            return False, "point map is not injective", x
+        image[x] = small.index(restricted)
+    missed = [y for y in range(len(small)) if y not in image.values()]
+    if missed:
+        return False, "point map is not surjective", missed[0]
+    for r in sub.elements:
+        for x, f in enumerate(big):
+            if (r in f) != (r in small[image[x]]):
+                return False, f"basic open of {r} does not correspond", x
+    basic = [frozenset(y for y, g in enumerate(small) if r in g) for r in sub.elements]
+    for p in poset.elements:
+        target = frozenset(image[x] for x, f in enumerate(big) if p in f)
+        if frozenset().union(*(b for b in basic if b <= target)) != target:
+            return False, "image of a basic open is not open", p
+    return True, "", None
 
 
 def separation(space):

@@ -398,6 +398,7 @@ BAD_GAME_CALLS = {
     "choquet-empty": ["choquet", "{empty}"],
     "choquet-rounds0": ["choquet", "{v}", "--rounds", "0"],
     "stargame-play-short-guide": ["stargame-play", "--f", "01", "--rounds", "5"],
+    "stargame-play-letter-guide": ["stargame-play", "--f", "abc"],
 }
 
 
@@ -428,6 +429,22 @@ def test_bad_game_calls_exit_2_under_optimize(tmp_path):
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == run_cli(argv)[0] == 2, (label, proc.stderr)
         assert "Traceback" not in proc.stderr
+
+
+def test_unreadable_input_exits_2(tmp_path):
+    # a directory where a file is expected, and a file that is not UTF-8 text
+    code, out = run_cli(["filters", str(tmp_path)])
+    assert (code, out) == (2, f"cannot read {tmp_path}\n")
+    latin = tmp_path / "latin1.poset"
+    latin.write_bytes("poset p\nelem \u00e9\n".encode("latin-1"))
+    code, out = run_cli(["filters", str(latin)])
+    assert code == 2 and out.startswith("parse error: ") and "UTF-8" in out and out.count("\n") == 1
+
+
+def test_product_output_into_a_missing_directory_exits_2(files, tmp_path):
+    target = str(tmp_path / "absent" / "out.poset")
+    code, out = run_cli(["product", files["v.poset"], "-o", target])
+    assert (code, out) == (2, f"cannot write {target}\n")
 
 
 def test_wrong_file_kind(files):

@@ -1,14 +1,16 @@
 import pytest
 
-from oracles import brute_force_classify
-from posetspace.catalog import posets_up_to
+from oracles import brute_force_classify, brute_force_is_filter
+from posetspace.catalog import labeled_posets, posets_up_to
 from posetspace.filters import (
     ChainFilter,
     Filter,
     NotAFilter,
+    bounded,
     classify_filter,
     enumerate_filters,
     extend_to_maximal,
+    filter_generator,
     principal,
     upward_closure,
 )
@@ -36,6 +38,19 @@ def test_vee_filters(vee):
 def test_classify_unknown_element(vee):
     with pytest.raises(UnknownElement):
         classify_filter(vee, {"zzz"})
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_filter_test_and_boundedness_match_the_definitions(n):
+    # every mask of every labeled poset on n elements, the empty mask included
+    for p in labeled_posets(n):
+        for mask in range(2 ** n):
+            members = p.names_of(mask)
+            g = filter_generator(p, mask)
+            assert (g is not None) == brute_force_is_filter(p, members), (p.pairs(), members)
+            assert g is None or p.up_mask(g) == mask
+            strictly_below_all = any(all(p.lt(r, q) for q in members) for r in p.elements)
+            assert bounded(p, mask) == strictly_below_all, (p.pairs(), members)
 
 
 def test_classification_matches_brute_force_small():

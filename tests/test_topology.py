@@ -1,3 +1,5 @@
+import collections
+
 import pytest
 
 import oracles
@@ -146,6 +148,18 @@ def test_reduce_mapping_restricts_each_filter():
 def test_restriction_check_counterexample(vee):
     rep = restriction_homeomorphism_check(vee, ["c"])
     assert not rep.ok
+
+
+def test_restriction_check_matches_name_set_oracle():
+    # every poset on 1-4 elements, restricted to every element subset
+    outcomes = collections.Counter()
+    for p in posets_up_to(4):
+        for r in range(2 ** len(p)):
+            names = [e for i, e in enumerate(p.elements) if r >> i & 1]
+            got = tuple(restriction_homeomorphism_check(p, names))
+            assert got == oracles.restriction_homeomorphism(p, names), (p.pairs(), names)
+            outcomes[got[1]] += 1
+    assert outcomes == {"": 1862, "point map is not total": 1689, "point map is not injective": 119}
 
 
 def test_restriction_identity(vee):
