@@ -54,7 +54,6 @@ from .choquet_mf import (
     validate_condition,
 )
 from .domain_theory import (
-    Dcpo,
     dcpo_classify,
     filter_completion,
     ideal_completion,

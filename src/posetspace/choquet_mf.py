@@ -72,31 +72,19 @@ class TooManyConditions(PosetError):
         self.count = count
 
 
-def canonical_strategy_ii(space: FiniteTopSpace):
-    """Answer with the least basic open around the point inside the constraint."""
-
-    def s_ii(prefix, v, x):
-        b = space.least_basic_containing(x, v)
-        if b is None:
-            raise PosetError("basis does not refine the played open around the point")
-        return b
-
-    return s_ii
-
-
 class ConditionSystem:
-    """Conditions over one space and one fixed player-II strategy.
+    """Conditions over one space and the fixed player-II strategy.
 
-    A designated set is a point mask.  At the boundary a play is a tuple
-    of moves ``(v, x, w)``: player I's open mask v, its point index x,
-    and player II's answer mask w.  Inside, play i has a parent, a last
-    move and a final open: ``parent[i]``, ``step[i]`` and ``final[i]``;
-    play 0 is the empty play.
+    Player II answers I's move (v, x) with the least basic open around x
+    inside v, by size and then by points.  A designated set is a point
+    mask.  At the boundary a play is a tuple of moves ``(v, x, w)``:
+    player I's open mask v, its point index x, and player II's answer
+    mask w.  Inside, play i has a parent, a last move and a final open:
+    ``parent[i]``, ``step[i]`` and ``final[i]``; play 0 is the empty play.
     """
 
-    def __init__(self, space: FiniteTopSpace, s_ii=None):
+    def __init__(self, space: FiniteTopSpace):
         self.space = space
-        self.s_ii = s_ii if s_ii is not None else canonical_strategy_ii(space)
         self.parent, self.step, self.final, self._keys = [0], [None], [space.whole_mask], [(0, ())]
         self._ext = {}  # (play, v, x) -> the play extended by I's move (v, x) and II's answer
         self._fits = {a: 1 for a in space.basis if a}  # nonempty basic a -> plays a fits in
@@ -121,11 +109,9 @@ class ConditionSystem:
         """The index of play p extended by I's move (v, x) and II's answer."""
         q = self._ext.get((p, v, x))
         if q is None:
-            prefix = self.play(p)
-            w = self.s_ii(prefix, v, x)
-            if w & ~v or not w >> x & 1:
-                raise ConditionRequirementViolation(
-                    2, f"move {len(prefix)}: the strategy produced an illegal answer")
+            # every caller passes an open v that holds x, and the minimal open U_x of x is a
+            # basis member inside v; so an answer exists, lies inside v and holds x
+            w = self.space.least_basic_containing(x, v)
             q = self._ext[p, v, x] = len(self.step)
             self.parent.append(p)
             self.step.append((v, x, w))
@@ -327,8 +313,8 @@ class Condition:
         return tuple(_bits(self.a)), self.mask.bit_count(), tuple(sorted(map(self.system.key, _bits(self.mask))))
 
 
-def validate_condition(space: FiniteTopSpace, s_ii, a, plays) -> Condition:
-    return ConditionSystem(space, s_ii).validate(a, plays)
+def validate_condition(space: FiniteTopSpace, a, plays) -> Condition:
+    return ConditionSystem(space).validate(a, plays)
 
 
 def condition_lt(c1: Condition, c2: Condition) -> bool:
@@ -373,8 +359,8 @@ class CharacterizationReport(NamedTuple):
     failure: str = ""
 
 
-def mf_characterization_check(space: FiniteTopSpace, depth: int, s_ii=None,
-                              refinement_samples: int = 40, seed: int = 0) -> CharacterizationReport:
+def mf_characterization_check(space: FiniteTopSpace, depth: int, refinement_samples: int = 40,
+                              seed: int = 0) -> CharacterizationReport:
     """Check the point correspondence of the bounded condition poset.
 
     Requires a T1 (hence discrete) finite space, and at most
@@ -394,7 +380,7 @@ def mf_characterization_check(space: FiniteTopSpace, depth: int, s_ii=None,
         raise BadDepth(f"depth must be at least 0, got {depth}")
     if not space.is_t1():
         raise PreconditionFailed("the space is not T1")
-    system = ConditionSystem(space, s_ii)
+    system = ConditionSystem(space)
     conditions = sorted(system.enumerate_conditions(depth), key=Condition.key)
     poset = FinitePoset([f"c{i}" for i in range(len(conditions))], system.up_masks(conditions),
                         f"{space.name}|conditions")

@@ -28,11 +28,11 @@ class _CannotWrite(Exception):
     pass
 
 
-def _load(path, want):
+def _load(path, *want):
     obj = parse_input_file(path)
     names = {FinitePoset: "poset", RationalMetric: "metric", FiniteTopSpace: "space"}
     if not isinstance(obj, want):
-        raise _Usage(f"{path} holds a {names[type(obj)]}; this command needs a {names[want]}")
+        raise _Usage(f"{path} holds a {names[type(obj)]}; this command needs a {' or '.join(map(names.get, want))}")
     return obj
 
 
@@ -60,7 +60,7 @@ def _cmd_filters(args):
 def _cmd_space(args):
     if args.check == "subspace" and len(args.open or []) > 1:
         raise _Usage("--check subspace takes one --open")
-    obj = parse_input_file(args.file)
+    obj = _load(args.file, FinitePoset, FiniteTopSpace)
     if isinstance(obj, FiniteTopSpace):
         result = constructions.precompact_open_poset(obj)
         rows = [("space", obj.name), ("opens", len(result.poset)), ("mf-points", len(result.space.points)),
@@ -188,11 +188,11 @@ def _cmd_domain(args):
     poset = _load(args.file, FinitePoset)
     if args.check == "ideal":
         dcpo = domain_theory.ideal_completion(poset).dcpo
-        return [("ideals", len(dcpo.poset)), ("maximal", ", ".join(dcpo.maximal_elements()))], ""
+        return [("ideals", len(dcpo)), ("maximal", ", ".join(dcpo.dual().minimals()))], ""
     completion = domain_theory.filter_completion(poset)
     cls = domain_theory.dcpo_classify(completion.dcpo)
     report = domain_theory.scott_max_homeomorphism_check(poset)
-    rows = [("filters", len(completion.dcpo.poset)),
+    rows = [("filters", len(completion.dcpo)),
             ("compact-equals-principal", completion.compact_matches_principal),
             ("continuous", cls.is_continuous), ("algebraic", cls.is_algebraic)]
     rows += [(f"correspondence {p}", match) for p, match in report.table]
@@ -209,22 +209,26 @@ def _order_failure(axioms):
 
 
 def _cmd_topo_order(args):
+    mf = None
     if args.construct == "from-poset":
         result = semi_topogenous.order_from_poset(_load(args.file, FinitePoset))
         order, axioms, comp, note = result.order, result.axioms, result.completeness, ()
     else:
         space = _load(args.file, FiniteTopSpace)
         order = semi_topogenous.interval_order(space)
-        axioms = semi_topogenous.check_axioms_and_generation(order)
+        if args.check == "all" and space.is_t1():  # the construction checks the axioms itself
+            mf = semi_topogenous.mf_poset_from_order(space, order)
+            axioms = mf.axioms
+        else:
+            axioms = semi_topogenous.check_axioms_and_generation(order)
         comp = semi_topogenous.completeness_check(space, order)
         note = (f"({comp.meeting_filters} meeting filters)",)
     rows = [("relation-pairs", len(order.rel)), ("axioms", axioms.axioms_ok),
             ("generates", axioms.generates), ("complete", comp.complete, *note)]
     failure = _order_failure(axioms)
-    if args.construct == "interval" and args.check == "all" and space.is_t1():
-        result = semi_topogenous.mf_poset_from_order(space, order)
-        rows.append(("mf-bijection", result.bijective and result.membership_equivalence))
-        failure = failure or result.failure
+    if mf is not None:
+        rows.append(("mf-bijection", mf.bijective and mf.membership_equivalence))
+        failure = failure or mf.failure
     if args.serialize:
         rows += order.serialize()
     return rows, failure

@@ -290,7 +290,20 @@ class GdeltaMfResult(NamedTuple):
     failure: str = ""
 
 
-def gdelta_mf_poset(poset: FinitePoset, opens, stage_cap=None) -> GdeltaMfResult:
+def _intersection(space: PosetSpace, opens):
+    """The opens as point masks, their intersection's points, and the elements lying in those points."""
+    open_masks = [space.open_mask(u) for u in opens]
+    inter = space.whole_mask
+    for u in open_masks:
+        inter &= u
+    inter_points = list(_bits(inter))
+    carrier_mask = 0
+    for i in inter_points:
+        carrier_mask |= space.points[i].mask()
+    return open_masks, inter_points, carrier_mask
+
+
+def gdelta_mf_poset(poset: FinitePoset, opens) -> GdeltaMfResult:
     """Stage poset for a countable intersection of opens of the MF space.
 
     Each open is an element set denoting the union of its basic opens.
@@ -306,16 +319,9 @@ def gdelta_mf_poset(poset: FinitePoset, opens, stage_cap=None) -> GdeltaMfResult
     with the maximal filters of P inside the intersection.
     """
     space = PosetSpace(poset, "mf")
-    open_masks = [space.open_mask(u) for u in opens]
+    open_masks, inter_points, carrier_mask = _intersection(space, opens)
     k = len(open_masks)
-    cap = (k + 1) if stage_cap is None else stage_cap
-    inter = space.whole_mask
-    for u in open_masks:
-        inter &= u
-    inter_points = list(_bits(inter))
-    carrier_mask = 0
-    for i in inter_points:
-        carrier_mask |= space.points[i].mask()
+    cap = k + 1
 
     stages = []  # (stage n, element index p)
     for n in range(cap + 1):
@@ -360,7 +366,7 @@ def gdelta_mf_poset(poset: FinitePoset, opens, stage_cap=None) -> GdeltaMfResult
         stage_cap=cap,
         open_points=tuple(frozenset(_bits(u)) for u in open_masks),
         intersection=frozenset(inter_points),
-        empty_intersection=not inter,
+        empty_intersection=not inter_points,
         carrier=poset.names_of(carrier_mask),
         phi=phi,
         psi=psi,
@@ -448,18 +454,11 @@ def gdelta_uf_poset(poset: FinitePoset, opens) -> GdeltaUfResult:
     the bijection and basic-open matching that verify_restriction checks.
     """
     space = PosetSpace(poset, "uf")
-    open_masks = [space.open_mask(u) for u in opens]
+    open_masks, inter_points, carrier_mask = _intersection(space, opens)
     for a, b in zip(open_masks, open_masks[1:]):
         if b & ~a:
             raise NotDescending("opens are not descending as point sets")
     k = len(open_masks)
-    inter = space.whole_mask
-    for u in open_masks:
-        inter &= u
-    inter_points = list(_bits(inter))
-    carrier_mask = 0
-    for i in inter_points:
-        carrier_mask |= space.points[i].mask()
     at = list(_bits(carrier_mask))  # the index in P of each carrier element
     carrier = poset.names_of(carrier_mask)
 

@@ -15,32 +15,9 @@ from .filters import Filter, enumerate_filters
 from .topology import PosetSpace
 
 
-class Dcpo:
-    """A finite poset seen as a dcpo; way below is its order."""
-
-    def __init__(self, poset: FinitePoset):
-        self.poset = poset
-
-    def way_below_idx(self, q: int, t: int) -> bool:
-        return self.poset.leq_idx(q, t)
-
-    def way_below_pairs(self):
-        return self.poset.pairs()
-
-    def compact_elements(self):
-        return self.poset.elements
-
-    def maximal_elements(self):
-        p = self.poset
-        return tuple(p.elements[i] for i in range(len(p)) if p.up_mask(i) == 1 << i)
-
-    def double_up(self, q: int) -> int:
-        return self.poset.up_mask(q)
-
-
-def way_below(dcpo: Dcpo):
+def way_below(dcpo: FinitePoset):
     """The way-below relation as name pairs: on a finite dcpo, the order."""
-    return dcpo.way_below_pairs()
+    return dcpo.pairs()
 
 
 class DcpoClassification(NamedTuple):
@@ -50,7 +27,7 @@ class DcpoClassification(NamedTuple):
     minimal_basis: tuple
 
 
-def dcpo_classify(dcpo: Dcpo) -> DcpoClassification:
+def dcpo_classify(dcpo: FinitePoset) -> DcpoClassification:
     """Continuity, algebraicity, and the minimal basis of a finite dcpo.
 
     The elements way below t are the down-set of t, a directed set with
@@ -62,13 +39,13 @@ def dcpo_classify(dcpo: Dcpo) -> DcpoClassification:
     return DcpoClassification(
         is_continuous=True,
         is_algebraic=True,
-        compact_elements=dcpo.compact_elements(),
-        minimal_basis=dcpo.poset.elements,
+        compact_elements=dcpo.elements,
+        minimal_basis=dcpo.elements,
     )
 
 
 class CompletionResult(NamedTuple):
-    dcpo: Dcpo
+    dcpo: FinitePoset  # the completion, ordered by inclusion
     filter_of: dict  # dcpo element id -> the Filter it stands for
     maximal_table: dict  # maximal filter (printed) -> dcpo element id
     compact_table: dict  # principal generator -> dcpo element id
@@ -91,12 +68,12 @@ def filter_completion(poset: FinitePoset) -> CompletionResult:
     all_filters = enumerate_filters(poset, "all")
     ids = [_filter_id(f) for f in all_filters]
     masks = [poset.down_mask(i) for i in range(len(poset))]
-    dcpo = Dcpo(FinitePoset(ids, masks, f"filters({poset.name})"))
+    dcpo = FinitePoset(ids, masks, f"filters({poset.name})")
 
     filter_of = dict(zip(ids, all_filters))
     maximal_table = {str(f): _filter_id(f) for f in enumerate_filters(poset, "maximal")}
     compact_table = {f.minimum(): _filter_id(f) for f in all_filters}
-    compact_matches = set(compact_table.values()) == set(dcpo.compact_elements())
+    compact_matches = set(compact_table.values()) == set(dcpo.elements)
     return CompletionResult(dcpo, filter_of, maximal_table, compact_table, compact_matches)
 
 
@@ -138,11 +115,11 @@ def scott_max_homeomorphism_check(poset: FinitePoset) -> ScottReport:
     table pairs each poset element with a completion element whose Scott
     open cuts out the same maximal filters as the element's basic open.
     """
-    dcpo = filter_completion(poset).dcpo
-    carrier = dcpo.poset
+    carrier = filter_completion(poset).dcpo
     space = PosetSpace(poset, "mf")
-    max_mask = carrier.mask_of(dcpo.maximal_elements())
-    scott_of = {carrier.elements[q]: dcpo.double_up(q) & max_mask for q in range(len(carrier))}
+    max_mask = sum(1 << q for q, up in enumerate(carrier.up_masks) if up == 1 << q)
+    # way above q is the up-set of q, so its Scott open is that up-set
+    scott_of = {carrier.elements[q]: carrier.up_mask(q) & max_mask for q in range(len(carrier))}
     # the completion holds one filter per element, in element order, so the
     # point generated by g is the completion element with index g
     mf_of = {

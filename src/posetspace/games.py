@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .poset_core import FinitePoset, PosetError, _bits, incompatible
+from .poset_core import FinitePoset, PosetError, _bits
 from .filters import ChainFilter, Filter, extend_to_maximal, principal
 from .topology import PosetSpace
 
@@ -322,8 +322,7 @@ def star_game_referee(poset, strategy_i, f, rounds: int) -> StarPlay:
     player I's pair, bit 1 the second.  Both win conditions are verified
     every round; a violation raises ConditionViolated with the round,
     which signals that the strategy is not winning at this depth.  A pair
-    is tested with ``poset_core.incompatible`` on a FinitePoset and with
-    the poset's own exact ``incompatible`` otherwise.  The descending
+    is tested with the poset's own exact ``incompatible``.  The descending
     sequence of picked elements is returned as a chain filter.
     """
     bits = list(f)
@@ -341,11 +340,7 @@ def star_game_referee(poset, strategy_i, f, rounds: int) -> StarPlay:
         if current is not None:
             if not (poset.leq(p1, current) and poset.leq(p2, current)):
                 raise ConditionViolated(t, "pair does not refine player II's previous pick")
-        if isinstance(poset, FinitePoset):
-            apart = incompatible(poset, p1, p2)
-        else:
-            apart = poset.incompatible(p1, p2)
-        if not apart:
+        if not poset.incompatible(p1, p2):
             raise ConditionViolated(t, f"pair <{p1},{p2}> is compatible")
         n = 1 if int(bits[t]) == 0 else 2
         current = p1 if n == 1 else p2

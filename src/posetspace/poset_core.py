@@ -155,6 +155,10 @@ class FinitePoset:
     def leq_idx(self, i: int, j: int) -> bool:
         return (self._up[i] >> j) & 1 == 1
 
+    def incompatible(self, a, b) -> bool:
+        """True when no element lies below both a and b."""
+        return self._down[self.index(a)] & self._down[self.index(b)] == 0
+
     def pairs(self):
         """The full non-strict relation as sorted (a, b) pairs."""
         out = []
@@ -217,6 +221,28 @@ def _transitive_close(masks):
     return list(masks)
 
 
+def _closed_masks(elements, pairs, strict):
+    """The element tuple and the closure of ``pairs`` as row masks, with the diagonal unless ``strict``.
+
+    Raises in input order: a bad or duplicate id, then per pair an undeclared element or a strict self pair.
+    """
+    index = {}
+    for e in elements:
+        check_element_id(e)
+        if e in index:
+            raise DuplicateElement(e)
+        index[e] = len(index)
+    masks = [0 if strict else 1 << i for i in range(len(index))]
+    for a, b in pairs:
+        for x in (a, b):
+            if x not in index:
+                raise UnknownElementInPair(x, (a, b))
+        if strict and a == b:
+            raise IrreflexivityViolation(a)
+        masks[index[a]] |= 1 << index[b]
+    return tuple(index), _transitive_close(masks)
+
+
 def validate_poset(elements, pairs, name="poset") -> FinitePoset:
     """Build a poset from raw elements and relation pairs.
 
@@ -224,23 +250,8 @@ def validate_poset(elements, pairs, name="poset") -> FinitePoset:
     style minimal input is accepted.  Raises AntisymmetryViolation when
     the closure relates two distinct elements both ways.
     """
-    elems = []
-    seen = set()
-    for e in elements:
-        check_element_id(e)
-        if e in seen:
-            raise DuplicateElement(e)
-        seen.add(e)
-        elems.append(e)
-    index = {e: i for i, e in enumerate(elems)}
-    n = len(elems)
-    masks = [1 << i for i in range(n)]
-    for a, b in pairs:
-        for x in (a, b):
-            if x not in index:
-                raise UnknownElementInPair(x, (a, b))
-        masks[index[a]] |= 1 << index[b]
-    poset = FinitePoset(elems, _transitive_close(masks), name)
+    elems, masks = _closed_masks(elements, pairs, strict=False)
+    poset = FinitePoset(elems, masks, name)
     for i, (m, d) in enumerate(zip(poset.up_masks, poset.down_masks)):
         both = m & d & ~(1 << i)
         if both:  # the first such i is the lower of its pair, as a pair-by-pair scan finds it
@@ -250,28 +261,16 @@ def validate_poset(elements, pairs, name="poset") -> FinitePoset:
 
 def incompatible(poset: FinitePoset, p, q) -> bool:
     """True when no element lies below both p and q."""
-    return poset.down_mask(poset.index(p)) & poset.down_mask(poset.index(q)) == 0
+    return poset.incompatible(p, q)
 
 
 def strict_to_poset(elements, strict_pairs, name="poset") -> FinitePoset:
     """Adjoin the diagonal to a strict (irreflexive, transitive) relation."""
-    elems = list(elements)
-    probe = validate_poset(elems, [], name)  # id/duplicate checks
-    index = {e: i for i, e in enumerate(probe.elements)}
-    masks = [0] * len(elems)
-    for a, b in strict_pairs:
-        for x in (a, b):
-            if x not in index:
-                raise UnknownElementInPair(x, (a, b))
-        if a == b:
-            raise IrreflexivityViolation(a)
-        masks[index[a]] |= 1 << index[b]
-    masks = _transitive_close(masks)
-    for i in range(len(elems)):
-        if (masks[i] >> i) & 1:
-            raise IrreflexivityViolation(probe.elements[i], derived=True)
-    masks = [m | (1 << i) for i, m in enumerate(masks)]
-    return FinitePoset(probe.elements, masks, name)
+    elems, masks = _closed_masks(elements, strict_pairs, strict=True)
+    for i, m in enumerate(masks):
+        if m >> i & 1:
+            raise IrreflexivityViolation(elems[i], derived=True)
+    return FinitePoset(elems, [m | 1 << i for i, m in enumerate(masks)], name)
 
 
 def poset_to_strict(poset: FinitePoset):

@@ -155,6 +155,7 @@ class MfFromOrderResult(NamedTuple):
     poset: FinitePoset
     open_of: dict  # poset element id -> open point mask
     point_filters: dict  # space point index -> frozenset of poset element ids
+    axioms: AxiomReport  # the hypothesis check of the order
     bijective: bool
     membership_equivalence: bool
     maximal_filters_meet: bool
@@ -199,6 +200,7 @@ def mf_poset_from_order(space: FiniteTopSpace, order: SubsetOrder) -> MfFromOrde
         poset=poset,
         open_of=dict(zip(poset.elements, opens)),
         point_filters=point_filters,
+        axioms=report,
         bijective=check.bijective,
         membership_equivalence=check.ok,
         maximal_filters_meet=all(not f & ~r for f, r in zip(families, _reach(rows, families))),
@@ -215,7 +217,10 @@ def check_order_condition(poset: FinitePoset):
     below r.  Returns (witnesses, only_reflexive): failing triples and
     whether every failure has r equal to p.
     """
-    opens, n, names = PosetSpace(poset, "mf").opens, len(poset), poset.elements
+    n, names = len(poset), poset.elements
+    # the basic open of q, by the minimal elements below q: the generators of its points
+    minimal = sum(1 << g for g in poset.minimal_indices())
+    opens = [d & minimal for d in poset.down_masks]
     witnesses = [(names[p], names[q], names[r]) for p in range(n) for q in range(n) if p != q and poset.leq_idx(p, q)
                  for r in range(n) if not opens[q] & ~opens[r] and (p == r or not poset.leq_idx(p, r))]
     only_reflexive = bool(witnesses) and all(w[2] == w[0] for w in witnesses)

@@ -201,19 +201,18 @@ class ReduceResult(NamedTuple):
     kept: tuple
     stages: int
     # pairs (filter on P, its restriction to the subposet); the restriction is
-    # None where a stage cap stopped the saturation before it became a filter
+    # None where it is no filter of the subposet, which the saturation rules out
     mapping: tuple
 
 
-def reduce_countable_subposet(poset: FinitePoset, seed_basis, stage_cap=None) -> ReduceResult:
+def reduce_countable_subposet(poset: FinitePoset, seed_basis) -> ReduceResult:
     """Saturate a basis into a subposet carrying the same MF space.
 
     Starting from the seed, each stage adds, for every finite subset D of
     the current set that lies in some maximal filter, enough common lower
     bounds of D to cover the basic-open intersection of D.  The cover is
     chosen greedily in element order, so the result is deterministic.
-    For a finite poset the stages stabilize; ``stage_cap`` merely stops
-    the iteration early for instrumentation.
+    For a finite poset the stages stabilize.
 
     The restriction map F -> F intersect R is returned as a table; it is
     a bijection onto the maximal filters of the subposet (see
@@ -255,7 +254,7 @@ def reduce_countable_subposet(poset: FinitePoset, seed_basis, stage_cap=None) ->
                         added.append(e)
         stages += 1
         current += added
-        if not added or (stage_cap is not None and stages >= stage_cap):
+        if not added:
             break
 
     kept_mask = sum(1 << i for i in current)

@@ -47,7 +47,8 @@ is forced, and its canonical II reuses answers it has already worked out.
 The library holds a condition's plays as a mask over numbered play
 indices; ``validate_condition``, ``condition_lt`` and
 ``refine_conditions`` below work on tuple plays, as the definitions
-read, and ``refinement_pool`` lists every triple the refinement sample
+read, with player II's answer found by ``least_basic``, a scan of the
+basis, and ``refinement_pool`` lists every triple the refinement sample
 draws from; ``refinement_sample`` draws from it by a linear scan over
 the rows and columns, where the library bisects prefix sums.
 ``spot_check_generated`` checks the contract of a generated poset
@@ -503,15 +504,15 @@ def domain_answers(poset) -> dict:
 
 def library_answers(poset) -> dict:
     """The library's answers to the questions of ``domain_answers``."""
-    dcpo = lib.filter_completion(poset).dcpo
-    carrier = dcpo.poset
-    cls = lib.dcpo_classify(dcpo)
+    completion = lib.filter_completion(poset)
+    carrier = completion.dcpo
+    cls = lib.dcpo_classify(carrier)
     report = lib.scott_max_homeomorphism_check(poset)
     return {
         "order": frozenset(carrier.pairs()),
-        "dcpo": True,  # Dcpo() accepts every finite poset
-        "way_below": frozenset(lib.way_below(dcpo)),
-        "compact": frozenset(dcpo.compact_elements()),
+        "dcpo": True,  # the library treats every finite poset as a dcpo
+        "way_below": frozenset(lib.way_below(carrier)),
+        "compact": frozenset(completion.compact_table.values()),
         "continuous": cls.is_continuous,
         "algebraic": cls.is_algebraic,
         "classify.compact": frozenset(cls.compact_elements),
@@ -756,9 +757,18 @@ def final_open(system, play) -> int:
     return play[-1][2] if play else system.space.whole_mask
 
 
+def least_basic(space, x, within):
+    """The least basic open, by size and then by points, holding point x inside ``within``; or None.
+
+    Player II's fixed strategy answers I's move (v, x) with least_basic(space, x, v).
+    """
+    fits = [b for b in space.basis if x in members(b) and not b & ~within]
+    return min(fits, key=lambda b: (len(members(b)), members(b)), default=None)
+
+
 def extend_play(system, play, a, x) -> tuple:
     """The tuple play extended by player I's move (a, x) and the strategy's answer."""
-    return tuple(play) + ((a, x, system.s_ii(play, a, x)),)
+    return tuple(play) + ((a, x, least_basic(system.space, x, a)),)
 
 
 def check_play(system, play):
@@ -774,10 +784,8 @@ def check_play(system, play):
             return f"move {j}: player I's set leaves player II's last answer"
         if not v >> x & 1:
             return f"move {j}: the chosen point is outside player I's set"
-        if w != system.s_ii(play[:j], v, x):
+        if w != least_basic(system.space, x, v):
             return f"move {j}: player II's answer does not follow the strategy"
-        if w & ~v or not w >> x & 1:
-            return f"move {j}: the strategy produced an illegal answer"
         prev_open = w
     return None
 
@@ -823,7 +831,7 @@ def refine_conditions(system, c1, c2, x):
     constraint = system.space.whole_mask
     for p in plays:
         constraint &= final_open(system, p)
-    a = system.space.least_basic_containing(x, constraint)
+    a = least_basic(system.space, x, constraint)
     if a is None:
         raise PreconditionFailed("no basic open around the point fits inside the final opens")
     return validate_condition(system, a, plays)

@@ -240,7 +240,7 @@ def test_criterion_8_filter_completions():
     for p in posets:
         completion = filter_completion(p)
         assert completion.compact_matches_principal, p.pairs()
-        assert set(way_below(completion.dcpo)) == set(completion.dcpo.poset.pairs()), p.pairs()
+        assert set(way_below(completion.dcpo)) == set(completion.dcpo.pairs()), p.pairs()
         assert scott_max_homeomorphism_check(p).ok, p.pairs()
         # directed completeness, way below, compact elements, classification
         # and the Scott check against the literal definitions

@@ -176,7 +176,7 @@ def test_characterization_requires_t1():
 
 
 def test_validate_condition_module_level(d2):
-    c = validate_condition(d2, None, d2.whole_mask, [()])
+    c = validate_condition(d2, d2.whole_mask, [()])
     assert c.a == d2.whole_mask
 
 
@@ -256,14 +256,14 @@ def test_empty_space_numbers_no_round():
 def test_conditions_from_separate_systems_compare_by_plays(d3):
     # both conditions hold one proper play, numbered 1 in its own system
     one, two = [oracles.extend_play(ConditionSystem(d3), (), d3.whole_mask, x) for x in (0, 1)]
-    cx = validate_condition(d3, None, 0b001, [(), one])
-    cy = validate_condition(d3, None, 0b001, [(), ((0b011, 0, 0b001),)])
+    cx = validate_condition(d3, 0b001, [(), one])
+    cy = validate_condition(d3, 0b001, [(), ((0b011, 0, 0b001),)])
     assert cx.mask == cy.mask and cx != cy
     system = ConditionSystem(d3)
     system.validate(0b001, [(), ((0b011, 0, 0b001),)])
     again = system.validate(0b001, [(), one])  # the same plays, numbered 0 and 2 here
     assert again.mask != cx.mask and again == cx and hash(again) == hash(cx) and len({cx, cy, again}) == 2
-    assert validate_condition(d3, None, 0b010, [(), two]) != cx
+    assert validate_condition(d3, 0b010, [(), two]) != cx
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -453,6 +453,12 @@ def test_wrong_file_kind(files):
     assert "needs a poset" in out
 
 
+def test_space_refuses_a_metric(files):
+    path = files["two.metric"]
+    code, out = run_cli(["space", path])
+    assert (code, out) == (2, f"usage error: {path} holds a metric; this command needs a poset or space\n")
+
+
 def test_every_operation_reachable():
     spec_operations = {
         "validate_poset", "incompatible", "convert_strict_nonstrict",

@@ -59,6 +59,44 @@ def test_duplicate_and_unknown_elements():
         validate_poset(["a b"], [])
 
 
+# (build, elements, pairs, error, message): each input breaks several rules; the first
+# in precedence is reported, ids and duplicates in element order, then the pairs in
+# input order, then what the closure derives
+BAD_INPUTS = [
+    (validate_poset, ["a", "a b", "a"], [], InvalidElementId,
+     "bad element id 'a b': ids are nonempty and whitespace-free"),
+    (validate_poset, [1], [], InvalidElementId, "bad element id 1: ids are nonempty and whitespace-free"),
+    (validate_poset, ["a", "a", "a b"], [("a", "z")], DuplicateElement, "duplicate element 'a'"),
+    (validate_poset, ["a", "b"], [("z", "a"), ("a", "y")], UnknownElementInPair,
+     "relation pair ('z', 'a') mentions undeclared element 'z'"),
+    (validate_poset, ["a", "b"], [("a", "b"), ("b", "a"), ("a", "z")], UnknownElementInPair,
+     "relation pair ('a', 'z') mentions undeclared element 'z'"),
+    (validate_poset, ["a", "b", "c"], [("b", "c"), ("c", "a"), ("a", "b")], AntisymmetryViolation,
+     "elements 'a' and 'b' lie below each other but are distinct"),
+    (strict_to_poset, ["x y", "x y"], [], InvalidElementId,
+     "bad element id 'x y': ids are nonempty and whitespace-free"),
+    (strict_to_poset, ["p", "p"], [("p", "p")], DuplicateElement, "duplicate element 'p'"),
+    (strict_to_poset, ["a"], [("z", "z")], UnknownElementInPair,
+     "relation pair ('z', 'z') mentions undeclared element 'z'"),
+    (strict_to_poset, ["a", "b"], [("a", "a"), ("a", "z")], IrreflexivityViolation,
+     "strict input relates 'a' to itself"),
+    (strict_to_poset, ["a", "b"], [("a", "b"), ("b", "a"), ("b", "z")], UnknownElementInPair,
+     "relation pair ('b', 'z') mentions undeclared element 'z'"),
+    (strict_to_poset, ["a", "b", "c"], [("b", "c"), ("c", "b")], IrreflexivityViolation,
+     "transitive closure of the strict input relates 'b' to itself"),
+]
+
+
+@pytest.mark.parametrize("build, elements, pairs, error, message", BAD_INPUTS,
+                         ids=[f"{b.__name__}-{i}" for i, (b, *_) in enumerate(BAD_INPUTS)])
+def test_bad_input_raises_its_first_error(build, elements, pairs, error, message):
+    with pytest.raises(PosetError) as err:
+        build(iter(elements), pairs)  # any iterable of elements is read once
+    assert (type(err.value), str(err.value)) == (error, message)
+    if error is IrreflexivityViolation:
+        assert err.value.derived == message.startswith("transitive")
+
+
 def test_order_axioms_hold_exhaustively():
     # brute-force re-check of all three axioms on every poset with <= 4 elements
     for p in posets_up_to(4):
@@ -88,6 +126,13 @@ def test_incompatible_is_irreflexive_and_symmetric():
             assert incompatible(p, a, a) is False
             for b in p.elements:
                 assert incompatible(p, a, b) == incompatible(p, b, a)
+
+
+def test_incompatible_method_matches_a_scan_for_a_common_lower_bound():
+    for p in posets_up_to(4, include_empty=True):
+        for a, b in itertools.product(p.elements, repeat=2):
+            common = [c for c in p.elements if p.leq(c, a) and p.leq(c, b)]
+            assert p.incompatible(a, b) is (not common) is incompatible(p, a, b), (p.pairs(), a, b)
 
 
 def test_incompatible_unknown_element(vee):
