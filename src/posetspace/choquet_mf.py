@@ -208,10 +208,8 @@ class ConditionSystem:
                 q = self._extend(p, c.a, x)
                 mask |= 1 << q
                 constraint &= self.final[q]
-        a = self.space.least_basic_containing(x, constraint)
-        if a is None:
-            raise PreconditionFailed("no basic open around the point fits inside the final opens")
-        return self._checked(a, mask)
+        # the final opens are II's answers, basic opens holding x, so the basis member U_x lies inside them
+        return self._checked(self.space.least_basic_containing(x, constraint), mask)
 
     # -- enumeration ------------------------------------------------------
 
@@ -396,12 +394,12 @@ def mf_characterization_check(space: FiniteTopSpace, depth: int, refinement_samp
         else:
             stuck.append(k)
 
-    surjective = set(phi.values()) == set(range(len(space.points)))
+    surjective = set(phi.values()) == set(range(len(space)))
     total = not stuck
 
     # a condition sits in some filter sent to x exactly when x is in its set
     # per point: the members of the filters sent to it, and the conditions whose set holds it
-    reach, holds = [0] * len(space.points), [0] * len(space.points)
+    reach, holds = [0] * len(space), [0] * len(space)
     for k, x in phi.items():
         reach[x] |= poset.up_mask(cond_space.generators[k])
     for i, c in enumerate(conditions):

@@ -63,13 +63,13 @@ def _cmd_space(args):
     obj = _load(args.file, FinitePoset, FiniteTopSpace)
     if isinstance(obj, FiniteTopSpace):
         result = constructions.precompact_open_poset(obj)
-        rows = [("space", obj.name), ("opens", len(result.poset)), ("mf-points", len(result.space.points)),
+        rows = [("space", obj.name), ("opens", len(result.poset)), ("mf-points", len(result.space)),
                 ("hausdorff", result.hausdorff), ("bijective", result.bijective),
                 ("opens-correspond", result.opens_correspond)]
         return rows, result.failure
     poset, failure = obj, ""
     space = topology.PosetSpace(poset, args.mode)
-    rows = [("space", f"{args.mode}({poset.name})"), ("points", len(space.points))]
+    rows = [("space", f"{args.mode}({poset.name})"), ("points", len(space))]
     if args.check in ("separation", "all"):
         rep = topology.separation_check(space)
         rows += [("T0", rep.t0), ("T1", rep.t1), ("uf_equals_mf", rep.uf_equals_mf)]
@@ -86,7 +86,7 @@ def _cmd_space(args):
         u = topology.PosetSpace(poset, "uf").open_from_elements(_elements_list((args.open or [""])[0]))
         result = constructions.open_subspace_uf(poset, u)
         rows += [("subspace-elements", ", ".join(result.kept) or "(none)"),
-                 ("uf-points", len(result.sub_space.points)), ("bijection", result.ok)]
+                 ("uf-points", len(result.sub_space)), ("bijection", result.ok)]
         failure = result.failure
     return rows, failure
 
@@ -96,8 +96,8 @@ def _cmd_product(args):
     result = constructions.product_poset(factors)
     rows = [("product-elements", len(result.poset))]
     rows += [(f"adjoined-top {k}", t) for k, t in enumerate(result.adjoined_tops) if t is not None]
-    rows += [("mf-points", len(result.space.points)),
-             ("factor-mf-points", " * ".join(str(len(sp.points)) for sp in result.factor_spaces)),
+    rows += [("mf-points", len(result.space)),
+             ("factor-mf-points", " * ".join(str(len(sp)) for sp in result.factor_spaces)),
              ("maps-verified", result.ok)]
     if args.output:
         try:
@@ -117,7 +117,7 @@ def _cmd_gdelta(args):
         rows = [("stage-poset-elements", len(result.poset)), ("stage-cap", result.stage_cap),
                 ("empty-intersection", result.empty_intersection),
                 ("intersection-points", len(result.intersection)),
-                ("stage-mf-points", len(result.stage_space.points)), ("bijection", result.ok)]
+                ("stage-mf-points", len(result.stage_space)), ("bijection", result.ok)]
         return rows, result.failure
     result = constructions.gdelta_uf_poset(poset, opens)
     inf = constructions.INF

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .poset_core import FinitePoset, PosetError, _bits, check_element_id
-from .filters import ChainFilter, bounded, enumerate_filters, filter_generator
+from .filters import ChainFilter, Filter, bounded, filter_generator
 from .topology import PosetSpace, verify_correspondence, verify_restriction
 
 
@@ -164,7 +164,7 @@ def _with_top(poset: FinitePoset):
     if not len(poset) or poset.greatest() is not None:
         return poset, None
     top = "top"
-    while top in poset:
+    while top in poset.elements:  # a scan: the name index is not needed otherwise
         top += "_"
     top_bit = 1 << len(poset)
     ups = [m | top_bit for m in poset.up_masks] + [top_bit]
@@ -183,8 +183,8 @@ def _tensor(rows, radices):
     i * radix (a string join), times m: a copy of m in the radix-bit block
     at each i, with no carries.
     """
-    out = [1]
-    for row, radix in zip(rows, radices):
+    out = rows[0]  # the tensor product of one row is the row itself
+    for row, radix in zip(rows[1:], radices[1:]):
         pad = "0" * (radix - 1)
         out = [d * m for d in [int(pad.join(format(x, "b")), 2) for x in out] for m in row]
     return out
@@ -211,42 +211,45 @@ def product_poset(factors) -> ProductResult:
 
     sizes = [len(g) for g in topped]
     coords = list(itertools.product(*(g.elements for g in topped)))
-    names = ["(" + ",".join(c) + ")" for c in coords]
+    names = [f"({c})" for c in map(",".join, coords)]
     ups = _tensor([g.up_masks for g in topped], sizes)
     downs = _tensor([g.down_masks for g in topped], sizes)
     prod = FinitePoset(names, ups, " x ".join(f.name for f in factors), downs)
 
-    # the positions whose k-th coordinate is j, at[k][j], are one block of
-    # stride ones at j * stride, repeated every sizes[k] * stride bits (an
-    # adjoined top's j is left out; with an empty factor every mask is 0)
-    strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
-    at = []
-    for f, size, stride in zip(factors, sizes, strides):
-        repeat = ((1 << len(ups)) - 1) // ((1 << size * stride) - 1 or 1)
-        at.append([((1 << stride) - 1) * repeat << j * stride for j in range(len(f))])
-
     fspaces = tuple(PosetSpace(f, "mf") for f in factors)
     pspace = PosetSpace(prod, "mf")
-    point_of = {ups[g]: i for i, g in enumerate(pspace.generators)}
     # each tuple of factor points goes to the product of their filters, the
     # up-set of the tuple of their generators
+    strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
     combos = list(itertools.product(*(range(len(sp)) for sp in fspaces)))
     generators = [0]
     for sp, stride in zip(fspaces, strides):
         generators = [a + g * stride for a in generators for g in sp.generators]
-    images = [point_of.get(ups[a]) for a in generators]
+    point_of = {g: i for i, g in enumerate(pspace.generators)}
+    images = [point_of.get(a) for a in generators]
     # per product element, the tuples of factor points lying in the factor
     # basic opens of its coordinates (an adjoined top lies in every point)
     src_opens = _tensor(
         [sp.opens + (sp.whole_mask,) * (len(g) - len(f)) for f, g, sp in zip(factors, topped, fspaces)],
         [len(sp) for sp in fspaces],
     )
-    # project each point onto factor k: the coordinates j whose positions it meets
-    fsets = [{f.up_mask(g): i for i, g in enumerate(sp.generators)} for f, sp in zip(factors, fspaces)]
-    phi_inv = {
-        i: tuple(fsets[k].get(sum(1 << j for j, b in enumerate(at[k]) if ups[g] & b)) for k in range(len(at)))
-        for i, g in enumerate(pspace.generators)
-    }
+    # project each point onto factor k: the coordinates j of its members, an adjoined top's left out;
+    # j's block of stride bits recurs every size * stride bits, and OR-folding keeps it nonzero if met
+    axes = [({f.up_mask(g): i for i, g in enumerate(sp.generators)}, size * stride, stride, len(f))
+            for f, sp, size, stride in zip(factors, fspaces, sizes, strides)]
+    phi_inv = {}
+    for i, g in enumerate(pspace.generators):
+        point = []
+        for fset, period, stride, count in axes:
+            mask, folded, block, projection = ups[g], 0, (1 << stride) - 1, 0
+            while mask:
+                folded |= mask
+                mask >>= period
+            for j in range(count):
+                if folded >> j * stride & block:
+                    projection |= 1 << j
+            point.append(fset.get(projection))
+        phi_inv[i] = tuple(point)
     # the verifier takes each tuple of factor points by its position in combos
     position = {combo: c for c, combo in enumerate(combos)}
     check = verify_correspondence(
@@ -290,17 +293,22 @@ class GdeltaMfResult(NamedTuple):
     failure: str = ""
 
 
+def _union(table, mask):
+    """The union of table[i] over the set bits i of ``mask``."""
+    out = 0
+    for i in _bits(mask):
+        out |= table[i]
+    return out
+
+
 def _intersection(space: PosetSpace, opens):
     """The opens as point masks, their intersection's points, and the elements lying in those points."""
     open_masks = [space.open_mask(u) for u in opens]
     inter = space.whole_mask
     for u in open_masks:
         inter &= u
-    inter_points = list(_bits(inter))
-    carrier_mask = 0
-    for i in inter_points:
-        carrier_mask |= space.points[i].mask()
-    return open_masks, inter_points, carrier_mask
+    carrier_mask = _union([space.poset.up_mask(g) for g in space.generators], inter)
+    return open_masks, list(_bits(inter)), carrier_mask
 
 
 def gdelta_mf_poset(poset: FinitePoset, opens) -> GdeltaMfResult:
@@ -317,47 +325,41 @@ def gdelta_mf_poset(poset: FinitePoset, opens) -> GdeltaMfResult:
     the order of P, standing in for the common tail of all deeper stages.
     The maximal filters of the stage poset are then in verified bijection
     with the maximal filters of P inside the intersection.
+
+    The pairs are numbered in one pass per stage, and each q in P keeps the
+    mask of its pairs at every stage.  The up mask of (n, p) is its own bit
+    and, for each q above p in P, the pairs of q before stage n (all of them
+    at the top stage): no two pairs are compared.
     """
     space = PosetSpace(poset, "mf")
     open_masks, inter_points, carrier_mask = _intersection(space, opens)
-    k = len(open_masks)
-    cap = k + 1
+    up, cap = poset.up_masks, len(open_masks) + 1
 
-    stages = []  # (stage n, element index p)
-    for n in range(cap + 1):
-        cn = space.whole_mask
-        for u in open_masks[: max(0, min(n - 1, k))]:
-            cn &= u
+    stages, first = [], []  # the pairs (n, p); per stage, the bit of its first pair
+    for n, cn in enumerate(itertools.accumulate([space.whole_mask] * 2 + open_masks, int.__and__)):
+        first.append(1 << len(stages))  # cn is the intersection of the first n - 1 opens
         stages += [(n, p) for p in _bits(carrier_mask) if not space.opens[p] & ~cn]
+    column = [0] * len(poset)  # q -> the bits of its pairs (m, q)
+    for s, (_, p) in enumerate(stages):
+        column[p] |= 1 << s
     ids = [f"{n}:{poset.elements[p]}" for n, p in stages]
-    masks = []
-    for n, p in stages:
-        up = poset.up_mask(p)
-        masks.append(sum(
-            1 << s for s, (n2, p2) in enumerate(stages)
-            if (n2, p2) == (n, p) or ((n2 < n or n2 == n == cap) and up >> p2 & 1)
-        ))
+    masks = [1 << s | _union(column, up[p] & carrier_mask) & (first[n] - 1 if n < cap else -1)
+             for s, (n, p) in enumerate(stages)]
     q_poset = FinitePoset(ids, masks, f"{poset.name}|gdelta-mf")
     q_space = PosetSpace(q_poset, "mf")
 
-    q_of = {g.mask(): j for j, g in enumerate(q_space.points)}
-    phi = {
-        i: q_of.get(sum(1 << s for s, (_, p) in enumerate(stages) if space.points[i].mask() >> p & 1))
-        for i in inter_points
-    }
-    inter_of = {space.points[i].mask(): i for i in inter_points}
-    psi = {}
-    for j, g in enumerate(q_space.points):
-        closure = 0
-        for s in _bits(g.mask()):
-            closure |= poset.up_mask(stages[s][1])
-        psi[j] = inter_of.get(closure)
+    # a point up(g) of the intersection goes to the pairs of its members, a point
+    # of MF(Q) back to the up-set in P of its pairs' elements
+    q_of = {masks[g]: j for j, g in enumerate(q_space.generators)}
+    phi = {i: q_of.get(_union(column, up[space.generators[i]])) for i in inter_points}
+    inter_of = {up[space.generators[i]]: i for i in inter_points}
+    ups_at = [up[p] for _, p in stages]
+    psi = {j: inter_of.get(_union(ups_at, masks[g])) for j, g in enumerate(q_space.generators)}
     check = verify_correspondence(
         inter_points,
         len(q_space),
         phi,
-        [(f"stage element {sid}", space.opens[p], q_space.opens[s])
-         for s, (sid, (_, p)) in enumerate(zip(ids, stages))],
+        [(f"stage element {sid}", space.opens[p], dst) for sid, (_, p), dst in zip(ids, stages, q_space.opens)],
         inverse=psi,
     )
 
@@ -469,33 +471,28 @@ def gdelta_uf_poset(poset: FinitePoset, opens) -> GdeltaUfResult:
 
     rank_at = [rank(space.opens[p]) for p in at]
     ranks = dict(zip(carrier, rank_at))
-
-    masks = []
-    for a, p in enumerate(at):
-        ga = rank_at[a]
-        masks.append(sum(
-            1 << b for b, q in enumerate(at)
-            if a == b or (poset.leq_idx(p, q) and (rank_at[b] < ga or ga == rank_at[b] == INF))
-        ))
+    position = {p: a for a, p in enumerate(at)}
+    up = poset.up_masks
+    # b lies above a when p_b lies above p_a in P and the rank falls, or both ranks are infinite
+    masks = [sum(1 << b for b in map(position.get, _bits(up[p] & carrier_mask))
+                 if b == a or rank_at[b] < g or g == rank_at[b] == INF) for a, (p, g) in enumerate(zip(at, rank_at))]
     sub = FinitePoset(carrier, masks, f"{poset.name}|gdelta-uf")
     sub_space = PosetSpace(sub, "uf")
+    finite = sum(1 << a for a, g in enumerate(rank_at) if g != INF)  # the members of finite rank
 
-    position = {i: a for a, i in enumerate(at)}
-
-    def unbounded_filter_of_sub(m):  # m is a mask over the indices of P
-        if m & ~carrier_mask:
-            return False
+    def unbounded_filter_of_sub(m):  # m is a mask over the carrier's indices in P
         m = sum(1 << position[i] for i in _bits(m))
         return filter_generator(sub, m) is not None and not bounded(sub, m)
 
-    # unbounded filters are UF points: claim 1 is the map's totality, claim 4 its reach
+    # unbounded filters are UF points: claim 1 is the map's totality, claim 4 its reach;
+    # a filter is the up-set of its least member, so claims 2 and 3 run over element indices
     check, mapping = verify_restriction(space, sub_space, at, inter_points)
-    bad = [space.points[i] for i in inter_points if mapping[i] is None]
-    bad2 = [f for f in enumerate_filters(sub, "all")
-            if max(rank_at[a] for a in _bits(f.mask())) != INF and not bounded(sub, f.mask())]
-    bad3 = [f for f in enumerate_filters(poset, "all")
-            if bounded(poset, f.mask()) and unbounded_filter_of_sub(f.mask())]
-    bad4 = [f for j, f in enumerate(sub_space.points) if j not in mapping.values()]
+    reached = set(mapping.values())
+    bad = [Filter(poset, space.generators[i]) for i in inter_points if mapping[i] is None]
+    bad2 = [Filter(sub, a) for a, m in enumerate(masks) if not m & ~finite and not bounded(sub, m)]
+    bad3 = [Filter(poset, e) for e, m in enumerate(up)
+            if not m & ~carrier_mask and bounded(poset, m) and unbounded_filter_of_sub(m)]
+    bad4 = [Filter(sub, g) for j, g in enumerate(sub_space.generators) if j not in reached]
     details = {c: [str(f) for f in fs] for c, fs in enumerate((bad, bad2, bad3, bad4), start=1)}
     claims = {c: not fs for c, fs in details.items()}
 

@@ -94,9 +94,11 @@ class FinitePoset:
             raise PosetError(f"{n} elements but {len(self._up)} up-set masks")
         if down_masks is None:
             down = [0] * n
-            for i in range(n):
-                for j in _bits(self._up[i]):
-                    down[j] |= 1 << i
+            for i, m in enumerate(self._up):
+                while m:  # _bits inlined: the transpose is most of the cost of a poset
+                    low = m & -m
+                    down[low.bit_length() - 1] |= 1 << i
+                    m ^= low
             down_masks = down
         self._down = tuple(down_masks)
         if len(self._down) != n:
@@ -168,7 +170,7 @@ class FinitePoset:
         return out
 
     def minimal_indices(self):
-        return tuple(i for i in range(len(self)) if self._down[i] == 1 << i)
+        return tuple(i for i, d in enumerate(self._down) if d == 1 << i)
 
     def minimals(self):
         return tuple(self.elements[i] for i in self.minimal_indices())

@@ -41,8 +41,11 @@ class PosetSpace:
         self.whole_mask = (1 << len(self.generators)) - 1
         opens = [0] * len(poset)
         for i, g in enumerate(self.generators):
-            for e in _bits(poset.up_mask(g)):
-                opens[e] |= 1 << i
+            m, bit = poset.up_mask(g), 1 << i
+            while m:  # _bits inlined: this loop is most of the cost of a space
+                low = m & -m
+                opens[low.bit_length() - 1] |= bit
+                m ^= low
         self.opens = tuple(opens)
 
     @functools.cached_property

@@ -61,19 +61,30 @@ related pairs, pair by pair and subset by subset, and give the same
 reports and violation texts.  ``ball_refinements`` lists formal-ball
 refinements with ``Fraction`` arithmetic, where the library counts
 integer numerators.
+
+``product_reference``, ``gdelta_mf_reference`` and
+``gdelta_uf_reference`` are the product and G-delta constructions as
+first written: they project a product point with one comb mask per
+coordinate, build the stage order by comparing every pair of stage
+tuples, and check claims 2-4 over enumerated ``Filter`` tuples.  The
+library folds each filter mask onto one period, builds the stage order
+from per-element pair masks, and checks the claims over element indices.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 from posetspace import domain_theory as lib
 from posetspace.choquet_mf import ConditionRequirementViolation, PreconditionFailed
-from posetspace.constructions import INF, _set_key
-from posetspace.filters import enumerate_filters
+from posetspace.constructions import (
+    INF, GdeltaMfResult, GdeltaUfResult, NotDescending, ProductResult, _set_key,
+)
+from posetspace.filters import bounded, enumerate_filters, filter_generator
 from posetspace.games import ConditionViolated, IllegalMove
 from posetspace.poset_core import AntisymmetryViolation, FinitePoset, PosetError, incompatible
-from posetspace.topology import PosetSpace
+from posetspace.topology import PosetSpace, verify_correspondence, verify_restriction
 
 
 def product_up_masks(factors) -> list:
@@ -952,3 +963,200 @@ def ball_refinements(balls, x, budget) -> list:
             if base + s < r:
                 out.append(balls.encode(b, s))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the product and G-delta constructions as first written, on Filter tuples
+
+
+def _reference_with_top(poset):
+    if not len(poset) or poset.greatest() is not None:
+        return poset, None
+    top = "top"
+    while top in poset:
+        top += "_"
+    top_bit = 1 << len(poset)
+    ups = [m | top_bit for m in poset.up_masks] + [top_bit]
+    downs = poset.down_masks + (2 * top_bit - 1,)
+    return FinitePoset(poset.elements + (top,), ups, f"{poset.name}+top", downs), top
+
+
+def _reference_tensor(rows, radices):
+    out = [1]
+    for row, radix in zip(rows, radices):
+        pad = "0" * (radix - 1)
+        out = [d * m for d in [int(pad.join(format(x, "b")), 2) for x in out] for m in row]
+    return out
+
+
+def product_reference(factors):
+    """``product_poset`` with coordinate tables: projections by one comb mask per coordinate."""
+    factors = list(factors)
+    topped, tops = zip(*(_reference_with_top(f) for f in factors))
+
+    sizes = [len(g) for g in topped]
+    coords = list(itertools.product(*(g.elements for g in topped)))
+    names = ["(" + ",".join(c) + ")" for c in coords]
+    ups = _reference_tensor([g.up_masks for g in topped], sizes)
+    downs = _reference_tensor([g.down_masks for g in topped], sizes)
+    prod = FinitePoset(names, ups, " x ".join(f.name for f in factors), downs)
+
+    strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
+    at = []
+    for f, size, stride in zip(factors, sizes, strides):
+        repeat = ((1 << len(ups)) - 1) // ((1 << size * stride) - 1 or 1)
+        at.append([((1 << stride) - 1) * repeat << j * stride for j in range(len(f))])
+
+    fspaces = tuple(PosetSpace(f, "mf") for f in factors)
+    pspace = PosetSpace(prod, "mf")
+    point_of = {ups[g]: i for i, g in enumerate(pspace.generators)}
+    combos = list(itertools.product(*(range(len(sp)) for sp in fspaces)))
+    generators = [0]
+    for sp, stride in zip(fspaces, strides):
+        generators = [a + g * stride for a in generators for g in sp.generators]
+    images = [point_of.get(ups[a]) for a in generators]
+    src_opens = _reference_tensor(
+        [sp.opens + (sp.whole_mask,) * (len(g) - len(f)) for f, g, sp in zip(factors, topped, fspaces)],
+        [len(sp) for sp in fspaces],
+    )
+    fsets = [{f.up_mask(g): i for i, g in enumerate(sp.generators)} for f, sp in zip(factors, fspaces)]
+    phi_inv = {
+        i: tuple(fsets[k].get(sum(1 << j for j, b in enumerate(at[k]) if ups[g] & b)) for k in range(len(at)))
+        for i, g in enumerate(pspace.generators)
+    }
+    position = {combo: c for c, combo in enumerate(combos)}
+    check = verify_correspondence(
+        range(len(combos)),
+        len(pspace),
+        dict(enumerate(images)),
+        zip(names, src_opens, pspace.opens),
+        inverse={i: position.get(t) for i, t in phi_inv.items()},
+    )
+    return ProductResult(
+        poset=prod, factors=topped, adjoined_tops=tops, coords=dict(zip(names, coords)),
+        phi=dict(zip(combos, images)), phi_inv=phi_inv, factor_spaces=fspaces, space=pspace,
+        ok=check.ok, failure=check.failure,
+    )
+
+
+def _reference_intersection(space, opens):
+    open_masks = [space.open_mask(u) for u in opens]
+    inter = space.whole_mask
+    for u in open_masks:
+        inter &= u
+    inter_points = list(members(inter))
+    carrier_mask = 0
+    for i in inter_points:
+        carrier_mask |= space.points[i].mask()
+    return open_masks, inter_points, carrier_mask
+
+
+def gdelta_mf_reference(poset, opens):
+    """``gdelta_mf_poset`` with the stage order read off every pair of stage tuples."""
+    space = PosetSpace(poset, "mf")
+    open_masks, inter_points, carrier_mask = _reference_intersection(space, opens)
+    k = len(open_masks)
+    cap = k + 1
+
+    stages = []  # (stage n, element index p)
+    for n in range(cap + 1):
+        cn = space.whole_mask
+        for u in open_masks[: max(0, min(n - 1, k))]:
+            cn &= u
+        stages += [(n, p) for p in members(carrier_mask) if not space.opens[p] & ~cn]
+    ids = [f"{n}:{poset.elements[p]}" for n, p in stages]
+    masks = []
+    for n, p in stages:
+        up = poset.up_mask(p)
+        masks.append(sum(
+            1 << s for s, (n2, p2) in enumerate(stages)
+            if (n2, p2) == (n, p) or ((n2 < n or n2 == n == cap) and up >> p2 & 1)
+        ))
+    q_poset = FinitePoset(ids, masks, f"{poset.name}|gdelta-mf")
+    q_space = PosetSpace(q_poset, "mf")
+
+    q_of = {g.mask(): j for j, g in enumerate(q_space.points)}
+    phi = {
+        i: q_of.get(sum(1 << s for s, (_, p) in enumerate(stages) if space.points[i].mask() >> p & 1))
+        for i in inter_points
+    }
+    inter_of = {space.points[i].mask(): i for i in inter_points}
+    psi = {}
+    for j, g in enumerate(q_space.points):
+        closure = 0
+        for s in members(g.mask()):
+            closure |= poset.up_mask(stages[s][1])
+        psi[j] = inter_of.get(closure)
+    check = verify_correspondence(
+        inter_points,
+        len(q_space),
+        phi,
+        [(f"stage element {sid}", space.opens[p], q_space.opens[s])
+         for s, (sid, (_, p)) in enumerate(zip(ids, stages))],
+        inverse=psi,
+    )
+    return GdeltaMfResult(
+        poset=q_poset, stage_cap=cap, open_points=tuple(frozenset(members(u)) for u in open_masks),
+        intersection=frozenset(inter_points), empty_intersection=not inter_points,
+        carrier=poset.names_of(carrier_mask), phi=phi, psi=psi, space=space, stage_space=q_space,
+        ok=check.ok, failure=check.failure,
+    )
+
+
+def gdelta_uf_reference(poset, opens):
+    """``gdelta_uf_poset`` with claims 2-4 over enumerated ``Filter`` tuples."""
+    space = PosetSpace(poset, "uf")
+    open_masks, inter_points, carrier_mask = _reference_intersection(space, opens)
+    for a, b in zip(open_masks, open_masks[1:]):
+        if b & ~a:
+            raise NotDescending("opens are not descending as point sets")
+    k = len(open_masks)
+    at = list(members(carrier_mask))
+    carrier = poset.names_of(carrier_mask)
+
+    def rank(np):
+        if k == 0 or not np & ~open_masks[-1]:
+            return INF
+        return next(n for n, u in enumerate(open_masks) if np & ~u)
+
+    rank_at = [rank(space.opens[p]) for p in at]
+    ranks = dict(zip(carrier, rank_at))
+
+    masks = []
+    for a, p in enumerate(at):
+        ga = rank_at[a]
+        masks.append(sum(
+            1 << b for b, q in enumerate(at)
+            if a == b or (poset.leq_idx(p, q) and (rank_at[b] < ga or ga == rank_at[b] == INF))
+        ))
+    sub = FinitePoset(carrier, masks, f"{poset.name}|gdelta-uf")
+    sub_space = PosetSpace(sub, "uf")
+
+    position = {i: a for a, i in enumerate(at)}
+
+    def unbounded_filter_of_sub(m):
+        if m & ~carrier_mask:
+            return False
+        m = sum(1 << position[i] for i in members(m))
+        return filter_generator(sub, m) is not None and not bounded(sub, m)
+
+    check, mapping = verify_restriction(space, sub_space, at, inter_points)
+    bad = [space.points[i] for i in inter_points if mapping[i] is None]
+    bad2 = [f for f in enumerate_filters(sub, "all")
+            if max(rank_at[a] for a in members(f.mask())) != INF and not bounded(sub, f.mask())]
+    bad3 = [f for f in enumerate_filters(poset, "all")
+            if bounded(poset, f.mask()) and unbounded_filter_of_sub(f.mask())]
+    bad4 = [f for j, f in enumerate(sub_space.points) if j not in mapping.values()]
+    details = {c: [str(f) for f in fs] for c, fs in enumerate((bad, bad2, bad3, bad4), start=1)}
+    claims = {c: not fs for c, fs in details.items()}
+
+    if all(claims.values()):
+        ok, failure = check.ok, check.failure
+    else:
+        ok = False
+        failure = "claims " + ", ".join(str(c) for c, v in sorted(claims.items()) if not v) + " failed"
+    return GdeltaUfResult(
+        subposet=sub, carrier=carrier, ranks=ranks, open_points=tuple(frozenset(members(u)) for u in open_masks),
+        intersection=frozenset(inter_points), claims=claims, claim_details=details, space=space,
+        sub_space=sub_space, ok=ok, failure=failure,
+    )

@@ -270,6 +270,76 @@ def test_gdelta_uf_random_instances():
         assert (r.claims, r.claim_details) == oracles.gdelta_uf_claims(p, r), (p.pairs(), opens)
 
 
+# --- mask constructions against the Filter-tuple references -------------------
+
+
+def _space_fields(space):
+    return space.generators, space.opens
+
+
+def _mf_fields(r):
+    return (r.poset.elements, r.poset.up_masks, r.poset.name, r.stage_cap, r.open_points, r.intersection,
+            r.empty_intersection, r.carrier, r.phi, r.psi, r.ok, r.failure,
+            _space_fields(r.space), _space_fields(r.stage_space))
+
+
+def _uf_fields(r):
+    return (r.subposet.elements, r.subposet.up_masks, r.subposet.name, r.carrier, r.ranks, r.open_points,
+            r.intersection, r.claims, r.claim_details, r.ok, r.failure,
+            _space_fields(r.space), _space_fields(r.sub_space))
+
+
+def _uf_outcome(construct, p, opens):
+    try:
+        return _uf_fields(construct(p, opens))
+    except NotDescending as err:
+        return "NotDescending", str(err)
+
+
+def _gdelta_inputs():
+    """Every poset on 0-4 elements and seeded random ones on 5-6, each with seeded random opens.
+
+    The unbounded-filter side gets shrinking element sets, plus an arbitrary
+    list now and then, which may fail to descend.
+    """
+    rng = random.Random(19)
+    posets = posets_up_to(4, include_empty=True)
+    posets += [random_poset(rng, n) for n in (5, 6) for _ in range(40)]
+    for p in posets:
+        for _ in range(2):
+            mf_opens = [[e for e in p.elements if rng.random() < 0.6] for _ in range(rng.randint(0, 3))]
+            uf_opens, current = [], list(p.elements)
+            for _ in range(rng.randint(0, 3)):
+                current = [e for e in current if rng.random() < 0.8]
+                uf_opens.append(list(current))
+            if rng.random() < 0.2:
+                uf_opens = [[e for e in p.elements if rng.random() < 0.5] for _ in range(rng.randint(2, 3))]
+            yield p, mf_opens, uf_opens
+
+
+def test_gdelta_constructions_match_the_filter_tuple_references():
+    # stage ids, up masks, phi, psi, claims and their details, ranks, ok and failure
+    for p, mf_opens, uf_opens in _gdelta_inputs():
+        assert _mf_fields(gdelta_mf_poset(p, mf_opens)) == _mf_fields(oracles.gdelta_mf_reference(p, mf_opens)), \
+            (p.pairs(), mf_opens)
+        assert _uf_outcome(gdelta_uf_poset, p, uf_opens) == _uf_outcome(oracles.gdelta_uf_reference, p, uf_opens), \
+            (p.pairs(), uf_opens)
+
+
+def test_product_matches_the_comb_mask_reference():
+    rng = random.Random(23)
+    small = posets_up_to(3, include_empty=True)
+    cases = [[a, b] for a in small for b in small]
+    cases += [[random_poset(rng, a), random_poset(rng, b)] for a in range(1, 8) for b in range(a, 8) for _ in range(2)]
+    cases += [[random_poset(rng, rng.randint(1, 3)) for _ in range(3)] for _ in range(20)]
+    for factors in cases:
+        got, want = product_poset(factors), oracles.product_reference(factors)
+        assert (got.poset, got.poset.name, got.poset.down_masks, got.coords, got.adjoined_tops) == \
+            (want.poset, want.poset.name, want.poset.down_masks, want.coords, want.adjoined_tops)
+        assert (got.phi, got.phi_inv, got.ok, got.failure) == (want.phi, want.phi_inv, want.ok, want.failure), \
+            [f.pairs() for f in factors]
+
+
 # --- formal balls -------------------------------------------------------------
 
 
