@@ -83,7 +83,7 @@ def _cmd_space(args):
                  ("restriction-homeomorphism", rep.ok)]
         failure = "" if rep.ok else f"{rep.reason} ({rep.counterexample})"
     if args.check == "subspace":
-        u = topology.PosetSpace(poset, "uf").open_from_elements(_elements_list((args.open or [""])[0]))
+        u = topology.PosetSpace(poset, "uf").open_mask(_elements_list((args.open or [""])[0]))
         result = constructions.open_subspace_uf(poset, u)
         rows += [("subspace-elements", ", ".join(result.kept) or "(none)"),
                  ("uf-points", len(result.sub_space)), ("bijection", result.ok)]
@@ -115,8 +115,8 @@ def _cmd_gdelta(args):
     if args.mode == "mf":
         result = constructions.gdelta_mf_poset(poset, opens)
         rows = [("stage-poset-elements", len(result.poset)), ("stage-cap", result.stage_cap),
-                ("empty-intersection", result.empty_intersection),
-                ("intersection-points", len(result.intersection)),
+                ("empty-intersection", not result.intersection),
+                ("intersection-points", result.intersection.bit_count()),
                 ("stage-mf-points", len(result.stage_space)), ("bijection", result.ok)]
         return rows, result.failure
     result = constructions.gdelta_uf_poset(poset, opens)
@@ -247,7 +247,7 @@ def _cmd_baire(args):
     landing = games.landing_filter(poset, play)
     space = topology.PosetSpace(poset, "mf")
     idx = space.point_index(landing)
-    miss = next((i for i, d in enumerate(dense_sets) if idx not in space.open_from_elements(d)), None)
+    miss = next((i for i, d in enumerate(dense_sets) if not space.open_mask(d) >> idx & 1), None)
     rows = [("chain", " > ".join(play.chain)), ("maximal-filter", landing),
             ("lands-in-every-open", miss is None)]
     return rows, "" if miss is None else f"dense set {miss} misses the maximal filter"

@@ -281,9 +281,8 @@ def product_poset(factors) -> ProductResult:
 class GdeltaMfResult(NamedTuple):
     poset: FinitePoset  # the stage poset Q
     stage_cap: int
-    open_points: tuple  # the opens as point sets of MF(P)
-    intersection: frozenset
-    empty_intersection: bool
+    open_points: tuple  # the opens as point masks of MF(P)
+    intersection: int  # their intersection, as a point mask
     carrier: tuple  # elements of P kept (those lying in a point of the intersection)
     phi: dict  # MF(P)-in-intersection point index -> MF(Q) point index
     psi: dict
@@ -302,13 +301,13 @@ def _union(table, mask):
 
 
 def _intersection(space: PosetSpace, opens):
-    """The opens as point masks, their intersection's points, and the elements lying in those points."""
+    """The opens as point masks, their intersection, and the elements lying in its points."""
     open_masks = [space.open_mask(u) for u in opens]
     inter = space.whole_mask
     for u in open_masks:
         inter &= u
     carrier_mask = _union([space.poset.up_mask(g) for g in space.generators], inter)
-    return open_masks, list(_bits(inter)), carrier_mask
+    return open_masks, inter, carrier_mask
 
 
 def gdelta_mf_poset(poset: FinitePoset, opens) -> GdeltaMfResult:
@@ -332,7 +331,8 @@ def gdelta_mf_poset(poset: FinitePoset, opens) -> GdeltaMfResult:
     at the top stage): no two pairs are compared.
     """
     space = PosetSpace(poset, "mf")
-    open_masks, inter_points, carrier_mask = _intersection(space, opens)
+    open_masks, inter, carrier_mask = _intersection(space, opens)
+    inter_points = list(_bits(inter))
     up, cap = poset.up_masks, len(open_masks) + 1
 
     stages, first = [], []  # the pairs (n, p); per stage, the bit of its first pair
@@ -366,9 +366,8 @@ def gdelta_mf_poset(poset: FinitePoset, opens) -> GdeltaMfResult:
     return GdeltaMfResult(
         poset=q_poset,
         stage_cap=cap,
-        open_points=tuple(frozenset(_bits(u)) for u in open_masks),
-        intersection=frozenset(inter_points),
-        empty_intersection=not inter_points,
+        open_points=tuple(open_masks),
+        intersection=inter,
         carrier=poset.names_of(carrier_mask),
         phi=phi,
         psi=psi,
@@ -393,27 +392,27 @@ class OpenSubspaceResult(NamedTuple):
     failure: str = ""
 
 
-def open_subspace_uf(poset: FinitePoset, open_points) -> OpenSubspaceResult:
+def open_subspace_uf(poset: FinitePoset, u: int) -> OpenSubspaceResult:
     """Subposet of the elements whose basic open sits inside an open set.
 
-    ``open_points`` is a set of UF(P) point indices; every such set is
-    open, because finite filter spaces are discrete, and anything else in
-    it is named in the ``NotOpen`` raised.  The restriction map
+    ``u`` is a point mask of UF(P); every such mask is open, because
+    finite filter spaces are discrete.  Anything else raises ``NotOpen``,
+    which names the lowest bit that is no point.  The restriction map
     x -> x intersect R is verified to be a bijection from the points
     inside the open set onto UF(R), matching basic opens for every kept
     element.
     """
     space = PosetSpace(poset, "uf")
-    u = frozenset(open_points)
-    stray = sorted((x for x in u if not (isinstance(x, int) and 0 <= x < len(space))), key=repr)
+    if not isinstance(u, int):
+        raise NotOpen(f"{u!r} is not a point mask of {space!r}")
+    stray = u & ~space.whole_mask
     if stray:
-        raise NotOpen(f"{stray[0]!r} is not a point of {space!r}")
-    u_mask = sum(1 << i for i in u)
-    kept_mask = sum(1 << e for e, np in enumerate(space.opens) if not np & ~u_mask)
+        raise NotOpen(f"{(stray & -stray).bit_length() - 1} is not a point of {space!r}")
+    kept_mask = sum(1 << e for e, np in enumerate(space.opens) if not np & ~u)
     kept = poset.names_of(kept_mask)
     sub = poset.restrict(kept, name=f"{poset.name}|open")
     sub_space = PosetSpace(sub, "uf")
-    check, mapping = verify_restriction(space, sub_space, list(_bits(kept_mask)), sorted(u))
+    check, mapping = verify_restriction(space, sub_space, list(_bits(kept_mask)), list(_bits(u)))
     return OpenSubspaceResult(sub, kept, space, sub_space, mapping, check.ok, check.failure)
 
 
@@ -421,8 +420,8 @@ class GdeltaUfResult(NamedTuple):
     subposet: FinitePoset  # (R, with the rank-refined order)
     carrier: tuple
     ranks: dict  # element -> int rank, or INF
-    open_points: tuple
-    intersection: frozenset
+    open_points: tuple  # the opens as point masks of UF(P)
+    intersection: int  # their intersection, as a point mask
     claims: dict  # claim number -> bool
     claim_details: dict
     space: PosetSpace
@@ -452,20 +451,20 @@ def gdelta_uf_poset(poset: FinitePoset, opens) -> GdeltaUfResult:
     4. every unbounded filter of the subposet is an unbounded filter of
        P lying inside the intersection;
 
-    claims 2 and 3 by enumeration, and 1 and 4 on the restriction map, with
-    the bijection and basic-open matching that verify_restriction checks.
+    refined_subposet_claims checks them on the refined subposet, 1 and 4
+    on the restriction map, with the bijection and basic-open matching
+    that verify_restriction checks.
     """
     space = PosetSpace(poset, "uf")
-    open_masks, inter_points, carrier_mask = _intersection(space, opens)
+    open_masks, inter, carrier_mask = _intersection(space, opens)
     for a, b in zip(open_masks, open_masks[1:]):
         if b & ~a:
             raise NotDescending("opens are not descending as point sets")
-    k = len(open_masks)
     at = list(_bits(carrier_mask))  # the index in P of each carrier element
     carrier = poset.names_of(carrier_mask)
 
     def rank(np):  # how many of the opens, from the first, hold the basic open np
-        if k == 0 or not np & ~open_masks[-1]:
+        if not open_masks or not np & ~open_masks[-1]:
             return INF
         return next(n for n, u in enumerate(open_masks) if np & ~u)
 
@@ -480,20 +479,8 @@ def gdelta_uf_poset(poset: FinitePoset, opens) -> GdeltaUfResult:
     sub_space = PosetSpace(sub, "uf")
     finite = sum(1 << a for a, g in enumerate(rank_at) if g != INF)  # the members of finite rank
 
-    def unbounded_filter_of_sub(m):  # m is a mask over the carrier's indices in P
-        m = sum(1 << position[i] for i in _bits(m))
-        return filter_generator(sub, m) is not None and not bounded(sub, m)
-
-    # unbounded filters are UF points: claim 1 is the map's totality, claim 4 its reach;
-    # a filter is the up-set of its least member, so claims 2 and 3 run over element indices
-    check, mapping = verify_restriction(space, sub_space, at, inter_points)
-    reached = set(mapping.values())
-    bad = [Filter(poset, space.generators[i]) for i in inter_points if mapping[i] is None]
-    bad2 = [Filter(sub, a) for a, m in enumerate(masks) if not m & ~finite and not bounded(sub, m)]
-    bad3 = [Filter(poset, e) for e, m in enumerate(up)
-            if not m & ~carrier_mask and bounded(poset, m) and unbounded_filter_of_sub(m)]
-    bad4 = [Filter(sub, g) for j, g in enumerate(sub_space.generators) if j not in reached]
-    details = {c: [str(f) for f in fs] for c, fs in enumerate((bad, bad2, bad3, bad4), start=1)}
+    check, mapping = verify_restriction(space, sub_space, at, list(_bits(inter)))
+    details = refined_subposet_claims(space, sub, carrier_mask, finite, mapping)
     claims = {c: not fs for c, fs in details.items()}
 
     if all(claims.values()):
@@ -506,8 +493,8 @@ def gdelta_uf_poset(poset: FinitePoset, opens) -> GdeltaUfResult:
         subposet=sub,
         carrier=carrier,
         ranks=ranks,
-        open_points=tuple(frozenset(_bits(u)) for u in open_masks),
-        intersection=frozenset(inter_points),
+        open_points=tuple(open_masks),
+        intersection=inter,
         claims=claims,
         claim_details=details,
         space=space,
@@ -515,6 +502,32 @@ def gdelta_uf_poset(poset: FinitePoset, opens) -> GdeltaUfResult:
         ok=ok,
         failure=failure,
     )
+
+
+def refined_subposet_claims(space: PosetSpace, sub: FinitePoset, carrier_mask: int, finite: int, mapping) -> dict:
+    """Claim number -> the filters breaking that claim of gdelta_uf_poset on ``sub``, as text.
+
+    ``space`` is UF(P); ``sub`` orders the elements of P in ``carrier_mask``
+    and ``finite`` masks its members of finite rank.  ``mapping`` is the
+    restriction map from the intersection's points to UF(sub): unbounded
+    filters are UF points, so claim 1 is its totality and claim 4 its
+    reach.  A filter is the up-set of its least member, so claims 2 and 3
+    run over element indices.
+    """
+    poset = space.poset
+    position = {p: a for a, p in enumerate(_bits(carrier_mask))}
+
+    def unbounded_filter_of_sub(m):  # m is a mask over the carrier's indices in P
+        m = sum(1 << position[i] for i in _bits(m))
+        return filter_generator(sub, m) is not None and not bounded(sub, m)
+
+    bad = [Filter(poset, space.generators[i]) for i, j in mapping.items() if j is None]
+    bad2 = [Filter(sub, a) for a, m in enumerate(sub.up_masks) if not m & ~finite and not bounded(sub, m)]
+    bad3 = [Filter(poset, e) for e, m in enumerate(poset.up_masks)
+            if not m & ~carrier_mask and bounded(poset, m) and unbounded_filter_of_sub(m)]
+    reached = set(mapping.values())
+    bad4 = [Filter(sub, g) for j, g in enumerate(sub.minimal_indices()) if j not in reached]
+    return {c: [str(f) for f in fs] for c, fs in enumerate((bad, bad2, bad3, bad4), start=1)}
 
 
 # ---------------------------------------------------------------------------
@@ -702,13 +715,13 @@ def precompact_open_poset(x: FiniteTopSpace) -> PrecompactResult:
     """
     opens, poset, space, pairs = open_poset(x, lambda u, v: not x.closure(u) & ~v, "opens")
     point_of = {}
-    for k, f in enumerate(space.points):
+    for k, g in enumerate(space.generators):
         inter = x.whole_mask
-        for e in _bits(f.mask()):
+        for e in _bits(poset.up_mask(g)):
             inter &= opens[e]
         if inter.bit_count() == 1:
             point_of[k] = inter.bit_length() - 1
-    check = verify_correspondence(range(len(space.points)), len(x.points), point_of, pairs)
+    check = verify_correspondence(range(len(space)), len(x), point_of, pairs)
 
     return PrecompactResult(
         poset=poset,

@@ -91,7 +91,7 @@ class ChoquetTranscript:
         """
         if self.rounds:
             return self.rounds[-1].open_ii
-        return (1 << len(self.space)) - 1
+        return self.space.whole_mask
 
     @property
     def winner_at_horizon(self) -> str:
@@ -103,8 +103,8 @@ class ChoquetTranscript:
         lines = []
         for t, r in enumerate(self.rounds):
             lines.append(
-                f"round {t}: I ({self.space.set_str(_bits(r.open_i))}, {self.space.points[r.point]})"
-                f" | II {self.space.set_str(_bits(r.open_ii))}"
+                f"round {t}: I ({self.space.set_str(r.open_i)}, {self.space.points[r.point]})"
+                f" | II {self.space.set_str(r.open_ii)}"
             )
         if self.illegal is not None:
             lines.append(f"illegal: {self.illegal}")
@@ -186,7 +186,7 @@ class _Position:
 
     def __init__(self, space):
         self.space = space
-        self.whole = (1 << len(space)) - 1  # every point, as a mask
+        self.whole = space.whole_mask
         self.rounds = []
         self.pending = None
         self.witness = None  # element index behind II's last basic open, if any

@@ -154,7 +154,7 @@ def completeness_check(space: FiniteTopSpace, order: SubsetOrder) -> Completenes
 class MfFromOrderResult(NamedTuple):
     poset: FinitePoset
     open_of: dict  # poset element id -> open point mask
-    point_filters: dict  # space point index -> frozenset of poset element ids
+    point_filters: dict  # space point index -> mask of the poset elements in its filter
     axioms: AxiomReport  # the hypothesis check of the order
     bijective: bool
     membership_equivalence: bool
@@ -183,18 +183,18 @@ def mf_poset_from_order(space: FiniteTopSpace, order: SubsetOrder) -> MfFromOrde
 
     rows = order.rows()
     opens, poset, mf_space, pairs = open_poset(space, lambda v, w: rows[v] >> w & 1, "order")
-    point_filters = {x: frozenset(i for i, o in zip(poset.elements, opens) if rows[1 << x] >> o & 1)
-                     for x in range(len(space.points))}
-    point_of = {f.mask(): k for k, f in enumerate(mf_space.points)}
+    point_filters = {x: sum(1 << e for e, o in enumerate(opens) if rows[1 << x] >> o & 1)
+                     for x in range(len(space))}
+    point_of = {poset.up_mask(g): k for k, g in enumerate(mf_space.generators)}
     check = verify_correspondence(
-        range(len(space.points)),
-        len(mf_space.points),
-        {x: point_of.get(poset.mask_of(members)) for x, members in point_filters.items()},
+        range(len(space)),
+        len(mf_space),
+        {x: point_of.get(m) for x, m in point_filters.items()},
         pairs,
     )
 
     # each maximal filter's family of opens meets the order: each is in the row of one of them
-    families = [sum(1 << opens[e] for e in _bits(f.mask())) for f in mf_space.points]
+    families = [sum(1 << opens[e] for e in _bits(poset.up_mask(g))) for g in mf_space.generators]
 
     return MfFromOrderResult(
         poset=poset,
@@ -249,12 +249,12 @@ def order_from_poset(poset: FinitePoset) -> OrderFromPosetResult:
     if witnesses:
         raise ConditionFailed(witnesses[0], only_reflexive)
     mf = PosetSpace(poset, "mf")
-    if len(mf.points) > FULL_POWERSET_CAP:
+    if len(mf) > FULL_POWERSET_CAP:
         raise PosetError(f"the filter space has more than {FULL_POWERSET_CAP} points")
 
     # MF(P) is discrete (see PosetSpace.is_open): its opens are all sets of
     # points, and its atoms, the minimal nonempty opens, are the singletons
-    space = FiniteTopSpace([f"F{i}" for i in range(len(mf.points))], mf.opens, name=f"MF({poset.name})")
+    space = FiniteTopSpace([f"F{i}" for i in range(len(mf))], mf.opens, name=f"MF({poset.name})")
     sup = _subsets(len(space))[1]
     n = len(poset)
     lt_opens = [(mf.opens[p], mf.opens[q]) for p in range(n) for q in range(n) if p != q and poset.leq_idx(p, q)]

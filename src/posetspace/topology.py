@@ -6,7 +6,7 @@ import functools
 from typing import NamedTuple
 
 from .poset_core import FinitePoset, PosetError, _bits
-from .filters import Filter, filter_generator
+from .filters import Filter
 
 
 class NotABasis(PosetError):
@@ -26,10 +26,9 @@ class PosetSpace:
     of an element p collects the points whose filter contains p.
     ``generators[i]`` is the element index of the least member of point
     i, and ``opens[e]`` is the basic open of element index e as an int
-    mask over point indices (bit i set when point i contains e).  Inside
-    the library every open is such a mask; ``basic_open``,
-    ``open_from_elements`` and ``whole`` build frozensets of point
-    indices when called, and ``points`` builds the filters on first use.
+    mask over point indices (bit i set when point i contains e).  Every
+    open the class takes or returns is such a mask; ``points`` builds the
+    filters on first use, for text only.
     """
 
     def __init__(self, poset: FinitePoset, mode: str):
@@ -52,19 +51,11 @@ class PosetSpace:
     def points(self) -> tuple:
         return tuple(Filter(self.poset, g) for g in self.generators)
 
-    @functools.cached_property
-    def _point_of(self) -> dict:
-        return {g: i for i, g in enumerate(self.generators)}
-
     def __len__(self):
         return len(self.generators)
 
     def __repr__(self):
         return f"PosetSpace({self.mode}({self.poset.name}), {len(self)} points)"
-
-    @property
-    def whole(self) -> frozenset:
-        return frozenset(range(len(self)))
 
     def open_mask(self, elements) -> int:
         """The union of the basic opens of ``elements``, as a point mask."""
@@ -73,31 +64,28 @@ class PosetSpace:
             out |= self.opens[self.poset.index(e)]
         return out
 
-    def basic_open(self, element) -> frozenset:
-        return frozenset(_bits(self.opens[self.poset.index(element)]))
+    def basic_open(self, element) -> int:
+        return self.opens[self.poset.index(element)]
 
-    def open_from_elements(self, elements) -> frozenset:
-        return frozenset(_bits(self.open_mask(elements)))
-
-    def is_open(self, point_set) -> bool:
+    def is_open(self, s) -> bool:
         """Open means a union of basic opens; on a finite poset, any set of points.
 
         Every point of MF(P) or UF(P) is the upset of a minimal element g,
         and a point contains g only if its generator lies below g, that is
         equals g.  So the basic open of g is the single point generated by
         g, every finite filter space is discrete, and a set is open
-        exactly when it holds nothing but points of the space.
+        exactly when it is a point mask: an int with no bit outside
+        ``whole_mask``.
         """
-        return frozenset(point_set) <= self.whole
+        return isinstance(s, int) and not s & ~self.whole_mask
 
     def point_index(self, filt: Filter) -> int:
-        i = self._point_of.get(filt.generator)
-        if i is None or filt.poset != self.poset:
+        if filt.poset != self.poset or filt.generator not in self.generators:
             raise KeyError(f"{filt} is not a point of {self!r}")
-        return i
+        return self.generators.index(filt.generator)
 
-    def set_str(self, point_set) -> str:
-        return "{" + ", ".join(str(self.points[i]) for i in sorted(point_set)) + "}"
+    def set_str(self, s: int) -> str:
+        return "{" + ", ".join(str(self.points[i]) for i in _bits(s)) + "}"
 
 
 class Correspondence(NamedTuple):
@@ -203,9 +191,9 @@ class ReduceResult(NamedTuple):
     subposet: FinitePoset
     kept: tuple
     stages: int
-    # pairs (filter on P, its restriction to the subposet); the restriction is
-    # None where it is no filter of the subposet, which the saturation rules out
-    mapping: tuple
+    # MF(P) point index -> the MF(subposet) point index of its restriction; None
+    # where the restriction is no such point, which the saturation rules out
+    mapping: dict
 
 
 def reduce_countable_subposet(poset: FinitePoset, seed_basis) -> ReduceResult:
@@ -217,16 +205,14 @@ def reduce_countable_subposet(poset: FinitePoset, seed_basis) -> ReduceResult:
     chosen greedily in element order, so the result is deterministic.
     For a finite poset the stages stabilize.
 
-    The restriction map F -> F intersect R is returned as a table; it is
-    a bijection onto the maximal filters of the subposet (see
-    restriction_homeomorphism_check).  Runtime is exponential in the size
-    of the saturated set, which is fine at desk scale.
+    The restriction map F -> F intersect R is returned as the point map
+    of verify_restriction; it is a bijection onto the maximal filters of
+    the subposet (see restriction_homeomorphism_check).  Runtime is
+    exponential in the size of the saturated set, which is fine at desk
+    scale.
     """
     space = PosetSpace(poset, "mf")
-    for q in seed_basis:
-        poset.index(q)
-    wanted = set(seed_basis)
-    seed = [i for i, q in enumerate(poset.elements) if q in wanted]
+    seed = sorted({poset.index(q) for q in seed_basis})  # element indices, in element order
     _check_seed_is_basis(space, seed)
 
     opens = space.opens
@@ -234,18 +220,13 @@ def reduce_countable_subposet(poset: FinitePoset, seed_basis) -> ReduceResult:
     stages = 0
     while True:
         added = []
-        subsets = [[]]
+        # per subset D of the current set: the intersection of its basic opens, its common lower bounds
+        meets = [(space.whole_mask, (1 << len(poset)) - 1)]
         for q in current:
-            subsets += [s + [q] for s in subsets]
-        for d in subsets[1:]:
-            target = space.whole_mask
-            for q in d:
-                target &= opens[q]
+            meets += [(target & opens[q], lower & poset.down_mask(q)) for target, lower in meets]
+        for target, lower in meets[1:]:
             if not target:
                 continue
-            lower = (1 << len(poset)) - 1
-            for q in d:
-                lower &= poset.down_mask(q)
             covered = 0
             for e in _bits(lower):
                 if not target & ~covered:
@@ -263,12 +244,8 @@ def reduce_countable_subposet(poset: FinitePoset, seed_basis) -> ReduceResult:
     kept_mask = sum(1 << i for i in current)
     kept = poset.names_of(kept_mask)
     sub = poset.restrict(kept, name=f"{poset.name}|reduced")
-    position = {i: k for k, i in enumerate(_bits(kept_mask))}
-    mapping = []
-    for f in space.points:
-        g = filter_generator(sub, sum(1 << position[i] for i in _bits(f.mask() & kept_mask)))
-        mapping.append((f, None if g is None else Filter(sub, g)))
-    return ReduceResult(subposet=sub, kept=kept, stages=stages, mapping=tuple(mapping))
+    _, mapping = verify_restriction(space, PosetSpace(sub, "mf"), list(_bits(kept_mask)), range(len(space)))
+    return ReduceResult(subposet=sub, kept=kept, stages=stages, mapping=mapping)
 
 
 class HomeoReport(NamedTuple):

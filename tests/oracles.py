@@ -224,6 +224,11 @@ def point_set(mask) -> frozenset:
     return frozenset(members(mask))
 
 
+def point_set_str(space, point_set) -> str:
+    """A set of point indices as text: its points' filters, in index order."""
+    return "{" + ", ".join(str(space.points[i]) for i in sorted(point_set)) + "}"
+
+
 class ChoquetPosition:
     def __init__(self, space):
         self.space = space
@@ -265,7 +270,7 @@ def choquet_referee(space, strategy_i, strategy_ii, rounds):
             break
         pos.rounds.append((u, x, v, witness))
     lines = [
-        f"round {t}: I ({space.set_str(u)}, {space.points[x]}) | II {space.set_str(v)}"
+        f"round {t}: I ({point_set_str(space, u)}, {space.points[x]}) | II {point_set_str(space, v)}"
         for t, (u, x, v, _) in enumerate(pos.rounds)
     ]
     if illegal is not None:
@@ -677,7 +682,7 @@ def gdelta_uf_claims(poset, result):
         return directed and upclosed
 
     claims, details = {}, {}
-    uf_in_g = [space.points[i] for i in sorted(inter)]
+    uf_in_g = [space.points[i] for i in members(inter)]
     bad = [f for f in uf_in_g
            if not (set(f.members) <= set(carrier)
                    and is_filter_of(sub, f.members)
@@ -706,7 +711,7 @@ def gdelta_uf_claims(poset, result):
     claims[3] = not bad3
     details[3] = bad3
 
-    inter_sets = {space.points[i].members for i in inter}
+    inter_sets = {space.points[i].members for i in members(inter)}
     bad4 = []
     for f in result.sub_space.points:
         unbounded_in_p = not any(
@@ -1096,8 +1101,8 @@ def gdelta_mf_reference(poset, opens):
         inverse=psi,
     )
     return GdeltaMfResult(
-        poset=q_poset, stage_cap=cap, open_points=tuple(frozenset(members(u)) for u in open_masks),
-        intersection=frozenset(inter_points), empty_intersection=not inter_points,
+        poset=q_poset, stage_cap=cap, open_points=tuple(open_masks),
+        intersection=sum(1 << i for i in inter_points),
         carrier=poset.names_of(carrier_mask), phi=phi, psi=psi, space=space, stage_space=q_space,
         ok=check.ok, failure=check.failure,
     )
@@ -1156,7 +1161,7 @@ def gdelta_uf_reference(poset, opens):
         ok = False
         failure = "claims " + ", ".join(str(c) for c, v in sorted(claims.items()) if not v) + " failed"
     return GdeltaUfResult(
-        subposet=sub, carrier=carrier, ranks=ranks, open_points=tuple(frozenset(members(u)) for u in open_masks),
-        intersection=frozenset(inter_points), claims=claims, claim_details=details, space=space,
+        subposet=sub, carrier=carrier, ranks=ranks, open_points=tuple(open_masks),
+        intersection=sum(1 << i for i in inter_points), claims=claims, claim_details=details, space=space,
         sub_space=sub_space, ok=ok, failure=failure,
     )

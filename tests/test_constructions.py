@@ -23,8 +23,9 @@ from posetspace.constructions import (
     point_chain,
     precompact_open_poset,
     product_poset,
+    refined_subposet_claims,
 )
-from posetspace.poset_core import PosetError
+from posetspace.poset_core import PosetError, validate_poset
 from posetspace.topology import PosetSpace
 
 
@@ -93,7 +94,7 @@ def _assert_product_matches_oracle(factors):
     assert [r.poset.up_mask(i) for i in range(len(r.poset))] == want, [f.name for f in factors]
     assert r.ok, ([f.name for f in factors], r.failure)
     for e in r.poset.elements:
-        assert r.space.basic_open(e) == oracles.basic_open(r.space, e)
+        assert oracles.point_set(r.space.basic_open(e)) == oracles.basic_open(r.space, e)
 
 
 def test_product_order_matches_oracle():
@@ -116,7 +117,7 @@ def test_product_order_matches_oracle():
 
 def test_gdelta_mf_whole_space(vee):
     r = gdelta_mf_poset(vee, [["a", "b", "c"]])
-    assert r.ok and not r.empty_intersection
+    assert r.ok and r.intersection
     assert len(r.stage_space.points) == 2
 
 
@@ -126,7 +127,7 @@ def test_gdelta_mf_single_point_open(vee):
     assert r.ok
     assert len(r.stage_space.points) == 1
     back = {r.psi[j] for j in r.psi}
-    assert back == set(r.intersection)
+    assert back == oracles.point_set(r.intersection)
 
 
 def test_gdelta_mf_element_set_with_top(vee):
@@ -139,7 +140,7 @@ def test_gdelta_mf_element_set_with_top(vee):
 
 def test_gdelta_mf_empty_intersection(vee):
     r = gdelta_mf_poset(vee, [["a"], ["b"]])
-    assert r.empty_intersection
+    assert not r.intersection
     assert r.ok
     assert len(r.stage_space.points) == 0
 
@@ -159,7 +160,7 @@ def test_gdelta_mf_random_instances():
         ]
         r = gdelta_mf_poset(p, opens)
         assert r.ok, (p.pairs(), opens, r.failure)
-        assert len(r.stage_space.points) == len(r.intersection)
+        assert len(r.stage_space.points) == r.intersection.bit_count()
 
 
 # --- open subspaces and G-delta, unbounded side -------------------------------
@@ -167,7 +168,7 @@ def test_gdelta_mf_random_instances():
 
 def test_open_subspace_whole(vee):
     sp = PosetSpace(vee, "uf")
-    r = open_subspace_uf(vee, sp.whole)
+    r = open_subspace_uf(vee, sp.whole_mask)
     assert r.kept == vee.elements
     assert r.ok
 
@@ -181,31 +182,34 @@ def test_open_subspace_basic(vee):
 
 
 def test_open_subspace_empty(vee):
-    r = open_subspace_uf(vee, frozenset())
+    r = open_subspace_uf(vee, 0)
     assert r.kept == ()
     assert len(r.sub_space.points) == 0
     assert r.ok
 
 
 def test_open_subspace_rejects_non_point_set(vee):
-    # finite filter spaces are discrete, so every genuine point set is open;
-    # only sets that are not point sets at all can be rejected
+    # finite filter spaces are discrete, so every point mask is open;
+    # only what is no point mask can be rejected
     sp = PosetSpace(vee, "uf")
-    assert all(sp.is_open(frozenset(s)) for s in [(), (0,), (1,), (0, 1)])
-    with pytest.raises(NotOpen):
-        open_subspace_uf(vee, frozenset([5]))
+    assert all(sp.is_open(u) for u in range(4))
+    with pytest.raises(NotOpen) as err:
+        open_subspace_uf(vee, frozenset([0]))
+    assert str(err.value) == f"frozenset({{0}}) is not a point mask of {sp!r}"
 
 
 def test_open_subspace_names_a_stray_witness(vee):
-    with pytest.raises(NotOpen) as err:
-        open_subspace_uf(vee, {0, "a"})
-    assert str(err.value).startswith("'a' is not a point of ")
+    # the lowest bit outside the two points: past the last point, or the first of a negative mask
+    sp = PosetSpace(vee, "uf")
+    for u, stray in ((0b1 | 1 << 5, 5), (1 << 2, 2), (-1, 2), (-4, 2), (~0b1, 2)):
+        with pytest.raises(NotOpen) as err:
+            open_subspace_uf(vee, u)
+        assert str(err.value) == f"{stray} is not a point of {sp!r}", u
 
 
 def test_open_subspace_every_open_works(vee):
     sp = PosetSpace(vee, "uf")
-    for r in range(2 ** len(sp.points)):
-        u = frozenset(i for i in range(len(sp.points)) if r >> i & 1)
+    for u in range(2 ** len(sp.points)):
         assert open_subspace_uf(vee, u).ok
 
 
@@ -224,6 +228,20 @@ def test_gdelta_uf_single_open(vee):
     assert len(r.sub_space.points) == 1
     assert r.sub_space.points[0].members == {"a", "c"}
     assert r.ranks == {"a": INF, "c": 0}
+
+
+def test_refined_subposet_claims_on_a_wrong_subposet():
+    # P is the chain a < b < c, with the one UF point up(a), and the subposet fed in
+    # keeps c alone.  {c} is then a filter of it with no strict lower bound: claim 2
+    # fails on it while c has finite rank, claim 4 while the restriction map misses its
+    # point, and claim 3 always, since up(c) = {c} is bounded in P by b.  up(b) = {b, c}
+    # is bounded in P too and meets the subposet in that {c}, but holds b outside it, so
+    # claim 3 must not name it.  Claim 1 fails while up(a) has no image.
+    p = validate_poset(["a", "b", "c"], [("a", "b"), ("b", "c")], "chain3")
+    space, sub = PosetSpace(p, "uf"), p.restrict(["c"])
+    assert refined_subposet_claims(space, sub, 0b100, 0b1, {0: None}) == {
+        1: ["{a, b, c}"], 2: ["{c}"], 3: ["{c}"], 4: ["{c}"]}
+    assert refined_subposet_claims(space, sub, 0b100, 0, {0: 0}) == {1: [], 2: [], 3: ["{c}"], 4: []}
 
 
 def test_gdelta_uf_not_descending(vee):
@@ -245,7 +263,7 @@ def test_uf_rank_is_antitone():
         r = gdelta_uf_poset(p, opens)
         for a in r.carrier:
             for b in r.carrier:
-                if space.basic_open(a) <= space.basic_open(b):
+                if not space.basic_open(a) & ~space.basic_open(b):
                     assert r.ranks[a] >= r.ranks[b]
 
 
@@ -262,8 +280,8 @@ def test_gdelta_uf_random_instances():
             current = [e for e in current if rng.random() < 0.8]
             opens.append(list(current))
         # make the element sets descending as point sets by construction
-        pts = [space.open_from_elements(u) for u in opens]
-        if any(not b <= a for a, b in zip(pts, pts[1:])):
+        pts = [space.open_mask(u) for u in opens]
+        if any(b & ~a for a, b in zip(pts, pts[1:])):
             continue
         r = gdelta_uf_poset(p, opens)
         assert r.ok, (p.pairs(), opens, r.failure, r.claims)
@@ -279,7 +297,7 @@ def _space_fields(space):
 
 def _mf_fields(r):
     return (r.poset.elements, r.poset.up_masks, r.poset.name, r.stage_cap, r.open_points, r.intersection,
-            r.empty_intersection, r.carrier, r.phi, r.psi, r.ok, r.failure,
+            r.carrier, r.phi, r.psi, r.ok, r.failure,
             _space_fields(r.space), _space_fields(r.stage_space))
 
 

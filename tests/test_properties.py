@@ -129,7 +129,7 @@ def test_canonical_choquet_ii_plays_legally(poset_seed, n, game_seed, rounds, mo
     assert t.intersection
     witnesses = [r.witness_ii for r in t.rounds]
     assert all(p.leq(cur, prev) for prev, cur in zip(witnesses, witnesses[1:]))
-    prev = space.whole
+    prev = oracles.point_set(space.whole_mask)
     for r in t.rounds:
         u, v = oracles.point_set(r.open_i), oracles.point_set(r.open_ii)
         assert r.point in v <= u <= prev

@@ -111,6 +111,8 @@ def test_mf_poset_from_order_discrete_two_points():
     assert result.bijective and result.membership_equivalence
     assert result.maximal_filters_meet
     assert len(result.space.points) == 2
+    assert result.poset.elements == ("{x}", "{y}", "{x,y}")
+    assert result.point_filters == {0: 0b101, 1: 0b110}  # the opens holding x, and those holding y
 
 
 def test_mf_poset_from_order_one_point():
@@ -125,6 +127,27 @@ def test_mf_poset_from_order_rejects_non_t1():
     with pytest.raises(HypothesisFailed) as err:
         mf_poset_from_order(space, interval_order(space))
     assert err.value.hypothesis == "T1"
+
+
+def test_mf_poset_from_order_rejects_an_order_failing_the_axioms():
+    space = FiniteTopSpace.discrete(["x", "y"])
+    with pytest.raises(HypothesisFailed) as err:
+        mf_poset_from_order(space, SubsetOrder(space, frozenset()))
+    assert err.value.hypothesis == "axioms"
+    assert str(err.value) == ("hypothesis failed: axioms (the empty set is not related to itself; "
+                              "the whole space is not related to itself)")
+
+
+def test_mf_poset_from_order_rejects_an_order_that_does_not_generate():
+    # the empty set below everything and everything below the whole space: the axioms
+    # hold, but no nonempty set is related below a proper subset, so {x} is not generated
+    space = FiniteTopSpace.discrete(["x", "y"])
+    order = SubsetOrder(space, frozenset({(0, w) for w in range(4)} | {(v, 0b11) for v in range(4)}))
+    assert check_axioms_and_generation(order).axioms_ok
+    with pytest.raises(HypothesisFailed) as err:
+        mf_poset_from_order(space, order)
+    assert err.value.hypothesis == "generation"
+    assert str(err.value) == "hypothesis failed: generation (the order does not generate the topology)"
 
 
 def test_condition_scan_on_vee(vee):

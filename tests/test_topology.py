@@ -11,6 +11,7 @@ from posetspace.constructions import (
     precompact_open_poset,
     product_poset,
 )
+from posetspace.filters import Filter
 from posetspace.topology import (
     NotABasis,
     PosetSpace,
@@ -24,10 +25,10 @@ from posetspace.poset_core import UnknownElement, validate_poset
 
 def test_basic_open_examples(vee, chain2):
     mf = PosetSpace(vee, "mf")
-    assert mf.basic_open("c") == {0, 1}
-    assert mf.basic_open("a") == {0}
+    assert mf.basic_open("c") == 0b11
+    assert mf.basic_open("a") == 0b01
     one = PosetSpace(chain2, "mf")
-    assert one.basic_open("y") == {0}
+    assert one.basic_open("y") == 0b1
     with pytest.raises(UnknownElement):
         mf.basic_open("zz")
 
@@ -38,7 +39,7 @@ def test_basic_open_monotone():
         for a in p.elements:
             for b in p.elements:
                 if p.leq(a, b):
-                    assert sp.basic_open(a) <= sp.basic_open(b)
+                    assert not sp.basic_open(a) & ~sp.basic_open(b)
 
 
 def test_separation_chain2_uf(chain2):
@@ -73,24 +74,40 @@ def test_separation_matches_oracle():
 
 def test_is_open(vee):
     sp = PosetSpace(vee, "mf")
-    assert sp.is_open(frozenset())
-    assert sp.is_open(sp.whole)
+    assert sp.is_open(0)
+    assert sp.is_open(sp.whole_mask)
     assert sp.is_open(sp.basic_open("a"))
-    for outside in ({0, 99}, {-1}, {0, 1, 2}, {"a"}):  # not sets of points
+    for outside in (0b1 | 1 << 99, -1, 0b111, "a", frozenset({0}), 1.0):  # not point masks
         assert not sp.is_open(outside)
 
 
 def test_is_open_and_basic_opens_match_oracle():
+    # every mask from -1 to one past the last, against the literal opens and a finite space on the same opens
     for p in posets_up_to(4, include_empty=True):
         for mode in ("mf", "uf"):
             sp = PosetSpace(p, mode)
             for e in p.elements:
-                assert sp.basic_open(e) == oracles.basic_open(sp, e)
+                assert oracles.point_set(sp.basic_open(e)) == oracles.basic_open(sp, e)
             n = len(sp.points)
-            for mask in range(1 << n):
-                s = frozenset(i for i in range(n) if mask >> i & 1)
-                assert sp.is_open(s) == oracles.is_open(sp, s), (p.name, mode, s)
-                assert not sp.is_open(s | {n})
+            top = FiniteTopSpace([f"F{i}" for i in range(n)], sp.opens)
+            for s in range(-1, 2 ** n + 1):
+                assert sp.is_open(s) == top.is_open(s), (p.name, mode, s)
+                assert sp.is_open(s) == (0 <= s < 2 ** n and oracles.is_open(sp, oracles.point_set(s)))
+            assert not sp.is_open(frozenset())
+            assert not sp.is_open(frozenset(range(n)))
+
+
+def test_point_index_refuses_a_filter_that_is_no_point(vee, chain2):
+    space = PosetSpace(vee, "mf")
+    assert [space.point_index(Filter(vee, g)) for g in (0, 1)] == [0, 1]
+    # up(c) is a filter of V, but c is not minimal, so it is no maximal filter
+    with pytest.raises(KeyError) as err:
+        space.point_index(Filter(vee, vee.index("c")))
+    assert err.value.args[0] == f"{{c}} is not a point of {space!r}"
+    # up(x) on another poset: its generator index 0 is a point index of V, its poset is not V
+    with pytest.raises(KeyError) as err:
+        space.point_index(Filter(chain2, 0))
+    assert err.value.args[0] == f"{{x, y}} is not a point of {space!r}"
 
 
 def test_reduce_vee(vee):
@@ -139,10 +156,10 @@ def test_reduce_mapping_restricts_each_filter():
                 result = reduce_countable_subposet(p, seed)
             except NotABasis:
                 continue
-            assert [f for f, _ in result.mapping] == list(PosetSpace(p, "mf").points)
-            for f, g in result.mapping:
-                assert g.poset == result.subposet
-                assert g.members == f.members & set(result.kept), (p.name, seed)
+            space, sub_space = PosetSpace(p, "mf"), PosetSpace(result.subposet, "mf")
+            assert list(result.mapping) == list(range(len(space)))
+            for i, j in result.mapping.items():
+                assert sub_space.points[j].members == space.points[i].members & set(result.kept), (p.name, seed)
 
 
 def test_restriction_check_counterexample(vee):
@@ -188,7 +205,7 @@ def _construction_maps(vee, chain2, antichain2):
             (name, _mask(c for c, combo in enumerate(combos)
                          if all(x == r.adjoined_tops[k] or x in r.factor_spaces[k].points[combo[k]]
                                 for k, x in enumerate(xs))),
-             _mask(r.space.basic_open(name)))
+             r.space.basic_open(name))
             for name, xs in r.coords.items()
         ]
         position = {combo: c for c, combo in enumerate(combos)}
@@ -196,18 +213,18 @@ def _construction_maps(vee, chain2, antichain2):
         yield list(range(len(combos))), len(r.space.points), dict(enumerate(r.phi.values())), opens, inverse
     for opens in ([["a", "c"]], [["a"]]):
         r = gdelta_mf_poset(vee, opens)
-        pairs = [(sid, _mask(r.space.basic_open(sid.split(":", 1)[1])), _mask(r.stage_space.basic_open(sid)))
+        pairs = [(sid, r.space.basic_open(sid.split(":", 1)[1]), r.stage_space.basic_open(sid))
                  for sid in r.poset.elements]
-        yield sorted(r.intersection), len(r.stage_space.points), r.phi, pairs, r.psi
+        yield oracles.members(r.intersection), len(r.stage_space.points), r.phi, pairs, r.psi
     uf = PosetSpace(vee, "uf")
-    for u in (uf.whole, uf.basic_open("a")):
+    for u in (uf.whole_mask, uf.basic_open("a")):
         r = open_subspace_uf(vee, u)
-        pairs = [(e, _mask(r.space.basic_open(e)), _mask(r.sub_space.basic_open(e))) for e in r.kept]
+        pairs = [(e, r.space.basic_open(e), r.sub_space.basic_open(e)) for e in r.kept]
         yield sorted(r.mapping), len(r.sub_space.points), r.mapping, pairs, None
     for points in (["x", "y"], ["x", "y", "z"]):
         x = FiniteTopSpace.discrete(points)
         r = precompact_open_poset(x)
-        pairs = [(i, _mask(r.space.basic_open(i)), o) for i, o in r.open_of.items()]
+        pairs = [(i, r.space.basic_open(i), o) for i, o in r.open_of.items()]
         yield list(range(len(r.space.points))), len(x), r.point_of, pairs, None
 
 
