@@ -78,14 +78,14 @@ def _cmd_space(args):
     if args.check in ("reduce", "all"):
         seed = list(poset.elements) if args.seed_basis is None else _elements_list(args.seed_basis)
         result = topology.reduce_countable_subposet(poset, seed)
-        rep = topology.restriction_homeomorphism_check(poset, result.subposet)
-        rows += [("reduced-elements", ", ".join(result.kept)), ("stages", result.stages),
-                 ("restriction-homeomorphism", rep.ok)]
-        failure = "" if rep.ok else f"{rep.reason} ({rep.counterexample})"
+        check = result.check
+        rows += [("reduced-elements", ", ".join(result.subposet.elements)), ("stages", result.stages),
+                 ("restriction-homeomorphism", check.ok)]
+        failure = "" if check.ok else f"{check.failure} ({check.witness})"
     if args.check == "subspace":
         u = topology.PosetSpace(poset, "uf").open_mask(_elements_list((args.open or [""])[0]))
         result = constructions.open_subspace_uf(poset, u)
-        rows += [("subspace-elements", ", ".join(result.kept) or "(none)"),
+        rows += [("subspace-elements", ", ".join(result.subposet.elements) or "(none)"),
                  ("uf-points", len(result.sub_space)), ("bijection", result.ok)]
         failure = result.failure
     return rows, failure
@@ -121,8 +121,8 @@ def _cmd_gdelta(args):
         return rows, result.failure
     result = constructions.gdelta_uf_poset(poset, opens)
     inf = constructions.INF
-    ranks = ", ".join(f"{p}={'inf' if result.ranks[p] == inf else result.ranks[p]}" for p in result.carrier)
-    rows = [("carrier", ", ".join(result.carrier) or "(none)"), ("ranks", ranks or "(none)")]
+    ranks = ", ".join(f"{p}={'inf' if g == inf else g}" for p, g in result.ranks.items())
+    rows = [("carrier", ", ".join(result.subposet.elements) or "(none)"), ("ranks", ranks or "(none)")]
     rows += [(f"claim-{c}", result.claims[c]) for c in sorted(result.claims)]
     rows.append(("bijection", result.ok))
     return rows, result.failure

@@ -384,7 +384,6 @@ def gdelta_mf_poset(poset: FinitePoset, opens) -> GdeltaMfResult:
 
 class OpenSubspaceResult(NamedTuple):
     subposet: FinitePoset
-    kept: tuple
     space: PosetSpace
     sub_space: PosetSpace
     mapping: dict  # UF(P)-point index inside U -> UF(R) point index
@@ -409,16 +408,14 @@ def open_subspace_uf(poset: FinitePoset, u: int) -> OpenSubspaceResult:
     if stray:
         raise NotOpen(f"{(stray & -stray).bit_length() - 1} is not a point of {space!r}")
     kept_mask = sum(1 << e for e, np in enumerate(space.opens) if not np & ~u)
-    kept = poset.names_of(kept_mask)
-    sub = poset.restrict(kept, name=f"{poset.name}|open")
+    sub = poset.restrict(kept_mask, name=f"{poset.name}|open")
     sub_space = PosetSpace(sub, "uf")
     check, mapping = verify_restriction(space, sub_space, list(_bits(kept_mask)), list(_bits(u)))
-    return OpenSubspaceResult(sub, kept, space, sub_space, mapping, check.ok, check.failure)
+    return OpenSubspaceResult(sub, space, sub_space, mapping, check.ok, check.failure)
 
 
 class GdeltaUfResult(NamedTuple):
     subposet: FinitePoset  # (R, with the rank-refined order)
-    carrier: tuple
     ranks: dict  # element -> int rank, or INF
     open_points: tuple  # the opens as point masks of UF(P)
     intersection: int  # their intersection, as a point mask
@@ -491,7 +488,6 @@ def gdelta_uf_poset(poset: FinitePoset, opens) -> GdeltaUfResult:
 
     return GdeltaUfResult(
         subposet=sub,
-        carrier=carrier,
         ranks=ranks,
         open_points=tuple(open_masks),
         intersection=inter,
@@ -631,7 +627,7 @@ class FormalBallPoset:
         if budget < 0:
             raise PosetError(f"refinement budget must be at least 0, got {budget}")
         a, r = self.decode(x)
-        denom = min(self.max_denom, 2 ** budget)
+        denom = 2 ** min(budget, self.max_denom.bit_length() - 1)  # max_denom is a power of two
         top = math.floor(self.max_radius * denom)
         out = []
         for b in sorted(self.metric.points):
@@ -664,9 +660,10 @@ def point_chain(balls: FormalBallPoset, point, length: int) -> ChainFilter:
         raise PosetError(f"unknown point {point!r}")
     if length < 0:
         raise PosetError(f"chain length must be at least 0, got {length}")
-    radii = [balls.max_radius / 2**j for j in range(length + 1)]
-    if any(not balls._on_grid(r) for r in radii):
+    k = int(balls.max_radius * balls.max_denom)  # radius j is k / (max_denom * 2**j)
+    if length >= (k & -k).bit_length():  # on the grid iff 2**j divides k: all are iff the last is
         raise PosetError("grid too coarse for the requested chain length")
+    radii = [balls.max_radius / 2**j for j in range(length + 1)]
     return ChainFilter.make(balls, [balls.encode(point, r) for r in radii])
 
 

@@ -77,13 +77,13 @@ def parse_poset_text(text) -> FinitePoset:
     try:
         return build(elems, [p for p, _ in pairs], name)
     except (AntisymmetryViolation, IrreflexivityViolation):
-        # replay the pairs one at a time to pin the offending line
+        # replay the pairs one at a time to pin the offending line; the loop always raises,
+        # since its last prefix is the whole pair list, which has just raised
         for upto in range(1, len(pairs) + 1):
             try:
                 build(elems, [p for p, _ in pairs[:upto]], name)
             except (AntisymmetryViolation, IrreflexivityViolation) as err:
                 raise ParseError(pairs[upto - 1][1], str(err)) from None
-        raise
 
 
 def poset_to_text(poset: FinitePoset) -> str:
@@ -174,7 +174,7 @@ def parse_space_text(text) -> FiniteTopSpace:
 
 def parse_input_text(text):
     """Dispatch on the leading keyword: poset, metric, or space."""
-    for _, fields in _records(text):
+    for line_no, fields in _records(text):
         head = fields[0]
         if head == "poset":
             return parse_poset_text(text)
@@ -182,7 +182,7 @@ def parse_input_text(text):
             return parse_metric_text(text)
         if head == "space":
             return parse_space_text(text)
-        raise ParseError(1, f"unknown file kind {head!r}; expected poset, metric, or space")
+        raise ParseError(line_no, f"unknown file kind {head!r}; expected poset, metric, or space")
     raise ParseError(None, "empty input")
 
 

@@ -189,12 +189,11 @@ class FinitePoset:
     def names_of(self, mask) -> tuple:
         return tuple(self.elements[i] for i in _bits(mask))
 
-    def restrict(self, names, name=None) -> "FinitePoset":
-        """The subposet on ``names`` with the restricted order."""
-        for x in names:
-            self.index(x)
-        wanted = set(names)
-        keep = [i for i, e in enumerate(self.elements) if e in wanted]
+    def restrict(self, mask, name=None) -> "FinitePoset":
+        """The subposet on the elements in ``mask``, in element order, with the restricted order."""
+        if mask >> len(self):  # a bit past the last element, or a negative mask
+            raise PosetError(f"element mask {mask} has bits outside the {len(self)} elements of {self.name}")
+        keep = list(_bits(mask))
         masks = [sum(1 << k for k, j in enumerate(keep) if self._up[i] >> j & 1) for i in keep]
         return FinitePoset([self.elements[i] for i in keep], masks, name or f"{self.name}|sub")
 

@@ -189,8 +189,8 @@ def _check_seed_is_basis(space: PosetSpace, seed) -> None:
 
 class ReduceResult(NamedTuple):
     subposet: FinitePoset
-    kept: tuple
     stages: int
+    check: Correspondence  # of the restriction map, from restriction_homeomorphism_check
     # MF(P) point index -> the MF(subposet) point index of its restriction; None
     # where the restriction is no such point, which the saturation rules out
     mapping: dict
@@ -205,11 +205,10 @@ def reduce_countable_subposet(poset: FinitePoset, seed_basis) -> ReduceResult:
     chosen greedily in element order, so the result is deterministic.
     For a finite poset the stages stabilize.
 
-    The restriction map F -> F intersect R is returned as the point map
-    of verify_restriction; it is a bijection onto the maximal filters of
-    the subposet (see restriction_homeomorphism_check).  Runtime is
-    exponential in the size of the saturated set, which is fine at desk
-    scale.
+    The restriction map F -> F intersect R and its check come from
+    restriction_homeomorphism_check; the saturation makes it a bijection
+    onto the maximal filters of the subposet.  Runtime is exponential in
+    the size of the saturated set, which is fine at desk scale.
     """
     space = PosetSpace(poset, "mf")
     seed = sorted({poset.index(q) for q in seed_basis})  # element indices, in element order
@@ -241,30 +240,19 @@ def reduce_countable_subposet(poset: FinitePoset, seed_basis) -> ReduceResult:
         if not added:
             break
 
-    kept_mask = sum(1 << i for i in current)
-    kept = poset.names_of(kept_mask)
-    sub = poset.restrict(kept, name=f"{poset.name}|reduced")
-    _, mapping = verify_restriction(space, PosetSpace(sub, "mf"), list(_bits(kept_mask)), range(len(space)))
-    return ReduceResult(subposet=sub, kept=kept, stages=stages, mapping=mapping)
+    sub = poset.restrict(sum(1 << i for i in current), name=f"{poset.name}|reduced")
+    return ReduceResult(sub, stages, *restriction_homeomorphism_check(poset, sub))
 
 
-class HomeoReport(NamedTuple):
-    ok: bool
-    reason: str = ""
-    counterexample: object = None
+def restriction_homeomorphism_check(poset: FinitePoset, r_poset: FinitePoset):
+    """Decide whether F -> F intersect R is a homeomorphism from MF(P) onto MF(R).
 
-
-def restriction_homeomorphism_check(poset: FinitePoset, sub) -> HomeoReport:
-    """Decide whether F -> F intersect R is a homeomorphism onto MF(R).
-
-    ``sub`` may be a FinitePoset on a subset of the elements or an
-    iterable of element names.  The map must be a bijection under which
-    the basic opens of R correspond (see verify_restriction), so it is
-    continuous; it is open because MF(R) is discrete (see
-    PosetSpace.is_open).
+    ``r_poset`` is R, a poset on some of the elements of ``poset``, with
+    an order of its own.  Returns what verify_restriction returns: the
+    Correspondence and the point map.  The map must be a bijection under
+    which the basic opens of R correspond, so it is continuous; it is
+    open because MF(R) is discrete (see PosetSpace.is_open).
     """
-    r_poset = sub if isinstance(sub, FinitePoset) else poset.restrict(tuple(sub))
     big = PosetSpace(poset, "mf")
     at = [poset.index(r) for r in r_poset.elements]  # the index in P of each element of R
-    check, _ = verify_restriction(big, PosetSpace(r_poset, "mf"), at, range(len(big)))
-    return HomeoReport(check.ok, check.failure, check.witness)
+    return verify_restriction(big, PosetSpace(r_poset, "mf"), at, range(len(big)))

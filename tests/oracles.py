@@ -606,7 +606,7 @@ def restriction_homeomorphism(poset, names):
     opens are checked open as the definition of a homeomorphism reads,
     open meaning a union of basic opens of R.
     """
-    sub = poset.restrict(tuple(names))
+    sub = poset.restrict(poset.mask_of(names))
     big, small = maximal_filters(poset), maximal_filters(sub)
     image = {}
     for x, f in enumerate(big):
@@ -663,11 +663,13 @@ def filter_space_opens(space) -> set:
 def gdelta_uf_claims(poset, result):
     """The four claims of ``gdelta_uf_poset`` on names: ``(claims, claim_details)``.
 
-    Takes the refined subposet, carrier, ranks and intersection from the
-    library's ``result`` and evaluates each claim from the definitions:
-    bounded means some element lies strictly below every member.
+    Takes the refined subposet (its elements are the carrier), the ranks
+    and the intersection from the library's ``result`` and evaluates each
+    claim from the definitions: bounded means some element lies strictly
+    below every member.
     """
-    sub, carrier, ranks, space = result.subposet, result.carrier, result.ranks, result.space
+    sub, ranks, space = result.subposet, result.ranks, result.space
+    carrier = sub.elements
     inter = result.intersection
 
     def bounded_in_sub(members):
@@ -1161,7 +1163,7 @@ def gdelta_uf_reference(poset, opens):
         ok = False
         failure = "claims " + ", ".join(str(c) for c, v in sorted(claims.items()) if not v) + " failed"
     return GdeltaUfResult(
-        subposet=sub, carrier=carrier, ranks=ranks, open_points=tuple(open_masks),
+        subposet=sub, ranks=ranks, open_points=tuple(open_masks),
         intersection=sum(1 << i for i in inter_points), claims=claims, claim_details=details, space=space,
         sub_space=sub_space, ok=ok, failure=failure,
     )

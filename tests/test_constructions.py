@@ -169,21 +169,21 @@ def test_gdelta_mf_random_instances():
 def test_open_subspace_whole(vee):
     sp = PosetSpace(vee, "uf")
     r = open_subspace_uf(vee, sp.whole_mask)
-    assert r.kept == vee.elements
+    assert r.subposet.elements == vee.elements
     assert r.ok
 
 
 def test_open_subspace_basic(vee):
     sp = PosetSpace(vee, "uf")
     r = open_subspace_uf(vee, sp.basic_open("a"))
-    assert r.kept == ("a",)
+    assert r.subposet.elements == ("a",)
     assert len(r.sub_space.points) == 1
     assert r.ok
 
 
 def test_open_subspace_empty(vee):
     r = open_subspace_uf(vee, 0)
-    assert r.kept == ()
+    assert r.subposet.elements == ()
     assert len(r.sub_space.points) == 0
     assert r.ok
 
@@ -238,7 +238,7 @@ def test_refined_subposet_claims_on_a_wrong_subposet():
     # is bounded in P too and meets the subposet in that {c}, but holds b outside it, so
     # claim 3 must not name it.  Claim 1 fails while up(a) has no image.
     p = validate_poset(["a", "b", "c"], [("a", "b"), ("b", "c")], "chain3")
-    space, sub = PosetSpace(p, "uf"), p.restrict(["c"])
+    space, sub = PosetSpace(p, "uf"), p.restrict(p.mask_of(["c"]))
     assert refined_subposet_claims(space, sub, 0b100, 0b1, {0: None}) == {
         1: ["{a, b, c}"], 2: ["{c}"], 3: ["{c}"], 4: ["{c}"]}
     assert refined_subposet_claims(space, sub, 0b100, 0, {0: 0}) == {1: [], 2: [], 3: ["{c}"], 4: []}
@@ -261,8 +261,8 @@ def test_uf_rank_is_antitone():
             current = [e for e in current if rng.random() < 0.8]
             opens.append(list(current))
         r = gdelta_uf_poset(p, opens)
-        for a in r.carrier:
-            for b in r.carrier:
+        for a in r.subposet.elements:
+            for b in r.subposet.elements:
                 if not space.basic_open(a) & ~space.basic_open(b):
                     assert r.ranks[a] >= r.ranks[b]
 
@@ -302,7 +302,7 @@ def _mf_fields(r):
 
 
 def _uf_fields(r):
-    return (r.subposet.elements, r.subposet.up_masks, r.subposet.name, r.carrier, r.ranks, r.open_points,
+    return (r.subposet.elements, r.subposet.up_masks, r.subposet.name, r.ranks, r.open_points,
             r.intersection, r.claims, r.claim_details, r.ok, r.failure,
             _space_fields(r.space), _space_fields(r.sub_space))
 

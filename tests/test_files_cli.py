@@ -27,7 +27,7 @@ from posetspace.filters import Filter, NotAFilter
 from posetspace.games import IllegalMove
 from posetspace.poset_core import FinitePoset
 from posetspace.semi_topogenous import AxiomReport
-from posetspace.topology import NotABasis, reduce_countable_subposet
+from posetspace.topology import NotABasis, reduce_countable_subposet, verify_restriction
 
 
 CHAIN2 = "poset chain2\nelem x\nelem y\nle x y\n"
@@ -171,6 +171,68 @@ def test_dispatch(tmp_path):
         parse_input_text("widget w\n")
 
 
+# every refusal of the text formats: (parser, text, line number or None, reason, the verb
+# that reads it from a file, or None where no file reaches it: parse_input_text dispatches
+# on the header line, so a missing header is reachable only by a direct parser call)
+PARSE_REFUSALS = [
+    (parse_poset_text, "poset t\nposet u\n", 2, "duplicate poset header", "filters"),
+    (parse_poset_text, "poset\n", 1, "expected: poset <name>", "filters"),
+    (parse_poset_text, "poset t u\n", 1, "expected: poset <name>", "filters"),
+    (parse_poset_text, "poset t\nelem\n", 2, "expected: elem <id>", "filters"),
+    (parse_poset_text, "poset t\nelem a b\n", 2, "expected: elem <id>", "filters"),
+    (parse_poset_text, "poset t\nelem a\nelem a\n", 3, "duplicate element 'a'", "filters"),
+    (parse_poset_text, "poset t\nelem a\nle a\n", 3, "expected: le <a> <b>", "filters"),
+    (parse_poset_text, "poset t\nelem a\nlt a a a\n", 3, "expected: lt <a> <b>", "filters"),
+    (parse_poset_text, "poset t\nelem a\nelem b\nlt a b\nle a b\n", 5, "cannot mix le and lt lines", "filters"),
+    (parse_poset_text, "poset t\nnode a\n", 2, "unknown directive 'node'", "filters"),
+    (parse_poset_text, "elem a\n", None, "missing poset header", None),
+    (parse_poset_text, "poset t\nle a b\nelem a\n", 2, "relation mentions undeclared element 'b'", "filters"),
+    (parse_poset_text, "poset t\nelem a\nelem b\nle a b\nle b a\n", 5,
+     "elements 'a' and 'b' lie below each other but are distinct", "filters"),
+    (parse_poset_text, "poset t\nelem a\nlt a a\n", 3, "strict input relates 'a' to itself", "filters"),
+    (parse_poset_text, "poset t\nelem a\nelem b\nlt a b\nlt b a\n", 5,
+     "transitive closure of the strict input relates 'a' to itself", "filters"),
+    (parse_metric_text, "metric m\nmetric n\n", 2, "expected a single: metric <name>", "formalballs"),
+    (parse_metric_text, "metric\n", 1, "expected a single: metric <name>", "formalballs"),
+    (parse_metric_text, "metric m\npoint\n", 2, "expected: point <id>", "formalballs"),
+    (parse_metric_text, "metric m\ndist p q\n", 2, "expected: dist <a> <b> <num>/<den>", "formalballs"),
+    (parse_metric_text, "metric m\ndist p q one\n", 2, "bad rational 'one'", "formalballs"),
+    (parse_metric_text, "metric m\ndist p q 1/0\n", 2, "bad rational '1/0'", "formalballs"),
+    (parse_metric_text, "metric m\nball p\n", 2, "unknown directive 'ball'", "formalballs"),
+    (parse_metric_text, "point p\n", None, "missing metric header", None),
+    (parse_metric_text, "metric m\npoint p\npoint q\ndist p q 1\ndist p q 2\n", 5,
+     "conflicting distance for p q", "formalballs"),
+    (parse_metric_text, "metric m\npoint p\npoint q\n", None, "missing distance between 'p' and 'q'",
+     "formalballs"),
+    (parse_space_text, "space s\nspace t\n", 2, "expected a single: space <name>", "space"),
+    (parse_space_text, "space\n", 1, "expected a single: space <name>", "space"),
+    (parse_space_text, "space s\npoint x y\n", 2, "expected: point <id>", "space"),
+    (parse_space_text, "space s\npoint x\npoint x\n", 3, "duplicate point 'x'", "space"),
+    (parse_space_text, "space s\npoint x\nopen\n", 3, "expected: open <name> <pt> ...", "space"),
+    (parse_space_text, "space s\npoint x\nopen U y\n", 3, "open mentions undeclared point 'y'", "space"),
+    (parse_space_text, "space s\nclosed F\n", 2, "unknown directive 'closed'", "space"),
+    (parse_space_text, "point x\n", None, "missing space header", None),
+    (parse_space_text, "space s\npoint x\npoint y\nopen U x\n", None, "basis does not cover the space", "space"),
+    (parse_input_text, "widget w\n", 1, "unknown file kind 'widget'; expected poset, metric, or space", "filters"),
+    (parse_input_text, "# a widget\n\nwidget w\n", 3, "unknown file kind 'widget'; expected poset, metric, or space",
+     "filters"),
+    (parse_input_text, "# nothing but a comment\n\n", None, "empty input", "filters"),
+]
+
+
+@pytest.mark.parametrize("parse, text, line_no, reason, verb", PARSE_REFUSALS,
+                         ids=[f"{row[0].__name__}-{k}" for k, row in enumerate(PARSE_REFUSALS)])
+def test_every_parse_refusal(parse, text, line_no, reason, verb, tmp_path):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line_no, err.value.reason) == (line_no, reason)
+    if verb is not None:
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        where = "" if line_no is None else f"line {line_no}: "
+        assert run_cli([verb, str(path)]) == (2, f"parse error: {where}{reason}\n")
+
+
 # --- command dispatch ---------------------------------------------------------------
 
 
@@ -291,6 +353,31 @@ def test_empty_seed_basis_is_refused(files):
         reduce_countable_subposet(parse_poset_text(VEE), [])
     code, out = run_cli(["space", files["v.poset"], "--check", "reduce"])
     assert code == 0 and "restriction-homeomorphism: true" in out
+
+
+def test_space_reduce_verifies_the_restriction_map_once(files, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return verify_restriction(*args)
+
+    monkeypatch.setattr(cli.topology, "verify_restriction", counted)
+    code, out = run_cli(["space", files["v.poset"], "--check", "reduce"])
+    assert code == 0 and "restriction-homeomorphism: true" in out
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("flags, same_as", [
+    (["--depth", str(10**9)], ["--depth", "6"]),  # refused: "grid too coarse", as at depth 6
+    (["--budget", str(10**12)], ["--budget", "3"]),  # 2**3 is the whole 8-grid
+])
+def test_formalballs_huge_sizes_answer_at_once(files, flags, same_as):
+    start = time.perf_counter()
+    got = run_cli(["formalballs", files["two.metric"], "--max-denom", "8", *flags])
+    assert time.perf_counter() - start < 1
+    want = run_cli(["formalballs", files["two.metric"], "--max-denom", "8", *same_as])
+    assert got == (want[0], want[1].replace(f"budget {same_as[-1]}", f"budget {flags[-1]}"))
 
 
 def test_formalballs_on_a_metric_without_points_exits_2(tmp_path):
@@ -615,6 +702,16 @@ def _forced(**fields):
     return lambda real: lambda *args, **kwargs: real(*args, **kwargs)._replace(**fields)
 
 
+def _forced_check(**fields):
+    """Wrap a ``(Correspondence, map)`` call so that its Correspondence comes back with these fields."""
+    def wrap(real):
+        def call(*args):
+            check, mapping = real(*args)
+            return check._replace(**fields), mapping
+        return call
+    return wrap
+
+
 def _transcript(change):
     """Wrap the Choquet referee so that ``change`` edits the transcript it returns."""
     def wrap(real):
@@ -639,7 +736,7 @@ def _ii_empty(transcript):
 FAILING_REPORTS = {
     "space-file": (["space", "{sierp}"], None, None, None, "point map is not surjective"),
     "space-reduce": (["space", "{v}", "--check", "reduce"], cli.topology, "restriction_homeomorphism_check",
-                     _forced(ok=False, reason="forced", counterexample="c"), "forced (c)"),
+                     _forced_check(ok=False, failure="forced", witness="c"), "forced (c)"),
     "space-subspace": (["space", "{v}", "--mode", "uf", "--check", "subspace", "--open", "a"],
                        cli.constructions, "open_subspace_uf", _forced(ok=False, failure="forced"), "forced"),
     "product": (["product", "{v}", "{chain2}"], cli.constructions, "product_poset",

@@ -195,12 +195,20 @@ def test_minimals_and_greatest(vee, chain2, antichain2):
 
 
 def test_restrict_and_dual(vee):
-    sub = vee.restrict(["a", "c"])
-    assert sub.elements == ("a", "c")
+    sub = vee.restrict(vee.mask_of(["c", "a"]))
+    assert sub.elements == ("a", "c") and sub.name == "V|sub"
     assert sub.leq("a", "c")
+    assert vee.restrict(0).elements == () and vee.restrict(0b111, "all") == vee
     dual = vee.dual()
     assert dual.leq("c", "a") and not dual.leq("a", "c")
     assert dual.dual() == FinitePoset(vee.elements, [vee.up_mask(i) for i in range(3)], "x")
+
+
+@pytest.mark.parametrize("mask", [1 << 3, 0b1001, -1, -8])
+def test_restrict_refuses_bits_outside_the_elements(vee, mask):
+    # a negative mask has bits past every element too: _bits would never end on it
+    with pytest.raises(PosetError, match=f"^element mask {mask} has bits outside the 3 elements of V$"):
+        vee.restrict(mask)
 
 
 def test_labeled_poset_counts():

@@ -66,7 +66,7 @@ def test_supplied_down_masks_are_the_transpose(seed, n, edge_prob):
         assert topped.elements[n] == top and topped.up_mask(n) == 1 << n
         assert topped.down_mask(n) == (2 << n) - 1
     kept = [e for e in p.elements if rng.random() < 0.5]
-    sub = p.restrict(kept)
+    sub = p.restrict(p.mask_of(kept))
     assert_down_masks_transpose(sub)
     assert sub.elements == tuple(kept)
     assert all(sub.leq(a, b) == p.leq(a, b) for a in kept for b in kept)

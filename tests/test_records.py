@@ -23,7 +23,6 @@ RECORDS = [
     topology.Correspondence,
     topology.SeparationReport,
     topology.ReduceResult,
-    topology.HomeoReport,
     constructions.ProductResult,
     constructions.GdeltaMfResult,
     constructions.OpenSubspaceResult,

@@ -112,22 +112,22 @@ def test_point_index_refuses_a_filter_that_is_no_point(vee, chain2):
 
 def test_reduce_vee(vee):
     result = reduce_countable_subposet(vee, ["a", "b"])
-    assert set(result.kept) >= {"a", "b"}
+    assert set(result.subposet.elements) >= {"a", "b"}
     assert len(PosetSpace(result.subposet, "mf").points) == 2
-    assert restriction_homeomorphism_check(vee, result.subposet).ok
+    assert result.check.ok and restriction_homeomorphism_check(vee, result.subposet)[0].ok
 
 
 def test_reduce_identity_seed(vee):
     result = reduce_countable_subposet(vee, vee.elements)
-    assert result.kept == vee.elements
-    rep = restriction_homeomorphism_check(vee, result.subposet)
-    assert rep.ok
+    assert result.subposet.elements == vee.elements
+    check, mapping = restriction_homeomorphism_check(vee, result.subposet)
+    assert check.ok and (check, mapping) == (result.check, result.mapping)
 
 
 def test_reduce_chain2_seed_x(chain2):
     result = reduce_countable_subposet(chain2, ["x"])
-    assert result.kept == ("x",)
-    assert restriction_homeomorphism_check(chain2, result.subposet).ok
+    assert result.subposet.elements == ("x",)
+    assert result.check.ok and restriction_homeomorphism_check(chain2, result.subposet)[0].ok
 
 
 def test_reduce_rejects_non_basis(vee):
@@ -145,7 +145,8 @@ def test_reduce_output_always_homeomorphic():
                 result = reduce_countable_subposet(p, seed)
             except NotABasis:
                 continue
-            assert restriction_homeomorphism_check(p, result.subposet).ok, (p.name, seed)
+            assert result.check.ok, (p.name, seed)
+            assert restriction_homeomorphism_check(p, result.subposet) == (result.check, result.mapping)
 
 
 def test_reduce_mapping_restricts_each_filter():
@@ -159,12 +160,12 @@ def test_reduce_mapping_restricts_each_filter():
             space, sub_space = PosetSpace(p, "mf"), PosetSpace(result.subposet, "mf")
             assert list(result.mapping) == list(range(len(space)))
             for i, j in result.mapping.items():
-                assert sub_space.points[j].members == space.points[i].members & set(result.kept), (p.name, seed)
+                assert sub_space.points[j].members == space.points[i].members & set(result.subposet.elements), (p.name, seed)
 
 
 def test_restriction_check_counterexample(vee):
-    rep = restriction_homeomorphism_check(vee, ["c"])
-    assert not rep.ok
+    check, _ = restriction_homeomorphism_check(vee, vee.restrict(vee.mask_of(["c"])))
+    assert not check.ok
 
 
 def test_restriction_check_matches_name_set_oracle():
@@ -173,14 +174,15 @@ def test_restriction_check_matches_name_set_oracle():
     for p in posets_up_to(4):
         for r in range(2 ** len(p)):
             names = [e for i, e in enumerate(p.elements) if r >> i & 1]
-            got = tuple(restriction_homeomorphism_check(p, names))
+            check, _ = restriction_homeomorphism_check(p, p.restrict(r))
+            got = (check.ok, check.failure, check.witness)
             assert got == oracles.restriction_homeomorphism(p, names), (p.pairs(), names)
             outcomes[got[1]] += 1
     assert outcomes == {"": 1862, "point map is not total": 1689, "point map is not injective": 119}
 
 
 def test_restriction_identity(vee):
-    assert restriction_homeomorphism_check(vee, vee.elements).ok
+    assert restriction_homeomorphism_check(vee, vee.restrict(vee.mask_of(vee.elements)))[0].ok
 
 
 # --- the shared correspondence verifier ------------------------------------------
@@ -219,7 +221,7 @@ def _construction_maps(vee, chain2, antichain2):
     uf = PosetSpace(vee, "uf")
     for u in (uf.whole_mask, uf.basic_open("a")):
         r = open_subspace_uf(vee, u)
-        pairs = [(e, r.space.basic_open(e), r.sub_space.basic_open(e)) for e in r.kept]
+        pairs = [(e, r.space.basic_open(e), r.sub_space.basic_open(e)) for e in r.subposet.elements]
         yield sorted(r.mapping), len(r.sub_space.points), r.mapping, pairs, None
     for points in (["x", "y"], ["x", "y", "z"]):
         x = FiniteTopSpace.discrete(points)
