@@ -2,11 +2,13 @@
 
 A condition packs a basic open set together with finitely many partial
 plays of the strong Choquet game that follow one fixed player-II
-strategy.  Ordered by one-step play extension, the conditions form a
-poset whose maximal filters pin down single points of a finite discrete
-space (Kechris, *Classical Descriptive Set Theory*, GTM 156, 8.D); this
-module enumerates bounded-depth slices of that poset and checks the
-correspondence.
+strategy: II answers I's move (v, x) with U_x, the minimal open of x, a
+basis member inside every open holding x: so it is the least basic open
+around x inside v.  Ordered by one-step play extension, the conditions
+form a poset whose maximal filters pin down single points of a finite
+discrete space (Kechris, *Classical Descriptive Set Theory*, GTM 156,
+8.D); this module enumerates bounded-depth slices of that poset and
+checks the correspondence.
 
 A ``ConditionSystem`` numbers each play once, when first reached: play i
 keeps its parent's index, its last move (v, x, w) and its final open, and
@@ -75,8 +77,8 @@ class TooManyConditions(PosetError):
 class ConditionSystem:
     """Conditions over one space and the fixed player-II strategy.
 
-    Player II answers I's move (v, x) with the least basic open around x
-    inside v, by size and then by points.  A designated set is a point
+    Player II answers I's move (v, x) with U_x = ``space.up[x]``, the least
+    basic open around x inside the open v.  A designated set is a point
     mask.  At the boundary a play is a tuple of moves ``(v, x, w)``:
     player I's open mask v, its point index x, and player II's answer
     mask w.  Inside, play i has a parent, a last move and a final open:
@@ -109,9 +111,7 @@ class ConditionSystem:
         """The index of play p extended by I's move (v, x) and II's answer."""
         q = self._ext.get((p, v, x))
         if q is None:
-            # every caller passes an open v that holds x, and the minimal open U_x of x is a
-            # basis member inside v; so an answer exists, lies inside v and holds x
-            w = self.space.least_basic_containing(x, v)
+            w = self.space.up[x]  # v is open and holds x, so U_x lies inside it
             q = self._ext[p, v, x] = len(self.step)
             self.parent.append(p)
             self.step.append((v, x, w))
@@ -196,20 +196,17 @@ class ConditionSystem:
         """A common refinement through a shared point of the designated sets.
 
         Every play of either condition is extended one step through its owner's set and the
-        point; its set is the least basic open around the point inside the extensions' final opens.
+        point x, and II answers U_x; the set, the least basic open inside the answers, is U_x.
         """
         if c1.system is not c2.system:
             raise MixedSpaces("conditions live over different spaces or strategies")
         if not (c1.a & c2.a) >> x & 1:
             raise PreconditionFailed(f"point {x} is outside a designated set")
-        mask, constraint = c1.mask | c2.mask, self.space.whole_mask
+        mask = c1.mask | c2.mask
         for c in (c1, c2):
             for p in _bits(c.mask):
-                q = self._extend(p, c.a, x)
-                mask |= 1 << q
-                constraint &= self.final[q]
-        # the final opens are II's answers, basic opens holding x, so the basis member U_x lies inside them
-        return self._checked(self.space.least_basic_containing(x, constraint), mask)
+                mask |= 1 << self._extend(p, c.a, x)
+        return self._checked(self.space.up[x], mask)
 
     # -- enumeration ------------------------------------------------------
 

@@ -133,12 +133,6 @@ class FiniteTopSpace:
         """
         return all(u == 1 << x for x, u in enumerate(self.up))
 
-    def least_basic_containing(self, point_idx, within) -> int | None:
-        for b in self.basis:  # basis is sorted by (size, contents)
-            if b >> point_idx & 1 and not b & ~within:
-                return b
-        return None
-
     def set_str(self, s: int) -> str:
         return "{" + ", ".join(self.points[i] for i in _bits(s)) + "}"
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .poset_core import FinitePoset, _bits
-from .filters import Filter, enumerate_filters
+from .filters import Filter
 from .topology import PosetSpace
 
 
@@ -52,27 +52,22 @@ class CompletionResult(NamedTuple):
     compact_matches_principal: bool
 
 
-def _filter_id(f: Filter) -> str:
-    return "{" + ",".join(f.poset.names_of(f.mask())) + "}"
-
-
 def filter_completion(poset: FinitePoset) -> CompletionResult:
     """All filters of a finite poset, ordered by inclusion, as a dcpo.
 
     Every filter of a finite poset is the principal filter of its least
     member, and the principal filter of a lies inside that of b exactly
-    when b <= a: the completion is the order dual, one filter per element.
-    The maximal filters land on its maximal elements and the principal
-    filters on its compact elements, which are the whole carrier.
+    when b <= a: the completion is the order dual, one filter per element,
+    so its up masks are the poset's down masks and its down masks the up
+    masks.  The maximal filters land on its maximal elements and the
+    principal filters on its compact elements, which are the whole carrier.
     """
-    all_filters = enumerate_filters(poset, "all")
-    ids = [_filter_id(f) for f in all_filters]
-    masks = [poset.down_mask(i) for i in range(len(poset))]
-    dcpo = FinitePoset(ids, masks, f"filters({poset.name})")
+    ids = ["{" + ",".join(poset.names_of(m)) + "}" for m in poset.up_masks]
+    dcpo = FinitePoset(ids, poset.down_masks, f"filters({poset.name})", poset.up_masks)
 
-    filter_of = dict(zip(ids, all_filters))
-    maximal_table = {str(f): _filter_id(f) for f in enumerate_filters(poset, "maximal")}
-    compact_table = {f.minimum(): _filter_id(f) for f in all_filters}
+    filter_of = {d: Filter(poset, i) for i, d in enumerate(ids)}
+    maximal_table = {str(Filter(poset, i)): ids[i] for i in poset.minimal_indices()}
+    compact_table = dict(zip(poset.elements, ids))
     compact_matches = set(compact_table.values()) == set(dcpo.elements)
     return CompletionResult(dcpo, filter_of, maximal_table, compact_table, compact_matches)
 

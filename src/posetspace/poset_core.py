@@ -60,7 +60,9 @@ def check_element_id(token) -> str:
 
 
 def _bits(mask):
-    """The indices of the set bits of ``mask``, in ascending order."""
+    """The indices of the set bits of ``mask``, in ascending order; PosetError on a negative mask."""
+    if mask < 0:  # its bits never run out
+        raise PosetError(f"negative mask {mask}")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -1,9 +1,11 @@
+import functools
 import random
 import time
 
 import pytest
 
 import oracles
+from posetspace.catalog import all_topologies
 from posetspace.choquet_mf import (
     MAX_CONDITIONS,
     Condition,
@@ -20,6 +22,13 @@ from posetspace.choquet_mf import (
 )
 from posetspace.constructions import FiniteTopSpace
 from posetspace.poset_core import _bits
+
+
+@pytest.fixture(autouse=True)
+def memoized_least_basic(monkeypatch):
+    # the oracle stays the literal basis scan; the tuple oracles ask it the same
+    # (space, point, open) question many times within one test
+    monkeypatch.setattr(oracles, "least_basic", functools.lru_cache(maxsize=None)(oracles.least_basic))
 
 
 @pytest.fixture
@@ -211,10 +220,8 @@ def discrete(n):
     return FiniteTopSpace.discrete([f"x{i}" for i in range(n)])
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("depth", [0, 1, 2])
-def test_masks_agree_with_tuple_oracles(n, depth):
-    system = ConditionSystem(discrete(n))
+def agree_with_tuple_oracles(system, depth, pairs=True):
+    """Validation, sort keys and, with ``pairs``, order and refinements at ``depth`` match the oracles."""
     conditions = system.enumerate_conditions(depth)
     oracle_keys = []
     for c in conditions:
@@ -223,12 +230,40 @@ def test_masks_agree_with_tuple_oracles(n, depth):
         oracle_keys.append((tuple(_bits(c.a)), len(c.plays), tuple(sorted(map(oracles.play_key, c.plays)))))
     # the key is the tuple plays' key, whatever order the plays were numbered in
     assert [c.key() for c in conditions] == oracle_keys
-    for c1 in conditions:
+    for c1 in conditions if pairs else ():
         for c2 in conditions:
             assert system.lt(c1, c2) == oracles.condition_lt(system, c1, c2)
             for x in _bits(c1.a & c2.a):
                 r = system.refine(c1, c2, x)
                 assert (r.a, r.plays) == oracles.refine_conditions(system, c1, c2, x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_masks_agree_with_tuple_oracles(n, depth):
+    agree_with_tuple_oracles(ConditionSystem(discrete(n)), depth)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("depth", [0, 1])
+def test_masks_agree_with_tuple_oracles_on_every_small_topology(n, depth):
+    # every open is basic, so II's answer U_x need not be a singleton or the whole space.
+    # On 3 points at depth 1 (265 conditions on some spaces) the pairwise order and
+    # refinement oracles take tens of seconds, so there only validation and keys are compared
+    for t in all_topologies(n):
+        agree_with_tuple_oracles(ConditionSystem(FiniteTopSpace(t.points, t.opens)), depth, n < 3 or depth == 0)
+
+
+@pytest.mark.parametrize("all_opens", [False, True])
+def test_least_basic_answer_is_the_minimal_open(all_opens):
+    # U_x is a basis member inside every open around x, so the literal scan finds it
+    for n in range(5):
+        for t in all_topologies(n):
+            space = FiniteTopSpace(t.points, t.opens) if all_opens else t
+            for x in range(n):
+                for v in space.opens:
+                    if v >> x & 1:
+                        assert oracles.least_basic(space, x, v) == space.up[x]
 
 
 def test_key_follows_play_keys_after_a_refinement(d2):

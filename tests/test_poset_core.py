@@ -7,7 +7,8 @@ import pytest
 import oracles
 from oracles import spot_check_generated
 from posetspace.catalog import all_topologies, labeled_posets, posets_up_to, random_poset
-from posetspace.constructions import RationalMetric, formal_ball_poset
+from posetspace.constructions import FiniteTopSpace, RationalMetric, formal_ball_poset
+from posetspace.filters import bounded
 from posetspace.poset_core import (
     AntisymmetryViolation,
     BinaryTreePoset,
@@ -23,6 +24,7 @@ from posetspace.poset_core import (
     strict_to_poset,
     validate_poset,
 )
+from posetspace.topology import PosetSpace
 
 
 def test_singleton_reflexive_closure():
@@ -206,9 +208,19 @@ def test_restrict_and_dual(vee):
 
 @pytest.mark.parametrize("mask", [1 << 3, 0b1001, -1, -8])
 def test_restrict_refuses_bits_outside_the_elements(vee, mask):
-    # a negative mask has bits past every element too: _bits would never end on it
+    # a negative mask has bits past every element too; restrict says so before _bits refuses it
     with pytest.raises(PosetError, match=f"^element mask {mask} has bits outside the 3 elements of V$"):
         vee.restrict(mask)
+
+
+def test_negative_masks_are_refused_at_once(vee):
+    # the bits of a negative mask never run out: each reader refuses it instead of walking past its elements
+    space = PosetSpace(vee, "mf")
+    calls = [lambda: vee.names_of(-1), lambda: space.set_str(-1),
+             lambda: FiniteTopSpace.discrete(["x", "y"]).set_str(-1), lambda: bounded(vee, -1)]
+    for call in calls:
+        with pytest.raises(PosetError, match="^negative mask -1$"):
+            call()
 
 
 def test_labeled_poset_counts():
