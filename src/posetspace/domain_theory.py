@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .poset_core import FinitePoset, _bits
-from .filters import Filter
 from .topology import PosetSpace
 
 
@@ -46,7 +45,6 @@ def dcpo_classify(dcpo: FinitePoset) -> DcpoClassification:
 
 class CompletionResult(NamedTuple):
     dcpo: FinitePoset  # the completion, ordered by inclusion
-    filter_of: dict  # dcpo element id -> the Filter it stands for
     maximal_table: dict  # maximal filter (printed) -> dcpo element id
     compact_table: dict  # principal generator -> dcpo element id
     compact_matches_principal: bool
@@ -62,14 +60,18 @@ def filter_completion(poset: FinitePoset) -> CompletionResult:
     masks.  The maximal filters land on its maximal elements and the
     principal filters on its compact elements, which are the whole carrier.
     """
-    ids = ["{" + ",".join(poset.names_of(m)) + "}" for m in poset.up_masks]
+    members, ids = _filter_ids(poset)
     dcpo = FinitePoset(ids, poset.down_masks, f"filters({poset.name})", poset.up_masks)
-
-    filter_of = {d: Filter(poset, i) for i, d in enumerate(ids)}
-    maximal_table = {str(Filter(poset, i)): ids[i] for i in poset.minimal_indices()}
+    maximal_table = {"{" + ", ".join(members[i]) + "}": ids[i] for i in poset.minimal_indices()}
     compact_table = dict(zip(poset.elements, ids))
     compact_matches = set(compact_table.values()) == set(dcpo.elements)
-    return CompletionResult(dcpo, filter_of, maximal_table, compact_table, compact_matches)
+    return CompletionResult(dcpo, maximal_table, compact_table, compact_matches)
+
+
+def _filter_ids(poset) -> tuple:
+    """Each element's principal filter as member names, and as the completion's element id."""
+    members = [poset.names_of(m) for m in poset.up_masks]
+    return members, ["{" + ",".join(names) + "}" for names in members]
 
 
 class ScottReport(NamedTuple):
@@ -105,33 +107,30 @@ def _generate_same_topology(family, other) -> bool:
 def scott_max_homeomorphism_check(poset: FinitePoset) -> ScottReport:
     """Compare the filter space with the Scott topology on maximal elements.
 
-    Both topologies are generated on the same carrier: the maximal
-    filters of the poset, as maximal elements of the completion.  The
-    table pairs each poset element with a completion element whose Scott
+    Both topologies are generated on the maximal filters, the maximal
+    elements of the completion.  The Scott side is read off the order
+    dual, which the completion is: way above element q is its up-set, the
+    down-set of q in the poset, cut to the minimal elements.  The MF side
+    is built apart, from the basic opens of ``PosetSpace``.  The table
+    pairs each poset element with the first completion id whose Scott
     open cuts out the same maximal filters as the element's basic open.
     """
-    carrier = filter_completion(poset).dcpo
     space = PosetSpace(poset, "mf")
-    max_mask = sum(1 << q for q, up in enumerate(carrier.up_masks) if up == 1 << q)
-    # way above q is the up-set of q, so its Scott open is that up-set
-    scott_of = {carrier.elements[q]: carrier.up_mask(q) & max_mask for q in range(len(carrier))}
-    # the completion holds one filter per element, in element order, so the
-    # point generated by g is the completion element with index g
-    mf_of = {
-        p: sum(1 << space.generators[i] for i in _bits(space.opens[e]))
-        for e, p in enumerate(poset.elements)
-    }
+    max_mask = sum(1 << q for q in poset.minimal_indices())
+    scott_of = dict(zip(_filter_ids(poset)[1], [down & max_mask for down in poset.down_masks]))
+    # one filter per element, in element order: point g is completion element g
+    mf_of = {p: sum(1 << space.generators[i] for i in _bits(space.opens[e]))
+             for e, p in enumerate(poset.elements)}
     scott_family = frozenset(scott_of.values())
     mf_family = frozenset(mf_of.values())
 
     ok = _generate_same_topology(scott_family, mf_family)
-    table = []
+    table = ()
     if ok:
-        for p in poset.elements:
-            match = next((d for d in sorted(scott_of) if scott_of[d] == mf_of[p]), None)
-            table.append((p, match))
+        first = {scott_of[d]: d for d in sorted(scott_of, reverse=True)}  # the least id wins
+        table = tuple((p, first.get(mf_of[p])) for p in poset.elements)
     detail = "" if ok else "the generated topologies on the maximal elements differ"
-    return ScottReport(ok, tuple(table), detail, scott_family, mf_family)
+    return ScottReport(ok, table, detail, scott_family, mf_family)
 
 
 def ideal_completion(poset: FinitePoset) -> CompletionResult:

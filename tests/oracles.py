@@ -69,6 +69,12 @@ coordinate, build the stage order by comparing every pair of stage
 tuples, and check claims 2-4 over enumerated ``Filter`` tuples.  The
 library folds each filter mask onto one period, builds the stage order
 from per-element pair masks, and checks the claims over element indices.
+
+``filter_completion_reference`` and ``scott_check_reference`` are the
+filter completion and the Scott check as first written: the completion
+holds a ``Filter`` per element, and the Scott check builds the whole
+completion, reads the Scott opens off its up masks and sorts the ids once
+per element.  The library reads the Scott opens off the poset's down masks.
 """
 
 import itertools
@@ -81,7 +87,7 @@ from posetspace.choquet_mf import ConditionRequirementViolation, PreconditionFai
 from posetspace.constructions import (
     INF, GdeltaMfResult, GdeltaUfResult, NotDescending, ProductResult, _set_key,
 )
-from posetspace.filters import bounded, enumerate_filters, filter_generator
+from posetspace.filters import Filter, bounded, enumerate_filters, filter_generator
 from posetspace.games import ConditionViolated, IllegalMove
 from posetspace.poset_core import AntisymmetryViolation, FinitePoset, PosetError, incompatible
 from posetspace.topology import PosetSpace, verify_correspondence, verify_restriction
@@ -831,8 +837,9 @@ def condition_lt(system, c1, c2) -> bool:
     """c1 < c2: c1.a inside c2.a, and each play of c2 extends one step into c1 through c2.a."""
     if c1.a & ~c2.a:
         return False
+    plays1 = c1.plays  # read once: Condition.plays rebuilds the set of tuple plays on each read
     return all(
-        any(extend_play(system, p, c2.a, x) in c1.plays for x in members(c2.a))
+        any(extend_play(system, p, c2.a, x) in plays1 for x in members(c2.a))
         for p in c2.plays
     )
 
@@ -1167,3 +1174,42 @@ def gdelta_uf_reference(poset, opens):
         intersection=sum(1 << i for i in inter_points), claims=claims, claim_details=details, space=space,
         sub_space=sub_space, ok=ok, failure=failure,
     )
+
+
+# ---------------------------------------------------------------------------
+# the filter completion and the Scott check as first written
+
+
+def filter_completion_reference(poset) -> dict:
+    """``filter_completion``'s fields by name, ``filter_of`` (one ``Filter`` per element) included."""
+    ids = ["{" + ",".join(poset.names_of(m)) + "}" for m in poset.up_masks]
+    dcpo = FinitePoset(ids, poset.down_masks, f"filters({poset.name})", poset.up_masks)
+    compact_table = dict(zip(poset.elements, ids))
+    return {
+        "dcpo": dcpo,
+        "filter_of": {d: Filter(poset, i) for i, d in enumerate(ids)},
+        "maximal_table": {str(Filter(poset, i)): ids[i] for i in poset.minimal_indices()},
+        "compact_table": compact_table,
+        "compact_matches_principal": set(compact_table.values()) == set(dcpo.elements),
+    }
+
+
+def scott_check_reference(poset) -> lib.ScottReport:
+    """``scott_max_homeomorphism_check`` on the whole completion, sorting the ids for every element."""
+    carrier = filter_completion_reference(poset)["dcpo"]
+    space = PosetSpace(poset, "mf")
+    max_mask = sum(1 << q for q, up in enumerate(carrier.up_masks) if up == 1 << q)
+    scott_of = {carrier.elements[q]: carrier.up_mask(q) & max_mask for q in range(len(carrier))}
+    mf_of = {
+        p: sum(1 << space.generators[i] for i in lib._bits(space.opens[e]))
+        for e, p in enumerate(poset.elements)
+    }
+    scott_family = frozenset(scott_of.values())
+    mf_family = frozenset(mf_of.values())
+    ok = lib._generate_same_topology(scott_family, mf_family)
+    table = []
+    if ok:
+        for p in poset.elements:
+            table.append((p, next((d for d in sorted(scott_of) if scott_of[d] == mf_of[p]), None)))
+    detail = "" if ok else "the generated topologies on the maximal elements differ"
+    return lib.ScottReport(ok, tuple(table), detail, scott_family, mf_family)

@@ -3,7 +3,7 @@ import random
 import oracles
 from oracles import domain_mismatches, library_answers
 
-from posetspace.catalog import posets_up_to
+from posetspace.catalog import posets_up_to, random_poset
 from posetspace.domain_theory import (
     _generate_same_topology,
     dcpo_classify,
@@ -13,6 +13,7 @@ from posetspace.domain_theory import (
     way_below,
 )
 from posetspace.filters import enumerate_filters
+from posetspace.poset_core import FinitePoset
 
 
 def maximal(poset):
@@ -125,6 +126,43 @@ def test_scott_check_sweep():
     for p in posets_up_to(4):
         assert scott_max_homeomorphism_check(p).ok, p.pairs()
         assert domain_mismatches(p) == [], p.pairs()
+
+
+def _completion_fields(c) -> tuple:
+    # dict fields as item lists, so their order counts too
+    d = c["dcpo"]
+    return ((d.elements, d.up_masks, d.down_masks, d.name), list(c["maximal_table"].items()),
+            list(c["compact_table"].items()), c["compact_matches_principal"])
+
+
+def _small_and_random_posets():
+    # random_poset names at most 8 elements; past that, the same random DAG closed by the oracle
+    rng = random.Random(24)
+    yield from posets_up_to(5, include_empty=True)
+    for n in range(6, 13):
+        for edge_prob in (0.1, 0.25, 0.4, 0.6):
+            for _ in range(3):
+                if n <= 8:
+                    yield random_poset(rng, n, edge_prob)
+                    continue
+                masks = [1 << i | sum(1 << j for j in range(i + 1, n) if rng.random() < edge_prob)
+                         for i in range(n)]
+                yield FinitePoset(tuple(f"e{i}" for i in range(n)), oracles.transitive_close(masks), "random")
+
+
+def test_completion_and_scott_check_match_the_first_written_references():
+    # the library reads the Scott opens off the order dual; the references build the
+    # completion with a Filter per element and sort the ids once per element
+    count = 0
+    for p in _small_and_random_posets():
+        want = oracles.filter_completion_reference(p)
+        assert set(want) - {"filter_of"} == set(filter_completion(p)._fields)
+        assert _completion_fields(filter_completion(p)._asdict()) == _completion_fields(want), p.pairs()
+        assert (_completion_fields(ideal_completion(p)._asdict())
+                == _completion_fields(oracles.filter_completion_reference(p.dual()))), p.pairs()
+        assert scott_max_homeomorphism_check(p) == oracles.scott_check_reference(p), p.pairs()
+        count += 1
+    assert count == 4474 + 7 * 4 * 3
 
 
 def test_same_topology_check_matches_union_closure():

@@ -437,6 +437,21 @@ def test_domain_verbs(files):
     assert code == 0 and "ideals: 3" in out
 
 
+def test_domain_builds_one_filter_completion(files, monkeypatch):
+    # the Scott check reads the completion off the order dual instead of building it again
+    calls = []
+    build = cli.domain_theory.filter_completion
+
+    def counted(poset):
+        calls.append(poset)
+        return build(poset)
+
+    monkeypatch.setattr(cli.domain_theory, "filter_completion", counted)
+    code, out = run_cli(["domain", files["v.poset"]])
+    assert code == 0 and "scott-topology-matches: true" in out
+    assert len(calls) == 1
+
+
 def test_topo_order_verbs(files):
     code, out = run_cli(["topo-order", files["d2.space"], "--construct", "interval"])
     assert code == 0
@@ -482,10 +497,17 @@ def test_exit_codes(files, tmp_path):
 # game calls that cannot be played: each must exit 2 with a message, never a traceback
 BAD_GAME_CALLS = {
     "baire-empty": ["baire", "{empty}"],
+    "baire-rounds0": ["baire", "{v}", "--rounds", "0"],
     "choquet-empty": ["choquet", "{empty}"],
     "choquet-rounds0": ["choquet", "{v}", "--rounds", "0"],
+    "stargame-play-rounds0": ["stargame-play", "--f", "01", "--rounds", "0"],
     "stargame-play-short-guide": ["stargame-play", "--f", "01", "--rounds", "5"],
     "stargame-play-letter-guide": ["stargame-play", "--f", "abc"],
+}
+# the whole output of the calls that reach a GameSetupError of the game itself
+BAD_GAME_OUTPUTS = {
+    "baire-rounds0": "error: rounds must be at least 1\n",
+    "stargame-play-rounds0": "error: rounds must be at least 1\n",
 }
 
 
@@ -503,6 +525,7 @@ def test_bad_game_call_exits_2(label, tmp_path):
     code, out = run_cli(bad_game_argv(label, tmp_path))
     assert code == 2
     assert out.startswith(("error: ", "usage error: ")) and "Traceback" not in out
+    assert out == BAD_GAME_OUTPUTS.get(label, out)
 
 
 def test_bad_game_calls_exit_2_under_optimize(tmp_path):

@@ -10,6 +10,7 @@ from posetspace.catalog import posets_up_to, random_dense_sets, random_poset
 from posetspace.games import (
     ChoquetRound,
     ConditionViolated,
+    GameSetupError,
     SelectorFailed,
     baire_generic_filter,
     canonical_choquet_strategy,
@@ -519,6 +520,12 @@ def test_baire_selector_failure(vee):
 
     with pytest.raises(SelectorFailed):
         baire_generic_filter(vee, [liar], "a", 1)
+
+
+def test_baire_needs_a_selector(vee):
+    # the CLI always passes a selector, so only the library reaches this refusal
+    with pytest.raises(GameSetupError, match="^at least one dense-open selector is required$"):
+        baire_generic_filter(vee, [], "c", 1)
 
 
 def test_element_selector_reports_non_density(vee):
