@@ -10,31 +10,28 @@ discrete space (Kechris, *Classical Descriptive Set Theory*, GTM 156,
 8.D); this module enumerates bounded-depth slices of that poset and
 checks the correspondence.
 
-A ``ConditionSystem`` numbers each play once, when first reached: play i
-keeps its parent's index, its last move (v, x, w) and its final open, and
-a condition's plays are an int mask over the indices; a play's sort key
-is built only when conditions are sorted.
-The order, the four well-formedness rules and the common refinement are
-mask operations; tuple plays appear only at the boundary.  A depth that
-must give more than MAX_CONDITIONS conditions, or a deep one, is refused
-before its plays are built.
+A ``ConditionSystem`` numbers each play once, when first reached, and
+fills its per-play tables then; a condition's plays are an int mask over
+the indices.  The order, the four well-formedness rules and the common
+refinement are mask operations on those tables; tuple plays appear only
+at the boundary.  A depth that must give more than MAX_CONDITIONS
+conditions, or a deep one, is refused before its plays are built.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
 from .poset_core import FinitePoset, PosetError, _bits
 from .constructions import FiniteTopSpace
-from .topology import PosetSpace
 
 # the most conditions a check builds: their number grows doubly
 # exponentially in the space (5 points at depth 1 give 327,681)
 MAX_CONDITIONS = 2000
+_FLIP = str.maketrans("01", "10")
 
 
 class ConditionRequirementViolation(PosetError):
@@ -83,12 +80,15 @@ class ConditionSystem:
     player I's open mask v, its point index x, and player II's answer
     mask w.  Inside, play i has a parent, a last move and a final open:
     ``parent[i]``, ``step[i]`` and ``final[i]``; play 0 is the empty play.
+    ``kids[i]`` maps I's move (v, x) to the play it extends i to,
+    ``anc[i]`` masks i's initial segments, i included, and ``via[i]`` maps
+    an open v to the mask of the proper ones that i continues on v.
     """
 
     def __init__(self, space: FiniteTopSpace):
         self.space = space
-        self.parent, self.step, self.final, self._keys = [0], [None], [space.whole_mask], [(0, ())]
-        self._ext = {}  # (play, v, x) -> the play extended by I's move (v, x) and II's answer
+        self.parent, self.step, self.final = [0], [None], [space.whole_mask]
+        self.kids, self.anc, self.via = [{}], [1], [{}]
         self._fits = {a: 1 for a in space.basis if a}  # nonempty basic a -> plays a fits in
 
     def play(self, i) -> tuple:
@@ -99,23 +99,20 @@ class ConditionSystem:
             i = self.parent[i]
         return tuple(reversed(moves))
 
-    def key(self, i) -> tuple:
-        """Play i's ``_play_key``; the first call after new plays were numbered builds theirs."""
-        for q in range(len(self._keys), len(self.step)):  # a play is numbered after its parent
-            v, x, w = self.step[q]
-            length, moves = self._keys[self.parent[q]]
-            self._keys.append((length + 1, moves + ((tuple(_bits(v)), x, tuple(_bits(w))),)))
-        return self._keys[i]
-
     def _extend(self, p, v, x) -> int:
         """The index of play p extended by I's move (v, x) and II's answer."""
-        q = self._ext.get((p, v, x))
+        q = self.kids[p].get((v, x))
         if q is None:
             w = self.space.up[x]  # v is open and holds x, so U_x lies inside it
-            q = self._ext[p, v, x] = len(self.step)
+            q = self.kids[p][v, x] = len(self.step)
             self.parent.append(p)
             self.step.append((v, x, w))
             self.final.append(w)
+            self.kids.append({})
+            self.anc.append(self.anc[p] | 1 << q)
+            via = self.via[p].copy()
+            via[v] = via.get(v, 0) | 1 << p
+            self.via.append(via)
             for a in self._fits:
                 if not a & ~w:
                     self._fits[a] |= 1 << q
@@ -150,14 +147,24 @@ class ConditionSystem:
         return self._checked(a, mask)
 
     def _checked(self, a, mask) -> "Condition":
-        """The condition (a, mask) after rules 1, 3 and 4; rule 2 held as its plays were numbered."""
+        """The condition (a, mask) after rules 1, 3 and 4; rule 2 held as its plays were numbered.
+
+        Rule 3 asks for each play's initial segments.  A play is numbered after them, so the
+        last play left answers for them too, and they leave with it.
+        """
         if a not in self._fits:
             raise ConditionRequirementViolation(1, "the designated set is not a nonempty basic open")
-        missing = 0
-        for q in _bits(mask):
-            missing |= 1 << self.parent[q]
-        missing &= ~mask
-        if missing:
+        anc, rest = self.anc, mask
+        while rest:
+            top = anc[rest.bit_length() - 1]
+            if top & ~mask:
+                break
+            rest &= ~top
+        if rest:  # name the shortest missing segment above the lowest missing parent
+            missing = 0
+            for q in _bits(mask):
+                missing |= 1 << self.parent[q]
+            missing &= ~mask
             m = (missing & -missing).bit_length() - 1
             while m and not mask >> self.parent[m] & 1:
                 m = self.parent[m]
@@ -168,29 +175,67 @@ class ConditionSystem:
         return Condition(self, a, mask)
 
     def _through(self, c1: "Condition") -> dict:
-        """Designated set v -> the mask of the parents of c1's proper plays last played on v."""
-        through = {}
-        for q in _bits(c1.mask & ~1):
-            v = self.step[q][0]
-            through[v] = through.get(v, 0) | 1 << self.parent[q]
+        """Designated set v -> the mask of the parents of c1's proper plays last played on v:
+        the union of ``via`` over c1's plays that no play of c1 extends."""
+        through, rest, via, anc = {}, c1.mask, self.via, self.anc
+        while rest:
+            q = rest.bit_length() - 1  # the plays left that extend q were numbered after it
+            if not through:
+                through = via[q].copy()
+            else:
+                for v, parents in via[q].items():
+                    through[v] = through.get(v, 0) | parents
+            rest &= ~anc[q]
         return through
 
-    def up_masks(self, conditions) -> list:
-        """Per condition c1, the mask of c1 and of the conditions it lies strictly below; only
-        those whose set is one that a play of c1 was last played on are tested."""
-        by_set = {}
-        for j, c2 in enumerate(conditions):
-            by_set.setdefault(c2.a, []).append((j, c2.mask))
-        return [sum((1 << j for v, parents in self._through(c1).items() if not c1.a & ~v
-                     for j, mask in by_set.get(v, ()) if not mask & ~parents), 1 << i)
-                for i, c1 in enumerate(conditions)]
+    def up_masks(self, conditions) -> tuple:
+        """The up masks and the down masks of the order among ``conditions``, bit i set in row i.
+
+        c1 < c2 puts c2's plays inside c1's: the order is transitive and c2 holds fewer plays.
+        So rows are built fewest plays first, and c1's row takes in the row of each condition
+        found above it.  Tested, most plays first: those not yet in the row whose set one of c1's
+        plays was last played on, with no more plays than their parents there, until the row
+        holds all that are left.
+        """
+        counts = [c.mask.bit_count() for c in conditions]
+        order = sorted(range(len(conditions)), key=counts.__getitem__)
+        by_set, ahead = {}, [0] * len(conditions)  # ahead[j]: the conditions before j in its group
+        for j in order:
+            sizes, group = by_set.setdefault(conditions[j].a, ([], []))  # fewest plays first
+            if group:
+                ahead[j] = ahead[group[-1][0]] | 1 << group[-1][0]
+            sizes.append(counts[j])
+            group.append((j, conditions[j].mask))
+        up, found = [0] * len(conditions), [[] for _ in conditions]
+        for i in order:
+            c1, row = conditions[i], 1 << i
+            for v, parents in self._through(c1).items():
+                if v in by_set and not c1.a & ~v:
+                    sizes, group = by_set[v]
+                    outside = ~parents
+                    for j, mask in reversed(group[:bisect_right(sizes, parents.bit_count())]):
+                        if not mask & outside and not row >> j & 1:
+                            row |= up[j]
+                            found[j].append(i)
+                            if ahead[j] & row == ahead[j]:  # the rest of the group is in the row
+                                break
+            up[i] = row
+        down = [1 << j for j in range(len(conditions))]
+        for j in reversed(order):  # the pairs found, the other way: most plays first
+            for i in found[j]:
+                down[j] |= down[i]
+        return up, down
 
     def lt(self, c1: "Condition", *c2s: "Condition") -> bool:
         """Strictly below each of ``c2s``: every play of c2 extends one step into c1 through c2's set."""
-        if any(c2.system is not c1.system for c2 in c2s):
-            raise MixedSpaces("conditions live over different spaces or strategies")
+        for c2 in c2s:
+            if c2.system is not c1.system:
+                raise MixedSpaces("conditions live over different spaces or strategies")
         through = self._through(c1)
-        return all(not c1.a & ~c2.a and not c2.mask & ~through.get(c2.a, 0) for c2 in c2s)
+        for c2 in c2s:
+            if c1.a & ~c2.a or c2.mask & ~through.get(c2.a, 0):
+                return False
+        return True
 
     def refine(self, c1: "Condition", c2: "Condition", x: int) -> "Condition":
         """A common refinement through a shared point of the designated sets.
@@ -202,10 +247,15 @@ class ConditionSystem:
             raise MixedSpaces("conditions live over different spaces or strategies")
         if not (c1.a & c2.a) >> x & 1:
             raise PreconditionFailed(f"point {x} is outside a designated set")
-        mask = c1.mask | c2.mask
-        for c in (c1, c2):
-            for p in _bits(c.mask):
-                mask |= 1 << self._extend(p, c.a, x)
+        mask, kids = c1.mask | c2.mask, self.kids
+        for a, rest in ((c1.a, mask),) if c1.a == c2.a else ((c1.a, c1.mask), (c2.a, c2.mask)):
+            move = (a, x)
+            while rest:
+                low = rest & -rest
+                p = low.bit_length() - 1
+                q = kids[p].get(move)
+                mask |= 1 << (self._extend(p, a, x) if q is None else q)
+                rest ^= low
         return self._checked(self.space.up[x], mask)
 
     # -- enumeration ------------------------------------------------------
@@ -213,8 +263,10 @@ class ConditionSystem:
     def _number(self, depth: int, cap=None) -> int:
         """Number every play of at most ``depth`` rounds, a round at a time; return them as a mask.
 
-        Player I's moves after a play are the nonempty opens inside its final open.  Past ``cap``
-        plays raises TooManyConditions: each play gives a condition of its own.
+        Player I's moves after a play are the nonempty opens inside its final open, ordered by
+        their points, each with its points x in turn: so on a fresh system play indices follow
+        ``_play_key``.  Past ``cap`` plays raises TooManyConditions: each play gives a condition
+        of its own.
         """
         plays, start, moves = [0], 0, {}
         for _ in range(depth):
@@ -222,12 +274,12 @@ class ConditionSystem:
             for p in plays[start:end]:
                 room = self.final[p]
                 if room not in moves:
-                    moves[room] = [v for v in self.space.opens if v and not v & ~room]
-                for v in moves[room]:
-                    for x in _bits(v):
-                        plays.append(self._extend(p, v, x))
-                        if cap is not None and len(plays) > cap:
-                            raise TooManyConditions(cap + 1, depth, exact=False)
+                    inside = [v for v in self.space.opens if v and not v & ~room]
+                    moves[room] = [(v, x) for v in sorted(inside, key=lambda v: tuple(_bits(v))) for x in _bits(v)]
+                for v, x in moves[room]:
+                    plays.append(self._extend(p, v, x))
+                    if cap is not None and len(plays) > cap:
+                        raise TooManyConditions(cap + 1, depth, exact=False)
             if len(plays) == end:
                 break
             start = end
@@ -268,24 +320,28 @@ class ConditionSystem:
         """
         if len(self.space) and depth >= MAX_CONDITIONS:
             raise TooManyConditions(depth + 1, depth, exact=False)
-        total = self.count_conditions(depth, MAX_CONDITIONS)
+        within = self._number(depth, MAX_CONDITIONS)
+        total = sum(self._closed_sets(fits & within, count=True) for fits in self._fits.values())
         if total > MAX_CONDITIONS:
             raise TooManyConditions(total, depth)
-        within = self._number(depth)  # numbered already: lookups only
         return [self._checked(a, mask) for a, fits in self._fits.items()
                 for mask in self._closed_sets(fits & within)]
 
 
-def _play_key(play):
-    return (len(play), tuple((tuple(_bits(v)), x, tuple(_bits(w))) for v, x, w in play))
+def _play_key(play):  # a move that is not a triple keys as (): rule 2 refuses it, not the sort
+    return len(play), tuple((tuple(_bits(m[0])), m[1], tuple(_bits(m[2]))) if len(m) == 3 else () for m in play)
 
 
-# a dataclass, not a named tuple: a tuple subclass keeps tuple.__ne__, so != would disagree with __eq__
-@dataclass(frozen=True, eq=False)
 class Condition:
-    system: ConditionSystem
-    a: int  # the designated set, a point mask
-    mask: int  # the plays, a mask over the system's play indices
+    """A designated set ``a``, a point mask, with plays ``mask`` over ``system``'s play indices.
+
+    Not a named tuple: a tuple subclass keeps tuple.__ne__, so != would disagree with __eq__.
+    """
+
+    __slots__ = ("system", "a", "mask")
+
+    def __init__(self, system: ConditionSystem, a: int, mask: int):
+        self.system, self.a, self.mask = system, a, mask
 
     @property
     def plays(self) -> frozenset:
@@ -302,10 +358,6 @@ class Condition:
 
     def __str__(self):
         return f"<{self.system.space.set_str(self.a)}; {self.mask.bit_count() - 1} proper plays>"
-
-    def key(self):
-        """Sort by the set's points, the play count, then the sorted play keys."""
-        return tuple(_bits(self.a)), self.mask.bit_count(), tuple(sorted(map(self.system.key, _bits(self.mask))))
 
 
 def validate_condition(space: FiniteTopSpace, a, plays) -> Condition:
@@ -336,7 +388,10 @@ def refinement_sample(conditions, k: int, rng: random.Random) -> list:
         t -= starts[i]
         col = cols[sets[i]]
         j = bisect_right(col, t) - 1
-        out.append((i, j, list(_bits(sets[i] & sets[j]))[t - col[j]]))
+        shared = sets[i] & sets[j]
+        for _ in range(t - col[j]):  # drop the lower shared points
+            shared &= shared - 1
+        out.append((i, j, (shared & -shared).bit_length() - 1))
     return out
 
 
@@ -361,36 +416,45 @@ def mf_characterization_check(space: FiniteTopSpace, depth: int, refinement_samp
     Requires a T1 (hence discrete) finite space, and at most
     MAX_CONDITIONS conditions at the depth.  Enumerates conditions to
     the given play depth, orders them, and inspects every maximal
-    filter of the resulting finite poset: the designated sets of its
-    members must intersect in a single point (filters that keep several
-    points are reported as depth-too-small, not fatal).  The point map is
-    accepted as a bijection when it is total and onto and when a
-    condition belongs to some filter mapped to a point exactly when the
-    point lies in the condition's designated set; the truncation sends
-    many filters to one point, so the fibers, not the raw filters, are
-    matched with the space.  A seeded uniform sample of common
-    refinements is also validated both ways.
+    filter of the resulting finite poset, the up-set of a minimal
+    element: the designated sets of its members must intersect in a
+    single point (filters that keep several points are reported as
+    depth-too-small, not fatal).  The point map is accepted as a
+    bijection when it is total and onto and when a condition belongs to
+    some filter mapped to a point exactly when the point lies in the
+    condition's designated set; the truncation sends many filters to one
+    point, so the fibers, not the raw filters, are matched with the
+    space.  A seeded uniform sample of common refinements is also
+    validated both ways.
     """
     if depth < 0:
         raise BadDepth(f"depth must be at least 0, got {depth}")
     if not space.is_t1():
         raise PreconditionFailed("the space is not T1")
     system = ConditionSystem(space)
-    conditions = sorted(system.enumerate_conditions(depth), key=Condition.key)
-    poset = FinitePoset([f"c{i}" for i in range(len(conditions))], system.up_masks(conditions),
-                        f"{space.name}|conditions")
-    cond_space = PosetSpace(poset, "mf")
+    conditions = system.enumerate_conditions(depth)
+    # sorted by the set's points, the play count, then the sorted play keys.  The system is
+    # fresh, so play indices follow play keys, and of two masks with as many plays the one
+    # holding their lowest differing bit comes first: its flipped bits read smaller from bit 0
+    points = {a: tuple(_bits(a)) for a in system._fits}
+    conditions.sort(key=lambda c: (points[c.a], c.mask.bit_count(), bin(c.mask)[:1:-1].translate(_FLIP)))
+    up, down = system.up_masks(conditions)
+    poset = FinitePoset([f"c{i}" for i in range(len(conditions))], up, f"{space.name}|conditions", down)
+    generators = poset.minimal_indices()
 
+    holders = {}  # designated set -> the mask of the conditions with that set
+    for i, c in enumerate(conditions):
+        holders[c.a] = holders.get(c.a, 0) | 1 << i
     phi, stuck = {}, []
-    for k, g in enumerate(cond_space.generators):
-        inter = space.whole_mask
-        for c in _bits(poset.up_mask(g)):
-            inter &= conditions[c].a
+    for k, g in enumerate(generators):
+        inter, members = space.whole_mask, poset.up_mask(g)
+        for a, held in holders.items():
+            if members & held:
+                inter &= a
         if inter.bit_count() == 1:
             phi[k] = inter.bit_length() - 1
         else:
             stuck.append(k)
-
     surjective = set(phi.values()) == set(range(len(space)))
     total = not stuck
 
@@ -398,10 +462,10 @@ def mf_characterization_check(space: FiniteTopSpace, depth: int, refinement_samp
     # per point: the members of the filters sent to it, and the conditions whose set holds it
     reach, holds = [0] * len(space), [0] * len(space)
     for k, x in phi.items():
-        reach[x] |= poset.up_mask(cond_space.generators[k])
-    for i, c in enumerate(conditions):
-        for x in _bits(c.a):
-            holds[x] |= 1 << i
+        reach[x] |= poset.up_mask(generators[k])
+    for a, held in holders.items():
+        for x in _bits(a):
+            holds[x] |= held
     equivalence = reach == holds
 
     checked, refinements_ok = 0, True
@@ -416,5 +480,5 @@ def mf_characterization_check(space: FiniteTopSpace, depth: int, refinement_samp
     failure = ("some maximal filter keeps more than one point" if not total else
                "the point map misses a point of the space" if not surjective else
                "membership equivalence fails" if not equivalence else "")
-    return CharacterizationReport(len(conditions), len(cond_space), phi, bijection, tuple(stuck),
+    return CharacterizationReport(len(conditions), len(generators), phi, bijection, tuple(stuck),
                                   equivalence, checked, refinements_ok, poset, tuple(conditions), failure)

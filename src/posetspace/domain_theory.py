@@ -14,6 +14,9 @@ from .poset_core import FinitePoset, _bits
 from .topology import PosetSpace
 
 
+_RESERVED = frozenset(",{}'\"")
+
+
 def way_below(dcpo: FinitePoset):
     """The way-below relation as name pairs: on a finite dcpo, the order."""
     return dcpo.pairs()
@@ -69,9 +72,13 @@ def filter_completion(poset: FinitePoset) -> CompletionResult:
 
 
 def _filter_ids(poset) -> tuple:
-    """Each element's principal filter as member names, and as the completion's element id."""
-    members = [poset.names_of(m) for m in poset.up_masks]
-    return members, ["{" + ",".join(names) + "}" for names in members]
+    """Each element's principal filter as member names, and as the completion's element id: the
+    names in braces, joined by commas; a name holding a comma, a brace or a quote is written as its
+    repr, which starts with a quote that no other name holds, so distinct filters get distinct ids."""
+    members = shown = [poset.names_of(m) for m in poset.up_masks]
+    if not _RESERVED.isdisjoint("".join(poset.elements)):
+        shown = [[repr(p) if not _RESERVED.isdisjoint(p) else p for p in names] for names in members]
+    return members, ["{" + ",".join(names) + "}" for names in shown]
 
 
 class ScottReport(NamedTuple):

@@ -12,7 +12,7 @@ solver settles exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .poset_core import FinitePoset, PosetError, _bits
@@ -72,12 +72,14 @@ class ChoquetRound(NamedTuple):
     witness_ii: object = None  # generating poset element of II's basic open, if any
 
 
-# a dataclass, not a named tuple: the referee fills it in as the game goes
-@dataclass
 class ChoquetTranscript:
-    space: PosetSpace
-    rounds: list = field(default_factory=list)
-    illegal: IllegalMove | None = None
+    """The rounds kept so far and the illegal move that ended the game, if any: not a named
+    tuple, because the referee fills it in as the game goes."""
+
+    __slots__ = ("space", "rounds", "illegal")
+
+    def __init__(self, space: PosetSpace, rounds=None, illegal: IllegalMove | None = None):
+        self.space, self.rounds, self.illegal = space, [] if rounds is None else rounds, illegal
 
     @property
     def intersection(self) -> int:

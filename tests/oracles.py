@@ -75,6 +75,16 @@ filter completion and the Scott check as first written: the completion
 holds a ``Filter`` per element, and the Scott check builds the whole
 completion, reads the Scott opens off its up masks and sorts the ids once
 per element.  The library reads the Scott opens off the poset's down masks.
+Completion ids are built by ``completion_id``, which quotes a member name
+holding a comma, a brace or a quote, as the library does.
+
+``BitLoopConditionSystem`` and ``mf_characterization_reference`` are the
+condition check as first written: rule 3, the order table, ``lt`` and
+``refine`` walk a play mask one bit at a time, conditions are sorted by
+``condition_key``, the literal key built from their tuple plays' keys, and
+``FinitePoset`` transposes the up masks.  The library sorts on the masks,
+reads rule 3 and the order off per-play tables and builds both mask
+directions at once.
 """
 
 import itertools
@@ -83,7 +93,10 @@ import random
 from fractions import Fraction
 
 from posetspace import domain_theory as lib
-from posetspace.choquet_mf import ConditionRequirementViolation, PreconditionFailed
+from posetspace.choquet_mf import (
+    BadDepth, CharacterizationReport, Condition, ConditionRequirementViolation, ConditionSystem, MixedSpaces,
+    PreconditionFailed,
+)
 from posetspace.constructions import (
     INF, GdeltaMfResult, GdeltaUfResult, NotDescending, ProductResult, _set_key,
 )
@@ -772,8 +785,10 @@ def spot_check_generated(provider, budget: int = 3) -> None:
 
 
 def play_key(play):
-    """Plays by length, then move by move: (points of v, x, points of w)."""
-    return len(play), tuple((tuple(members(v)), x, tuple(members(w))) for v, x, w in play)
+    """Plays by length, then move by move: (points of v, x, points of w); a move that is not a
+    triple keys as (), so that the rule-2 check, not the sort, refuses it."""
+    return len(play), tuple((tuple(members(m[0])), m[1], tuple(members(m[2]))) if len(m) == 3 else ()
+                            for m in play)
 
 
 def final_open(system, play) -> int:
@@ -1180,9 +1195,15 @@ def gdelta_uf_reference(poset, opens):
 # the filter completion and the Scott check as first written
 
 
+def completion_id(names) -> str:
+    """A completion element's id: the member names in braces, joined by commas, with a name that
+    holds a comma, a brace or a quote written as its repr."""
+    return "{" + ",".join(repr(p) if set(p) & set(",{}'\"") else p for p in names) + "}"
+
+
 def filter_completion_reference(poset) -> dict:
     """``filter_completion``'s fields by name, ``filter_of`` (one ``Filter`` per element) included."""
-    ids = ["{" + ",".join(poset.names_of(m)) + "}" for m in poset.up_masks]
+    ids = [completion_id(poset.names_of(m)) for m in poset.up_masks]
     dcpo = FinitePoset(ids, poset.down_masks, f"filters({poset.name})", poset.up_masks)
     compact_table = dict(zip(poset.elements, ids))
     return {
@@ -1213,3 +1234,123 @@ def scott_check_reference(poset) -> lib.ScottReport:
             table.append((p, next((d for d in sorted(scott_of) if scott_of[d] == mf_of[p]), None)))
     detail = "" if ok else "the generated topologies on the maximal elements differ"
     return lib.ScottReport(ok, tuple(table), detail, scott_family, mf_family)
+
+
+# ---------------------------------------------------------------------------
+# the condition check as first written, on bit loops over play masks
+
+
+class BitLoopConditionSystem(ConditionSystem):
+    """A ``ConditionSystem`` whose rule 3, order and refinement walk play masks bit by bit."""
+
+    def __init__(self, space):
+        super().__init__(space)
+        self._keys = [(0, ())]
+
+    def key(self, i) -> tuple:
+        """Play i's ``play_key``; the first call after new plays were numbered builds theirs."""
+        for q in range(len(self._keys), len(self.step)):  # a play is numbered after its parent
+            v, x, w = self.step[q]
+            length, moves = self._keys[self.parent[q]]
+            self._keys.append((length + 1, moves + ((tuple(members(v)), x, tuple(members(w))),)))
+        return self._keys[i]
+
+    def _checked(self, a, mask) -> Condition:
+        if a not in self._fits:
+            raise ConditionRequirementViolation(1, "the designated set is not a nonempty basic open")
+        missing = 0
+        for q in members(mask):
+            missing |= 1 << self.parent[q]
+        missing &= ~mask
+        if missing:
+            m = (missing & -missing).bit_length() - 1
+            while m and not mask >> self.parent[m] & 1:
+                m = self.parent[m]
+            raise ConditionRequirementViolation(
+                3, f"missing initial segment of length {len(self.play(m))} of a play")
+        if mask & ~self._fits[a]:
+            raise ConditionRequirementViolation(4, "the designated set leaves the final open of a play")
+        return Condition(self, a, mask)
+
+    def _through(self, c1) -> dict:
+        through = {}
+        for q in members(c1.mask & ~1):
+            v = self.step[q][0]
+            through[v] = through.get(v, 0) | 1 << self.parent[q]
+        return through
+
+    def up_masks(self, conditions) -> list:
+        """Per condition, the mask of it and of the conditions it lies strictly below."""
+        by_set = {}
+        for j, c2 in enumerate(conditions):
+            by_set.setdefault(c2.a, []).append((j, c2.mask))
+        return [sum((1 << j for v, parents in self._through(c1).items() if not c1.a & ~v
+                     for j, mask in by_set.get(v, ()) if not mask & ~parents), 1 << i)
+                for i, c1 in enumerate(conditions)]
+
+    def lt(self, c1, *c2s) -> bool:
+        if any(c2.system is not c1.system for c2 in c2s):
+            raise MixedSpaces("conditions live over different spaces or strategies")
+        through = self._through(c1)
+        return all(not c1.a & ~c2.a and not c2.mask & ~through.get(c2.a, 0) for c2 in c2s)
+
+    def refine(self, c1, c2, x) -> Condition:
+        if c1.system is not c2.system:
+            raise MixedSpaces("conditions live over different spaces or strategies")
+        if not (c1.a & c2.a) >> x & 1:
+            raise PreconditionFailed(f"point {x} is outside a designated set")
+        mask = c1.mask | c2.mask
+        for c in (c1, c2):
+            for p in members(c.mask):
+                mask |= 1 << self._extend(p, c.a, x)
+        return self._checked(self.space.up[x], mask)
+
+
+def condition_key(c) -> tuple:
+    """The literal sort key of a condition: its set's points, its play count, then its plays'
+    ``play_key`` values in order; ``c.system`` must be a ``BitLoopConditionSystem``."""
+    return tuple(members(c.a)), c.mask.bit_count(), tuple(sorted(map(c.system.key, members(c.mask))))
+
+
+def mf_characterization_reference(space, depth, refinement_samples=40, seed=0) -> CharacterizationReport:
+    """``mf_characterization_check`` as first written, on a ``BitLoopConditionSystem``."""
+    if depth < 0:
+        raise BadDepth(f"depth must be at least 0, got {depth}")
+    if not space.is_t1():
+        raise PreconditionFailed("the space is not T1")
+    system = BitLoopConditionSystem(space)
+    conditions = sorted(system.enumerate_conditions(depth), key=condition_key)
+    poset = FinitePoset([f"c{i}" for i in range(len(conditions))], system.up_masks(conditions),
+                        f"{space.name}|conditions")
+    cond_space = PosetSpace(poset, "mf")
+    phi, stuck = {}, []
+    for k, g in enumerate(cond_space.generators):
+        inter = space.whole_mask
+        for c in members(poset.up_mask(g)):
+            inter &= conditions[c].a
+        if inter.bit_count() == 1:
+            phi[k] = inter.bit_length() - 1
+        else:
+            stuck.append(k)
+    surjective = set(phi.values()) == set(range(len(space)))
+    total = not stuck
+    reach, holds = [0] * len(space), [0] * len(space)
+    for k, x in phi.items():
+        reach[x] |= poset.up_mask(cond_space.generators[k])
+    for i, c in enumerate(conditions):
+        for x in members(c.a):
+            holds[x] |= 1 << i
+    equivalence = reach == holds
+    checked, refinements_ok = 0, True
+    for i, j, x in refinement_sample(conditions, refinement_samples, random.Random(seed)):
+        c = system.refine(conditions[i], conditions[j], x)
+        checked += 1
+        if not (system.lt(c, conditions[i], conditions[j]) and c.a >> x & 1):
+            refinements_ok = False
+            break
+    bijection = total and surjective and equivalence
+    failure = ("some maximal filter keeps more than one point" if not total else
+               "the point map misses a point of the space" if not surjective else
+               "membership equivalence fails" if not equivalence else "")
+    return CharacterizationReport(len(conditions), len(cond_space), phi, bijection, tuple(stuck),
+                                  equivalence, checked, refinements_ok, poset, tuple(conditions), failure)

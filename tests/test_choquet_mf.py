@@ -1,6 +1,7 @@
 import functools
 import random
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -9,7 +10,6 @@ import oracles
 from posetspace.catalog import all_topologies
 from posetspace.choquet_mf import (
     MAX_CONDITIONS,
-    Condition,
     ConditionRequirementViolation,
     ConditionSystem,
     MixedSpaces,
@@ -22,7 +22,10 @@ from posetspace.choquet_mf import (
     validate_condition,
 )
 from posetspace.constructions import FiniteTopSpace
+from posetspace.files import parse_input_file
 from posetspace.poset_core import _bits
+
+FIXTURES = Path(__file__).resolve().parent.parent / "bench" / "fixtures"
 
 
 @pytest.fixture(autouse=True)
@@ -70,6 +73,13 @@ def test_bad_designated_set_violates_rule_1(d2):
     with pytest.raises(ConditionRequirementViolation) as err:
         system.validate(0, [()])
     assert err.value.requirement == 1
+
+
+def test_a_move_that_is_not_a_triple_violates_rule_2(d2):
+    # the sort by play key reads every play first: it must not refuse the move itself
+    with pytest.raises(ConditionRequirementViolation) as err:
+        ConditionSystem(d2).validate(d2.whole_mask, [(), ((d2.whole_mask, 0),)])
+    assert str(err.value) == "requirement 2 violated: move 0 is not an (open, point, answer) triple"
 
 
 def test_off_strategy_play_violates_rule_2(d2):
@@ -222,15 +232,11 @@ def discrete(n):
 
 
 def agree_with_tuple_oracles(system, depth, refinements=True):
-    """Validation, sort keys, the order and, with ``refinements``, refinements at ``depth`` match the oracles."""
+    """Validation, the order and, with ``refinements``, refinements at ``depth`` match the oracles."""
     conditions = system.enumerate_conditions(depth)
-    oracle_keys = []
     for c in conditions:
         assert oracles.validate_condition(system, c.a, c.plays) == (c.a, c.plays)
         assert system.validate(c.a, c.plays) == c
-        oracle_keys.append((tuple(_bits(c.a)), len(c.plays), tuple(sorted(map(oracles.play_key, c.plays)))))
-    # the key is the tuple plays' key, whatever order the plays were numbered in
-    assert [c.key() for c in conditions] == oracle_keys
     # the pair oracles read only a and plays, and Condition.plays decodes its mask on
     # every read: decode each condition once, not once per pair
     decoded = [SimpleNamespace(a=c.a, plays=c.plays) for c in conditions]
@@ -271,16 +277,24 @@ def test_least_basic_answer_is_the_minimal_open(all_opens):
 
 
 def test_key_follows_play_keys_after_a_refinement(d2):
-    # refine numbers a round-2 play before enumerate(2) numbers that round
-    # whole, so the play indices no longer follow the play keys
-    system = ConditionSystem(d2)
+    # refine numbers a round-2 play before enumerate(2) numbers that round whole, so
+    # the play indices no longer follow the play keys; the literal key that the check's
+    # order is compared with reads the plays' keys, whatever their numbering
+    system = oracles.BitLoopConditionSystem(d2)
     system.enumerate_conditions(1)
     root = system.validate(0b01, [()])
     late = system.validate(0b01, [(), ((d2.whole_mask, 0, 0b01),)])  # not the first round-1 play
     system.refine(root, late, 0)  # numbers late's play extended: not the first round-2 play
     conditions = system.enumerate_conditions(2)
     want = [(tuple(_bits(c.a)), len(c.plays), tuple(sorted(map(oracles.play_key, c.plays)))) for c in conditions]
-    assert [c.key() for c in conditions] == want
+    assert [oracles.condition_key(c) for c in conditions] == want
+    keys = [oracles.play_key(system.play(i)) for i in range(len(system.step))]
+    assert keys != sorted(keys)
+    # the check numbers a fresh system a round at a time, and there the indices follow the keys
+    fresh = ConditionSystem(d2)
+    fresh.enumerate_conditions(2)
+    keys = [oracles.play_key(fresh.play(i)) for i in range(len(fresh.step))]
+    assert keys == sorted(keys)
 
 
 def test_empty_space_numbers_no_round():
@@ -314,6 +328,19 @@ def test_condition_poset_is_the_pairwise_order(n):
         assert report.poset.up_mask(i) == want
 
 
+@pytest.mark.parametrize("n, depth", [(1, 30), (2, 4), (3, 1)])
+def test_up_masks_do_not_depend_on_the_list_order(n, depth):
+    # rows are built fewest plays first whatever the order of the list, and the down masks
+    # are their transpose
+    conditions = ConditionSystem(discrete(n)).enumerate_conditions(depth)
+    random.Random(n).shuffle(conditions)
+    system = conditions[0].system
+    up, down = system.up_masks(conditions)
+    for i, c1 in enumerate(conditions):
+        assert up[i] == sum(1 << j for j, c2 in enumerate(conditions) if i == j or system.lt(c1, c2))
+        assert down[i] == sum(1 << j for j in range(len(conditions)) if up[j] >> i & 1)
+
+
 def test_validate_texts_match_tuple_oracle(d3):
     system = ConditionSystem(d3)
     whole = d3.whole_mask
@@ -326,6 +353,7 @@ def test_validate_texts_match_tuple_oracle(d3):
         (0b010, [(), ((0, 1, 0b010),)]), (0b010, [(), ((0b1000, 3, 0b1000),)]),
         (0b010, [(), one, one + ((0b110, 1, 0b010),)]), (0b010, [(), ((0b011, 2, 0b010),)]),
         (0b010, [(), ((0b010, 1, 0b110),)]), (0b010, [(), ((0b101, 1, 0b001),)]),
+        (0b010, [(), ((0b010, 1),)]), (0b010, [(), one, one + ((0b010,),)]),
     ]
     for a, plays in candidates:
         try:
@@ -341,7 +369,7 @@ def test_validate_texts_match_tuple_oracle(d3):
 
 
 def test_refinement_sample_is_distinct_and_in_pool(d3):
-    conditions = sorted(ConditionSystem(d3).enumerate_conditions(1), key=Condition.key)
+    conditions = mf_characterization_check(d3, 1).conditions
     pool = oracles.refinement_pool(conditions)
     for seed in range(5):
         triples = refinement_sample(conditions, 60, random.Random(seed))
@@ -353,7 +381,7 @@ def test_refinement_sample_is_distinct_and_in_pool(d3):
 @pytest.mark.parametrize("n, depth", [(2, 2), (3, 1)])
 def test_refinement_sample_matches_the_linear_scan(n, depth):
     # the library bisects prefix sums; the oracle scans rows and columns, with the same draws
-    conditions = sorted(ConditionSystem(discrete(n)).enumerate_conditions(depth), key=Condition.key)
+    conditions = mf_characterization_check(discrete(n), depth).conditions
     pool = len(oracles.refinement_pool(conditions))
     for seed in range(10):
         for k in (1, 40, 400, pool + 3):
@@ -366,7 +394,7 @@ def test_refinement_sample_of_no_conditions_is_empty():
 
 
 def test_lt_tests_every_given_condition(d3):
-    conditions = sorted(ConditionSystem(d3).enumerate_conditions(1), key=Condition.key)
+    conditions = mf_characterization_check(d3, 1).conditions
     system = conditions[0].system
     for c in conditions:
         below = [d for d in conditions if system.lt(c, d)]
@@ -398,3 +426,67 @@ def test_deep_chains_count_without_recursion():
         system.enumerate_conditions(MAX_CONDITIONS)
     assert err.value.count == MAX_CONDITIONS + 1
     assert "gives at least 2001 conditions" in str(err.value)
+
+
+def report_fields(report, names) -> dict:
+    """A report's fields, each condition as (a, plays) and the poset as its two mask directions.
+
+    A play is named by its index in ``names``, a dict over tuple plays shared by the reports
+    compared, so each play is decoded once and not once per condition that holds it.
+    """
+    fields = report._asdict()
+    system = report.conditions[0].system
+    ids = [names.setdefault(system.play(i), len(names)) for i in range(len(system.step))]
+    fields["conditions"] = [(c.a, frozenset(ids[q] for q in _bits(c.mask))) for c in report.conditions]
+    fields["poset"] = (report.poset.name, report.poset, report.poset.up_masks, report.poset.down_masks)
+    return fields
+
+
+def two_point_depths():
+    """Every depth at which the discrete space on 2 points has at most MAX_CONDITIONS conditions."""
+    depth = 0
+    while ConditionSystem(discrete(2)).count_conditions(depth) <= MAX_CONDITIONS:
+        yield depth
+        depth += 1
+
+
+def test_two_point_depths_reach_the_cap():
+    depths = list(two_point_depths())
+    assert depths[-1] == 30 and ConditionSystem(discrete(2)).count_conditions(31) > MAX_CONDITIONS
+
+
+@pytest.mark.parametrize("space, depths, seeds", [
+    (discrete(1), range(61), (0,)),
+    (discrete(2), list(two_point_depths())[:26], (0,)),
+    (discrete(2), list(two_point_depths())[26:], (0,)),
+    (discrete(3), range(3), (0, 1)),
+    (parse_input_file(str(FIXTURES / "d2.space")), range(4), range(3)),
+    (parse_input_file(str(FIXTURES / "d3.space")), range(3), (0,)),
+    (discrete(4), (1,), (0,)),
+], ids=["1-point", "2-point-0-25", "2-point-26-30", "3-point", "d2.space", "d3.space", "4-point"])
+def test_check_matches_the_bit_loop_reference(space, depths, seeds):
+    # the reference walks play masks bit by bit, sorts by the literal key and transposes;
+    # the 2-point space runs at every depth the cap allows, split in two for time
+    for depth in depths:
+        for seed in seeds:
+            got = mf_characterization_check(space, depth, seed=seed)
+            want = oracles.mf_characterization_reference(space, depth, seed=seed)
+            names = {}
+            assert report_fields(got, names) == report_fields(want, names), (depth, seed)
+
+
+@pytest.mark.parametrize("n, depth", [(1, 60), (2, 12), (3, 2), (4, 1)])
+def test_check_order_is_the_literal_key_order(n, depth):
+    # the check sorts on masks: on its fresh system play indices follow play keys, so of two
+    # masks with as many plays the one holding their lowest differing bit comes first
+    conditions = mf_characterization_check(discrete(n), depth).conditions
+    keys = [(tuple(_bits(c.a)), len(c.plays), tuple(sorted(map(oracles.play_key, c.plays)))) for c in conditions]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+def test_a_failed_refinement_is_reported(monkeypatch, d2):
+    # a refinement that returns its first argument is not strictly below it
+    monkeypatch.setattr(ConditionSystem, "refine", lambda self, c1, c2, x: c1)
+    report = mf_characterization_check(d2, 2)
+    assert (report.refinements_checked, report.refinements_ok) == (1, False)
+    assert report.bijection and report.failure == ""

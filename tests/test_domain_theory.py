@@ -165,6 +165,21 @@ def test_completion_and_scott_check_match_the_first_written_references():
     assert count == 4474 + 7 * 4 * 3
 
 
+def test_filters_of_a_name_with_a_comma_get_distinct_ids():
+    # a <= b plus an incomparable element named "a,b": the principal filters of a
+    # and of "a,b" both joined their member names into the id "{a,b}"
+    p = FinitePoset(("a", "b", "a,b"), (0b011, 0b010, 0b100), "comma")
+    comp = filter_completion(p)
+    assert comp.dcpo.elements == ("{a,b}", "{b}", "{'a,b'}")
+    assert _completion_fields(comp._asdict()) == _completion_fields(oracles.filter_completion_reference(p))
+    report = scott_max_homeomorphism_check(p)
+    assert report == oracles.scott_check_reference(p)
+    assert report.table == (("a", "{a,b}"), ("b", "{a,b}"), ("a,b", "{'a,b'}"))
+    # names that hold quotes: the filter {'a, b'} of 'a <= b' and the filter {'a,b'}
+    q = FinitePoset(("'a", "b'", "'a,b'"), (0b011, 0b010, 0b100), "quotes")
+    assert filter_completion(q).dcpo.elements == ('{"\'a","b\'"}', '{"b\'"}', '{"\'a,b\'"}')
+
+
 def test_same_topology_check_matches_union_closure():
     # every pair of families over two points, plus seeded random ones over four
     families = [frozenset(m for m in range(4) if code >> m & 1) for code in range(16)]

@@ -12,7 +12,7 @@ import time
 import pytest
 
 import posetspace
-from posetspace import cli
+from posetspace import choquet_mf, cli
 from posetspace.choquet_mf import mf_characterization_check
 from posetspace.constructions import FiniteTopSpace, RationalMetric
 from posetspace.files import (
@@ -414,9 +414,9 @@ def test_mf_characterize_deep_depths(tmp_path, files):
     # of plays and its initial segments, all with designated set {x}
     path = tmp_path / "one.space"
     path.write_text("space one\npoint x\nopen U x\n")
-    code, out = run_cli(["mf-characterize", str(path), "--depth", "900"])
-    assert code == 0  # 901 conditions: under the cap, so checked in full
-    assert out.splitlines()[:2] == ["conditions: 901", "maximal-filters: 1"]
+    code, out = run_cli(["mf-characterize", str(path), "--depth", "1999"])
+    assert code == 0  # 2000 conditions: at the cap, so checked in full
+    assert out.splitlines()[:2] == ["conditions: 2000", "maximal-filters: 1"]
     assert "bijection: true" in out
     for argv, bound in [([str(path), "--depth", "2000"], 2001),
                         ([files["d2.space"], "--depth", "1000"], 2001),
@@ -427,6 +427,25 @@ def test_mf_characterize_deep_depths(tmp_path, files):
         assert code == 2, argv
         assert out == (f"error: depth {argv[-1]} gives at least {bound} conditions, "
                        "more than the 2000 a check builds\n")
+
+
+def test_domain_names_the_filters_of_a_comma_name_apart(tmp_path):
+    # a <= b plus an element named "a,b": the filters {a, b} and {a,b} once shared the
+    # id "{a,b}", and the Scott table kept one of them, so a matched {b}
+    path = tmp_path / "comma.poset"
+    path.write_text("poset P\nelem a\nelem b\nelem a,b\nle a b\n")
+    code, out = run_cli(["domain", str(path)])
+    assert code == 0
+    assert "correspondence a: {a,b}\ncorrespondence b: {a,b}\ncorrespondence a,b: {'a,b'}\n" in out
+
+
+def test_mf_characterize_reports_a_failed_refinement(monkeypatch, files):
+    # a refinement that returns its first argument is not strictly below it
+    monkeypatch.setattr(choquet_mf.ConditionSystem, "refine", lambda self, c1, c2, x: c1)
+    code, out = run_cli(["mf-characterize", files["d2.space"], "--depth", "2"])
+    assert code == 1
+    assert "refinements-checked: 1\nrefinements-ok: false\nbijection: true\n" in out
+    assert out.endswith("witness: a sampled refinement failed\n")
 
 
 def test_domain_verbs(files):

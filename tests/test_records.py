@@ -1,8 +1,8 @@
 """The contract of the result records: immutable, compared by value, printed as Name(field=...).
 
 Result records are named tuples, so importing the package generates no
-code for them; only three classes stay dataclasses, each for a reason
-given beside it in its module.
+code for them; only ``Strategy`` stays a dataclass, for the reason given
+beside it in its module.
 """
 
 import dataclasses
@@ -42,14 +42,14 @@ RECORDS = [
     choquet_mf.CharacterizationReport,
 ]
 
-DATACLASSES = {games.Strategy, games.ChoquetTranscript, choquet_mf.Condition}
+DATACLASSES = {games.Strategy}
 
 
 def _build(cls, tag=""):
     return cls(*(f"{name}{tag}" for name in cls._fields))
 
 
-def test_records_are_tuples_and_only_three_dataclasses_remain():
+def test_records_are_tuples_and_only_strategy_stays_a_dataclass():
     assert all(issubclass(cls, tuple) and not dataclasses.is_dataclass(cls) for cls in RECORDS)
     found = set()
     for info in pkgutil.iter_modules(posetspace.__path__):
