@@ -122,7 +122,7 @@ class ConditionSystem:
         """The index of a tuple play, numbered if new; rule 2 is checked move by move."""
         p = 0
         for j, step in enumerate(play):
-            if len(step) != 3:
+            if not _is_move(step):
                 raise ConditionRequirementViolation(2, f"move {j} is not an (open, point, answer) triple")
             v, x, w = step
             if not self.space.is_open(v) or not v:
@@ -328,8 +328,12 @@ class ConditionSystem:
                 for mask in self._closed_sets(fits & within)]
 
 
-def _play_key(play):  # a move that is not a triple keys as (): rule 2 refuses it, not the sort
-    return len(play), tuple((tuple(_bits(m[0])), m[1], tuple(_bits(m[2]))) if len(m) == 3 else () for m in play)
+def _is_move(m):  # open mask, point index, answer mask: three ints, none negative
+    return len(m) == 3 and all(isinstance(e, int) and e >= 0 for e in m)
+
+
+def _play_key(play):  # a move that is not a triple of ints keys as (): rule 2 refuses it, not the sort
+    return len(play), tuple((tuple(_bits(m[0])), m[1], tuple(_bits(m[2]))) if _is_move(m) else () for m in play)
 
 
 class Condition:

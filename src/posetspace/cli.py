@@ -6,7 +6,8 @@ booleans as true/false, or as a plain line.  Exit 0: every check held.
 Exit 1: a property check failed, and the last line is "witness: ...".
 Exit 2: a usage, parse or input error, and its one error line is all
 that is printed.  A closed stdout ends the program by SIGPIPE where the
-platform has that signal, as it ends cat.
+platform has that signal, as it ends cat.  A known verb's arguments go
+to its own subparser, which prints the errors the full parser would.
 """
 
 import argparse
@@ -201,13 +202,6 @@ def _cmd_domain(args):
     return rows, "" if ok else report.detail or "compact elements differ from principal filters"
 
 
-def _order_failure(axioms):
-    """The first axiom or generation failure of a subset order, or "": every order is complete."""
-    if axioms.violations:
-        return axioms.violations[0]
-    return "" if axioms.generates else "the order does not generate the topology"
-
-
 def _cmd_topo_order(args):
     mf = None
     if args.construct == "from-poset":
@@ -225,7 +219,10 @@ def _cmd_topo_order(args):
         note = (f"({comp.meeting_filters} meeting filters)",)
     rows = [("relation-pairs", len(order.rel)), ("axioms", axioms.axioms_ok),
             ("generates", axioms.generates), ("complete", comp.complete, *note)]
-    failure = _order_failure(axioms)
+    if axioms.violations:  # the first axiom failure, else a generation failure: every order is complete
+        failure = axioms.violations[0]
+    else:
+        failure = "" if axioms.generates else "the order does not generate the topology"
     if mf is not None:
         rows.append(("mf-bijection", mf.bijective and mf.membership_equivalence))
         failure = failure or mf.failure
@@ -282,85 +279,79 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="posetctl", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("filters", help="enumerate or classify filters of a poset")
+    def verb(name, command, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=command)
+        return p
+
+    p = verb("filters", _cmd_filters, "enumerate or classify filters of a poset")
     p.add_argument("file")
     p.add_argument("--kind", choices=("all", "maximal", "unbounded"), default="maximal")
     p.add_argument("--classify", metavar="ELEMS", help="comma-separated element set")
     p.add_argument("--extend", metavar="ELEMS", help="extend this filter to a maximal one")
     p.add_argument("--upclose", metavar="ELEMS", help="print the upward closure")
-    p.set_defaults(run=_cmd_filters)
 
-    p = sub.add_parser("space", help="filter-space checks, or the open poset of a space file")
+    p = verb("space", _cmd_space, "filter-space checks, or the open poset of a space file")
     p.add_argument("file")
     p.add_argument("--mode", choices=("mf", "uf"), default="mf")
     p.add_argument("--check", choices=("separation", "opens", "reduce", "subspace", "all"),
                    default="separation")
     p.add_argument("--seed-basis", metavar="ELEMS")
     p.add_argument("--open", action="append", metavar="ELEMS")
-    p.set_defaults(run=_cmd_space)
 
-    p = sub.add_parser("product", help="product poset with its point maps")
+    p = verb("product", _cmd_product, "product poset with its point maps")
     p.add_argument("files", nargs="+")
     p.add_argument("-o", "--output", help="write the product poset to this file")
-    p.set_defaults(run=_cmd_product)
 
-    p = sub.add_parser("gdelta", help="stage or rank poset for an intersection of opens")
+    p = verb("gdelta", _cmd_gdelta, "stage or rank poset for an intersection of opens")
     p.add_argument("file")
     p.add_argument("--mode", choices=("mf", "uf"), default="mf")
     p.add_argument("--open", action="append", metavar="ELEMS",
                    help="element set of one open; repeatable")
-    p.set_defaults(run=_cmd_gdelta)
 
-    p = sub.add_parser("formalballs", help="formal balls over a rational metric")
+    p = verb("formalballs", _cmd_formalballs, "formal balls over a rational metric")
     p.add_argument("file")
     p.add_argument("--max-denom", type=int, default=8)
     p.add_argument("--max-radius", type=int, default=4)
     p.add_argument("--budget", type=int, default=2)
     p.add_argument("--depth", type=int, default=3)
-    p.set_defaults(run=_cmd_formalballs)
 
-    p = sub.add_parser("stargame", help="solve the star game on a finite poset")
+    p = verb("stargame", _cmd_stargame, "solve the star game on a finite poset")
     p.add_argument("file")
-    p.set_defaults(run=_cmd_stargame)
 
-    p = sub.add_parser("stargame-play", help="run the splitting strategy on the binary tree")
+    p = verb("stargame-play", _cmd_stargame_play, "run the splitting strategy on the binary tree")
     p.add_argument("--poset", default="bintree")
     p.add_argument("--f", required=True, help="guide bits for player II")
     p.add_argument("--rounds", type=int, default=20)
-    p.set_defaults(run=_cmd_stargame_play)
 
-    p = sub.add_parser("choquet", help="canonical player II against a random legal script")
+    p = verb("choquet", _cmd_choquet, "canonical player II against a random legal script")
     p.add_argument("file")
     p.add_argument("--mode", choices=("mf", "uf"), default="mf")
     p.add_argument("--rounds", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(run=_cmd_choquet)
 
-    p = sub.add_parser("mf-characterize", help="bounded condition-poset check for a space")
+    p = verb("mf-characterize", _cmd_mf_characterize, "bounded condition-poset check for a space")
     p.add_argument("file")
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(run=_cmd_mf_characterize)
 
-    p = sub.add_parser("domain", help="filter completion and the Scott topology check")
+    p = verb("domain", _cmd_domain, "filter completion and the Scott topology check")
     p.add_argument("file")
     p.add_argument("--check", choices=("lemma", "ideal"), default="lemma")
-    p.set_defaults(run=_cmd_domain)
 
-    p = sub.add_parser("topo-order", help="subset orders: build and check")
+    p = verb("topo-order", _cmd_topo_order, "subset orders: build and check")
     p.add_argument("file")
     p.add_argument("--construct", choices=("interval", "from-poset"), default="interval")
     p.add_argument("--check", choices=("axioms", "all"), default="all")
     p.add_argument("--serialize", action="store_true")
-    p.set_defaults(run=_cmd_topo_order)
 
-    p = sub.add_parser("baire", help="generic filter through dense opens")
+    p = verb("baire", _cmd_baire, "generic filter through dense opens")
     p.add_argument("file")
     p.add_argument("--rounds", type=int, default=3)
     p.add_argument("--start")
     p.add_argument("--dense", action="append", metavar="ELEMS")
-    p.set_defaults(run=_cmd_baire)
 
+    parser.verbs = sub.choices  # verb -> its subparser, for parse_argv
     return parser
 
 
@@ -372,11 +363,22 @@ def _line(row) -> str:
     return f"{key}: " + " ".join(str(v).lower() if isinstance(v, bool) else f"{v}" for v in values)
 
 
+def parse_argv(argv):
+    """``build_parser().parse_args(argv)``; a known verb's arguments go to its own subparser alone."""
+    parser = build_parser()
+    if not argv or argv[0] not in parser.verbs:
+        return parser.parse_args(argv)
+    args, extra = parser.verbs[argv[0]].parse_known_args(argv[1:], argparse.Namespace(verb=argv[0]))
+    if extra:  # the message and exit status of the full parser
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def run(argv=None, stdout=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     try:
         with contextlib.redirect_stdout(stdout):  # --help reaches the caller's stream
-            args = build_parser().parse_args(argv)
+            args = parse_argv(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

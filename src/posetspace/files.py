@@ -175,20 +175,16 @@ def parse_space_text(text) -> FiniteTopSpace:
 def parse_input_text(text):
     """Dispatch on the leading keyword: poset, metric, or space."""
     for line_no, fields in _records(text):
-        head = fields[0]
-        if head == "poset":
-            return parse_poset_text(text)
-        if head == "metric":
-            return parse_metric_text(text)
-        if head == "space":
-            return parse_space_text(text)
-        raise ParseError(line_no, f"unknown file kind {head!r}; expected poset, metric, or space")
+        parse = {"poset": parse_poset_text, "metric": parse_metric_text, "space": parse_space_text}.get(fields[0])
+        if parse is None:
+            raise ParseError(line_no, f"unknown file kind {fields[0]!r}; expected poset, metric, or space")
+        return parse(text)
     raise ParseError(None, "empty input")
 
 
 def parse_input_file(path):
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:  # bytes, decoded at once: no text wrapper to build
         try:
-            return parse_input_text(handle.read())
+            return parse_input_text(handle.read().decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise ParseError(None, f"{path} is not UTF-8 text (byte {exc.start})") from None

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .poset_core import FinitePoset, PosetError, _bits
+from .poset_core import FinitePoset, PosetError, UnknownChoice, _bits
 
 
 class NotAFilter(PosetError):
@@ -113,7 +113,7 @@ def enumerate_filters(poset: FinitePoset, kind: str = "all") -> list:
     which coincide for finite posets).
     """
     if kind not in ("all", "maximal", "unbounded"):
-        raise ValueError(f"unknown filter kind {kind!r}")
+        raise UnknownChoice(f"unknown filter kind {kind!r}")
     gens = range(len(poset)) if kind == "all" else poset.minimal_indices()
     return [Filter(poset, i) for i in gens]
 

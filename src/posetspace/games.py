@@ -102,12 +102,9 @@ class ChoquetTranscript:
         return "II" if self.intersection else "I"
 
     def log_lines(self):
-        lines = []
+        lines, fmt, names = [], self.space.set_str, self.space.point_names
         for t, r in enumerate(self.rounds):
-            lines.append(
-                f"round {t}: I ({self.space.set_str(r.open_i)}, {self.space.points[r.point]})"
-                f" | II {self.space.set_str(r.open_ii)}"
-            )
+            lines.append(f"round {t}: I ({fmt(r.open_i)}, {names[r.point]}) | II {fmt(r.open_ii)}")
         if self.illegal is not None:
             lines.append(f"illegal: {self.illegal}")
         lines.append(f"winner-at-horizon: {self.winner_at_horizon}")

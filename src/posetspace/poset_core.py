@@ -19,6 +19,10 @@ class InvalidElementId(PosetError):
     pass
 
 
+class UnknownChoice(PosetError, ValueError):
+    """A string argument outside its fixed choices, such as a filter kind or a space mode."""
+
+
 class DuplicateElement(PosetError):
     def __init__(self, element):
         super().__init__(f"duplicate element {element!r}")
@@ -54,7 +58,7 @@ class IrreflexivityViolation(PosetError):
 
 def check_element_id(token) -> str:
     """Element ids are nonempty strings without whitespace."""
-    if not isinstance(token, str) or not token or any(ch.isspace() for ch in token):
+    if not isinstance(token, str) or token.split() != [token]:  # empty, or split at a whitespace
         raise InvalidElementId(f"bad element id {token!r}: ids are nonempty and whitespace-free")
     return token
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from .poset_core import FinitePoset, PosetError, _bits
+from .poset_core import FinitePoset, PosetError, UnknownChoice, _bits
 from .filters import Filter
 
 
@@ -28,12 +28,12 @@ class PosetSpace:
     i, and ``opens[e]`` is the basic open of element index e as an int
     mask over point indices (bit i set when point i contains e).  Every
     open the class takes or returns is such a mask; ``points`` builds the
-    filters on first use, for text only.
+    filters on first use, for text only, and ``point_names`` their strings.
     """
 
     def __init__(self, poset: FinitePoset, mode: str):
         if mode not in ("mf", "uf"):
-            raise ValueError(f"mode must be 'mf' or 'uf', got {mode!r}")
+            raise UnknownChoice(f"mode must be 'mf' or 'uf', got {mode!r}")
         self.poset = poset
         self.mode = mode
         self.generators = poset.minimal_indices()
@@ -50,6 +50,10 @@ class PosetSpace:
     @functools.cached_property
     def points(self) -> tuple:
         return tuple(Filter(self.poset, g) for g in self.generators)
+
+    @functools.cached_property
+    def point_names(self) -> tuple:
+        return tuple(map(str, self.points))
 
     def __len__(self):
         return len(self.generators)
@@ -85,7 +89,7 @@ class PosetSpace:
         return self.generators.index(filt.generator)
 
     def set_str(self, s: int) -> str:
-        return "{" + ", ".join(str(self.points[i]) for i in _bits(s)) + "}"
+        return "{" + ", ".join(self.point_names[i] for i in _bits(s)) + "}"
 
 
 class Correspondence(NamedTuple):
@@ -184,7 +188,7 @@ def _check_seed_is_basis(space: PosetSpace, seed) -> None:
     for p, np in enumerate(opens):
         for i in _bits(np):
             if not any(opens[q] >> i & 1 and not opens[q] & ~np for q in seed):
-                raise NotABasis(space.poset.elements[p], str(space.points[i]))
+                raise NotABasis(space.poset.elements[p], space.point_names[i])
 
 
 class ReduceResult(NamedTuple):

@@ -82,6 +82,16 @@ def test_a_move_that_is_not_a_triple_violates_rule_2(d2):
     assert str(err.value) == "requirement 2 violated: move 0 is not an (open, point, answer) triple"
 
 
+@pytest.mark.parametrize("move", [("x", 0, 1), (3, "a", 1), (3, 0, None), (-1, 0, 1), (3, -1, 1), (3, 0, -2)])
+def test_a_move_that_is_not_three_ints_violates_rule_2(move):
+    # neither the sort by play key nor a mask operation may refuse the move first
+    space = FiniteTopSpace({"a": 0, "b": 1}, [1, 2, 3], "d2")
+    with pytest.raises(ConditionRequirementViolation) as err:
+        validate_condition(space, 3, [(), (move,)])
+    assert str(err.value) == "requirement 2 violated: move 0 is not an (open, point, answer) triple"
+    assert err.value.requirement == 2
+
+
 def test_off_strategy_play_violates_rule_2(d2):
     system = ConditionSystem(d2)
     bad_play = ((d2.whole_mask, 0, d2.whole_mask),)  # strategy answers {x}, not the whole space

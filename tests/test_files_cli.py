@@ -720,6 +720,17 @@ def test_help_and_usage_reach_the_streams_of_each_call():
         assert err.getvalue().startswith("usage: posetctl ") and "invalid choice" in err.getvalue()
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["stargame-play", "--poset", "grid", "--f", "01", "--rounds", "2"],
+     "usage error: only the built-in 'bintree' generated poset is available"),
+    (["baire", "v.poset", "--dense", "c"], "usage error: --dense set 0 is not dense"),
+])
+def test_usage_errors_print_their_one_line(files, argv, error, capsys):
+    code, out = run_cli([files.get(arg, arg) for arg in argv])
+    assert (code, out) == (2, error + "\n")
+    assert capsys.readouterr() == ("", "")
+
+
 def test_negative_depth_exits_2(files):
     code, out = run_cli(["mf-characterize", files["d2.space"], "--depth", "-1"])
     assert code == 2 and out.startswith("error: ") and "depth" in out

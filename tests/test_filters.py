@@ -14,7 +14,7 @@ from posetspace.filters import (
     principal,
     upward_closure,
 )
-from posetspace.poset_core import BinaryTreePoset, PosetError, UnknownElement
+from posetspace.poset_core import BinaryTreePoset, PosetError, UnknownChoice, UnknownElement
 
 
 def all_subsets(poset):
@@ -134,3 +134,10 @@ def test_chain_filter_dedup_and_membership():
 def test_chain_filter_refuses_an_empty_chain():
     with pytest.raises(PosetError, match="at least one element"):
         ChainFilter.make(BinaryTreePoset(), [])
+
+
+def test_unknown_filter_kind_is_a_typed_value_error(vee):
+    with pytest.raises(UnknownChoice) as err:
+        enumerate_filters(vee, "some")
+    assert isinstance(err.value, PosetError) and isinstance(err.value, ValueError)
+    assert str(err.value) == "unknown filter kind 'some'"

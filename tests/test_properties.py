@@ -17,7 +17,14 @@ from posetspace.constructions import FiniteTopSpace, TopologyInvalid, _with_top,
 from posetspace.files import parse_poset_text, poset_to_text
 from posetspace.filters import Filter, NotAFilter
 from posetspace.games import canonical_choquet_strategy, choquet_referee, scripted_random_choquet_i
-from posetspace.poset_core import AntisymmetryViolation, _bits, _transitive_close, validate_poset
+from posetspace.poset_core import (
+    AntisymmetryViolation,
+    InvalidElementId,
+    _bits,
+    _transitive_close,
+    check_element_id,
+    validate_poset,
+)
 from posetspace.topology import PosetSpace
 
 fixed = settings(derandomize=True, database=None, deadline=None)
@@ -27,6 +34,16 @@ fixed = settings(derandomize=True, database=None, deadline=None)
 @given(st.integers(min_value=0, max_value=2**200 - 1))
 def test_bits_lists_the_set_bits_in_order(m):
     assert list(_bits(m)) == [i for i in range(m.bit_length()) if m >> i & 1]
+
+
+@fixed
+@given(st.one_of(st.text(max_size=4), st.text(" \t\n\x0b\x0c\r\x1c\x85\xa0\u2028\u3000ab", max_size=4)))
+def test_element_ids_are_nonempty_and_whitespace_free(token):
+    if token and not any(ch.isspace() for ch in token):
+        assert check_element_id(token) == token
+    else:
+        with pytest.raises(InvalidElementId):
+            check_element_id(token)
 
 
 @fixed
@@ -318,6 +335,44 @@ def test_cli_run_on_fuzzed_argv_exits_0_1_or_2(cli_dir, verb, paths, options):
     finally:
         os.chdir(cwd)
     assert code in (0, 1, 2), argv
+
+
+def _parsed(parse, argv):
+    """The namespace of one parse, or its exit code with what it printed to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parse(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+# words that argparse reads specially: "--", help, prefixes (one of them, --c on
+# topo-order, is ambiguous), attached values and unknown options
+PARSE_WORDS = ("--", "-h", "--kin", "--c", "--se", "--ro", "--kind=all", "--mode=uf", "-ox.poset", "-x", "--bogus")
+
+
+@settings(fixed, max_examples=300)
+@given(st.sampled_from(sorted(cli.OPERATION_COVERAGE) + ["bogus", "--help", "-h", "--"]),
+       st.lists(st.one_of(cli_option, st.tuples(st.sampled_from(PARSE_WORDS))), max_size=6))
+def test_verb_subparser_parses_as_the_full_parser(verb, options):
+    # the same namespace, or the same exit code and the same text on both streams
+    argv = [verb, *(word for option in options for word in option)]
+    assert _parsed(cli.parse_argv, argv) == _parsed(cli.build_parser().parse_args, argv), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["filters", "v.poset", "--bogus"], ["filters", "v.poset", "-x"], ["filters", "v.poset", "extra"],
+    ["filters", "v.poset", "--kin", "all"], ["topo-order", "d2.space", "--c", "all"],
+    ["filters", "--", "v.poset"], ["filters", "v.poset", "--", "--kind"], ["filters", "v.poset", "--kind"],
+    ["filters", "v.poset", "--kind", "some"], ["filters", "v.poset", "--kind=all", "--kind", "maximal"],
+    ["filters"], ["filters", "-h"], ["space", "v.poset", "--check", "all", "--help"], ["product"],
+    ["product", "v.poset", "-o"], ["product", "v.poset", "-oout.poset"], ["stargame-play"],
+    ["choquet", "v.poset", "--rounds", "x"], ["gdelta", "v.poset", "--open", "-1"],
+    ["baire", "v.poset", "--dense", "a", "--dense", "b"], ["bogus"], [], ["-h"], ["--", "filters", "v.poset"],
+])
+def test_verb_subparser_parses_these_as_the_full_parser(argv):
+    assert _parsed(cli.parse_argv, argv) == _parsed(cli.build_parser().parse_args, argv)
 
 
 # each file kind with the verbs that read it; small grids and depths, so

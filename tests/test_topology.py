@@ -20,7 +20,7 @@ from posetspace.topology import (
     separation_check,
     verify_correspondence,
 )
-from posetspace.poset_core import UnknownElement, validate_poset
+from posetspace.poset_core import PosetError, UnknownChoice, UnknownElement, validate_poset
 
 
 def test_basic_open_examples(vee, chain2):
@@ -40,6 +40,22 @@ def test_basic_open_monotone():
             for b in p.elements:
                 if p.leq(a, b):
                     assert not sp.basic_open(a) & ~sp.basic_open(b)
+
+
+def test_point_names_are_the_point_strings():
+    for p in posets_up_to(4, include_empty=True):
+        for mode in ("mf", "uf"):
+            sp = PosetSpace(p, mode)
+            assert len(sp.point_names) == len(sp)
+            assert all(sp.point_names[i] == str(sp.points[i]) for i in range(len(sp)))
+            assert sp.set_str(sp.whole_mask) == "{" + ", ".join(map(str, sp.points)) + "}"
+
+
+def test_bad_mode_is_a_typed_value_error(vee):
+    with pytest.raises(UnknownChoice) as err:
+        PosetSpace(vee, "xf")
+    assert isinstance(err.value, PosetError) and isinstance(err.value, ValueError)
+    assert str(err.value) == "mode must be 'mf' or 'uf', got 'xf'"
 
 
 def test_separation_chain2_uf(chain2):
