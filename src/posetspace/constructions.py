@@ -76,7 +76,7 @@ class FiniteTopSpace:
             raise TopologyInvalid("duplicate point")
         self.whole_mask = (1 << len(self.points)) - 1
         self.basis = tuple(sorted(set(basis_masks), key=_set_key))
-        if any(b < 0 or b & ~self.whole_mask for b in self.basis):
+        if any(b & ~self.whole_mask for b in self.basis):  # _set_key refused a negative b already
             raise TopologyInvalid("basis member outside the space")
         up = [self.whole_mask] * len(self.points)
         covered = 0
@@ -562,7 +562,7 @@ class RationalMetric:
         return self._d[(a, b)]
 
 
-_BALL_RE = re.compile(r"^B\(([^,()]+),([0-9]+)(?:/([0-9]+))?\)$")
+_BALL_RE = re.compile(r"^B\(([^,()]+),([0-9]+)(?:/(0*[1-9][0-9]*))?\)$")  # no zero denominator
 
 
 class FormalBallPoset:

@@ -12,6 +12,7 @@ solver settles exactly.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -121,10 +122,10 @@ def canonical_choquet_strategy(space: PosetSpace) -> Strategy:
     depends on nothing but I's move and that witness, so each is worked
     out once per strategy and reused across rounds and games.
     """
-    opens, down = space.opens, space.poset.down_masks
-    members = [space.poset.up_mask(g) for g in space.generators]
-    # the answers worked out so far: previous witness -> I's move -> answer
-    answers = {w: {} for w in (None, *range(len(down)))}
+    opens, up, down = space.opens, space.poset.up_masks, space.poset.down_masks
+    members = [up[g] for g in space.generators]
+    # the answers worked out so far: previous witness -> I's move -> answer, each made on first use
+    answers = defaultdict(dict)
 
     def move(position):
         known = answers[position.witness]
@@ -150,10 +151,11 @@ def canonical_choquet_strategy(space: PosetSpace) -> Strategy:
 def scripted_random_choquet_i(seed: int) -> Strategy:
     """A legal player-I script: random basic open inside II's last answer.
 
-    Once II's last answer (or, in round 0, the whole space) is a single
-    point {x}, every later move is forced: the only nonempty open inside
-    {x} is {x}, its only point is x, and a legal answer to ({x}, x) must
-    be an open inside {x} that holds x, so {x} again.  Such a position
+    It reads that answer as ``position.prev``, which the referee keeps
+    (the whole space before round 0).  Once it is a single point {x},
+    every later move is forced: the only nonempty open inside {x} is
+    {x}, its only point is x, and a legal answer to ({x}, x) must be an
+    open inside {x} that holds x, so {x} again.  Such a position
     is absorbing, so the script plays ({x}, x) there without drawing.
     Every unforced position comes before every forced one, so the draws
     it does make are the same as when each round draws: a choice among
@@ -165,27 +167,27 @@ def scripted_random_choquet_i(seed: int) -> Strategy:
 
     def move(position):
         nonlocal rng
-        prev = position.rounds[-1].open_ii if position.rounds else position.whole
+        prev = position.prev
         if not prev & (prev - 1):
             return prev, prev.bit_length() - 1
         if rng is None:
             rng = random.Random(seed)
         # the nonempty basic opens inside prev, in element order
         u = rng.choice([u for u in position.space.opens if u and not u & ~prev])
-        x = rng.choice(list(_bits(u)))
+        x = rng.choice(_bits(u))
         return u, x
 
     return Strategy(f"scripted-random-{seed}", move)
 
 
 class _Position:
-    """What the players see: the rounds so far, I's move to answer, II's last witness."""
+    """What the players see; ``prev`` is II's last answer, the whole space before round 0."""
 
-    __slots__ = ("space", "whole", "rounds", "pending", "witness")
+    __slots__ = ("space", "whole", "prev", "rounds", "pending", "witness")
 
     def __init__(self, space):
         self.space = space
-        self.whole = space.whole_mask
+        self.whole = self.prev = space.whole_mask
         self.rounds = []
         self.pending = None
         self.witness = None  # element index behind II's last basic open, if any
@@ -210,14 +212,14 @@ def choquet_referee(space: PosetSpace, strategy_i, strategy_ii, rounds: int) -> 
     """
     if rounds < 1:
         raise GameSetupError("rounds must be at least 1")
-    if not len(space):
+    if not space.whole_mask:
         raise GameSetupError("the space has no points to play on")
-    move_i, move_ii = (getattr(s, "move", s) for s in (strategy_i, strategy_ii))
+    move_i, move_ii = getattr(strategy_i, "move", strategy_i), getattr(strategy_ii, "move", strategy_ii)
     pos = _Position(space)
     transcript = ChoquetTranscript(space, pos.rounds)
     names = space.poset.elements
     outside = ~pos.whole  # the bits of no point; every negative mask meets them
-    prev = pos.whole  # II's last answer
+    prev = pos.prev  # II's last answer, also kept on the position for player I
     last_u = last_x = last_w = last = None  # the last round kept, and its moves
     try:
         for t in range(rounds):
@@ -242,7 +244,7 @@ def choquet_referee(space: PosetSpace, strategy_i, strategy_ii, rounds: int) -> 
                 last = ChoquetRound(u, x, v, None if w is None else names[w])
                 last_u, last_x, last_w = u, x, w
             pos.rounds.append(last)
-            prev = v
+            pos.prev = prev = v
     except IllegalMove as bad:
         transcript.illegal = bad
     return transcript

@@ -63,14 +63,22 @@ def check_element_id(token) -> str:
     return token
 
 
+_BYTE_BITS = tuple(tuple(i for i in range(8) if m >> i & 1) for m in range(256))
+
+
 def _bits(mask):
-    """The indices of the set bits of ``mask``, in ascending order; PosetError on a negative mask."""
-    if mask < 0:  # its bits never run out
-        raise PosetError(f"negative mask {mask}")
+    """The indices of the set bits of ``mask``, ascending: a tuple from a table below 256, else
+    a list of the peeled low bits.  A negative mask raises PosetError at the call."""
+    if mask < 256:
+        if mask < 0:  # its bits never run out
+            raise PosetError(f"negative mask {mask}")
+        return _BYTE_BITS[mask]
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
 
 
 class FinitePoset:
@@ -262,7 +270,7 @@ def validate_poset(elements, pairs, name="poset") -> FinitePoset:
     for i, (m, d) in enumerate(zip(poset.up_masks, poset.down_masks)):
         both = m & d & ~(1 << i)
         if both:  # the first such i is the lower of its pair, as a pair-by-pair scan finds it
-            raise AntisymmetryViolation(elems[i], elems[next(_bits(both))])
+            raise AntisymmetryViolation(elems[i], elems[_bits(both)[0]])
     return poset
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from posetspace.constructions import (
     NotDescending,
     NotOpen,
     RationalMetric,
+    TopologyInvalid,
     formal_ball_poset,
     gdelta_mf_poset,
     gdelta_uf_poset,
@@ -378,6 +380,41 @@ def test_metric_validation():
         )
 
 
+@pytest.mark.parametrize("dist, message", [
+    ({("a", "b"): 1, ("a", "z"): 1}, "distance given for unknown point 'z'"),
+    ({("z", "a"): 1}, "distance given for unknown point 'z'"),
+    ({("a", "b"): 1, ("b", "b"): Fraction(1, 2)}, "nonzero self-distance at 'b'"),
+])
+def test_metric_names_a_bad_entry(dist, message):
+    with pytest.raises(MetricAxiomViolation) as err:
+        RationalMetric(["a", "b"], dist)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("code, message", [
+    ("B(p0)", "bad formal-ball code 'B(p0)'"),
+    ("B(p0,1/0)", "bad formal-ball code 'B(p0,1/0)'"),  # a zero denominator is no radius
+    ("B(z,1)", "unknown center in 'B(z,1)'"),
+    ("B(p0,0)", "radius off the grid in 'B(p0,0)'"),
+    ("B(p0,3)", "radius off the grid in 'B(p0,3)'"),
+    ("B(p0,1/3)", "radius off the grid in 'B(p0,1/3)'"),
+])
+def test_ball_decode_refusals(two_points, code, message):
+    balls = formal_ball_poset(two_points, max_denom=8, max_radius=2)
+    with pytest.raises(PosetError) as err:
+        balls.decode(code)
+    assert (type(err.value), str(err.value)) == (PosetError, message)
+    with pytest.raises(PosetError, match=f"^{re.escape(message)}$"):
+        balls.leq(code, "B(p0,2)")  # the order reads codes through decode
+
+
+def test_point_chain_refuses_an_unknown_point(two_points):
+    balls = formal_ball_poset(two_points, max_denom=8, max_radius=2)
+    with pytest.raises(PosetError) as err:
+        point_chain(balls, "p9", 1)
+    assert (type(err.value), str(err.value)) == (PosetError, "unknown point 'p9'")
+
+
 def test_ball_order_examples(two_points):
     balls = formal_ball_poset(two_points, max_denom=8, max_radius=2)
     assert balls.leq("B(p0,1/2)", "B(p1,2)")  # 1 + 1/2 < 2
@@ -493,6 +530,17 @@ def test_ball_incompatibility(two_points):
 
 
 # --- precompact-open poset -----------------------------------------------------
+
+
+@pytest.mark.parametrize("basis", [[0b11, 0b100], [0b01, 0b10, 0b11, 0b1000]])
+def test_space_refuses_a_basis_member_outside_it(basis):
+    # files build basis masks from declared points only, so only a library caller reaches this
+    with pytest.raises(TopologyInvalid) as err:
+        FiniteTopSpace(["x", "y"], basis)
+    assert str(err.value) == "basis member outside the space"
+    with pytest.raises(PosetError) as err:
+        FiniteTopSpace(["x", "y"], basis + [-1])  # sorting the basis reads the bits of each member
+    assert (type(err.value), str(err.value)) == (PosetError, "negative mask -1")
 
 
 def test_precompact_discrete_two_point():

@@ -217,6 +217,10 @@ PARSE_REFUSALS = [
     (parse_input_text, "# a widget\n\nwidget w\n", 3, "unknown file kind 'widget'; expected poset, metric, or space",
      "filters"),
     (parse_input_text, "# nothing but a comment\n\n", None, "empty input", "filters"),
+    (parse_metric_text, "metric m\npoint p\ndist p z 1\n", None, "distance given for unknown point 'z'",
+     "formalballs"),
+    (parse_metric_text, "metric m\npoint p\npoint q\ndist p q 1\ndist q q 1/2\n", None,
+     "nonzero self-distance at 'q'", "formalballs"),
 ]
 
 

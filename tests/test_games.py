@@ -67,6 +67,29 @@ def test_strategy_with_replaced_move_plays_it(vee):
     assert t.log_lines() == choquet_referee(space, scripted_random_choquet_i(3), strategy, 5).log_lines()
 
 
+def test_position_prev_is_iis_last_answer():
+    # a seeded slice of criterion 6 on posets with at most 4 elements, in both modes: on
+    # every call player I finds II's last answer, or the whole space, in position.prev
+    rng = random.Random(27)
+    for p in posets_up_to(4):
+        for mode in ("mf", "uf"):
+            space = PosetSpace(p, mode)
+            strategy_ii = canonical_choquet_strategy(space)
+            for seed in rng.sample(range(100), 2):
+                opener, seen = scripted_random_choquet_i(seed), []
+
+                def recording(position):
+                    want = position.rounds[-1].open_ii if position.rounds else position.whole
+                    seen.append((position.prev, want))
+                    return opener(position)
+
+                t = choquet_referee(space, recording, strategy_ii, 10)
+                assert t.illegal is None and len(seen) == 10
+                assert all(prev == want for prev, want in seen), (p.pairs(), mode, seed)
+                plain = choquet_referee(space, scripted_random_choquet_i(seed), strategy_ii, 10)
+                assert t.log_lines() == plain.log_lines()
+
+
 def test_canonical_answer_to_whole_space(vee):
     #I plays the whole space with the point containing a: the least eligible
     # element is a itself, so II answers with its basic open
@@ -247,8 +270,8 @@ def test_opener_repeats_a_one_point_answer(vee):
     space = PosetSpace(vee, "mf")
     opener = scripted_random_choquet_i(7)
     for x in range(len(space)):
-        position = SimpleNamespace(
-            space=space, whole=space.whole_mask, rounds=[ChoquetRound(space.whole_mask, x, 1 << x)])
+        position = SimpleNamespace(space=space, whole=space.whole_mask, prev=1 << x,
+                                   rounds=[ChoquetRound(space.whole_mask, x, 1 << x)])
         assert opener(position) == (1 << x, x)
     # in a played game, every round after a one-point answer repeats it
     t = choquet_referee(space, opener, canonical_choquet_strategy(space), 10)

@@ -19,6 +19,7 @@ from posetspace.poset_core import (
     PosetError,
     UnknownElement,
     UnknownElementInPair,
+    _bits,
     incompatible,
     poset_to_strict,
     strict_to_poset,
@@ -45,6 +46,37 @@ def test_antisymmetry_violation():
     with pytest.raises(AntisymmetryViolation) as err:
         validate_poset(["p", "q"], [("p", "q"), ("q", "p")])
     assert set(err.value.pair) == {"p", "q"}
+
+
+def test_antisymmetry_names_the_pair_past_the_bit_table():
+    # the second element of the pair is index 9, read from a mask wider than _bits' table
+    names = [f"e{i}" for i in range(10)]
+    with pytest.raises(AntisymmetryViolation) as err:
+        validate_poset(names, [("e1", "e9"), ("e9", "e1")])
+    assert err.value.pair == ("e1", "e9")
+    assert str(err.value) == "elements 'e1' and 'e9' lie below each other but are distinct"
+
+
+def _bits_reference(m):
+    return [i for i in range(m.bit_length()) if m >> i & 1]
+
+
+def test_bits_matches_the_bit_scan():
+    for m in range(1 << 12):
+        assert list(_bits(m)) == _bits_reference(m), m
+    rng = random.Random(27)
+    for width in range(1, 201):
+        for _ in range(5):
+            m = rng.getrandbits(width)
+            assert list(_bits(m)) == _bits_reference(m), m
+    assert _bits(0) == () and _bits(255) == tuple(range(8)) and _bits(256) == [8]
+
+
+@pytest.mark.parametrize("mask", [-1, -256, -(1 << 200)])
+def test_bits_refuses_a_negative_mask_at_the_call(mask):
+    with pytest.raises(PosetError) as err:
+        _bits(mask)  # the call itself raises, with nothing iterated
+    assert (type(err.value), str(err.value)) == (PosetError, f"negative mask {mask}")
 
 
 def test_cycle_through_closure_is_caught():
@@ -299,6 +331,9 @@ def test_constructor_needs_one_mask_per_element():
         FinitePoset(("a", "b"), (1,))
     with pytest.raises(PosetError):
         FinitePoset(("a",), (1, 2))
+    with pytest.raises(PosetError) as err:
+        FinitePoset(("a", "b"), (0b01, 0b10), down_masks=(0b01,))
+    assert (type(err.value), str(err.value)) == (PosetError, "2 elements but 1 down-set masks")
     assert len(FinitePoset(("a",), (1,))) == 1
 
 
