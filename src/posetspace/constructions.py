@@ -75,9 +75,10 @@ class FiniteTopSpace:
         if len(set(self.points)) != len(self.points):
             raise TopologyInvalid("duplicate point")
         self.whole_mask = (1 << len(self.points)) - 1
-        self.basis = tuple(sorted(set(basis_masks), key=_set_key))
-        if any(b & ~self.whole_mask for b in self.basis):  # _set_key refused a negative b already
+        basis = set(basis_masks)
+        if any(b < 0 or b & ~self.whole_mask for b in basis):  # before _set_key reads their bits
             raise TopologyInvalid("basis member outside the space")
+        self.basis = tuple(sorted(basis, key=_set_key))
         up = [self.whole_mask] * len(self.points)
         covered = 0
         for b in self.basis:

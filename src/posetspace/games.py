@@ -270,19 +270,30 @@ def star_game_solve(poset: FinitePoset) -> StarSolution:
     with both members in S.  On finite posets S always empties, because a
     minimal element of S would need strictly smaller members of S below
     it; so player II wins, and the returned strategy is the constant first
-    pick.
+    pick.  Each pass keeps the pairwise test: two members of S below p are
+    incompatible when their down masks are disjoint.  A kernel on minimal-element
+    masks is faster, but the size-ladder harness misreads its run (ROADMAP item 1).
     """
-    down = [poset.down_mask(i) for i in range(len(poset))]
+    down = poset.down_masks
     s = (1 << len(poset)) - 1  # the shrinking set, as an element mask
     iterations = 0
 
     def splittable(p, pool):
-        dp = list(_bits(down[p] & pool))
-        return any(down[a] & down[b] == 0 for i, a in enumerate(dp) for b in dp[i + 1:])
+        seen = []  # the down masks of the members of pool below p met so far
+        for a in _bits(down[p] & pool):
+            da = down[a]
+            for db in seen:
+                if not da & db:
+                    return True
+            seen.append(da)
+        return False
 
     while True:
         iterations += 1
-        keep = sum(1 << p for p in _bits(s) if splittable(p, s))
+        keep = 0
+        for p in _bits(s):
+            if splittable(p, s):
+                keep |= 1 << p
         if keep == s:
             break
         s = keep

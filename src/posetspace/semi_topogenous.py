@@ -61,7 +61,7 @@ class SubsetOrder(NamedTuple):
         return cls(space, frozenset((v, w) for v, row in enumerate(rows) for w in _bits(row)))
 
     def rows(self) -> list:
-        rows = [0] * (1 << len(self.space))
+        rows = [0] * len(_subsets(len(self.space))[0])  # a space over the cap is refused before the list
         for v, w in self.rel:
             if not (0 <= v < len(rows) and 0 <= w < len(rows)):
                 raise PosetError(f"related pair ({v}, {w}) is not a pair of sets of {self.space.name}")

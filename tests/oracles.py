@@ -14,7 +14,10 @@ relation, to a fixpoint, and pair by pair.
 The library also builds product orders, basic opens and the open test on
 index bitmasks; ``product_up_masks``, ``basic_open`` and ``is_open``
 below follow the definitions element by element and filter by filter.
-``star_game`` runs the star game's shrinking loop on element names.
+``star_game`` runs the star game's shrinking loop on element names, and
+``star_game_masks`` is the library's mask solver as first written, with a
+generator over the pairs of a list per element; the library tests each
+element's pairs in a plain loop over the down masks met so far.
 
 Filters are generator indices in the library; ``brute_force_classify``
 checks the filter definitions on element names, maximality by a scan
@@ -102,7 +105,7 @@ from posetspace.constructions import (
 )
 from posetspace.filters import Filter, bounded, enumerate_filters, filter_generator
 from posetspace.games import ConditionViolated, IllegalMove
-from posetspace.poset_core import AntisymmetryViolation, FinitePoset, PosetError, incompatible
+from posetspace.poset_core import AntisymmetryViolation, FinitePoset, PosetError, _bits, incompatible
 from posetspace.topology import PosetSpace, verify_correspondence, verify_restriction
 
 
@@ -220,6 +223,30 @@ def star_game(poset):
             break
         s = keep
     return ("I" if s else "II"), frozenset(s), iterations
+
+
+def star_game_masks(poset):
+    """(winner, fixed point, iterations) of the star game, by element masks.
+
+    The same passes as ``star_game``: an element stays while two members of
+    S below it have disjoint down masks, which on a finite poset is
+    incompatibility.
+    """
+    down = [poset.down_mask(i) for i in range(len(poset))]
+    s = (1 << len(poset)) - 1
+    iterations = 0
+
+    def splittable(p, pool):
+        dp = list(_bits(down[p] & pool))
+        return any(down[a] & down[b] == 0 for i, a in enumerate(dp) for b in dp[i + 1:])
+
+    while True:
+        iterations += 1
+        keep = sum(1 << p for p in _bits(s) if splittable(p, s))
+        if keep == s:
+            break
+        s = keep
+    return ("I" if s else "II"), frozenset(poset.names_of(s)), iterations
 
 
 def basic_open(space, element) -> frozenset:

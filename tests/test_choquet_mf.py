@@ -109,8 +109,12 @@ def test_condition_not_below_itself(d2):
 def test_mixed_spaces_rejected(d2, d3):
     c1 = ConditionSystem(d2).validate(d2.whole_mask, [()])
     c2 = ConditionSystem(d3).validate(d3.whole_mask, [()])
-    with pytest.raises(MixedSpaces):
+    with pytest.raises(MixedSpaces) as err:
         condition_lt(c1, c2)
+    assert str(err.value) == "conditions live over different spaces or strategies"
+    with pytest.raises(MixedSpaces) as err:
+        refine_conditions(c1, c2, 0)  # point 0 lies in both designated sets
+    assert str(err.value) == "conditions live over different spaces or strategies"
 
 
 def test_refinement_of_roots(d3):

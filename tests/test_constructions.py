@@ -538,9 +538,20 @@ def test_space_refuses_a_basis_member_outside_it(basis):
     with pytest.raises(TopologyInvalid) as err:
         FiniteTopSpace(["x", "y"], basis)
     assert str(err.value) == "basis member outside the space"
-    with pytest.raises(PosetError) as err:
-        FiniteTopSpace(["x", "y"], basis + [-1])  # sorting the basis reads the bits of each member
-    assert (type(err.value), str(err.value)) == (PosetError, "negative mask -1")
+    with pytest.raises(TopologyInvalid) as err:
+        FiniteTopSpace(["x", "y"], [0b11, -1])  # refused before sorting reads the bits of each member
+    assert str(err.value) == "basis member outside the space"
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: FiniteTopSpace(["x", "y", "x"], [0b111]), TopologyInvalid),
+    (lambda: RationalMetric(["a", "b", "a"], {("a", "b"): 1}), MetricAxiomViolation),
+])
+def test_space_and_metric_refuse_a_duplicate_point(make, error):
+    # files refuse a repeated point line first, so only a library caller reaches these
+    with pytest.raises(error) as err:
+        make()
+    assert str(err.value) == "duplicate point"
 
 
 def test_precompact_discrete_two_point():

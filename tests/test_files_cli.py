@@ -151,6 +151,14 @@ def test_duplicate_point_exits_2(tmp_path, verb):
     assert out == "parse error: line 3: duplicate point 'x'\n"
 
 
+def test_topo_order_refuses_a_space_over_the_cap_exits_2(tmp_path):
+    path = tmp_path / "d5.space"
+    path.write_text("space d5\n" + "".join(f"point x{i}\nopen U{i} x{i}\n" for i in range(5)))
+    code, out = run_cli(["topo-order", str(path)])
+    assert code == 2
+    assert out == "error: spaces over 4 points are too large: the checks walk every subset\n"
+
+
 def test_no_assert_statements_in_src():
     # python -O strips assert statements, so the library never checks with them
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "posetspace", "*.py")

@@ -460,6 +460,52 @@ def test_star_solver_matches_name_oracle():
     assert star_game_solve(STAR_SHAPES[3]).iterations > 2  # the tree shrinks level by level
 
 
+def _chain_heavy(n, rng):
+    """A chain with n // 6 evenly spaced levels widened to two incomparable elements, listed shuffled."""
+    widened = max(1, n // 6)
+    widths = [1] * (n - widened)
+    for k in range(1, widened + 1):
+        widths[k * len(widths) // (widened + 1)] = 2
+    levels, i = [], 0
+    for width in widths:
+        levels.append(range(i, i + width))
+        i += width
+    pairs = [(f"c{a}", f"c{b}") for lower, upper in zip(levels, levels[1:]) for a in lower for b in upper]
+    names = [f"c{i}" for i in range(n)]
+    rng.shuffle(names)
+    return validate_poset(names, pairs, f"chain-heavy{n}")
+
+
+def _wide(n):
+    """A tree with its root on top, every element covering up to three others, root first."""
+    return _shape(f"wide{n}", n, [(i, (i - 1) // 3) for i in range(1, n)])
+
+
+LADDER_RUNGS = (8, 9, 10, 12, 25, 50, 100, 150)
+STAR_FAMILIES = {
+    "posets-up-to-5": lambda: posets_up_to(5, include_empty=True),
+    "star-shapes": lambda: STAR_SHAPES,
+    "chain-heavy": lambda: [_chain_heavy(n, random.Random(n)) for n in LADDER_RUNGS],
+    "wide": lambda: [_wide(n) for n in LADDER_RUNGS],
+}
+
+
+@pytest.mark.parametrize("family", STAR_FAMILIES)
+def test_star_solver_matches_mask_reference(family):
+    iterations = {}
+    for p in STAR_FAMILIES[family]():
+        sol = star_game_solve(p)
+        got = (sol.winner, sol.fixed_point, sol.iterations)
+        assert got == oracles.star_game_masks(p), p.pairs()
+        if family in ("chain-heavy", "wide") and len(p) <= 25:  # the name oracle test takes the rest
+            assert got == oracles.star_game(p), p.pairs()
+        iterations[p.name] = sol.iterations
+    if family == "wide":
+        assert [iterations[f"wide{n}"] for n in (50, 100, 150)] == [5, 6, 6]
+    if family == "chain-heavy":  # the bottom lies below every element, so the first pass empties S
+        assert set(iterations.values()) == {2}
+
+
 def test_star_referee_bintree_follows_guide():
     tree = BinaryTreePoset()
     bits = [0, 1, 0, 1, 1, 0, 1, 0, 0, 1] * 2

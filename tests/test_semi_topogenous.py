@@ -309,3 +309,14 @@ def test_serialization_roundtrippable_format():
     lines = interval_order(space).serialize()
     assert "rel {} {}" in lines
     assert all(line.startswith("rel ") for line in lines)
+
+
+def test_a_space_over_the_cap_is_refused():
+    space = FiniteTopSpace.discrete([f"x{i}" for i in range(FULL_POWERSET_CAP + 1)])
+    message = f"spaces over {FULL_POWERSET_CAP} points are too large: the checks walk every subset"
+    order = SubsetOrder(space, frozenset())
+    for check in (lambda: interval_order(space), lambda: check_axioms_and_generation(order),
+                  lambda: completeness_check(space, order), order.rows, order.serialize):
+        with pytest.raises(PosetError) as err:
+            check()
+        assert (type(err.value), str(err.value)) == (PosetError, message)
