@@ -60,9 +60,7 @@ def labeled_posets(n: int) -> tuple:
             return
         i, j, low, bi, bj = pairs[k]
         forced_ij = up[i] & down[j] & low
-        forced_ji = up[j] & down[i] & low
-        if forced_ij and forced_ji:
-            return
+        forced_ji = up[j] & down[i] & low  # each branch below needs one of the two clear
         if not forced_ij and not forced_ji:
             rec(k + 1)
         if not forced_ji and not (down[i] & ~down[j] | up[j] & ~up[i]) & low:

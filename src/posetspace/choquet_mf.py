@@ -78,8 +78,8 @@ class ConditionSystem:
     basic open around x inside the open v.  A designated set is a point
     mask.  At the boundary a play is a tuple of moves ``(v, x, w)``:
     player I's open mask v, its point index x, and player II's answer
-    mask w.  Inside, play i has a parent, a last move and a final open:
-    ``parent[i]``, ``step[i]`` and ``final[i]``; play 0 is the empty play.
+    mask w.  Inside, play i has a parent and a last move, whose w is its
+    final open: ``parent[i]`` and ``step[i]``; play 0 is the empty play.
     ``kids[i]`` maps I's move (v, x) to the play it extends i to,
     ``anc[i]`` masks i's initial segments, i included, and ``via[i]`` maps
     an open v to the mask of the proper ones that i continues on v.
@@ -87,7 +87,7 @@ class ConditionSystem:
 
     def __init__(self, space: FiniteTopSpace):
         self.space = space
-        self.parent, self.step, self.final = [0], [None], [space.whole_mask]
+        self.parent, self.step = [0], [(None, None, space.whole_mask)]
         self.kids, self.anc, self.via = [{}], [1], [{}]
         self._fits = {a: 1 for a in space.basis if a}  # nonempty basic a -> plays a fits in
 
@@ -107,7 +107,6 @@ class ConditionSystem:
             q = self.kids[p][v, x] = len(self.step)
             self.parent.append(p)
             self.step.append((v, x, w))
-            self.final.append(w)
             self.kids.append({})
             self.anc.append(self.anc[p] | 1 << q)
             via = self.via[p].copy()
@@ -127,7 +126,7 @@ class ConditionSystem:
             v, x, w = step
             if not self.space.is_open(v) or not v:
                 problem = "player I's set is not a nonempty open"
-            elif v & ~self.final[p]:
+            elif v & ~self.step[p][2]:
                 problem = "player I's set leaves player II's last answer"
             elif not v >> x & 1:
                 problem = "the chosen point is outside player I's set"
@@ -260,55 +259,53 @@ class ConditionSystem:
 
     # -- enumeration ------------------------------------------------------
 
-    def _number(self, depth: int, cap=None) -> int:
+    def _number(self, depth: int) -> int:
         """Number every play of at most ``depth`` rounds, a round at a time; return them as a mask.
 
         Player I's moves after a play are the nonempty opens inside its final open, ordered by
         their points, each with its points x in turn: so on a fresh system play indices follow
-        ``_play_key``.  Past ``cap`` plays raises TooManyConditions: each play gives a condition
-        of its own.
+        ``_play_key``.  Past MAX_CONDITIONS plays raises TooManyConditions: each play gives a
+        condition of its own.
         """
         plays, start, moves = [0], 0, {}
         for _ in range(depth):
             end = len(plays)
             for p in plays[start:end]:
-                room = self.final[p]
+                room = self.step[p][2]
                 if room not in moves:
                     inside = [v for v in self.space.opens if v and not v & ~room]
                     moves[room] = [(v, x) for v in sorted(inside, key=lambda v: tuple(_bits(v))) for x in _bits(v)]
                 for v, x in moves[room]:
                     plays.append(self._extend(p, v, x))
-                    if cap is not None and len(plays) > cap:
-                        raise TooManyConditions(cap + 1, depth, exact=False)
+                    if len(plays) > MAX_CONDITIONS:
+                        raise TooManyConditions(MAX_CONDITIONS + 1, depth, exact=False)
             if len(plays) == end:
                 break
             start = end
         return sum(1 << q for q in plays)
 
-    def _closed_sets(self, allowed: int, count=False):
-        """The closed play sets inside ``allowed`` that hold the empty play, or their number.
+    def _closed_sets(self, allowed: int):
+        """The closed play sets inside ``allowed``, which holds the empty play and each member's parent.
+        Depth first on a stack, a set takes the lowest play of its frontier, the plays of ``allowed`` whose
+        parent it holds, or drops that play for good: so each set is built once, by one OR."""
+        children = [0] * len(self.step)  # per play, the mask of its children in allowed
+        for q in _bits(allowed & ~1):
+            children[self.parent[q]] |= 1 << q
+        stack = [(1, children[0])]
+        while stack:
+            have, frontier = stack.pop()
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                stack.append((have | low, frontier | children[low.bit_length() - 1]))
+            yield have
 
-        Bottom-up by descending index (a play is numbered after its parent): the sets of
-        the subtree at p are p with, per child, nothing or one of the child's sets.
-        """
-        below = {}
-        for q in sorted(_bits(allowed), reverse=True):
-            mine = below.pop(q, 1 if count else [1 << q])
-            if not q:
-                return mine
-            p = self.parent[q]
-            if allowed >> p & 1:
-                have = below.get(p, 1 if count else [1 << p])
-                below[p] = have * (1 + mine) if count else [h | s for h in have for s in (0, *mine)]
-        return 0 if count else []
-
-    def count_conditions(self, depth: int, cap=None) -> int:
-        """How many conditions have plays of at most ``depth`` rounds, without building them.
-
-        Those with set a are the closed sets of the plays a fits in; see ``_number`` for ``cap``.
-        """
-        within = self._number(depth, cap)
-        return sum(self._closed_sets(fits & within, count=True) for fits in self._fits.values())
+    def _count(self, allowed: int) -> int:
+        """How many sets ``_closed_sets`` gives: per play, the product over its children of one more than theirs."""
+        count = [1] * len(self.step)
+        for q in reversed(_bits(allowed & ~1)):  # a play is numbered after its parent
+            count[self.parent[q]] *= 1 + count[q]
+        return count[0]
 
     def enumerate_conditions(self, depth: int):
         """All conditions whose plays have at most ``depth`` rounds; TooManyConditions past MAX_CONDITIONS.
@@ -316,12 +313,12 @@ class ConditionSystem:
         Each play p gives a condition: p's initial segments, with a basic open around p's last
         point inside its final open.  On a nonempty space player I can always play II's last
         answer again, so there are at least depth + 1 plays, and a depth of MAX_CONDITIONS or
-        more is refused before any play is numbered.
+        more is refused before any play is numbered.  Those with set a are the closed sets of the plays a fits in.
         """
         if len(self.space) and depth >= MAX_CONDITIONS:
             raise TooManyConditions(depth + 1, depth, exact=False)
-        within = self._number(depth, MAX_CONDITIONS)
-        total = sum(self._closed_sets(fits & within, count=True) for fits in self._fits.values())
+        within = self._number(depth)
+        total = sum(self._count(fits & within) for fits in self._fits.values())
         if total > MAX_CONDITIONS:
             raise TooManyConditions(total, depth)
         return [self._checked(a, mask) for a, fits in self._fits.items()

@@ -108,6 +108,8 @@ def parse_metric_text(text) -> RationalMetric:
         elif kind == "point":
             if len(fields) != 2:
                 raise ParseError(line_no, "expected: point <id>")
+            if fields[1] in points:
+                raise ParseError(line_no, f"duplicate point {fields[1]!r}")
             points.append(fields[1])
         elif kind == "dist":
             if len(fields) != 4:

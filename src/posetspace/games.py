@@ -374,7 +374,8 @@ def element_set_selector(poset: FinitePoset, dense_elements):
     strictly smaller does; returns None when the set is not dense below
     the input.
     """
-    dense = [e for e in poset.elements if e in set(dense_elements)]
+    names = set(dense_elements)
+    dense = [e for e in poset.elements if e in names]
 
     def select(p):
         for q in dense:

@@ -54,6 +54,8 @@ read, with player II's answer found by ``least_basic``, a scan of the
 basis, and ``refinement_pool`` lists every triple the refinement sample
 draws from; ``refinement_sample`` draws from it by a linear scan over
 the rows and columns, where the library bisects prefix sums.
+``closed_play_sets`` lists the play sets a condition may hold by testing
+every subset of the allowed plays, where the library walks a frontier.
 ``spot_check_generated`` checks the contract of a generated poset
 provider on the elements it reaches.
 
@@ -873,6 +875,14 @@ def validate_condition(system, a, plays):
         if a & ~final_open(system, p):
             raise ConditionRequirementViolation(4, "the designated set leaves the final open of a play")
     return a, plays
+
+
+def closed_play_sets(system, allowed) -> list:
+    """Every subset of the plays in ``allowed`` that holds the empty play and each member's parent."""
+    plays = members(allowed)
+    subsets = (sum(1 << q for q in chosen)
+               for k in range(len(plays) + 1) for chosen in itertools.combinations(plays, k))
+    return [s for s in subsets if s & 1 and all(s >> system.parent[q] & 1 for q in members(s))]
 
 
 def condition_lt(system, c1, c2) -> bool:

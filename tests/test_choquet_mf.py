@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 import oracles
+from posetspace import choquet_mf
 from posetspace.catalog import all_topologies
 from posetspace.choquet_mf import (
     MAX_CONDITIONS,
@@ -48,7 +49,7 @@ def d3():
 def test_root_condition_is_valid(d2):
     system = ConditionSystem(d2)
     c = system.validate(d2.whole_mask, [()])
-    assert system.final[0] == d2.whole_mask
+    assert system.step[0][2] == d2.whole_mask  # the empty play's final open
     assert c.a == d2.whole_mask
 
 
@@ -216,9 +217,17 @@ def test_validate_condition_module_level(d2):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("depth", [0, 1, 2])
-def test_condition_count_matches_enumeration(n, depth):
-    system = ConditionSystem(FiniteTopSpace.discrete([f"x{i}" for i in range(n)]))
-    assert system.count_conditions(depth) == len(system.enumerate_conditions(depth))
+def test_condition_count_matches_enumeration(n, depth, monkeypatch):
+    # the count a refusal reports is the number of conditions: a cap of that many enumerates
+    # them all, and a cap one lower refuses with that number
+    space = FiniteTopSpace.discrete([f"x{i}" for i in range(n)])
+    conditions = ConditionSystem(space).enumerate_conditions(depth)
+    monkeypatch.setattr(choquet_mf, "MAX_CONDITIONS", len(conditions))
+    assert ConditionSystem(space).enumerate_conditions(depth) == conditions
+    monkeypatch.setattr(choquet_mf, "MAX_CONDITIONS", len(conditions) - 1)
+    with pytest.raises(TooManyConditions) as err:
+        ConditionSystem(space).enumerate_conditions(depth)
+    assert err.value.count == len(conditions)
 
 
 def test_condition_cap_refuses_five_points_quickly():
@@ -315,7 +324,7 @@ def test_empty_space_numbers_no_round():
     # no play to extend: numbering stops after the first empty round
     empty = FiniteTopSpace([], [0], "empty")
     start = time.perf_counter()
-    assert ConditionSystem(empty).count_conditions(10**9) == 0
+    assert ConditionSystem(empty).enumerate_conditions(10**9) == []
     assert mf_characterization_check(empty, 10**9).condition_count == 0
     assert time.perf_counter() - start < 1
 
@@ -431,11 +440,58 @@ def test_four_points_at_depth_one():
     assert report.bijection and report.refinements_ok
 
 
+def closed_set_cases():
+    """Per fresh system with at most 16 plays, numbered to a depth, each set's allowed plays ``fits & within``."""
+    spaces = [(discrete(n), range(3)) for n in (1, 2, 3)] + [(discrete(1), range(3, 13))] + [
+        (parse_input_file(str(FIXTURES / name)), range(3)) for name in ("d2.space", "d3.space")]
+    for space, depths in spaces:
+        for depth in depths:
+            system = ConditionSystem(space)
+            within = system._number(depth)
+            if len(system.step) <= 16:
+                yield from ((system, fits & within) for fits in system._fits.values())
+
+
+def closed_set_mismatches(closed_sets) -> list:
+    """The cases where ``closed_sets(system, allowed)`` repeats a set or differs from the literal subsets."""
+    bad = []
+    for system, allowed in closed_set_cases():
+        got, want = list(closed_sets(system, allowed)), oracles.closed_play_sets(system, allowed)
+        if len(got) != len(set(got)) or set(got) != set(want):
+            bad.append((system.space.name, allowed))
+    return bad
+
+
+def test_closed_sets_are_the_literal_subsets():
+    cases = list(closed_set_cases())
+    assert len(cases) == 47 and max(allowed.bit_length() for _, allowed in cases) == 13
+    assert closed_set_mismatches(ConditionSystem._closed_sets) == []
+    for system, allowed in cases:  # the count the refusal reads, without building the sets
+        assert system._count(allowed) == len(oracles.closed_play_sets(system, allowed))
+
+
+def test_a_walk_that_never_drops_a_play_fails_the_comparison():
+    def never_drops(system, allowed):  # the library's walk with the drop branch taken out
+        children = [0] * len(system.step)
+        for q in _bits(allowed & ~1):
+            children[system.parent[q]] |= 1 << q
+        stack = [(1, children[0])]
+        while stack:
+            have, frontier = stack.pop()
+            if not frontier:
+                yield have
+                continue
+            low = frontier & -frontier
+            stack.append((have | low, frontier ^ low | children[low.bit_length() - 1]))
+
+    assert closed_set_mismatches(never_drops)
+
+
 def test_deep_chains_count_without_recursion():
     # one point: the plays form one forced chain, and the conditions at
     # depth d are its d + 1 initial segments
     system = ConditionSystem(discrete(1))
-    assert system.count_conditions(1500) == 1501
+    assert len(system.enumerate_conditions(1500)) == 1501
     with pytest.raises(TooManyConditions) as err:
         system.enumerate_conditions(MAX_CONDITIONS)
     assert err.value.count == MAX_CONDITIONS + 1
@@ -459,14 +515,21 @@ def report_fields(report, names) -> dict:
 def two_point_depths():
     """Every depth at which the discrete space on 2 points has at most MAX_CONDITIONS conditions."""
     depth = 0
-    while ConditionSystem(discrete(2)).count_conditions(depth) <= MAX_CONDITIONS:
+    while True:
+        try:
+            ConditionSystem(discrete(2)).enumerate_conditions(depth)
+        except TooManyConditions:
+            return
         yield depth
         depth += 1
 
 
 def test_two_point_depths_reach_the_cap():
     depths = list(two_point_depths())
-    assert depths[-1] == 30 and ConditionSystem(discrete(2)).count_conditions(31) > MAX_CONDITIONS
+    assert depths[-1] == 30
+    with pytest.raises(TooManyConditions) as err:
+        ConditionSystem(discrete(2)).enumerate_conditions(31)
+    assert err.value.count > MAX_CONDITIONS
 
 
 @pytest.mark.parametrize("space, depths, seeds", [

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
+from posetspace import constructions
 from posetspace.catalog import all_topologies, posets_up_to, random_poset
 from posetspace.constructions import (
     BadBallGrid,
@@ -54,6 +55,16 @@ def test_product_single_factor(vee):
     # identity on coordinates: each tuple maps to the filter with the same generator
     for combo, i in r.phi.items():
         assert r.phi_inv[i] == combo
+
+
+def test_product_adjoins_a_top_under_a_fresh_name():
+    # neither factor has a greatest element, and each already names an element "top"
+    one = validate_poset(["top", "b"], [], "one")
+    two = validate_poset(["top", "top_"], [], "two")
+    r = product_poset([one, two])
+    assert r.adjoined_tops == ("top_", "top__")
+    assert [f.elements for f in r.factors] == [("top", "b", "top_"), ("top", "top_", "top__")]
+    assert len(r.space.points) == 4 and r.ok
 
 
 def test_product_empty_factor_list():
@@ -244,6 +255,17 @@ def test_refined_subposet_claims_on_a_wrong_subposet():
     assert refined_subposet_claims(space, sub, 0b100, 0b1, {0: None}) == {
         1: ["{a, b, c}"], 2: ["{c}"], 3: ["{c}"], 4: ["{c}"]}
     assert refined_subposet_claims(space, sub, 0b100, 0, {0: 0}) == {1: [], 2: [], 3: ["{c}"], 4: []}
+
+
+def test_gdelta_uf_reports_failed_claims(vee, monkeypatch):
+    # the claims hold on every subposet gdelta_uf_poset builds, so a claims check that
+    # reports two failures shows how they reach the result, over the restriction's verdict
+    claims = constructions.refined_subposet_claims
+    monkeypatch.setattr(constructions, "refined_subposet_claims",
+                        lambda *args: {**claims(*args), 4: ["{c}"], 2: ["{a, c}"]})
+    r = gdelta_uf_poset(vee, [["a"], ["a"]])
+    assert r.claims == {1: True, 2: False, 3: True, 4: False}
+    assert not r.ok and r.failure == "claims 2, 4 failed"
 
 
 def test_gdelta_uf_not_descending(vee):

@@ -229,6 +229,7 @@ PARSE_REFUSALS = [
      "formalballs"),
     (parse_metric_text, "metric m\npoint p\npoint q\ndist p q 1\ndist q q 1/2\n", None,
      "nonzero self-distance at 'q'", "formalballs"),
+    (parse_metric_text, "metric m\npoint p\npoint p\n", 3, "duplicate point 'p'", "formalballs"),
 ]
 
 

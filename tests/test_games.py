@@ -605,6 +605,13 @@ def test_element_selector_reports_non_density(vee):
     assert is_dense_elements(vee, ["a", "b"])
 
 
+def test_element_selector_reads_its_names_once(vee):
+    # names from a one-shot generator select as the same names from a list
+    from_list = element_set_selector(vee, ["a", "b"])
+    from_generator = element_set_selector(vee, (e for e in ["a", "b"]))
+    assert [from_generator(p) for p in vee.elements] == [from_list(p) for p in vee.elements] == ["a", "b", "a"]
+
+
 def test_baire_lands_in_every_open(vee):
     dense = [frozenset({"a", "b"}), frozenset({"a", "b"})]
     selectors = [element_set_selector(vee, d) for d in dense]
