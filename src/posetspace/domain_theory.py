@@ -75,10 +75,11 @@ def _filter_ids(poset) -> tuple:
     """Each element's principal filter as member names, and as the completion's element id: the
     names in braces, joined by commas; a name holding a comma, a brace or a quote is written as its
     repr, which starts with a quote that no other name holds, so distinct filters get distinct ids."""
-    members = shown = [poset.names_of(m) for m in poset.up_masks]
-    if not _RESERVED.isdisjoint("".join(poset.elements)):
+    elements = poset.elements
+    members = shown = [[elements[i] for i in _bits(m)] for m in poset.up_masks]
+    if not _RESERVED.isdisjoint("".join(elements)):
         shown = [[repr(p) if not _RESERVED.isdisjoint(p) else p for p in names] for names in members]
-    return members, ["{" + ",".join(names) + "}" for names in shown]
+    return members, ["{%s}" % ",".join(names) for names in shown]
 
 
 class ScottReport(NamedTuple):
@@ -95,7 +96,8 @@ def _generate_same_topology(family, other) -> bool:
     """True when each member of either family is the union of the other's members inside it.
 
     That is exactly when the two families, closed under unions, coincide.
-    Members are bitmasks over one carrier.
+    Members are bitmasks over one carrier.  Equal families settle it at once,
+    each member being one of the other's; the cover test runs only when they differ.
     """
 
     def covered(a, b):
@@ -108,7 +110,7 @@ def _generate_same_topology(family, other) -> bool:
                 return False
         return True
 
-    return covered(family, other) and covered(other, family)
+    return family == other or (covered(family, other) and covered(other, family))
 
 
 def scott_max_homeomorphism_check(poset: FinitePoset) -> ScottReport:
@@ -124,18 +126,21 @@ def scott_max_homeomorphism_check(poset: FinitePoset) -> ScottReport:
     """
     space = PosetSpace(poset, "mf")
     max_mask = sum(1 << q for q in poset.minimal_indices())
-    scott_of = dict(zip(_filter_ids(poset)[1], [down & max_mask for down in poset.down_masks]))
+    scott = [down & max_mask for down in poset.down_masks]
     # one filter per element, in element order: point g is completion element g
-    mf_of = {p: sum(1 << space.generators[i] for i in _bits(space.opens[e]))
-             for e, p in enumerate(poset.elements)}
-    scott_family = frozenset(scott_of.values())
-    mf_family = frozenset(mf_of.values())
+    bit = [1 << g for g in space.generators]
+    mf = [sum([bit[i] for i in _bits(o)]) for o in space.opens]
+    scott_family = frozenset(scott)
+    mf_family = frozenset(mf)
 
     ok = _generate_same_topology(scott_family, mf_family)
     table = ()
     if ok:
-        first = {scott_of[d]: d for d in sorted(scott_of, reverse=True)}  # the least id wins
-        table = tuple((p, first.get(mf_of[p])) for p in poset.elements)
+        first = {}  # the least id wins
+        for d, s in zip(_filter_ids(poset)[1], scott):
+            if s not in first or d < first[s]:
+                first[s] = d
+        table = tuple((p, first.get(m)) for p, m in zip(poset.elements, mf))
     detail = "" if ok else "the generated topologies on the maximal elements differ"
     return ScottReport(ok, table, detail, scott_family, mf_family)
 

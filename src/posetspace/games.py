@@ -369,10 +369,11 @@ def star_game_referee(poset, strategy_i, f, rounds: int) -> StarPlay:
 def element_set_selector(poset: FinitePoset, dense_elements):
     """Selector for a dense open given by an element set.
 
-    Returns the least element of the set strictly below the input, or
-    the input itself when it already lies in the set and nothing
-    strictly smaller does; returns None when the set is not dense below
-    the input.
+    Returns the first member of the set, in the poset's element order,
+    that lies strictly below the input (not necessarily a least one: the
+    Baire game needs only some member below), else the input itself when
+    it lies in the set; returns None when the set is not dense below the
+    input.
     """
     names = set(dense_elements)
     dense = [e for e in poset.elements if e in names]

@@ -177,11 +177,8 @@ class FinitePoset:
 
     def pairs(self):
         """The full non-strict relation as sorted (a, b) pairs."""
-        out = []
-        for i, a in enumerate(self.elements):
-            for j in _bits(self._up[i]):
-                out.append((a, self.elements[j]))
-        return out
+        elements = self.elements
+        return [(a, elements[j]) for a, up in zip(elements, self._up) for j in _bits(up)]
 
     def minimal_indices(self):
         return tuple(i for i, d in enumerate(self._down) if d == 1 << i)

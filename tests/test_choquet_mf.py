@@ -118,6 +118,16 @@ def test_mixed_spaces_rejected(d2, d3):
     assert str(err.value) == "conditions live over different spaces or strategies"
 
 
+def test_conditions_print_their_set_and_plays_and_compare_only_to_conditions(d3):
+    system = ConditionSystem(d3)
+    root = system.validate(d3.whole_mask, [()])
+    c = refine_conditions(root, root, 1)  # I plays the whole space at y, II answers {y}
+    assert (str(root), str(c)) == ("<{x, y, z}; 0 proper plays>", "<{y}; 1 proper plays>")
+    # another type is left to Python, which falls back to identity: unequal, never an error
+    assert root.__eq__((root.a, root.mask)) is NotImplemented
+    assert root != (root.a, root.mask) and root != "root"
+
+
 def test_refinement_of_roots(d3):
     system = ConditionSystem(d3)
     c1 = system.validate(0b001, [()])

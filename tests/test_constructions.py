@@ -576,6 +576,11 @@ def test_space_and_metric_refuse_a_duplicate_point(make, error):
     assert str(err.value) == "duplicate point"
 
 
+def test_space_repr_counts_points_and_opens():
+    assert repr(FiniteTopSpace.sierpinski()) == "FiniteTopSpace('sierpinski', 2 points, 3 opens)"
+    assert repr(FiniteTopSpace.discrete(["x", "y"])) == "FiniteTopSpace('discrete', 2 points, 4 opens)"
+
+
 def test_precompact_discrete_two_point():
     r = precompact_open_poset(FiniteTopSpace.discrete(["x", "y"]))
     assert len(r.poset) == 3

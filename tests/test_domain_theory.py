@@ -189,14 +189,20 @@ def test_same_topology_check_matches_union_closure():
         pairs.append(tuple(
             frozenset(rng.randrange(16) for _ in range(rng.randint(0, 4))) for _ in range(2)
         ))
-    verdicts = set()
+    verdicts = {}
     for a, b in pairs:
         closures = [oracles.union_closure({frozenset(oracles.members(m)) for m in fam})
                     for fam in (a, b)]
-        verdict = closures[0] == closures[1]
-        assert _generate_same_topology(a, b) == verdict, (a, b)
-        verdicts.add(verdict)
-    assert verdicts == {True, False}
+        verdicts[a, b] = closures[0] == closures[1]
+    assert set(verdicts.values()) == {True, False}
+
+    def wrong(check):
+        return [pair for pair, verdict in verdicts.items() if check(*pair) != verdict]
+
+    assert wrong(_generate_same_topology) == []
+    # the library settles equal families first: a mutant that stops there, without
+    # the cover test for distinct families, must fail on these pairs
+    assert wrong(lambda family, other: family == other)
 
 
 def test_oracle_comparison_catches_every_single_perturbation():

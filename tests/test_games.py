@@ -407,6 +407,16 @@ def test_star_antichain2(antichain2):
     assert sol.fixed_point == frozenset()
 
 
+def test_star_solution_strategy_keeps_the_first_component(antichain2):
+    # the returned strategy answers 1 to every pair in every round, which the
+    # referee reads as guide bit 0: II keeps player I's first component
+    strategy = star_game_solve(antichain2).strategy
+    assert str(strategy) == "constant-first-pick"
+    assert [strategy(("a", "b"), t) for t in range(3)] == [1, 1, 1]
+    play = star_game_referee(antichain2, lambda current, t: ("a", "b"), [strategy(("a", "b"), 0) - 1], 1)
+    assert (play.pairs, play.picks) == ((("a", "b"),), (1,))
+
+
 def height_oracle(poset):
     """Independent check: recurse on strictly smaller elements only."""
     good = {}
@@ -610,6 +620,14 @@ def test_element_selector_reads_its_names_once(vee):
     from_list = element_set_selector(vee, ["a", "b"])
     from_generator = element_set_selector(vee, (e for e in ["a", "b"]))
     assert [from_generator(p) for p in vee.elements] == [from_list(p) for p in vee.elements] == ["a", "b", "a"]
+
+
+def test_element_selector_scans_in_element_order():
+    # the chain a < b < c listed b, a, c: b comes first in element order and lies
+    # below c, so it is selected there, though a lies below b
+    chain = validate_poset(["b", "a", "c"], [("a", "b"), ("b", "c")], "bac")
+    select = element_set_selector(chain, ["a", "b"])
+    assert [select(p) for p in ("c", "b", "a")] == ["b", "a", "a"]
 
 
 def test_baire_lands_in_every_open(vee):

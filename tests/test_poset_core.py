@@ -326,6 +326,13 @@ def test_generators_refuse_sizes_they_cannot_name():
     assert random_poset(random.Random(0), 8).elements == tuple("abcdefgh")
 
 
+def test_repr_and_equality_against_another_type(vee):
+    assert repr(vee) == "FinitePoset('V', 3 elements)"
+    # elements and order masks compare; a tuple of the same fields is another type, left to Python
+    assert vee.__eq__((vee.elements, vee.up_masks)) is NotImplemented
+    assert vee != (vee.elements, vee.up_masks) and vee != "V"
+
+
 def test_constructor_needs_one_mask_per_element():
     with pytest.raises(PosetError):
         FinitePoset(("a", "b"), (1,))
