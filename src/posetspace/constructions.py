@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .poset_core import FinitePoset, PosetError, _bits, check_element_id
-from .filters import ChainFilter, Filter, bounded, filter_generator
+from .filters import ChainFilter, Filter
 from .topology import PosetSpace, verify_correspondence, verify_restriction
 
 
@@ -156,12 +156,12 @@ class ProductResult(NamedTuple):
 
 
 def _with_top(poset: FinitePoset):
-    if not len(poset) or poset.greatest() is not None:
+    top_bit = 1 << len(poset.elements)
+    if top_bit == 1 or top_bit - 1 in poset.down_masks:  # empty, or a greatest element already
         return poset, None
     top = "top"
     while top in poset.elements:  # a scan: the name index is not needed otherwise
         top += "_"
-    top_bit = 1 << len(poset)
     ups = [m | top_bit for m in poset.up_masks] + [top_bit]
     downs = poset.down_masks + (2 * top_bit - 1,)
     return FinitePoset(poset.elements + (top,), ups, f"{poset.name}+top", downs), top
@@ -213,15 +213,15 @@ def product_poset(factors) -> ProductResult:
 
     fspaces = tuple(PosetSpace(f, "mf") for f in factors)
     pspace = PosetSpace(prod, "mf")
+    strides = list(itertools.accumulate(reversed(sizes[1:]), int.__mul__, initial=1))[::-1]  # last runs fastest
     # each tuple of factor points goes to the product of their filters, the
     # up-set of the tuple of their generators
-    strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
-    combos = list(itertools.product(*(range(len(sp)) for sp in fspaces)))
-    generators = [0]
+    tuples = [((), 0)]
     for sp, stride in zip(fspaces, strides):
-        generators = [a + g * stride for a in generators for g in sp.generators]
+        tuples = [(c + (i,), a + g * stride) for c, a in tuples for i, g in enumerate(sp.generators)]
     point_of = {g: i for i, g in enumerate(pspace.generators)}
-    images = [point_of.get(a) for a in generators]
+    combos = [c for c, _ in tuples]
+    images = [point_of.get(a) for _, a in tuples]
     # per product element, the tuples of factor points lying in the factor
     # basic opens of its coordinates (an adjoined top lies in every point)
     src_opens = _tensor(
@@ -229,30 +229,30 @@ def product_poset(factors) -> ProductResult:
         [len(sp) for sp in fspaces],
     )
     # project each point onto factor k: the coordinates j of its members, an adjoined top's left out;
-    # j's block of stride bits recurs every size * stride bits, and OR-folding keeps it nonzero if met
-    axes = [({f.up_mask(g): i for i, g in enumerate(sp.generators)}, size * stride, stride, len(f))
-            for f, sp, size, stride in zip(factors, fspaces, sizes, strides)]
-    phi_inv = {}
+    # j's block of stride bits recurs every size * stride bits, and OR-folding keeps it nonzero if met.
+    # On the last factor a block is one bit, so the projection is the fold's low bits
+    axes = [({f.up_mask(g): i for i, g in enumerate(sp.generators)}, size * stride, stride, (1 << stride) - 1,
+             len(f), len(sp)) for f, sp, size, stride in zip(factors, fspaces, sizes, strides)]
+    phi_inv, inverse = {}, {}  # inverse: the position in combos of each point's tuple
     for i, g in enumerate(pspace.generators):
-        point = []
-        for fset, period, stride, count in axes:
-            mask, folded, block, projection = ups[g], 0, (1 << stride) - 1, 0
+        point, at = [], 0
+        for fset, period, stride, block, count, radix in axes:
+            mask, folded = ups[g], 0
             while mask:
                 folded |= mask
                 mask >>= period
-            for j in range(count):
-                if folded >> j * stride & block:
-                    projection |= 1 << j
-            point.append(fset.get(projection))
+            j = fset.get(folded & (1 << count) - 1 if stride == 1 else
+                         sum([1 << k for k in range(count) if folded >> k * stride & block]))
+            point.append(j)
+            at = None if at is None or j is None else at * radix + j
         phi_inv[i] = tuple(point)
-    # the verifier takes each tuple of factor points by its position in combos
-    position = {combo: c for c, combo in enumerate(combos)}
+        inverse[i] = at
     check = verify_correspondence(
         range(len(combos)),
         len(pspace),
         dict(enumerate(images)),
         zip(names, src_opens, pspace.opens),
-        inverse={i: position.get(t) for i, t in phi_inv.items()},
+        inverse=inverse,
     )
 
     return ProductResult(
@@ -323,7 +323,9 @@ def gdelta_mf_poset(poset: FinitePoset, opens) -> GdeltaMfResult:
     The pairs are numbered in one pass per stage, and each q in P keeps the
     mask of its pairs at every stage.  The up mask of (n, p) is its own bit
     and, for each q above p in P, the pairs of q before stage n (all of them
-    at the top stage): no two pairs are compared.
+    at the top stage), and its down mask its own bit and, for each q below
+    p, the pairs of q after stage n (at the top stage, those of the top
+    stage): no two pairs are compared.
     """
     space = PosetSpace(poset, "mf")
     open_masks, inter, carrier_mask = _intersection(space, opens)
@@ -338,15 +340,20 @@ def gdelta_mf_poset(poset: FinitePoset, opens) -> GdeltaMfResult:
     for s, (_, p) in enumerate(stages):
         column[p] |= 1 << s
     ids = [f"{n}:{poset.elements[p]}" for n, p in stages]
-    masks = [1 << s | _union(column, up[p] & carrier_mask) & (first[n] - 1 if n < cap else -1)
-             for s, (n, p) in enumerate(stages)]
-    q_poset = FinitePoset(ids, masks, f"{poset.name}|gdelta-mf")
+    # per carrier element p, the pairs of the q above it and below it; per stage n, the pairs
+    # before it and after it (at the top stage: all of them, and its own)
+    above = {p: _union(column, up[p] & carrier_mask) for p in _bits(carrier_mask)}
+    below = {p: _union(column, poset.down_masks[p] & carrier_mask) for p in above}
+    before, after = [f - 1 for f in first[:-1]] + [-1], [-f for f in first[1:]] + [-first[-1]]
+    masks = [1 << s | above[p] & before[n] for s, (n, p) in enumerate(stages)]
+    downs = [1 << s | below[p] & after[n] for s, (n, p) in enumerate(stages)]
+    q_poset = FinitePoset(ids, masks, f"{poset.name}|gdelta-mf", downs)
     q_space = PosetSpace(q_poset, "mf")
 
     # a point up(g) of the intersection goes to the pairs of its members, a point
     # of MF(Q) back to the up-set in P of its pairs' elements
     q_of = {masks[g]: j for j, g in enumerate(q_space.generators)}
-    phi = {i: q_of.get(_union(column, up[space.generators[i]])) for i in inter_points}
+    phi = {i: q_of.get(above[space.generators[i]]) for i in inter_points}
     inter_of = {up[space.generators[i]]: i for i in inter_points}
     ups_at = [up[p] for _, p in stages]
     psi = {j: inter_of.get(_union(ups_at, masks[g])) for j, g in enumerate(q_space.generators)}
@@ -358,19 +365,8 @@ def gdelta_mf_poset(poset: FinitePoset, opens) -> GdeltaMfResult:
         inverse=psi,
     )
 
-    return GdeltaMfResult(
-        poset=q_poset,
-        stage_cap=cap,
-        open_points=tuple(open_masks),
-        intersection=inter,
-        carrier=poset.names_of(carrier_mask),
-        phi=phi,
-        psi=psi,
-        space=space,
-        stage_space=q_space,
-        ok=check.ok,
-        failure=check.failure,
-    )
+    return GdeltaMfResult(q_poset, cap, tuple(open_masks), inter, poset.names_of(carrier_mask), phi, psi, space,
+                          q_space, check.ok, check.failure)
 
 
 # ---------------------------------------------------------------------------
@@ -465,11 +461,11 @@ def gdelta_uf_poset(poset: FinitePoset, opens) -> GdeltaUfResult:
     position = {p: a for a, p in enumerate(at)}
     up = poset.up_masks
     # b lies above a when p_b lies above p_a in P and the rank falls, or both ranks are infinite
-    masks = [sum(1 << b for b in map(position.get, _bits(up[p] & carrier_mask))
-                 if b == a or rank_at[b] < g or g == rank_at[b] == INF) for a, (p, g) in enumerate(zip(at, rank_at))]
+    masks = [sum([1 << b for b in map(position.get, _bits(up[p] & carrier_mask))
+                  if b == a or rank_at[b] < g or g == rank_at[b] == INF]) for a, (p, g) in enumerate(zip(at, rank_at))]
     sub = FinitePoset(carrier, masks, f"{poset.name}|gdelta-uf")
     sub_space = PosetSpace(sub, "uf")
-    finite = sum(1 << a for a, g in enumerate(rank_at) if g != INF)  # the members of finite rank
+    finite = sum([1 << a for a, g in enumerate(rank_at) if g != INF])  # the members of finite rank
 
     check, mapping = verify_restriction(space, sub_space, at, list(_bits(inter)))
     details = refined_subposet_claims(space, sub, carrier_mask, finite, mapping)
@@ -481,18 +477,7 @@ def gdelta_uf_poset(poset: FinitePoset, opens) -> GdeltaUfResult:
         ok = False
         failure = "claims " + ", ".join(str(c) for c, v in sorted(claims.items()) if not v) + " failed"
 
-    return GdeltaUfResult(
-        subposet=sub,
-        ranks=ranks,
-        open_points=tuple(open_masks),
-        intersection=inter,
-        claims=claims,
-        claim_details=details,
-        space=space,
-        sub_space=sub_space,
-        ok=ok,
-        failure=failure,
-    )
+    return GdeltaUfResult(sub, ranks, tuple(open_masks), inter, claims, details, space, sub_space, ok, failure)
 
 
 def refined_subposet_claims(space: PosetSpace, sub: FinitePoset, carrier_mask: int, finite: int, mapping) -> dict:
@@ -503,21 +488,21 @@ def refined_subposet_claims(space: PosetSpace, sub: FinitePoset, carrier_mask: i
     restriction map from the intersection's points to UF(sub): unbounded
     filters are UF points, so claim 1 is its totality and claim 4 its
     reach.  A filter is the up-set of its least member, so claims 2 and 3
-    run over element indices.
+    run over element indices, and it is bounded exactly when that member
+    is not minimal: an element below every member lies below the least one.
     """
     poset = space.poset
-    position = {p: a for a, p in enumerate(_bits(carrier_mask))}
-
-    def unbounded_filter_of_sub(m):  # m is a mask over the carrier's indices in P
-        m = sum(1 << position[i] for i in _bits(m))
-        return filter_generator(sub, m) is not None and not bounded(sub, m)
+    minimal = sub.minimal_indices()
+    bit_in_p = [1 << p for p in _bits(carrier_mask)]  # per element of sub
+    unbounded_of_sub = {_union(bit_in_p, sub.up_mask(g)) for g in minimal}  # as masks over P
 
     bad = [Filter(poset, space.generators[i]) for i, j in mapping.items() if j is None]
-    bad2 = [Filter(sub, a) for a, m in enumerate(sub.up_masks) if not m & ~finite and not bounded(sub, m)]
-    bad3 = [Filter(poset, e) for e, m in enumerate(poset.up_masks)
-            if not m & ~carrier_mask and bounded(poset, m) and unbounded_filter_of_sub(m)]
+    bad2 = [Filter(sub, a) for a, (m, d) in enumerate(zip(sub.up_masks, sub.down_masks))
+            if not m & ~finite and d == 1 << a]
+    bad3 = [Filter(poset, e) for e, (m, d) in enumerate(zip(poset.up_masks, poset.down_masks))
+            if d != 1 << e and m in unbounded_of_sub]
     reached = set(mapping.values())
-    bad4 = [Filter(sub, g) for j, g in enumerate(sub.minimal_indices()) if j not in reached]
+    bad4 = [Filter(sub, g) for j, g in enumerate(minimal) if j not in reached]
     return {c: [str(f) for f in fs] for c, fs in enumerate((bad, bad2, bad3, bad4), start=1)}
 
 

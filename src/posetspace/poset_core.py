@@ -93,7 +93,8 @@ class FinitePoset:
     raw input; the constructor trusts its arguments.  A caller that
     already holds the down-set masks (bit i of ``down_masks[j]`` set when
     element i lies below element j) passes them, trusted like the up
-    masks; otherwise they are the transpose of the up masks.
+    masks; otherwise they are the transpose of the up masks.  The hash is
+    computed on the first ``__hash__`` call: most posets are never hashed.
     """
 
     __slots__ = ("name", "elements", "_index", "_up", "_down", "_hash")
@@ -117,7 +118,7 @@ class FinitePoset:
         self._down = tuple(down_masks)
         if len(self._down) != n:
             raise PosetError(f"{n} elements but {len(self._down)} down-set masks")
-        self._hash = hash((self.elements, self._up))
+        self._hash = None
 
     def __len__(self):
         return len(self.elements)
@@ -131,6 +132,8 @@ class FinitePoset:
         return self.elements == other.elements and self._up == other._up
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.elements, self._up))
         return self._hash
 
     def _names(self) -> dict:
@@ -181,7 +184,7 @@ class FinitePoset:
         return [(a, elements[j]) for a, up in zip(elements, self._up) for j in _bits(up)]
 
     def minimal_indices(self):
-        return tuple(i for i, d in enumerate(self._down) if d == 1 << i)
+        return tuple([i for i, d in enumerate(self._down) if d == 1 << i])
 
     def minimals(self):
         return tuple(self.elements[i] for i in self.minimal_indices())
@@ -198,7 +201,7 @@ class FinitePoset:
         return m
 
     def names_of(self, mask) -> tuple:
-        return tuple(self.elements[i] for i in _bits(mask))
+        return tuple([self.elements[i] for i in _bits(mask)])
 
     def restrict(self, mask, name=None) -> "FinitePoset":
         """The subposet on the elements in ``mask``, in element order, with the restricted order."""

@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from .poset_core import FinitePoset, PosetError, UnknownChoice, _bits
+from .poset_core import _BYTE_BITS, FinitePoset, PosetError, UnknownChoice, _bits
 from .filters import Filter
 
 
@@ -38,13 +38,14 @@ class PosetSpace:
         self.mode = mode
         self.generators = poset.minimal_indices()
         self.whole_mask = (1 << len(self.generators)) - 1
-        opens = [0] * len(poset)
+        opens, up = [0] * len(poset.elements), poset.up_masks
         for i, g in enumerate(self.generators):
-            m, bit = poset.up_mask(g), 1 << i
-            while m:  # _bits inlined: this loop is most of the cost of a space
-                low = m & -m
-                opens[low.bit_length() - 1] |= bit
-                m ^= low
+            m, bit, base = up[g], 1 << i, 0
+            while m:  # a byte of the up mask at a time, its bits from the table _bits reads
+                for e in _BYTE_BITS[m & 255]:
+                    opens[base + e] |= bit
+                m >>= 8
+                base += 8
         self.opens = tuple(opens)
 
     @functools.cached_property
@@ -117,7 +118,7 @@ def verify_correspondence(src_points, dst_count, point_map, open_pairs, inverse=
     witness.
     """
     src_points = tuple(src_points)
-    preimage = {}
+    preimage, src_mask = {}, 0
     for x in src_points:
         y = point_map.get(x)
         if y is None or not 0 <= y < dst_count:
@@ -125,6 +126,7 @@ def verify_correspondence(src_points, dst_count, point_map, open_pairs, inverse=
         if y in preimage:
             return Correspondence(False, False, "point map is not injective", x)
         preimage[y] = x
+        src_mask |= 1 << x
     if len(preimage) != dst_count:
         missed = next(y for y in range(dst_count) if y not in preimage)
         return Correspondence(False, False, "point map is not surjective", missed)
@@ -132,8 +134,7 @@ def verify_correspondence(src_points, dst_count, point_map, open_pairs, inverse=
         for x in src_points:
             if inverse.get(point_map[x]) != x:
                 return Correspondence(False, True, "point map and its inverse disagree", x)
-    identity = all(point_map[x] == x for x in src_points)
-    src_mask = sum(1 << x for x in src_points)
+    identity = list(preimage) == list(preimage.values())  # each y = point_map[x] next to its x
     for label, src_open, dst_open in open_pairs:
         if identity and not (src_open ^ dst_open) & src_mask:
             continue
@@ -151,10 +152,10 @@ def verify_restriction(space: PosetSpace, sub_space: PosetSpace, at, points):
     Returns the Correspondence, checked with the basic open of every
     element of R, and the map (None where x intersect R is no point).
     """
-    r_mask = sum(1 << i for i in at)
-    sub = sub_space.poset
-    point_of = {sum(1 << at[k] for k in _bits(sub.up_mask(g))): j for j, g in enumerate(sub_space.generators)}
-    mapping = {x: point_of.get(space.poset.up_mask(space.generators[x]) & r_mask) for x in points}
+    bits = [1 << i for i in at]
+    r_mask, sub, up = sum(bits), sub_space.poset, space.poset.up_masks
+    point_of = {sum([bits[k] for k in _bits(sub.up_mask(g))]): j for j, g in enumerate(sub_space.generators)}
+    mapping = {x: point_of.get(up[space.generators[x]] & r_mask) for x in points}
     check = verify_correspondence(
         points,
         len(sub_space),

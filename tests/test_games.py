@@ -116,6 +116,18 @@ def test_canonical_answer_on_chain(chain2):
     assert not t.rounds[0].open_ii & ~space.basic_open("y")
 
 
+def test_canonical_answer_refuses_a_position_with_no_eligible_element(antichain2):
+    # the referee never builds this position: after II's witness a, I's move is the
+    # point generated by b, and no member of that point lies below a
+    space = PosetSpace(antichain2, "mf")
+    a, b = antichain2.index("a"), antichain2.index("b")
+    position = SimpleNamespace(witness=a, pending=(space.opens[b], space.generators.index(b)), rounds=[])
+    with pytest.raises(ConditionViolated) as err:
+        canonical_choquet_strategy(space).move(position)
+    assert err.value.round_no == 0
+    assert str(err.value) == "round 0: no eligible element; the inputs broke the game rules"
+
+
 def test_one_point_space_game(chain2):
     space = PosetSpace(chain2, "mf")
     t = choquet_referee(

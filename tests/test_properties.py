@@ -13,12 +13,13 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from posetspace import cli
 from posetspace.catalog import random_poset
-from posetspace.constructions import FiniteTopSpace, TopologyInvalid, _with_top, product_poset
+from posetspace.constructions import FiniteTopSpace, TopologyInvalid, _with_top, gdelta_mf_poset, product_poset
 from posetspace.files import parse_poset_text, poset_to_text
 from posetspace.filters import Filter, NotAFilter
 from posetspace.games import canonical_choquet_strategy, choquet_referee, scripted_random_choquet_i
 from posetspace.poset_core import (
     AntisymmetryViolation,
+    FinitePoset,
     InvalidElementId,
     _bits,
     _transitive_close,
@@ -87,6 +88,15 @@ def test_supplied_down_masks_are_the_transpose(seed, n, edge_prob):
     assert_down_masks_transpose(sub)
     assert sub.elements == tuple(kept)
     assert all(sub.leq(a, b) == p.leq(a, b) for a in kept for b in kept)
+    opens = [[e for e in p.elements if rng.random() < 0.6] for _ in range(rng.randint(0, 3))]
+    stage = gdelta_mf_poset(p, opens).poset  # built with its down masks
+    assert_down_masks_transpose(stage)
+    for q in (p, d, topped, sub, stage):
+        # equal, with an equal hash (computed on first use), to the poset that
+        # transposes its own up masks
+        plain = FinitePoset(q.elements, q.up_masks)
+        assert plain.down_masks == q.down_masks
+        assert q == plain and hash(q) == hash(plain)
 
 
 @fixed
