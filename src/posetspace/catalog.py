@@ -89,15 +89,15 @@ def posets_up_to(n: int, include_empty=False):
     return out
 
 
-def random_poset(rng, n: int, edge_prob: float = 0.4, name="random") -> FinitePoset:
-    """A random labeled poset: a random DAG on index order, closed transitively."""
+def random_poset(rng, n: int) -> FinitePoset:
+    """A random labeled poset: a random DAG on index order, each edge drawn at 0.4, closed transitively."""
     _check_size(n)
     masks = [1 << i for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            if rng.random() < edge_prob:
+            if rng.random() < 0.4:
                 masks[i] |= 1 << j
-    return FinitePoset(tuple(_NAMES[:n]), tuple(_transitive_close(masks)), name)
+    return FinitePoset(tuple(_NAMES[:n]), tuple(_transitive_close(masks)), "random")
 
 
 @functools.lru_cache(maxsize=None)

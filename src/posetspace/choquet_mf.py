@@ -31,6 +31,7 @@ from .constructions import FiniteTopSpace
 # the most conditions a check builds: their number grows doubly
 # exponentially in the space (5 points at depth 1 give 327,681)
 MAX_CONDITIONS = 2000
+REFINEMENT_SAMPLES = 40  # the common refinements a check draws and validates
 _FLIP = str.maketrans("01", "10")
 
 
@@ -410,8 +411,7 @@ class CharacterizationReport(NamedTuple):
     failure: str = ""
 
 
-def mf_characterization_check(space: FiniteTopSpace, depth: int, refinement_samples: int = 40,
-                              seed: int = 0) -> CharacterizationReport:
+def mf_characterization_check(space: FiniteTopSpace, depth: int, seed: int = 0) -> CharacterizationReport:
     """Check the point correspondence of the bounded condition poset.
 
     Requires a T1 (hence discrete) finite space, and at most
@@ -425,8 +425,8 @@ def mf_characterization_check(space: FiniteTopSpace, depth: int, refinement_samp
     some filter mapped to a point exactly when the point lies in the
     condition's designated set; the truncation sends many filters to one
     point, so the fibers, not the raw filters, are matched with the
-    space.  A seeded uniform sample of common refinements is also
-    validated both ways.
+    space.  A seeded uniform sample of REFINEMENT_SAMPLES common
+    refinements is also validated both ways.
     """
     if depth < 0:
         raise BadDepth(f"depth must be at least 0, got {depth}")
@@ -470,7 +470,7 @@ def mf_characterization_check(space: FiniteTopSpace, depth: int, refinement_samp
     equivalence = reach == holds
 
     checked, refinements_ok = 0, True
-    for i, j, x in refinement_sample(conditions, refinement_samples, random.Random(seed)):
+    for i, j, x in refinement_sample(conditions, REFINEMENT_SAMPLES, random.Random(seed)):
         c = system.refine(conditions[i], conditions[j], x)
         checked += 1
         if not (system.lt(c, conditions[i], conditions[j]) and c.a >> x & 1):

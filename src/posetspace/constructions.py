@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .poset_core import FinitePoset, PosetError, _bits, check_element_id
+from .poset_core import FinitePoset, PosetError, _bits, _union, check_element_id
 from .filters import ChainFilter, Filter
 from .topology import PosetSpace, verify_correspondence, verify_restriction
 
@@ -92,16 +92,16 @@ class FiniteTopSpace:
         self.up = tuple(up)
 
     @classmethod
-    def discrete(cls, points, name="discrete"):
+    def discrete(cls, points):
         points = tuple(points)
         basis = [1 << i for i in range(len(points))]
         if len(points) > 1:
             basis.append((1 << len(points)) - 1)
-        return cls(points, basis, name)
+        return cls(points, basis, "discrete")
 
     @classmethod
-    def sierpinski(cls, open_point="x", closed_point="y"):
-        return cls((open_point, closed_point), [0b01, 0b11], "sierpinski")
+    def sierpinski(cls):
+        return cls(("x", "y"), [0b01, 0b11], "sierpinski")
 
     def __len__(self):
         return len(self.points)
@@ -285,14 +285,6 @@ class GdeltaMfResult(NamedTuple):
     stage_space: PosetSpace  # MF(Q)
     ok: bool
     failure: str = ""
-
-
-def _union(table, mask):
-    """The union of table[i] over the set bits i of ``mask``."""
-    out = 0
-    for i in _bits(mask):
-        out |= table[i]
-    return out
 
 
 def _intersection(space: PosetSpace, opens):

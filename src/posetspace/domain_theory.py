@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .poset_core import FinitePoset, _bits
+from .poset_core import FinitePoset, _bits, _union
 from .topology import PosetSpace
 
 
@@ -129,7 +129,7 @@ def scott_max_homeomorphism_check(poset: FinitePoset) -> ScottReport:
     scott = [down & max_mask for down in poset.down_masks]
     # one filter per element, in element order: point g is completion element g
     bit = [1 << g for g in space.generators]
-    mf = [sum([bit[i] for i in _bits(o)]) for o in space.opens]
+    mf = [_union(bit, o) for o in space.opens]
     scott_family = frozenset(scott)
     mf_family = frozenset(mf)
 

@@ -41,7 +41,7 @@ class GameSetupError(PosetError, ValueError):
 
 
 class SelectorFailed(PosetError):
-    def __init__(self, index, element, reason="selector returned an illegal element"):
+    def __init__(self, index, element, reason):
         super().__init__(f"dense-open selector {index} failed at {element!r}: {reason}")
         self.index = index
         self.element = element
@@ -79,8 +79,8 @@ class ChoquetTranscript:
 
     __slots__ = ("space", "rounds", "illegal")
 
-    def __init__(self, space: PosetSpace, rounds=None, illegal: IllegalMove | None = None):
-        self.space, self.rounds, self.illegal = space, [] if rounds is None else rounds, illegal
+    def __init__(self, space: PosetSpace, rounds: list, illegal: IllegalMove | None = None):
+        self.space, self.rounds, self.illegal = space, rounds, illegal
 
     @property
     def intersection(self) -> int:
@@ -103,9 +103,11 @@ class ChoquetTranscript:
         return "II" if self.intersection else "I"
 
     def log_lines(self):
-        lines, fmt, names = [], self.space.set_str, self.space.point_names
+        lines, fmt, names, last = [], self.space.set_str, self.space.point_names, None
         for t, r in enumerate(self.rounds):
-            lines.append(f"round {t}: I ({fmt(r.open_i)}, {names[r.point]}) | II {fmt(r.open_ii)}")
+            if r is not last:  # a repeated round is the same record, formatted once
+                last, text = r, f"I ({fmt(r.open_i)}, {names[r.point]}) | II {fmt(r.open_ii)}"
+            lines.append(f"round {t}: {text}")
         if self.illegal is not None:
             lines.append(f"illegal: {self.illegal}")
         lines.append(f"winner-at-horizon: {self.winner_at_horizon}")

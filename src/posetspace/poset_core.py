@@ -81,6 +81,14 @@ def _bits(mask):
     return out
 
 
+def _union(table, mask):
+    """The union of table[i] over the set bits i of ``mask``; a negative mask raises as in _bits."""
+    out = 0
+    for i in _bits(mask):
+        out |= table[i]
+    return out
+
+
 class FinitePoset:
     """An explicit finite partial order.
 

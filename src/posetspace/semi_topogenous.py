@@ -3,17 +3,16 @@
 from __future__ import annotations
 
 import functools
-import operator
 from typing import NamedTuple
 
-from .poset_core import FinitePoset, PosetError, _bits
+from .poset_core import FinitePoset, PosetError, _bits, _union
 from .constructions import FiniteTopSpace, _set_key, open_poset
 from .topology import PosetSpace, verify_correspondence
 
 
 class HypothesisFailed(PosetError):
-    def __init__(self, hypothesis, detail=""):
-        super().__init__(f"hypothesis failed: {hypothesis}" + (f" ({detail})" if detail else ""))
+    def __init__(self, hypothesis, detail):
+        super().__init__(f"hypothesis failed: {hypothesis} ({detail})")
         self.hypothesis = hypothesis
 
 
@@ -40,39 +39,36 @@ def _subsets(n: int) -> tuple:
             tuple(sorted(range(size), key=lambda u: tuple(_bits(u)))))
 
 
-def _reach(rows, families) -> list:
-    """Per family of subsets, a mask with bit v for the subset v, the union of its members' rows."""
-    return [functools.reduce(operator.or_, map(rows.__getitem__, _bits(f)), 0) for f in families]
-
-
 class SubsetOrder(NamedTuple):
     """A relation on the subsets of a finite space of at most four points.
 
-    ``rel`` holds the related pairs (v, w) of point masks, as reports count
-    and print them.  The checks read ``rows()`` instead: one mask per
-    subset v, with bit w set when v is related to w.
+    ``rows`` holds one mask per subset v, with bit w set when v is related
+    to w; ``rel`` reads off the related pairs (v, w) of point masks.  The
+    constructor trusts its arguments, as ``FinitePoset``'s does;
+    ``from_pairs`` validates: it refuses a pair that is not a pair of subsets.
     """
 
     space: FiniteTopSpace
-    rel: frozenset  # pairs (v, w) of point masks
+    rows: tuple  # per subset v, the mask of the subsets w that v is related to
 
     @classmethod
-    def from_rows(cls, space, rows):
-        return cls(space, frozenset((v, w) for v, row in enumerate(rows) for w in _bits(row)))
-
-    def rows(self) -> list:
-        rows = [0] * len(_subsets(len(self.space))[0])  # a space over the cap is refused before the list
-        for v, w in self.rel:
+    def from_pairs(cls, space, pairs):
+        rows = [0] * len(_subsets(len(space))[0])  # a space over the cap is refused before the list
+        for v, w in pairs:
             if not (0 <= v < len(rows) and 0 <= w < len(rows)):
-                raise PosetError(f"related pair ({v}, {w}) is not a pair of sets of {self.space.name}")
+                raise PosetError(f"related pair ({v}, {w}) is not a pair of sets of {space.name}")
             rows[v] |= 1 << w
-        return rows
+        return cls(space, tuple(rows))
+
+    @property
+    def rel(self) -> frozenset:
+        return frozenset((v, w) for v, row in enumerate(self.rows) for w in _bits(row))
 
     def holds(self, v, w) -> bool:
-        return (v, w) in self.rel
+        return bool(self.rows[v] >> w & 1)
 
     def serialize(self):
-        rows, points, lex = self.rows(), self.space.points, _subsets(len(self.space))[2]
+        rows, points, lex = self.rows, self.space.points, _subsets(len(self.space))[2]
         name = {u: "{" + ",".join(points[i] for i in _bits(u)) + "}" for u in lex}
         return [f"rel {name[v]} {name[w]}" for v in lex for w in lex if rows[v] >> w & 1]
 
@@ -91,7 +87,7 @@ def check_axioms_and_generation(order: SubsetOrder) -> AxiomReport:
     pairs are walked in sorted order and the subsets by size and then
     contents, so each violation names the same witness on every run.
     """
-    space, rows = order.space, order.rows()
+    space, rows = order.space, order.rows
     dom, sup, _ = _subsets(len(space))
     fmt, whole = space.set_str, space.whole_mask
     violations = []
@@ -102,8 +98,7 @@ def check_axioms_and_generation(order: SubsetOrder) -> AxiomReport:
     for v, row in enumerate(rows):
         for w in _bits(row & ~sup[v]):
             violations.append(f"related pair is not nested: {fmt(v)} vs {fmt(w)}")
-    reach = _reach(rows, sup)  # what some superset of u is related to, u must be related to
-    u = next((u for u in dom if reach[u] & ~rows[u]), None)
+    u = next((u for u in dom if _union(rows, sup[u]) & ~rows[u]), None)  # what a superset of u relates to, u must too
     if u is not None:
         violations.append(f"shrinking the left side breaks the relation at {fmt(u)}")
     grown = next((sup[w] & ~row for row in rows for w in _bits(row) if sup[w] & ~row), 0)  # first pair's misses
@@ -127,7 +122,7 @@ def interval_order(space: FiniteTopSpace) -> SubsetOrder:
     """
     inner = [space.interior(w) for w in range(len(_subsets(len(space))[1]))]  # per subset, its interior
     rows = [sum(1 << w for w, i in enumerate(inner) if not v & ~i) for v in range(len(inner))]
-    return SubsetOrder.from_rows(space, rows)
+    return SubsetOrder(space, tuple(rows))
 
 
 class CompletenessReport(NamedTuple):
@@ -147,8 +142,7 @@ def completeness_check(space: FiniteTopSpace, order: SubsetOrder) -> Completenes
     order on a finite space is complete.
     """
     sup = _subsets(len(space))[1]
-    reach = _reach(order.rows(), sup)
-    return CompletenessReport(True, sum(not sup[core] & ~reach[core] for core in range(1, len(sup))))
+    return CompletenessReport(True, sum(not sup[core] & ~_union(order.rows, sup[core]) for core in range(1, len(sup))))
 
 
 class MfFromOrderResult(NamedTuple):
@@ -181,7 +175,7 @@ def mf_poset_from_order(space: FiniteTopSpace, order: SubsetOrder) -> MfFromOrde
     if not report.generates:
         raise HypothesisFailed("generation", "the order does not generate the topology")
 
-    rows = order.rows()
+    rows = order.rows
     opens, poset, mf_space, pairs = open_poset(space, lambda v, w: rows[v] >> w & 1, "order")
     point_filters = {x: sum(1 << e for e, o in enumerate(opens) if rows[1 << x] >> o & 1)
                      for x in range(len(space))}
@@ -194,7 +188,8 @@ def mf_poset_from_order(space: FiniteTopSpace, order: SubsetOrder) -> MfFromOrde
     )
 
     # each maximal filter's family of opens meets the order: each is in the row of one of them
-    families = [sum(1 << opens[e] for e in _bits(poset.up_mask(g))) for g in mf_space.generators]
+    open_bits = [1 << o for o in opens]
+    families = [_union(open_bits, poset.up_mask(g)) for g in mf_space.generators]
 
     return MfFromOrderResult(
         poset=poset,
@@ -203,7 +198,7 @@ def mf_poset_from_order(space: FiniteTopSpace, order: SubsetOrder) -> MfFromOrde
         axioms=report,
         bijective=check.bijective,
         membership_equivalence=check.ok,
-        maximal_filters_meet=all(not f & ~r for f, r in zip(families, _reach(rows, families))),
+        maximal_filters_meet=all(not f & ~_union(rows, f) for f in families),
         space=mf_space,
         failure=check.failure,
     )
@@ -265,7 +260,7 @@ def order_from_poset(poset: FinitePoset) -> OrderFromPosetResult:
             if not v & ~lower:
                 row |= sup[upper]
         rows.append(row & sup[v])
-    order = SubsetOrder.from_rows(space, rows)
+    order = SubsetOrder(space, tuple(rows))
     axioms = check_axioms_and_generation(order)
     completeness = completeness_check(space, order)
     return OrderFromPosetResult(

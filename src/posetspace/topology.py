@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from .poset_core import _BYTE_BITS, FinitePoset, PosetError, UnknownChoice, _bits
+from .poset_core import _BYTE_BITS, FinitePoset, PosetError, UnknownChoice, _bits, _union
 from .filters import Filter
 
 
@@ -154,7 +154,7 @@ def verify_restriction(space: PosetSpace, sub_space: PosetSpace, at, points):
     """
     bits = [1 << i for i in at]
     r_mask, sub, up = sum(bits), sub_space.poset, space.poset.up_masks
-    point_of = {sum([bits[k] for k in _bits(sub.up_mask(g))]): j for j, g in enumerate(sub_space.generators)}
+    point_of = {_union(bits, sub.up_mask(g)): j for j, g in enumerate(sub_space.generators)}
     mapping = {x: point_of.get(up[space.generators[x]] & r_mask) for x in points}
     check = verify_correspondence(
         points,
@@ -195,7 +195,7 @@ def _check_seed_is_basis(space: PosetSpace, seed) -> None:
 class ReduceResult(NamedTuple):
     subposet: FinitePoset
     stages: int
-    check: Correspondence  # of the restriction map, from restriction_homeomorphism_check
+    check: Correspondence  # of the restriction map, as restriction_homeomorphism_check finds it
     # MF(P) point index -> the MF(subposet) point index of its restriction; None
     # where the restriction is no such point, which the saturation rules out
     mapping: dict
@@ -210,10 +210,10 @@ def reduce_countable_subposet(poset: FinitePoset, seed_basis) -> ReduceResult:
     chosen greedily in element order, so the result is deterministic.
     For a finite poset the stages stabilize.
 
-    The restriction map F -> F intersect R and its check come from
-    restriction_homeomorphism_check; the saturation makes it a bijection
-    onto the maximal filters of the subposet.  Runtime is exponential in
-    the size of the saturated set, which is fine at desk scale.
+    The restriction map F -> F intersect R is checked on the MF space
+    built here, as restriction_homeomorphism_check checks it; the
+    saturation makes it a bijection onto MF(R).  Runtime is exponential
+    in the size of the saturated set, which is fine at desk scale.
     """
     space = PosetSpace(poset, "mf")
     seed = sorted({poset.index(q) for q in seed_basis})  # element indices, in element order
@@ -245,8 +245,9 @@ def reduce_countable_subposet(poset: FinitePoset, seed_basis) -> ReduceResult:
         if not added:
             break
 
+    current.sort()  # element order, which the subposet keeps
     sub = poset.restrict(sum(1 << i for i in current), name=f"{poset.name}|reduced")
-    return ReduceResult(sub, stages, *restriction_homeomorphism_check(poset, sub))
+    return ReduceResult(sub, stages, *verify_restriction(space, PosetSpace(sub, "mf"), current, range(len(space))))
 
 
 def restriction_homeomorphism_check(poset: FinitePoset, r_poset: FinitePoset):

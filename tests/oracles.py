@@ -185,6 +185,16 @@ def transitive_close(masks) -> list:
     return masks
 
 
+def random_poset_at(rng, n: int, edge_prob: float) -> FinitePoset:
+    """``catalog.random_poset``'s draw at any edge probability, with its rng calls in its order.
+
+    Up to 8 elements it is named as ``random_poset`` names them; past that, e0, e1, ...
+    """
+    masks = [1 << i | sum(1 << j for j in range(i + 1, n) if rng.random() < edge_prob) for i in range(n)]
+    names = "abcdefgh"[:n] if n <= 8 else [f"e{i}" for i in range(n)]
+    return FinitePoset(tuple(names), transitive_close(masks), "random")
+
+
 def validate_order(elements, pairs, name="poset") -> FinitePoset:
     """The reflexive-transitive closure of ``pairs`` on distinct ``elements``.
 

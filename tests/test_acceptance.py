@@ -16,7 +16,7 @@ from posetspace.catalog import (
     random_dense_sets,
     random_poset,
 )
-from posetspace.choquet_mf import mf_characterization_check
+from posetspace.choquet_mf import condition_lt, mf_characterization_check, refine_conditions, refinement_sample
 from posetspace.constructions import (
     FiniteTopSpace,
     gdelta_mf_poset,
@@ -226,11 +226,15 @@ def test_criterion_6_strong_choquet():
 def test_criterion_7_condition_poset():
     for n in (1, 2, 3):
         space = FiniteTopSpace.discrete([f"x{i}" for i in range(n)])
-        report = mf_characterization_check(space, depth=2, refinement_samples=60, seed=5)
+        report = mf_characterization_check(space, depth=2, seed=5)
         assert report.bijection, (n, report.failure)
         assert not report.depth_too_small, n
         assert report.refinements_ok, n
         assert report.refinements_checked > 0, n
+        conditions = report.conditions  # 60 sampled refinements besides the check's own
+        for i, j, x in refinement_sample(conditions, 60, random.Random(5)):
+            c = refine_conditions(conditions[i], conditions[j], x)
+            assert condition_lt(c, conditions[i]) and condition_lt(c, conditions[j]) and c.a >> x & 1, (n, i, j)
     _passed(7, "condition-poset point maps are bijections for discrete 1-3 point spaces at depth 2, "
                "with every sampled refinement below both inputs")
 

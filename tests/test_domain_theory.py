@@ -3,7 +3,7 @@ import random
 import oracles
 from oracles import domain_mismatches, library_answers
 
-from posetspace.catalog import posets_up_to, random_poset
+from posetspace.catalog import posets_up_to
 from posetspace.domain_theory import (
     _generate_same_topology,
     dcpo_classify,
@@ -136,18 +136,12 @@ def _completion_fields(c) -> tuple:
 
 
 def _small_and_random_posets():
-    # random_poset names at most 8 elements; past that, the same random DAG closed by the oracle
     rng = random.Random(24)
     yield from posets_up_to(5, include_empty=True)
     for n in range(6, 13):
         for edge_prob in (0.1, 0.25, 0.4, 0.6):
             for _ in range(3):
-                if n <= 8:
-                    yield random_poset(rng, n, edge_prob)
-                    continue
-                masks = [1 << i | sum(1 << j for j in range(i + 1, n) if rng.random() < edge_prob)
-                         for i in range(n)]
-                yield FinitePoset(tuple(f"e{i}" for i in range(n)), oracles.transitive_close(masks), "random")
+                yield oracles.random_poset_at(rng, n, edge_prob)
 
 
 def test_completion_and_scott_check_match_the_first_written_references():

@@ -801,7 +801,7 @@ def _ii_empty(transcript):
 # failure that no real input reaches is forced by patching the library call's result
 FAILING_REPORTS = {
     "space-file": (["space", "{sierp}"], None, None, None, "point map is not surjective"),
-    "space-reduce": (["space", "{v}", "--check", "reduce"], cli.topology, "restriction_homeomorphism_check",
+    "space-reduce": (["space", "{v}", "--check", "reduce"], cli.topology, "verify_restriction",
                      _forced_check(ok=False, failure="forced", witness="c"), "forced (c)"),
     "space-subspace": (["space", "{v}", "--mode", "uf", "--check", "subspace", "--open", "a"],
                        cli.constructions, "open_subspace_uf", _forced(ok=False, failure="forced"), "forced"),

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 import time
 
@@ -20,6 +22,7 @@ from posetspace.poset_core import (
     UnknownElement,
     UnknownElementInPair,
     _bits,
+    _union,
     incompatible,
     poset_to_strict,
     strict_to_poset,
@@ -77,6 +80,19 @@ def test_bits_refuses_a_negative_mask_at_the_call(mask):
     with pytest.raises(PosetError) as err:
         _bits(mask)  # the call itself raises, with nothing iterated
     assert (type(err.value), str(err.value)) == (PosetError, f"negative mask {mask}")
+
+
+def test_union_is_the_or_over_the_set_bits():
+    rng = random.Random(32)
+    table = [rng.getrandbits(300) for _ in range(300)]
+    masks = [0, 1, 255, 256, 257, (1 << 300) - 1] + [rng.getrandbits(width) for width in range(1, 301)]
+    assert {m < 256 for m in masks} == {True, False}
+    for m in masks:
+        assert _union(table, m) == functools.reduce(operator.or_, [table[i] for i in _bits(m)], 0), m
+    for mask in (-1, -256, -(1 << 200)):
+        with pytest.raises(PosetError) as err:
+            _union(table, mask)
+        assert str(err.value) == f"negative mask {mask}"
 
 
 def test_cycle_through_closure_is_caught():
@@ -324,6 +340,15 @@ def test_generators_refuse_sizes_they_cannot_name():
             random_poset(random.Random(0), n)
     assert labeled_posets(3)[0].elements == ("a", "b", "c")
     assert random_poset(random.Random(0), 8).elements == tuple("abcdefgh")
+
+
+def test_random_poset_is_the_reference_draw_at_edge_probability_0_4():
+    for seed in range(20):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for n in range(9):
+            p = random_poset(rng, n)
+            assert p == oracles.random_poset_at(ref, n, 0.4) and p.name == "random", (seed, n)
+        assert rng.random() == ref.random()
 
 
 def test_repr_and_equality_against_another_type(vee):

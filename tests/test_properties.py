@@ -72,7 +72,7 @@ def assert_down_masks_transpose(p):
 @given(st.integers(min_value=0, max_value=2**32), st.integers(0, 8), st.floats(0.0, 1.0))
 def test_supplied_down_masks_are_the_transpose(seed, n, edge_prob):
     rng = random.Random(seed)
-    p = random_poset(rng, n, edge_prob)
+    p = oracles.random_poset_at(rng, n, edge_prob)
     d = p.dual()
     assert_down_masks_transpose(d)
     assert all(d.leq_idx(i, j) == p.leq_idx(j, i) for i in range(n) for j in range(n))
@@ -102,14 +102,14 @@ def test_supplied_down_masks_are_the_transpose(seed, n, edge_prob):
 @fixed
 @given(st.integers(min_value=0, max_value=2**32), st.integers(0, 8), st.floats(0.0, 1.0))
 def test_poset_text_round_trips(seed, n, edge_prob):
-    p = random_poset(random.Random(seed), n, edge_prob)
+    p = oracles.random_poset_at(random.Random(seed), n, edge_prob)
     assert parse_poset_text(poset_to_text(p)) == p
 
 
 @fixed
 @given(st.integers(min_value=0, max_value=2**32), st.integers(0, 8), st.floats(0.0, 1.0))
 def test_closure_is_idempotent(seed, n, edge_prob):
-    p = random_poset(random.Random(seed), n, edge_prob)
+    p = oracles.random_poset_at(random.Random(seed), n, edge_prob)
     assert validate_poset(p.elements, p.pairs(), p.name) == p
     closed = [p.up_mask(i) for i in range(n)]
     assert _transitive_close(closed) == closed

@@ -165,6 +165,21 @@ def test_reduce_output_always_homeomorphic():
             assert restriction_homeomorphism_check(p, result.subposet) == (result.check, result.mapping)
 
 
+def test_reduce_check_is_the_restriction_check_on_every_poset_up_to_4():
+    # the reduce checks its restriction on the MF space it built; the public,
+    # name-based check builds both spaces anew and must agree on every valid seed
+    reduced = 0
+    for p in posets_up_to(4):
+        for r in range(1, 2 ** len(p)):
+            try:
+                result = reduce_countable_subposet(p, p.names_of(r))
+            except NotABasis:
+                continue
+            assert (result.check, result.mapping) == restriction_homeomorphism_check(p, result.subposet), p.pairs()
+            reduced += 1
+    assert reduced == 2025
+
+
 def test_reduce_mapping_restricts_each_filter():
     for p in posets_up_to(3):
         for r in range(1, 2 ** len(p)):
