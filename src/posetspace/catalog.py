@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 
-from .poset_core import FinitePoset, PosetError, _transitive_close
+from .poset_core import FinitePoset, PosetError, _bits, _transitive_close
 from .constructions import FiniteTopSpace
 
 _NAMES = "abcdefgh"
@@ -128,10 +128,9 @@ def random_dense_sets(rng, poset: FinitePoset, count: int):
     """Seeded dense element sets: random subsets patched below uncovered elements."""
     out = []
     for _ in range(count):
-        dense = {e for e in poset.elements if rng.random() < 0.4}
-        for p in poset.elements:
-            if not any(poset.leq(q, p) for q in dense):
-                below = [q for q in poset.elements if poset.leq(q, p)]
-                dense.add(rng.choice(below))
-        out.append(frozenset(dense))
+        dense = sum(1 << i for i in range(len(poset)) if rng.random() < 0.4)
+        for down in poset.down_masks:
+            if not down & dense:
+                dense |= 1 << rng.choice(_bits(down))
+        out.append(frozenset(poset.names_of(dense)))
     return out

@@ -62,13 +62,13 @@ def filter_completion(poset: FinitePoset) -> CompletionResult:
     so its up masks are the poset's down masks and its down masks the up
     masks.  The maximal filters land on its maximal elements and the
     principal filters on its compact elements, which are the whole carrier.
+    So ``compact_matches_principal`` is constant True: the completion's
+    elements are the ids of the principal filters, one per element.
     """
     members, ids = _filter_ids(poset)
     dcpo = FinitePoset(ids, poset.down_masks, f"filters({poset.name})", poset.up_masks)
     maximal_table = {"{" + ", ".join(members[i]) + "}": ids[i] for i in poset.minimal_indices()}
-    compact_table = dict(zip(poset.elements, ids))
-    compact_matches = set(compact_table.values()) == set(dcpo.elements)
-    return CompletionResult(dcpo, maximal_table, compact_table, compact_matches)
+    return CompletionResult(dcpo, maximal_table, dict(zip(poset.elements, ids)), True)
 
 
 def _filter_ids(poset) -> tuple:

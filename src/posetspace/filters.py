@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .poset_core import FinitePoset, PosetError, UnknownChoice, _bits
+from .poset_core import FinitePoset, PosetError, UnknownChoice, _bits, _union
 
 
 class NotAFilter(PosetError):
@@ -79,10 +79,7 @@ def principal(poset: FinitePoset, element) -> Filter:
 
 def upward_closure(poset: FinitePoset, members) -> frozenset:
     """Smallest upward-closed superset of the given element set."""
-    m = 0
-    for name in members:
-        m |= poset.up_mask(poset.index(name))
-    return frozenset(poset.names_of(m))
+    return frozenset(poset.names_of(_union(poset.up_masks, poset.mask_of(members))))
 
 
 class FilterClassification(NamedTuple):

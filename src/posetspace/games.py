@@ -375,27 +375,30 @@ def element_set_selector(poset: FinitePoset, dense_elements):
     that lies strictly below the input (not necessarily a least one: the
     Baire game needs only some member below), else the input itself when
     it lies in the set; returns None when the set is not dense below the
-    input.
+    input.  A name the poset lacks, in the set or as the input, raises
+    UnknownElement.
     """
-    names = set(dense_elements)
-    dense = [e for e in poset.elements if e in names]
+    dense, down, elements = poset.mask_of(dense_elements), poset.down_masks, poset.elements
 
     def select(p):
-        for q in dense:
-            if poset.lt(q, p):
-                return q
-        if p in dense:
-            return p
-        return None
+        i = poset.index(p)
+        below = down[i] & dense & ~(1 << i)
+        if below:
+            return elements[_bits(below)[0]]
+        return p if dense >> i & 1 else None
 
     return select
 
 
 def is_dense_elements(poset: FinitePoset, dense_elements) -> bool:
-    dense = set(dense_elements)
-    return all(
-        any(poset.leq(q, p) for q in dense) for p in poset.elements
-    )
+    """True when every element lies above a member of the set.
+
+    On a finite poset that is exactly when the set holds every minimal
+    element: a minimal p has only itself below it, and every element lies
+    above a minimal one.  A name the poset lacks raises UnknownElement.
+    """
+    dense = poset.mask_of(dense_elements)
+    return all(dense >> i & 1 for i in poset.minimal_indices())
 
 
 def baire_generic_filter(poset, selectors, start, rounds: int) -> ChainFilter:

@@ -216,7 +216,7 @@ def reduce_countable_subposet(poset: FinitePoset, seed_basis) -> ReduceResult:
     in the size of the saturated set, which is fine at desk scale.
     """
     space = PosetSpace(poset, "mf")
-    seed = sorted({poset.index(q) for q in seed_basis})  # element indices, in element order
+    seed = list(_bits(poset.mask_of(seed_basis)))  # element indices, in element order
     _check_seed_is_basis(space, seed)
 
     opens = space.opens

@@ -91,6 +91,12 @@ condition check as first written: rule 3, the order table, ``lt`` and
 ``FinitePoset`` transposes the up masks.  The library sorts on the masks,
 reads rule 3 and the order off per-play tables and builds both mask
 directions at once.
+
+``is_dense_elements``, ``element_set_selector`` and ``random_dense_sets``
+are the dense-set helpers as first written, on element names with
+``leq`` and ``lt``: density by the definition, every element above some
+member.  The library reads element masks off ``down_masks`` and takes
+density as holding every minimal element.
 """
 
 import itertools
@@ -1403,3 +1409,41 @@ def mf_characterization_reference(space, depth, refinement_samples=40, seed=0) -
                "membership equivalence fails" if not equivalence else "")
     return CharacterizationReport(len(conditions), len(cond_space), phi, bijection, tuple(stuck),
                                   equivalence, checked, refinements_ok, poset, tuple(conditions), failure)
+
+
+# ---------------------------------------------------------------------------
+# dense sets on element names, as first written
+
+
+def element_set_selector(poset, dense_elements):
+    """The first member in element order strictly below the input, else the input when it is a
+    member, else None."""
+    names = set(dense_elements)
+    dense = [e for e in poset.elements if e in names]
+
+    def select(p):
+        for q in dense:
+            if poset.lt(q, p):
+                return q
+        if p in dense:
+            return p
+        return None
+
+    return select
+
+
+def is_dense_elements(poset, dense_elements) -> bool:
+    dense = set(dense_elements)
+    return all(any(poset.leq(q, p) for q in dense) for p in poset.elements)
+
+
+def random_dense_sets(rng, poset, count: int):
+    out = []
+    for _ in range(count):
+        dense = {e for e in poset.elements if rng.random() < 0.4}
+        for p in poset.elements:
+            if not any(poset.leq(q, p) for q in dense):
+                below = [q for q in poset.elements if poset.leq(q, p)]
+                dense.add(rng.choice(below))
+        out.append(frozenset(dense))
+    return out

@@ -1,10 +1,14 @@
 import dataclasses
+import os
 import random
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
 
 import oracles
+import posetspace
 from posetspace import games
 from posetspace.catalog import posets_up_to, random_dense_sets, random_poset
 from posetspace.games import (
@@ -640,6 +644,54 @@ def test_element_selector_scans_in_element_order():
     chain = validate_poset(["b", "a", "c"], [("a", "b"), ("b", "c")], "bac")
     select = element_set_selector(chain, ["a", "b"])
     assert [select(p) for p in ("c", "b", "a")] == ["b", "a", "a"]
+
+
+UNKNOWN_NAME_PROBE = """
+from posetspace.games import element_set_selector, is_dense_elements
+from posetspace.poset_core import UnknownElement, validate_poset
+vee = validate_poset(["a", "b", "c"], [("a", "c"), ("b", "c")], "V")
+calls = (lambda: is_dense_elements(vee, ["a", "b", "zz"]), lambda: element_set_selector(vee, ["a", "b", "zz"]),
+         lambda: element_set_selector(vee, ["a", "b"])("zz"))
+for call in calls:
+    try:
+        call()
+        print("accepted")
+    except UnknownElement:
+        print("refused")
+"""
+
+
+def test_unknown_names_refused_under_every_hash_seed():
+    # a scan over a set of names reaches the unknown one or not by the set's order,
+    # which string hashing decides: the refusal must not depend on it
+    src = os.path.dirname(os.path.dirname(posetspace.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for seed in range(8):
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(seed))
+        proc = subprocess.run([sys.executable, "-c", UNKNOWN_NAME_PROBE],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.stdout.split() == ["refused"] * 3, (seed, proc.stdout, proc.stderr)
+
+
+def test_dense_helpers_match_the_oracles():
+    # every subset of every poset with at most four elements: density, and the pick at each element
+    for p in posets_up_to(4, include_empty=True):
+        for m in range(1 << len(p)):
+            names = p.names_of(m)
+            assert is_dense_elements(p, names) == oracles.is_dense_elements(p, names), (p.pairs(), names)
+            select, reference = element_set_selector(p, names), oracles.element_set_selector(p, names)
+            assert [select(e) for e in p.elements] == [reference(e) for e in p.elements], (p.pairs(), names)
+
+
+def test_random_dense_sets_match_the_oracle():
+    # the same sets from the same draws: both generators leave the rng in the same state
+    for seed in range(2000):
+        gen = random.Random(seed)
+        p = random_poset(gen, gen.randint(1, 6))
+        count = gen.randint(1, 3)
+        rng, reference = random.Random(seed), random.Random(seed)
+        assert random_dense_sets(rng, p, count) == oracles.random_dense_sets(reference, p, count), seed
+        assert rng.getstate() == reference.getstate(), seed
 
 
 def test_baire_lands_in_every_open(vee):
