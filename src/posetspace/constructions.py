@@ -170,7 +170,7 @@ def _with_top(poset: FinitePoset):
 def _tensor(rows, radices):
     """Per choice of one mask from each row, in itertools.product order, its tensor product.
 
-    The tensor product of masks m[k], m[k] over ``range(radices[k])``, is
+    The tensor product of masks m[0], m[1], ... (m[k] over ``range(radices[k])``) is
     the set of digit tuples d with d[k] in m[k] for every k.  A tuple sits
     at the mixed-radix position sum d[k] * stride[k], the last digit
     fastest as in itertools.product.  So the tuples over the leading

@@ -92,27 +92,6 @@ class ScottReport(NamedTuple):
     mf_family: frozenset = frozenset()
 
 
-def _generate_same_topology(family, other) -> bool:
-    """True when each member of either family is the union of the other's members inside it.
-
-    That is exactly when the two families, closed under unions, coincide.
-    Members are bitmasks over one carrier.  Equal families settle it at once,
-    each member being one of the other's; the cover test runs only when they differ.
-    """
-
-    def covered(a, b):
-        for u in a:
-            union = 0
-            for v in b:
-                if v & ~u == 0:
-                    union |= v
-            if union != u:
-                return False
-        return True
-
-    return family == other or (covered(family, other) and covered(other, family))
-
-
 def scott_max_homeomorphism_check(poset: FinitePoset) -> ScottReport:
     """Compare the filter space with the Scott topology on maximal elements.
 
@@ -120,9 +99,11 @@ def scott_max_homeomorphism_check(poset: FinitePoset) -> ScottReport:
     elements of the completion.  The Scott side is read off the order
     dual, which the completion is: way above element q is its up-set, the
     down-set of q in the poset, cut to the minimal elements.  The MF side
-    is built apart, from the basic opens of ``PosetSpace``.  The table
-    pairs each poset element with the first completion id whose Scott
-    open cuts out the same maximal filters as the element's basic open.
+    is built apart, from the basic opens of ``PosetSpace``.  The families
+    are equal, which settles it: up(g) contains e exactly when the minimal
+    g lies below e, so both members for e are the minimal elements below
+    e.  The table pairs each poset element with the first completion id
+    whose Scott open cuts out the same maximal filters as its basic open.
     """
     space = PosetSpace(poset, "mf")
     max_mask = sum(1 << q for q in poset.minimal_indices())
@@ -130,10 +111,8 @@ def scott_max_homeomorphism_check(poset: FinitePoset) -> ScottReport:
     # one filter per element, in element order: point g is completion element g
     bit = [1 << g for g in space.generators]
     mf = [_union(bit, o) for o in space.opens]
-    scott_family = frozenset(scott)
-    mf_family = frozenset(mf)
-
-    ok = _generate_same_topology(scott_family, mf_family)
+    scott_family, mf_family = frozenset(scott), frozenset(mf)
+    ok = scott_family == mf_family
     table = ()
     if ok:
         first = {}  # the least id wins
@@ -141,7 +120,7 @@ def scott_max_homeomorphism_check(poset: FinitePoset) -> ScottReport:
             if s not in first or d < first[s]:
                 first[s] = d
         table = tuple((p, first.get(m)) for p, m in zip(poset.elements, mf))
-    detail = "" if ok else "the generated topologies on the maximal elements differ"
+    detail = "" if ok else "the Scott and MF families on the maximal elements differ"
     return ScottReport(ok, table, detail, scott_family, mf_family)
 
 

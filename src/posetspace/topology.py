@@ -18,6 +18,10 @@ class NotABasis(PosetError):
         self.point = point
 
 
+class NotAPoint(PosetError, KeyError):
+    __str__ = Exception.__str__  # the message as given: a KeyError shows the repr of its message
+
+
 class PosetSpace:
     """The space of maximal (mode "mf") or unbounded (mode "uf") filters.
 
@@ -86,7 +90,8 @@ class PosetSpace:
 
     def point_index(self, filt: Filter) -> int:
         if filt.poset != self.poset or filt.generator not in self.generators:
-            raise KeyError(f"{filt} is not a point of {self!r}")
+            shown = filt if filt.generator in range(len(filt.poset)) else f"up(element index {filt.generator})"
+            raise NotAPoint(f"{shown} is not a point of {self!r}")
         return self.generators.index(filt.generator)
 
     def set_str(self, s: int) -> str:
@@ -184,11 +189,11 @@ def separation_check(space: PosetSpace) -> SeparationReport:
     return SeparationReport(t0=True, t1=True, uf_equals_mf=True)
 
 
-def _check_seed_is_basis(space: PosetSpace, seed) -> None:
+def _check_seed_is_basis(space: PosetSpace, seed: int) -> None:
     opens = space.opens
     for p, np in enumerate(opens):
         for i in _bits(np):
-            if not any(opens[q] >> i & 1 and not opens[q] & ~np for q in seed):
+            if not any(opens[q] >> i & 1 and not opens[q] & ~np for q in _bits(seed)):
                 raise NotABasis(space.poset.elements[p], space.point_names[i])
 
 
@@ -208,29 +213,29 @@ def reduce_countable_subposet(poset: FinitePoset, seed_basis) -> ReduceResult:
     the current set that lies in some maximal filter, enough common lower
     bounds of D to cover the basic-open intersection of D.  The cover is
     chosen greedily in element order, so the result is deterministic.
-    For a finite poset the stages stabilize.
+    For a finite poset the stages stabilize.  As up(g) lies in the basic
+    open of e exactly when g <= e, D's intersection and cover depend only
+    on D's common lower bounds: a stage visits each distinct lower-bound
+    mask once (a crown of m tops over m bottoms has 2^m), not each subset.
 
     The restriction map F -> F intersect R is checked on the MF space
     built here, as restriction_homeomorphism_check checks it; the
-    saturation makes it a bijection onto MF(R).  Runtime is exponential
-    in the size of the saturated set, which is fine at desk scale.
+    saturation makes it a bijection onto MF(R).
     """
     space = PosetSpace(poset, "mf")
-    seed = list(_bits(poset.mask_of(seed_basis)))  # element indices, in element order
-    _check_seed_is_basis(space, seed)
+    current = poset.mask_of(seed_basis)  # element mask
+    _check_seed_is_basis(space, current)
 
-    opens = space.opens
-    current = list(seed)  # element indices
+    opens, down, everything = space.opens, poset.down_masks, (1 << len(poset)) - 1
     stages = 0
     while True:
-        added = []
-        # per subset D of the current set: the intersection of its basic opens, its common lower bounds
-        meets = [(space.whole_mask, (1 << len(poset)) - 1)]
-        for q in current:
-            meets += [(target & opens[q], lower & poset.down_mask(q)) for target, lower in meets]
-        for target, lower in meets[1:]:
-            if not target:
-                continue
+        # common lower bounds of a nonempty subset D of the current set -> the intersection of its basic opens
+        meets = {}
+        for q in _bits(current):
+            for lower, target in [*meets.items(), (everything, space.whole_mask)]:
+                meets[lower & down[q]] = target & opens[q]
+        added = 0
+        for lower, target in meets.items():
             covered = 0
             for e in _bits(lower):
                 if not target & ~covered:
@@ -238,16 +243,15 @@ def reduce_countable_subposet(poset: FinitePoset, seed_basis) -> ReduceResult:
                 gain = opens[e] & target
                 if gain & ~covered:
                     covered |= gain
-                    if e not in current and e not in added:
-                        added.append(e)
+                    added |= 1 << e
         stages += 1
-        current += added
-        if not added:
+        if not added & ~current:
             break
+        current |= added
 
-    current.sort()  # element order, which the subposet keeps
-    sub = poset.restrict(sum(1 << i for i in current), name=f"{poset.name}|reduced")
-    return ReduceResult(sub, stages, *verify_restriction(space, PosetSpace(sub, "mf"), current, range(len(space))))
+    sub = poset.restrict(current, name=f"{poset.name}|reduced")  # element order, which the subposet keeps
+    at = list(_bits(current))
+    return ReduceResult(sub, stages, *verify_restriction(space, PosetSpace(sub, "mf"), at, range(len(space))))
 
 
 def restriction_homeomorphism_check(poset: FinitePoset, r_poset: FinitePoset):

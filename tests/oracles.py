@@ -115,7 +115,7 @@ from posetspace.constructions import (
 from posetspace.filters import Filter, bounded, enumerate_filters, filter_generator
 from posetspace.games import ConditionViolated, IllegalMove
 from posetspace.poset_core import AntisymmetryViolation, FinitePoset, PosetError, _bits, incompatible
-from posetspace.topology import PosetSpace, verify_correspondence, verify_restriction
+from posetspace.topology import PosetSpace, ReduceResult, _check_seed_is_basis, verify_correspondence, verify_restriction
 
 
 def product_up_masks(factors) -> list:
@@ -694,6 +694,48 @@ def restriction_homeomorphism(poset, names):
         if frozenset().union(*(b for b in basic if b <= target)) != target:
             return False, "image of a basic open is not open", p
     return True, "", None
+
+
+def reduce_reference(poset, seed_basis) -> ReduceResult:
+    """``topology.reduce_countable_subposet`` by the first-written subset walk.
+
+    Each stage lists one (basic-open intersection, common lower bounds)
+    pair for every subset D of the current set, 2^|R| pairs, and covers
+    each nonempty intersection greedily in element order.
+    """
+    space, seed_mask = PosetSpace(poset, "mf"), poset.mask_of(seed_basis)
+    seed = list(_bits(seed_mask))  # element indices, in element order
+    _check_seed_is_basis(space, seed_mask)
+
+    opens = space.opens
+    current = list(seed)  # element indices
+    stages = 0
+    while True:
+        added = []
+        # per subset D of the current set: the intersection of its basic opens, its common lower bounds
+        meets = [(space.whole_mask, (1 << len(poset)) - 1)]
+        for q in current:
+            meets += [(target & opens[q], lower & poset.down_mask(q)) for target, lower in meets]
+        for target, lower in meets[1:]:
+            if not target:
+                continue
+            covered = 0
+            for e in _bits(lower):
+                if not target & ~covered:
+                    break
+                gain = opens[e] & target
+                if gain & ~covered:
+                    covered |= gain
+                    if e not in current and e not in added:
+                        added.append(e)
+        stages += 1
+        current += added
+        if not added:
+            break
+
+    current.sort()  # element order, which the subposet keeps
+    sub = poset.restrict(sum(1 << i for i in current), name=f"{poset.name}|reduced")
+    return ReduceResult(sub, stages, *verify_restriction(space, PosetSpace(sub, "mf"), current, range(len(space))))
 
 
 def separation(space):

@@ -3,9 +3,9 @@ import random
 import oracles
 from oracles import domain_mismatches, library_answers
 
+from posetspace import domain_theory
 from posetspace.catalog import posets_up_to
 from posetspace.domain_theory import (
-    _generate_same_topology,
     dcpo_classify,
     filter_completion,
     ideal_completion,
@@ -14,6 +14,7 @@ from posetspace.domain_theory import (
 )
 from posetspace.filters import enumerate_filters
 from posetspace.poset_core import FinitePoset
+from posetspace.topology import PosetSpace
 
 
 def maximal(poset):
@@ -174,29 +175,20 @@ def test_filters_of_a_name_with_a_comma_get_distinct_ids():
     assert filter_completion(q).dcpo.elements == ('{"\'a","b\'"}', '{"b\'"}', '{"\'a,b\'"}')
 
 
-def test_same_topology_check_matches_union_closure():
-    # every pair of families over two points, plus seeded random ones over four
-    families = [frozenset(m for m in range(4) if code >> m & 1) for code in range(16)]
-    pairs = [(a, b) for a in families for b in families]
-    rng = random.Random(8)
-    for _ in range(2000):
-        pairs.append(tuple(
-            frozenset(rng.randrange(16) for _ in range(rng.randint(0, 4))) for _ in range(2)
-        ))
-    verdicts = {}
-    for a, b in pairs:
-        closures = [oracles.union_closure({frozenset(oracles.members(m)) for m in fam})
-                    for fam in (a, b)]
-        verdicts[a, b] = closures[0] == closures[1]
-    assert set(verdicts.values()) == {True, False}
+def test_scott_check_fails_when_the_mf_family_changes(monkeypatch, vee):
+    # drop point b from the basic open of c: both families still generate the discrete
+    # topology on the two maximal filters, but they differ as sets, and the check must see it
+    class DropBFromC(PosetSpace):
+        def __init__(self, poset, mode):
+            super().__init__(poset, mode)
+            c, b = poset.index("c"), self.generators.index(poset.index("b"))
+            self.opens = self.opens[:c] + (self.opens[c] & ~(1 << b),) + self.opens[c + 1:]
 
-    def wrong(check):
-        return [pair for pair, verdict in verdicts.items() if check(*pair) != verdict]
-
-    assert wrong(_generate_same_topology) == []
-    # the library settles equal families first: a mutant that stops there, without
-    # the cover test for distinct families, must fail on these pairs
-    assert wrong(lambda family, other: family == other)
+    assert scott_max_homeomorphism_check(vee).ok
+    monkeypatch.setattr(domain_theory, "PosetSpace", DropBFromC)
+    report = scott_max_homeomorphism_check(vee)
+    assert report.mf_family == {0b001, 0b010} and report.scott_family == {0b001, 0b010, 0b011}
+    assert report[:3] == (False, (), "the Scott and MF families on the maximal elements differ")
 
 
 def test_oracle_comparison_catches_every_single_perturbation():

@@ -1,4 +1,6 @@
 import collections
+import random
+import tracemalloc
 
 import pytest
 
@@ -14,6 +16,7 @@ from posetspace.constructions import (
 from posetspace.filters import Filter
 from posetspace.topology import (
     NotABasis,
+    NotAPoint,
     PosetSpace,
     reduce_countable_subposet,
     restriction_homeomorphism_check,
@@ -126,6 +129,15 @@ def test_point_index_refuses_a_filter_that_is_no_point(vee, chain2):
     assert err.value.args[0] == f"{{x, y}} is not a point of {space!r}"
 
 
+def test_point_index_refuses_a_generator_past_the_poset(vee):
+    # str(Filter(vee, 99)) fails on the missing element, so the message names the index
+    space = PosetSpace(vee, "mf")
+    with pytest.raises(NotAPoint) as err:
+        space.point_index(Filter(vee, 99))
+    assert isinstance(err.value, PosetError) and isinstance(err.value, KeyError)
+    assert str(err.value) == f"up(element index 99) is not a point of {space!r}"
+
+
 def test_reduce_vee(vee):
     result = reduce_countable_subposet(vee, ["a", "b"])
     assert set(result.subposet.elements) >= {"a", "b"}
@@ -192,6 +204,48 @@ def test_reduce_mapping_restricts_each_filter():
             assert list(result.mapping) == list(range(len(space)))
             for i, j in result.mapping.items():
                 assert sub_space.points[j].members == space.points[i].members & set(result.subposet.elements), (p.name, seed)
+
+
+def _reduce_outcome(reduce, poset, seed):
+    """Every field of the result, the subposet by name, elements and order; or the refusal's."""
+    try:
+        r = reduce(poset, seed)
+    except NotABasis as exc:
+        return "refused", exc.element, exc.point, str(exc)
+    return r.subposet.name, r.subposet.elements, r.subposet.up_masks, r.stages, r.check, r.mapping
+
+
+def test_reduce_matches_the_subset_walk_reference():
+    # every poset up to 4 with every seed, every poset up to 5 with its full seed, and
+    # 500 random posets up to 8 with their full seed and one random seed
+    cases = [(p, p.names_of(r)) for p in posets_up_to(4) for r in range(2 ** len(p))]
+    cases += [(p, p.elements) for p in posets_up_to(5)]
+    rng = random.Random(34)
+    for _ in range(500):
+        p = oracles.random_poset_at(rng, rng.randint(1, 8), rng.random())
+        cases += [(p, p.elements), (p, p.names_of(rng.getrandbits(len(p))))]
+    refused = 0
+    for p, seed in cases:
+        got = _reduce_outcome(reduce_countable_subposet, p, seed)
+        assert got == _reduce_outcome(oracles.reduce_reference, p, seed), (p.pairs(), seed)
+        refused += got[0] == "refused"
+    assert 0 < refused < len(cases)
+
+
+def test_reduce_of_a_ring_of_20_peaks_under_1_mib():
+    # 10 bottoms under 10 tops, top i above bottoms i, i + 1 and i + 2 (mod 10), seeded with
+    # every element: a walk over the subsets of the seed holds 2^20 pairs (about 72 MiB)
+    k = 10
+    bottoms, tops = [f"b{i}" for i in range(k)], [f"t{i}" for i in range(k)]
+    ring = validate_poset(bottoms + tops, [(bottoms[(i + j) % k], tops[i]) for i in range(k) for j in range(3)], "ring")
+    tracemalloc.start()
+    try:
+        result = reduce_countable_subposet(ring, ring.elements)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.subposet == ring and result.stages == 1 and result.check.ok
+    assert peak < 2 ** 20, peak
 
 
 def test_restriction_check_counterexample(vee):
