@@ -249,13 +249,12 @@ def _cmd_baire(args):
     return rows, "" if miss is None else f"dense set {miss} misses the maximal filter"
 
 
-# every public module operation, grouped by the verb that drives it
+# every public module operation but restriction_homeomorphism_check, grouped by the verb that drives it
 OPERATION_COVERAGE = {
     "filters": ("validate_poset", "enumerate_filters", "classify_filter",
                 "extend_to_maximal", "upward_closure", "convert_strict_nonstrict"),
     "space": ("validate_poset", "basic_open", "separation_check",
-              "reduce_countable_subposet", "restriction_homeomorphism_check",
-              "open_subspace_uf", "precompact_open_poset"),
+              "reduce_countable_subposet", "open_subspace_uf", "precompact_open_poset"),
     "product": ("product_poset",),
     "gdelta": ("gdelta_mf_poset", "gdelta_uf_poset"),
     "formalballs": ("formal_ball_poset",),

@@ -65,11 +65,16 @@ class Filter(NamedTuple):
         return element in self.members
 
     def mask(self) -> int:
-        return self.poset.up_mask(self.generator)
+        return self.poset.up_mask(self._index())
 
     def minimum(self):
         """The least member."""
-        return self.poset.elements[self.generator]
+        return self.poset.elements[self._index()]
+
+    def _index(self) -> int:
+        if self.generator not in range(len(self.poset)):  # a negative one would index from the end
+            raise PosetError(f"filter generator {self.generator} is no element index of {self.poset.name}")
+        return self.generator
 
 
 def principal(poset: FinitePoset, element) -> Filter:

@@ -191,10 +191,10 @@ def separation_check(space: PosetSpace) -> SeparationReport:
 
 def _check_seed_is_basis(space: PosetSpace, seed: int) -> None:
     opens = space.opens
-    for p, np in enumerate(opens):
-        for i in _bits(np):
-            if not any(opens[q] >> i & 1 and not opens[q] & ~np for q in _bits(seed)):
-                raise NotABasis(space.poset.elements[p], space.point_names[i])
+    for p, np in enumerate(opens):  # the points of np that no seed open inside np holds
+        stray = np & ~functools.reduce(int.__or__, [opens[q] for q in _bits(seed) if not opens[q] & ~np], 0)
+        if stray:
+            raise NotABasis(space.poset.elements[p], space.point_names[_bits(stray)[0]])
 
 
 class ReduceResult(NamedTuple):
@@ -214,9 +214,10 @@ def reduce_countable_subposet(poset: FinitePoset, seed_basis) -> ReduceResult:
     bounds of D to cover the basic-open intersection of D.  The cover is
     chosen greedily in element order, so the result is deterministic.
     For a finite poset the stages stabilize.  As up(g) lies in the basic
-    open of e exactly when g <= e, D's intersection and cover depend only
-    on D's common lower bounds: a stage visits each distinct lower-bound
-    mask once (a crown of m tops over m bottoms has 2^m), not each subset.
+    open of e exactly when g <= e, each common lower bound e of D has its
+    basic open inside D's intersection, and the cover takes e exactly when
+    the lower bounds before e miss a point of it: easiest for the largest
+    D, the current elements above e.  So a stage tests each element once.
 
     The restriction map F -> F intersect R is checked on the MF space
     built here, as restriction_homeomorphism_check checks it; the
@@ -226,24 +227,13 @@ def reduce_countable_subposet(poset: FinitePoset, seed_basis) -> ReduceResult:
     current = poset.mask_of(seed_basis)  # element mask
     _check_seed_is_basis(space, current)
 
-    opens, down, everything = space.opens, poset.down_masks, (1 << len(poset)) - 1
-    stages = 0
+    opens, down, up, stages = space.opens, poset.down_masks, poset.up_masks, 0
     while True:
-        # common lower bounds of a nonempty subset D of the current set -> the intersection of its basic opens
-        meets = {}
-        for q in _bits(current):
-            for lower, target in [*meets.items(), (everything, space.whole_mask)]:
-                meets[lower & down[q]] = target & opens[q]
         added = 0
-        for lower, target in meets.items():
-            covered = 0
-            for e in _bits(lower):
-                if not target & ~covered:
-                    break
-                gain = opens[e] & target
-                if gain & ~covered:
-                    covered |= gain
-                    added |= 1 << e
+        for e in _bits(_union(down, current)):
+            lower = functools.reduce(int.__and__, [down[q] for q in _bits(up[e] & current)])
+            if opens[e] & ~_union(opens, lower & ((1 << e) - 1)):  # a point the lower bounds before e miss
+                added |= 1 << e
         stages += 1
         if not added & ~current:
             break

@@ -31,6 +31,13 @@ claims of ``gdelta_uf_poset`` and the opens of MF(P) element by element
 and filter by filter, where the library uses the finite-case theorems
 and masks.
 
+``reduce_reference`` saturates a reduce's seed by walking every subset
+of the current set, and ``reduce_lower_bound_reference`` with one entry
+per distinct common-lower-bound mask; both test the seed with
+``check_seed_is_basis``, point by point.  The library tests each element
+below the current set once, and each element's basic open by one mask.
+``crown`` builds the poset with 2^m lower-bound masks.
+
 ``FiniteTopSpace`` keeps one minimal open neighbourhood per point and
 reads its opens off the specialization preorder; ``basis_topology``
 closes a basis under unions and validates the opens pair by pair,
@@ -114,8 +121,8 @@ from posetspace.constructions import (
 )
 from posetspace.filters import Filter, bounded, enumerate_filters, filter_generator
 from posetspace.games import ConditionViolated, IllegalMove
-from posetspace.poset_core import AntisymmetryViolation, FinitePoset, PosetError, _bits, incompatible
-from posetspace.topology import PosetSpace, ReduceResult, _check_seed_is_basis, verify_correspondence, verify_restriction
+from posetspace.poset_core import AntisymmetryViolation, FinitePoset, PosetError, _bits, incompatible, validate_poset
+from posetspace.topology import NotABasis, PosetSpace, ReduceResult, verify_correspondence, verify_restriction
 
 
 def product_up_masks(factors) -> list:
@@ -696,6 +703,16 @@ def restriction_homeomorphism(poset, names):
     return True, "", None
 
 
+def check_seed_is_basis(space, seed: int) -> None:
+    """The reduce's basis test as first written: for each element p and each point i of
+    its basic open, some seed element q has i in its basic open, and that open inside p's."""
+    opens = space.opens
+    for p, np in enumerate(opens):
+        for i in _bits(np):
+            if not any(opens[q] >> i & 1 and not opens[q] & ~np for q in _bits(seed)):
+                raise NotABasis(space.poset.elements[p], space.point_names[i])
+
+
 def reduce_reference(poset, seed_basis) -> ReduceResult:
     """``topology.reduce_countable_subposet`` by the first-written subset walk.
 
@@ -705,7 +722,7 @@ def reduce_reference(poset, seed_basis) -> ReduceResult:
     """
     space, seed_mask = PosetSpace(poset, "mf"), poset.mask_of(seed_basis)
     seed = list(_bits(seed_mask))  # element indices, in element order
-    _check_seed_is_basis(space, seed_mask)
+    check_seed_is_basis(space, seed_mask)
 
     opens = space.opens
     current = list(seed)  # element indices
@@ -736,6 +753,55 @@ def reduce_reference(poset, seed_basis) -> ReduceResult:
     current.sort()  # element order, which the subposet keeps
     sub = poset.restrict(sum(1 << i for i in current), name=f"{poset.name}|reduced")
     return ReduceResult(sub, stages, *verify_restriction(space, PosetSpace(sub, "mf"), current, range(len(space))))
+
+
+def reduce_lower_bound_reference(poset, seed_basis) -> ReduceResult:
+    """``topology.reduce_countable_subposet`` with one entry per lower-bound mask.
+
+    Each stage keeps one entry per distinct common-lower-bound mask of a
+    nonempty subset D of the current set, with D's basic-open
+    intersection, and covers that intersection greedily in element order,
+    as the library did before it tested each element once.  A crown of m
+    tops over m bottoms has 2^m such masks.
+    """
+    space = PosetSpace(poset, "mf")
+    current = poset.mask_of(seed_basis)  # element mask
+    check_seed_is_basis(space, current)
+
+    opens, down, everything = space.opens, poset.down_masks, (1 << len(poset)) - 1
+    stages = 0
+    while True:
+        # common lower bounds of a nonempty subset D of the current set -> the intersection of its basic opens
+        meets = {}
+        for q in _bits(current):
+            for lower, target in [*meets.items(), (everything, space.whole_mask)]:
+                meets[lower & down[q]] = target & opens[q]
+        added = 0
+        for lower, target in meets.items():
+            covered = 0
+            for e in _bits(lower):
+                if not target & ~covered:
+                    break
+                gain = opens[e] & target
+                if gain & ~covered:
+                    covered |= gain
+                    added |= 1 << e
+        stages += 1
+        if not added & ~current:
+            break
+        current |= added
+
+    sub = poset.restrict(current, name=f"{poset.name}|reduced")
+    at = list(_bits(current))
+    return ReduceResult(sub, stages, *verify_restriction(space, PosetSpace(sub, "mf"), at, range(len(space))))
+
+
+def crown(m: int) -> FinitePoset:
+    """m tops over m bottoms, top i above every bottom but bottom i: 2^m common-lower-bound
+    masks among the subsets of the tops."""
+    bottoms, tops = [f"b{i}" for i in range(m)], [f"t{i}" for i in range(m)]
+    return validate_poset(bottoms + tops, [(b, t) for i, t in enumerate(tops) for j, b in enumerate(bottoms) if i != j],
+                          f"crown{m}")
 
 
 def separation(space):

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+import oracles
 import posetspace
 from posetspace import choquet_mf, cli
 from posetspace.choquet_mf import mf_characterization_check
@@ -381,6 +382,17 @@ def test_space_reduce_verifies_the_restriction_map_once(files, monkeypatch):
     assert len(calls) == 1
 
 
+def test_space_reduce_of_a_20_over_20_crown(tmp_path):
+    # 2^20 common-lower-bound masks among the subsets of the tops; a stage tests each element once
+    crown = oracles.crown(20)
+    path = tmp_path / "crown20.poset"
+    path.write_text(poset_to_text(crown))
+    code, out = run_cli(["space", str(path), "--check", "reduce"])
+    assert code == 0
+    assert out.splitlines() == ["space: mf(crown20)", "points: 20", f"reduced-elements: {', '.join(crown.elements)}",
+                                "stages: 1", "restriction-homeomorphism: true"]
+
+
 @pytest.mark.parametrize("flags, same_as", [
     (["--depth", str(10**9)], ["--depth", "6"]),  # refused: "grid too coarse", as at depth 6
     (["--budget", str(10**12)], ["--budget", "3"]),  # 2**3 is the whole 8-grid
@@ -606,7 +618,6 @@ def test_every_operation_reachable():
         "validate_poset", "incompatible", "convert_strict_nonstrict",
         "classify_filter", "enumerate_filters", "extend_to_maximal", "upward_closure",
         "basic_open", "separation_check", "reduce_countable_subposet",
-        "restriction_homeomorphism_check",
         "product_poset", "gdelta_mf_poset", "open_subspace_uf", "gdelta_uf_poset",
         "formal_ball_poset", "precompact_open_poset",
         "canonical_choquet_strategy", "choquet_referee", "star_game_solve",
@@ -622,6 +633,10 @@ def test_every_operation_reachable():
     for ops in cli.OPERATION_COVERAGE.values():
         covered |= set(ops)
     assert spec_operations <= covered
+    # the one library-only operation: the reduce checks its restriction on the MF space it built,
+    # and test_topology's test_reduce_check_is_the_restriction_check_on_every_poset_up_to_4
+    # drives restriction_homeomorphism_check against it
+    assert "restriction_homeomorphism_check" not in covered and hasattr(posetspace, "restriction_homeomorphism_check")
     parser = cli.build_parser()
     assert set(cli.OPERATION_COVERAGE) == set(parser._subparsers._group_actions[0].choices)
 

@@ -35,6 +35,16 @@ def test_vee_filters(vee):
     assert [str(f) for f in enumerate_filters(vee, "maximal")] == ["{a, c}", "{b, c}"]
 
 
+@pytest.mark.parametrize("generator", [99, 3, -1])
+def test_filter_refuses_a_generator_outside_the_poset(vee, generator):
+    # a negative generator must not index from the end of the element tuple
+    filt = Filter(vee, generator)
+    for read in (Filter.mask, Filter.minimum, str, lambda f: f.members):
+        with pytest.raises(PosetError) as err:
+            read(filt)
+        assert str(err.value) == f"filter generator {generator} is no element index of V"
+
+
 def test_classify_unknown_element(vee):
     with pytest.raises(UnknownElement):
         classify_filter(vee, {"zzz"})

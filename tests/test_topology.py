@@ -232,20 +232,45 @@ def test_reduce_matches_the_subset_walk_reference():
     assert 0 < refused < len(cases)
 
 
+def test_reduce_matches_the_lower_bound_mask_reference():
+    # 1,000 random posets up to 12 with their full seed and one random seed, and every crown
+    # up to 12 over 12 with its full seed, a random seed and its bottoms with random tops.
+    # The posets' elements are shuffled, so that a refused seed's first element may lie above
+    # a missed minimal one, and the refusal must name the first point of several
+    rng = random.Random(35)
+    cases = []
+    for _ in range(1000):
+        drawn = oracles.random_poset_at(rng, rng.randint(1, 12), rng.random())
+        p = validate_poset(rng.sample(drawn.elements, len(drawn)), drawn.pairs(), drawn.name)
+        cases += [(p, p.elements), (p, p.names_of(rng.getrandbits(len(p))))]
+    for m in range(1, 13):
+        c = oracles.crown(m)
+        cases += [(c, c.elements), (c, c.names_of(rng.getrandbits(2 * m))),
+                  (c, c.names_of((1 << m) - 1 | rng.getrandbits(m) << m))]
+    refused = 0
+    for p, seed in cases:
+        got = _reduce_outcome(reduce_countable_subposet, p, seed)
+        assert got == _reduce_outcome(oracles.reduce_lower_bound_reference, p, seed), (p.pairs(), seed)
+        refused += got[0] == "refused"
+    assert 0 < refused < len(cases)
+
+
 def test_reduce_of_a_ring_of_20_peaks_under_1_mib():
     # 10 bottoms under 10 tops, top i above bottoms i, i + 1 and i + 2 (mod 10), seeded with
-    # every element: a walk over the subsets of the seed holds 2^20 pairs (about 72 MiB)
+    # every element: a walk over the subsets of the seed holds 2^20 pairs (about 72 MiB).
+    # A crown of 16 over 16 has 2^16 common-lower-bound masks: a table of them peaks near 9 MiB
     k = 10
     bottoms, tops = [f"b{i}" for i in range(k)], [f"t{i}" for i in range(k)]
     ring = validate_poset(bottoms + tops, [(bottoms[(i + j) % k], tops[i]) for i in range(k) for j in range(3)], "ring")
-    tracemalloc.start()
-    try:
-        result = reduce_countable_subposet(ring, ring.elements)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert result.subposet == ring and result.stages == 1 and result.check.ok
-    assert peak < 2 ** 20, peak
+    for poset in (ring, oracles.crown(16)):
+        tracemalloc.start()
+        try:
+            result = reduce_countable_subposet(poset, poset.elements)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.subposet == poset and result.stages == 1 and result.check.ok, poset.name
+        assert peak < 2 ** 20, (poset.name, peak)
 
 
 def test_restriction_check_counterexample(vee):
