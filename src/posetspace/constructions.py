@@ -147,8 +147,8 @@ class ProductResult(NamedTuple):
     factors: tuple  # factor posets with a greatest element adjoined where needed
     adjoined_tops: tuple  # names of fresh tops, or None per factor
     coords: dict  # product element id -> tuple of factor element names
-    phi: dict  # tuple of factor point indices -> product point index
-    phi_inv: dict
+    phi: dict  # tuple of factor points -> product point, at the tuple's mixed-radix position
+    phi_inv: dict  # product point -> its tuple of factor points (None off a factor point)
     factor_spaces: tuple  # MF spaces of the input factors
     space: PosetSpace
     ok: bool
@@ -197,7 +197,11 @@ def product_poset(factors) -> ProductResult:
     points to product points, each the product of its factor filters) and
     its inverse (the coordinate projections) are built as tables and
     verified mutually inverse, with membership in a basic open of the
-    product matching coordinatewise membership in the factor opens.
+    product matching coordinatewise membership in the factor opens.  A
+    point is its generator's element index, so a tuple of factor points
+    goes to the tuple of their generators, at its mixed-radix position,
+    and a product point projects onto factor k as the up-set of its k-th
+    digit, or onto no point at an adjoined top.
     """
     factors = list(factors)
     if not factors:
@@ -216,43 +220,25 @@ def product_poset(factors) -> ProductResult:
     strides = list(itertools.accumulate(reversed(sizes[1:]), int.__mul__, initial=1))[::-1]  # last runs fastest
     # each tuple of factor points goes to the product of their filters, the
     # up-set of the tuple of their generators
-    tuples = [((), 0)]
+    phi = {(): 0}
     for sp, stride in zip(fspaces, strides):
-        tuples = [(c + (i,), a + g * stride) for c, a in tuples for i, g in enumerate(sp.generators)]
-    point_of = {g: i for i, g in enumerate(pspace.generators)}
-    combos = [c for c, _ in tuples]
-    images = [point_of.get(a) for _, a in tuples]
+        phi = {c + (g,): a + g * stride for c, a in phi.items() for g in sp.generators}
     # per product element, the tuples of factor points lying in the factor
-    # basic opens of its coordinates (an adjoined top lies in every point)
+    # basic opens of its coordinates (an adjoined top lies in every point),
+    # each tuple at its position
     src_opens = _tensor(
-        [sp.opens + (sp.whole_mask,) * (len(g) - len(f)) for f, g, sp in zip(factors, topped, fspaces)],
-        [len(sp) for sp in fspaces],
+        [sp.opens + (sp.whole_mask,) * (len(g) - len(f)) for f, g, sp in zip(factors, topped, fspaces)], sizes
     )
-    # project each point onto factor k: the coordinates j of its members, an adjoined top's left out;
-    # j's block of stride bits recurs every size * stride bits, and OR-folding keeps it nonzero if met.
-    # On the last factor a block is one bit, so the projection is the fold's low bits
-    axes = [({f.up_mask(g): i for i, g in enumerate(sp.generators)}, size * stride, stride, (1 << stride) - 1,
-             len(f), len(sp)) for f, sp, size, stride in zip(factors, fspaces, sizes, strides)]
-    phi_inv, inverse = {}, {}  # inverse: the position in combos of each point's tuple
-    for i, g in enumerate(pspace.generators):
-        point, at = [], 0
-        for fset, period, stride, block, count, radix in axes:
-            mask, folded = ups[g], 0
-            while mask:
-                folded |= mask
-                mask >>= period
-            j = fset.get(folded & (1 << count) - 1 if stride == 1 else
-                         sum([1 << k for k in range(count) if folded >> k * stride & block]))
-            point.append(j)
-            at = None if at is None or j is None else at * radix + j
-        phi_inv[i] = tuple(point)
-        inverse[i] = at
+    phi_inv = {}
+    for a in pspace.generators:
+        digits = [a // stride % size for stride, size in zip(strides, sizes)]
+        phi_inv[a] = tuple([d if sp.whole_mask >> d & 1 else None for d, sp in zip(digits, fspaces)])
     check = verify_correspondence(
-        range(len(combos)),
-        len(pspace),
-        dict(enumerate(images)),
+        phi.values(),
+        pspace.whole_mask,
+        {a: a for a in phi.values()},
         zip(names, src_opens, pspace.opens),
-        inverse=inverse,
+        inverse={a: phi.get(t) for a, t in phi_inv.items()},
     )
 
     return ProductResult(
@@ -260,7 +246,7 @@ def product_poset(factors) -> ProductResult:
         factors=topped,
         adjoined_tops=tops,
         coords=dict(zip(names, coords)),
-        phi=dict(zip(combos, images)),
+        phi=phi,
         phi_inv=phi_inv,
         factor_spaces=fspaces,
         space=pspace,
@@ -279,7 +265,7 @@ class GdeltaMfResult(NamedTuple):
     open_points: tuple  # the opens as point masks of MF(P)
     intersection: int  # their intersection, as a point mask
     carrier: tuple  # elements of P kept (those lying in a point of the intersection)
-    phi: dict  # MF(P)-in-intersection point index -> MF(Q) point index
+    phi: dict  # MF(P) point in the intersection -> MF(Q) point
     psi: dict
     space: PosetSpace  # MF(P)
     stage_space: PosetSpace  # MF(Q)
@@ -293,7 +279,7 @@ def _intersection(space: PosetSpace, opens):
     inter = space.whole_mask
     for u in open_masks:
         inter &= u
-    carrier_mask = _union([space.poset.up_mask(g) for g in space.generators], inter)
+    carrier_mask = _union(space.poset.up_masks, inter)
     return open_masks, inter, carrier_mask
 
 
@@ -344,14 +330,14 @@ def gdelta_mf_poset(poset: FinitePoset, opens) -> GdeltaMfResult:
 
     # a point up(g) of the intersection goes to the pairs of its members, a point
     # of MF(Q) back to the up-set in P of its pairs' elements
-    q_of = {masks[g]: j for j, g in enumerate(q_space.generators)}
-    phi = {i: q_of.get(above[space.generators[i]]) for i in inter_points}
-    inter_of = {up[space.generators[i]]: i for i in inter_points}
+    q_of = {masks[h]: h for h in q_space.generators}
+    phi = {g: q_of.get(above[g]) for g in inter_points}
+    inter_of = {up[g]: g for g in inter_points}
     ups_at = [up[p] for _, p in stages]
-    psi = {j: inter_of.get(_union(ups_at, masks[g])) for j, g in enumerate(q_space.generators)}
+    psi = {h: inter_of.get(_union(ups_at, masks[h])) for h in q_space.generators}
     check = verify_correspondence(
         inter_points,
-        len(q_space),
+        q_space.whole_mask,
         phi,
         [(f"stage element {sid}", space.opens[p], dst) for sid, (_, p), dst in zip(ids, stages, q_space.opens)],
         inverse=psi,
@@ -369,7 +355,7 @@ class OpenSubspaceResult(NamedTuple):
     subposet: FinitePoset
     space: PosetSpace
     sub_space: PosetSpace
-    mapping: dict  # UF(P)-point index inside U -> UF(R) point index
+    mapping: dict  # UF(P) point inside U -> UF(R) point
     ok: bool
     failure: str = ""
 
@@ -488,13 +474,13 @@ def refined_subposet_claims(space: PosetSpace, sub: FinitePoset, carrier_mask: i
     bit_in_p = [1 << p for p in _bits(carrier_mask)]  # per element of sub
     unbounded_of_sub = {_union(bit_in_p, sub.up_mask(g)) for g in minimal}  # as masks over P
 
-    bad = [Filter(poset, space.generators[i]) for i, j in mapping.items() if j is None]
+    bad = [Filter(poset, g) for g, h in mapping.items() if h is None]
     bad2 = [Filter(sub, a) for a, (m, d) in enumerate(zip(sub.up_masks, sub.down_masks))
             if not m & ~finite and d == 1 << a]
     bad3 = [Filter(poset, e) for e, (m, d) in enumerate(zip(poset.up_masks, poset.down_masks))
             if d != 1 << e and m in unbounded_of_sub]
     reached = set(mapping.values())
-    bad4 = [Filter(sub, g) for j, g in enumerate(minimal) if j not in reached]
+    bad4 = [Filter(sub, g) for g in minimal if g not in reached]
     return {c: [str(f) for f in fs] for c, fs in enumerate((bad, bad2, bad3, bad4), start=1)}
 
 
@@ -666,7 +652,7 @@ class PrecompactResult(NamedTuple):
     hausdorff: bool
     bijective: bool
     opens_correspond: bool
-    point_of: dict  # MF point index -> the single point its members share, where there is one
+    point_of: dict  # MF point -> the single point its members share, where there is one
     space: PosetSpace
     failure: str = ""
 
@@ -684,13 +670,13 @@ def precompact_open_poset(x: FiniteTopSpace) -> PrecompactResult:
     """
     opens, poset, space, pairs = open_poset(x, lambda u, v: not x.closure(u) & ~v, "opens")
     point_of = {}
-    for k, g in enumerate(space.generators):
+    for g in space.generators:
         inter = x.whole_mask
         for e in _bits(poset.up_mask(g)):
             inter &= opens[e]
         if inter.bit_count() == 1:
-            point_of[k] = inter.bit_length() - 1
-    check = verify_correspondence(range(len(space)), len(x), point_of, pairs)
+            point_of[g] = inter.bit_length() - 1
+    check = verify_correspondence(space.generators, x.whole_mask, point_of, pairs)
 
     return PrecompactResult(
         poset=poset,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .poset_core import FinitePoset, _bits, _union
+from .poset_core import FinitePoset, _bits
 from .topology import PosetSpace
 
 
@@ -99,18 +99,16 @@ def scott_max_homeomorphism_check(poset: FinitePoset) -> ScottReport:
     elements of the completion.  The Scott side is read off the order
     dual, which the completion is: way above element q is its up-set, the
     down-set of q in the poset, cut to the minimal elements.  The MF side
-    is built apart, from the basic opens of ``PosetSpace``.  The families
-    are equal, which settles it: up(g) contains e exactly when the minimal
-    g lies below e, so both members for e are the minimal elements below
-    e.  The table pairs each poset element with the first completion id
-    whose Scott open cuts out the same maximal filters as its basic open.
+    is built apart: the basic opens of ``PosetSpace``, whose point up(g)
+    is element bit g, and so completion element g.  The families are
+    equal, which settles it: up(g) contains e exactly when the minimal g
+    lies below e, so both members for e are the minimal elements below e.
+    The table pairs each poset element with the first completion id whose
+    Scott open cuts out the same maximal filters as its basic open.
     """
-    space = PosetSpace(poset, "mf")
+    mf = PosetSpace(poset, "mf").opens
     max_mask = sum(1 << q for q in poset.minimal_indices())
     scott = [down & max_mask for down in poset.down_masks]
-    # one filter per element, in element order: point g is completion element g
-    bit = [1 << g for g in space.generators]
-    mf = [_union(bit, o) for o in space.opens]
     scott_family, mf_family = frozenset(scott), frozenset(mf)
     ok = scott_family == mf_family
     table = ()

@@ -125,7 +125,6 @@ def canonical_choquet_strategy(space: PosetSpace) -> Strategy:
     out once per strategy and reused across rounds and games.
     """
     opens, up, down = space.opens, space.poset.up_masks, space.poset.down_masks
-    members = [up[g] for g in space.generators]
     # the answers worked out so far: previous witness -> I's move -> answer, each made on first use
     answers = defaultdict(dict)
 
@@ -136,7 +135,7 @@ def canonical_choquet_strategy(space: PosetSpace) -> Strategy:
             return answer
         u, x = position.pending
         # the members of point x, in element order, that refine the previous witness
-        eligible = members[x]
+        eligible = up[x]
         if position.witness is not None:
             eligible &= down[position.witness]
         for q in _bits(eligible):
@@ -198,12 +197,12 @@ class _Position:
 def choquet_referee(space: PosetSpace, strategy_i, strategy_ii, rounds: int) -> ChoquetTranscript:
     """Play the strong Choquet game for a bounded number of rounds.
 
-    Opens are int masks over point indices.  Player I moves ``(u, x)``
-    and player II answers ``(v, w)``, where w is the element index whose
-    basic open v is, or None.  Enforces every legality rule; an illegal
-    move aborts the run with the offender losing.  At the horizon the
-    nonemptiness of the intersection of II's opens decides the bounded
-    verdict.
+    Opens are point masks, bit g for the point up(g).  Player I moves
+    ``(u, x)`` and player II answers ``(v, w)``, where w is the element
+    index whose basic open v is, or None.  Enforces every legality rule;
+    an illegal move aborts the run with the offender losing.  At the
+    horizon the nonemptiness of the intersection of II's opens decides
+    the bounded verdict.
 
     Each move passes one test that implies all of its player's rules:
     I's ``u`` inside II's last answer (which lies inside the space, so u

@@ -179,10 +179,10 @@ def mf_poset_from_order(space: FiniteTopSpace, order: SubsetOrder) -> MfFromOrde
     opens, poset, mf_space, pairs = open_poset(space, lambda v, w: rows[v] >> w & 1, "order")
     point_filters = {x: sum(1 << e for e, o in enumerate(opens) if rows[1 << x] >> o & 1)
                      for x in range(len(space))}
-    point_of = {poset.up_mask(g): k for k, g in enumerate(mf_space.generators)}
+    point_of = {poset.up_mask(g): g for g in mf_space.generators}
     check = verify_correspondence(
         range(len(space)),
-        len(mf_space),
+        mf_space.whole_mask,
         {x: point_of.get(m) for x, m in point_filters.items()},
         pairs,
     )
@@ -248,11 +248,14 @@ def order_from_poset(poset: FinitePoset) -> OrderFromPosetResult:
         raise PosetError(f"the filter space has more than {FULL_POWERSET_CAP} points")
 
     # MF(P) is discrete (see PosetSpace.is_open): its opens are all sets of
-    # points, and its atoms, the minimal nonempty opens, are the singletons
-    space = FiniteTopSpace([f"F{i}" for i in range(len(mf))], mf.opens, name=f"MF({poset.name})")
+    # points, and its atoms, the minimal nonempty opens, are the singletons.
+    # A FiniteTopSpace numbers its own points: F{i} is up(g) for the i-th minimal g
+    point_bit = dict(zip(mf.generators, [1 << i for i in range(len(mf))]))
+    opens = [_union(point_bit, o) for o in mf.opens]
+    space = FiniteTopSpace([f"F{i}" for i in range(len(mf))], opens, name=f"MF({poset.name})")
     sup = _subsets(len(space))[1]
     n = len(poset)
-    lt_opens = [(mf.opens[p], mf.opens[q]) for p in range(n) for q in range(n) if p != q and poset.leq_idx(p, q)]
+    lt_opens = [(opens[p], opens[q]) for p in range(n) for q in range(n) if p != q and poset.leq_idx(p, q)]
     rows = []
     for v in range(len(sup)):  # the empty set and the atoms below every superset, every set below the whole
         row = -1 if v.bit_count() <= 1 else 1 << space.whole_mask

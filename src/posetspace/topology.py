@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from .poset_core import _BYTE_BITS, FinitePoset, PosetError, UnknownChoice, _bits, _union
+from .poset_core import FinitePoset, PosetError, UnknownChoice, _bits, _union
 from .filters import Filter
 
 
@@ -25,14 +25,16 @@ class NotAPoint(PosetError, KeyError):
 class PosetSpace:
     """The space of maximal (mode "mf") or unbounded (mode "uf") filters.
 
-    Points are the filters generated by the minimal elements, in element
-    order: on a finite poset both kinds are exactly these.  The basic open
-    of an element p collects the points whose filter contains p.
-    ``generators[i]`` is the element index of the least member of point
-    i, and ``opens[e]`` is the basic open of element index e as an int
-    mask over point indices (bit i set when point i contains e).  Every
-    open the class takes or returns is such a mask; ``points`` builds the
-    filters on first use, for text only, and ``point_names`` their strings.
+    Points are the filters generated by the minimal elements: on a finite
+    poset both kinds are exactly these.  The basic open of an element p
+    collects the points whose filter contains p.  Point up(g) is element
+    bit g: ``generators`` lists the minimal element indices in order,
+    ``whole_mask`` has their bits, and ``opens[e]``, the basic open of
+    element index e, is the mask of the minimal elements below e, since
+    up(g) contains e exactly when g <= e.  Every open the class takes or
+    returns is such a mask; ``points`` builds the filters on first use, in
+    element order, for text only, and ``point_names`` maps each generator
+    to its filter's string.
     """
 
     def __init__(self, poset: FinitePoset, mode: str):
@@ -41,24 +43,16 @@ class PosetSpace:
         self.poset = poset
         self.mode = mode
         self.generators = poset.minimal_indices()
-        self.whole_mask = (1 << len(self.generators)) - 1
-        opens, up = [0] * len(poset.elements), poset.up_masks
-        for i, g in enumerate(self.generators):
-            m, bit, base = up[g], 1 << i, 0
-            while m:  # a byte of the up mask at a time, its bits from the table _bits reads
-                for e in _BYTE_BITS[m & 255]:
-                    opens[base + e] |= bit
-                m >>= 8
-                base += 8
-        self.opens = tuple(opens)
+        self.whole_mask = whole = sum([1 << g for g in self.generators])
+        self.opens = tuple([d & whole for d in poset.down_masks])
 
     @functools.cached_property
     def points(self) -> tuple:
         return tuple(Filter(self.poset, g) for g in self.generators)
 
     @functools.cached_property
-    def point_names(self) -> tuple:
-        return tuple(map(str, self.points))
+    def point_names(self) -> dict:
+        return dict(zip(self.generators, map(str, self.points)))
 
     def __len__(self):
         return len(self.generators)
@@ -92,7 +86,7 @@ class PosetSpace:
         if filt.poset != self.poset or filt.generator not in self.generators:
             shown = filt if filt.generator in range(len(filt.poset)) else f"up(element index {filt.generator})"
             raise NotAPoint(f"{shown} is not a point of {self!r}")
-        return self.generators.index(filt.generator)
+        return filt.generator
 
     def set_str(self, s: int) -> str:
         return "{" + ", ".join(self.point_names[i] for i in _bits(s)) + "}"
@@ -102,38 +96,39 @@ class Correspondence(NamedTuple):
     ok: bool
     bijective: bool
     failure: str = ""
-    witness: object = None  # a source point, or a missed destination index
+    witness: object = None  # a source point, or a missed destination point
 
 
-def verify_correspondence(src_points, dst_count, point_map, open_pairs, inverse=None) -> Correspondence:
+def verify_correspondence(src_points, dst_points, point_map, open_pairs, inverse=None) -> Correspondence:
     """Check that a point map is a bijection under which basic opens match.
 
-    Source points are point indices.  ``point_map`` sends each to an
-    index in ``range(dst_count)``; a missing or None entry leaves it
-    undefined.  Each ``(label, src_open, dst_open)`` gives two opens as
-    int masks: bit x of ``src_open`` stands for source point x, bit y of
-    ``dst_open`` for destination point y.  The checks run in order: the
-    map is total, injective and onto; the optional ``inverse`` undoes it
-    on every source point (for a bijection that makes it the two-sided
-    inverse); and for each open pair a source point lies in ``src_open``
-    exactly when its image lies in ``dst_open``.  The first failure is
-    reported with a witness.  When the map is the identity on indices, a
-    pair whose two masks agree on the source points passes by one mask
-    test; any other pair runs the per-point check, which names the
-    witness.
+    Points are bit positions: ``src_points`` lists the source points and
+    the mask ``dst_points`` holds the destination points.  ``point_map``
+    sends each source point to one of them; a missing or None entry
+    leaves it undefined.  Each ``(label, src_open, dst_open)`` gives two
+    opens as int masks: bit x of ``src_open`` stands for source point x,
+    bit y of ``dst_open`` for destination point y.  The checks run in
+    order: the map is total, injective and onto; the optional ``inverse``
+    undoes it on every source point (for a bijection that makes it the
+    two-sided inverse); and for each open pair a source point lies in
+    ``src_open`` exactly when its image lies in ``dst_open``.  The first
+    failure is reported with a witness.  When the map is the identity on
+    bit positions, a pair whose two masks agree on the source points
+    passes by one mask test; any other pair runs the per-point check,
+    which names the witness.
     """
     src_points = tuple(src_points)
     preimage, src_mask = {}, 0
     for x in src_points:
         y = point_map.get(x)
-        if y is None or not 0 <= y < dst_count:
+        if y is None or y < 0 or not dst_points >> y & 1:
             return Correspondence(False, False, "point map is not total", x)
         if y in preimage:
             return Correspondence(False, False, "point map is not injective", x)
         preimage[y] = x
         src_mask |= 1 << x
-    if len(preimage) != dst_count:
-        missed = next(y for y in range(dst_count) if y not in preimage)
+    if len(preimage) != dst_points.bit_count():
+        missed = next(y for y in _bits(dst_points) if y not in preimage)
         return Correspondence(False, False, "point map is not surjective", missed)
     if inverse is not None:
         for x in src_points:
@@ -150,7 +145,7 @@ def verify_correspondence(src_points, dst_count, point_map, open_pairs, inverse=
 
 
 def verify_restriction(space: PosetSpace, sub_space: PosetSpace, at, points):
-    """Verify x -> x intersect R from the point indices ``points`` onto ``sub_space``.
+    """Verify x -> x intersect R from the points ``points`` of ``space`` onto ``sub_space``.
 
     The k-th element of R, the poset of ``sub_space``, is element
     ``at[k]`` of ``space.poset``; R may carry an order of its own.
@@ -159,11 +154,11 @@ def verify_restriction(space: PosetSpace, sub_space: PosetSpace, at, points):
     """
     bits = [1 << i for i in at]
     r_mask, sub, up = sum(bits), sub_space.poset, space.poset.up_masks
-    point_of = {_union(bits, sub.up_mask(g)): j for j, g in enumerate(sub_space.generators)}
-    mapping = {x: point_of.get(up[space.generators[x]] & r_mask) for x in points}
+    point_of = {_union(bits, sub.up_mask(g)): g for g in sub_space.generators}  # as masks over P
+    mapping = {x: point_of.get(up[x] & r_mask) for x in points}
     check = verify_correspondence(
         points,
-        len(sub_space),
+        sub_space.whole_mask,
         mapping,
         [(r, space.opens[at[k]], sub_space.opens[k]) for k, r in enumerate(sub.elements)],
     )
@@ -201,8 +196,8 @@ class ReduceResult(NamedTuple):
     subposet: FinitePoset
     stages: int
     check: Correspondence  # of the restriction map, as restriction_homeomorphism_check finds it
-    # MF(P) point index -> the MF(subposet) point index of its restriction; None
-    # where the restriction is no such point, which the saturation rules out
+    # MF(P) point -> the MF(subposet) point of its restriction; None where the
+    # restriction is no such point, which the saturation rules out
     mapping: dict
 
 
@@ -241,7 +236,7 @@ def reduce_countable_subposet(poset: FinitePoset, seed_basis) -> ReduceResult:
 
     sub = poset.restrict(current, name=f"{poset.name}|reduced")  # element order, which the subposet keeps
     at = list(_bits(current))
-    return ReduceResult(sub, stages, *verify_restriction(space, PosetSpace(sub, "mf"), at, range(len(space))))
+    return ReduceResult(sub, stages, *verify_restriction(space, PosetSpace(sub, "mf"), at, space.generators))
 
 
 def restriction_homeomorphism_check(poset: FinitePoset, r_poset: FinitePoset):
@@ -255,4 +250,4 @@ def restriction_homeomorphism_check(poset: FinitePoset, r_poset: FinitePoset):
     """
     big = PosetSpace(poset, "mf")
     at = [poset.index(r) for r in r_poset.elements]  # the index in P of each element of R
-    return verify_restriction(big, PosetSpace(r_poset, "mf"), at, range(len(big)))
+    return verify_restriction(big, PosetSpace(r_poset, "mf"), at, big.generators)

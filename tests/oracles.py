@@ -46,7 +46,8 @@ closes a basis under unions and validates the opens pair by pair,
 
 The library plays the strong Choquet game on int point masks;
 ``choquet_referee`` with ``canonical_choquet_ii`` and
-``scripted_random_choquet_i`` play it on frozensets of point indices,
+``scripted_random_choquet_i`` play it on frozensets of points, each
+named by its least member's element index (``point`` finds the filter),
 with the literal ``is_open`` and ``basic_open``, check every rule as
 stated, and give the same transcripts.  ``answers_meet`` folds II's
 answers into their intersection, which the library reads off the last
@@ -79,8 +80,9 @@ integer numerators.
 first written: they project a product point with one comb mask per
 coordinate, build the stage order by comparing every pair of stage
 tuples, and check claims 2-4 over enumerated ``Filter`` tuples.  The
-library folds each filter mask onto one period, builds the stage order
-from per-element pair masks, and checks the claims over element indices.
+library reads a product point's projections off its mixed-radix digits,
+builds the stage order from per-element pair masks, and checks the
+claims over element indices.
 
 ``filter_completion_reference`` and ``scott_check_reference`` are the
 filter completion and the Scott check as first written: the completion
@@ -275,30 +277,40 @@ def star_game_masks(poset):
     return ("I" if s else "II"), frozenset(poset.names_of(s)), iterations
 
 
+def point(space, g):
+    """The point of ``space`` named g: the filter among its points whose least member is element g."""
+    return next(f for f in space.points if f.generator == g)
+
+
+def all_points(space) -> frozenset:
+    """Every point of ``space``, each named by the element index of its least member."""
+    return frozenset(f.generator for f in space.points)
+
+
 def basic_open(space, element) -> frozenset:
     """The points whose filter contains ``element``."""
-    return frozenset(i for i, f in enumerate(space.points) if element in f.members)
+    return frozenset(f.generator for f in space.points if element in f.members)
 
 
 def is_open(space, point_set) -> bool:
     """A union of basic opens: every point has a member whose basic open fits."""
     point_set = frozenset(point_set)
-    if not point_set <= frozenset(range(len(space.points))):
+    if not point_set <= all_points(space):
         return False
     return all(
-        any(basic_open(space, p) <= point_set for p in space.points[i].members)
+        any(basic_open(space, p) <= point_set for p in point(space, i).members)
         for i in point_set
     )
 
 
 def point_set(mask) -> frozenset:
-    """The point indices of a point mask."""
+    """The points of a point mask, by the element index of each one's least member."""
     return frozenset(members(mask))
 
 
 def point_set_str(space, point_set) -> str:
-    """A set of point indices as text: its points' filters, in index order."""
-    return "{" + ", ".join(str(space.points[i]) for i in sorted(point_set)) + "}"
+    """A set of points as text: their filters, in the order of their least members."""
+    return "{" + ", ".join(str(point(space, i)) for i in sorted(point_set)) + "}"
 
 
 class ChoquetPosition:
@@ -312,7 +324,7 @@ def choquet_referee(space, strategy_i, strategy_ii, rounds):
     """The strong Choquet game on frozensets: ``(log lines, witnesses, illegal)``.
 
     Player I moves ``(u, x)`` and player II ``(v, witness)``, with u and v
-    sets of point indices and witness an element name or None.  Each rule
+    sets of points and witness an element name or None.  Each rule
     is checked as stated; ``illegal`` is ``(player, round, reason)`` or
     None, and the log lines follow ``ChoquetTranscript.log_lines``.
     """
@@ -342,14 +354,14 @@ def choquet_referee(space, strategy_i, strategy_ii, rounds):
             break
         pos.rounds.append((u, x, v, witness))
     lines = [
-        f"round {t}: I ({point_set_str(space, u)}, {space.points[x]}) | II {point_set_str(space, v)}"
+        f"round {t}: I ({point_set_str(space, u)}, {point(space, x)}) | II {point_set_str(space, v)}"
         for t, (u, x, v, _) in enumerate(pos.rounds)
     ]
     if illegal is not None:
         lines.append(f"illegal: {illegal}")
         winner = "II" if illegal.player == "I" else "I"
     else:
-        inter = answers_meet(frozenset(range(len(space.points))), [r[2] for r in pos.rounds])
+        inter = answers_meet(all_points(space), [r[2] for r in pos.rounds])
         winner = "II" if inter else "I"
     lines.append(f"winner-at-horizon: {winner}")
     verdict = None if illegal is None else (illegal.player, illegal.round_no, illegal.reason)
@@ -380,7 +392,7 @@ def canonical_choquet_ii(space):
         u, x = pos.pending
         prev = next((r[3] for r in reversed(pos.rounds) if r[3] is not None), None)
         for q in poset.elements:
-            if (q in space.points[x].members and (prev is None or poset.leq(q, prev))
+            if (q in point(space, x).members and (prev is None or poset.leq(q, prev))
                     and basic_open(space, q) <= u):
                 return basic_open(space, q), q
         raise ConditionViolated(len(pos.rounds), "no eligible element")
@@ -394,7 +406,7 @@ def scripted_random_choquet_i(seed):
 
     def move(pos):
         space = pos.space
-        prev = pos.rounds[-1][2] if pos.rounds else frozenset(range(len(space.points)))
+        prev = pos.rounds[-1][2] if pos.rounds else all_points(space)
         opens = [basic_open(space, e) for e in space.poset.elements]
         u = rng.choice([u for u in opens if u and u <= prev])
         return u, rng.choice(sorted(u))
@@ -674,27 +686,32 @@ def restriction_homeomorphism(poset, names):
     R is the subposet on ``names``.  The map must be total and injective
     (checked point by point), onto, and must match the basic open of
     every element of R; the counterexample is the first failing point of
-    MF(P), or the first missed point of MF(R), by index.  Images of
+    MF(P), or the first missed point of MF(R), in listing order, named by
+    the element index of its least member.  Images of
     opens are checked open as the definition of a homeomorphism reads,
     open meaning a union of basic opens of R.
     """
     sub = poset.restrict(poset.mask_of(names))
     big, small = maximal_filters(poset), maximal_filters(sub)
+
+    def least(p, f):
+        return next(p.index(e) for e in f if all(p.leq(e, q) for q in f))
+
     image = {}
     for x, f in enumerate(big):
         restricted = f & set(sub.elements)
         if restricted not in small:
-            return False, "point map is not total", x
+            return False, "point map is not total", least(poset, f)
         if small.index(restricted) in image.values():
-            return False, "point map is not injective", x
+            return False, "point map is not injective", least(poset, f)
         image[x] = small.index(restricted)
     missed = [y for y in range(len(small)) if y not in image.values()]
     if missed:
-        return False, "point map is not surjective", missed[0]
+        return False, "point map is not surjective", least(sub, small[missed[0]])
     for r in sub.elements:
         for x, f in enumerate(big):
             if (r in f) != (r in small[image[x]]):
-                return False, f"basic open of {r} does not correspond", x
+                return False, f"basic open of {r} does not correspond", least(poset, f)
     basic = [frozenset(y for y, g in enumerate(small) if r in g) for r in sub.elements]
     for p in poset.elements:
         target = frozenset(image[x] for x, f in enumerate(big) if p in f)
@@ -752,7 +769,7 @@ def reduce_reference(poset, seed_basis) -> ReduceResult:
 
     current.sort()  # element order, which the subposet keeps
     sub = poset.restrict(sum(1 << i for i in current), name=f"{poset.name}|reduced")
-    return ReduceResult(sub, stages, *verify_restriction(space, PosetSpace(sub, "mf"), current, range(len(space))))
+    return ReduceResult(sub, stages, *verify_restriction(space, PosetSpace(sub, "mf"), current, space.generators))
 
 
 def reduce_lower_bound_reference(poset, seed_basis) -> ReduceResult:
@@ -793,7 +810,7 @@ def reduce_lower_bound_reference(poset, seed_basis) -> ReduceResult:
 
     sub = poset.restrict(current, name=f"{poset.name}|reduced")
     at = list(_bits(current))
-    return ReduceResult(sub, stages, *verify_restriction(space, PosetSpace(sub, "mf"), at, range(len(space))))
+    return ReduceResult(sub, stages, *verify_restriction(space, PosetSpace(sub, "mf"), at, space.generators))
 
 
 def crown(m: int) -> FinitePoset:
@@ -857,7 +874,7 @@ def gdelta_uf_claims(poset, result):
         return directed and upclosed
 
     claims, details = {}, {}
-    uf_in_g = [space.points[i] for i in members(inter)]
+    uf_in_g = [point(space, i) for i in members(inter)]
     bad = [f for f in uf_in_g
            if not (set(f.members) <= set(carrier)
                    and is_filter_of(sub, f.members)
@@ -886,7 +903,7 @@ def gdelta_uf_claims(poset, result):
     claims[3] = not bad3
     details[3] = bad3
 
-    inter_sets = {space.points[i].members for i in members(inter)}
+    inter_sets = {point(space, i).members for i in members(inter)}
     bad4 = []
     for f in result.sub_space.points:
         unbounded_in_p = not any(
@@ -1129,12 +1146,14 @@ def serialize_order(order) -> list:
 
 
 def order_rel_from_poset(poset) -> frozenset:
-    """The pairs ``order_from_poset`` relates, pair by pair over the subsets of MF(P)."""
+    """The pairs ``order_from_poset`` relates, pair by pair over the subsets of MF(P), its
+    points numbered in listing order as the order's space numbers them."""
     mf = PosetSpace(poset, "mf")
     subsets = sorted(range(1 << len(mf.points)), key=_set_key)
     whole = (1 << len(mf.points)) - 1
     n = len(poset)
-    lt_opens = [(mf.opens[p], mf.opens[q]) for p in range(n) for q in range(n) if p != q and poset.leq_idx(p, q)]
+    opens = [sum(1 << i for i, f in enumerate(mf.points) if e in f.members) for e in poset.elements]
+    lt_opens = [(opens[p], opens[q]) for p in range(n) for q in range(n) if p != q and poset.leq_idx(p, q)]
     return frozenset(
         (v, w) for v in subsets for w in subsets
         if not v & ~w and (not v or w == whole or v.bit_count() == 1
@@ -1200,28 +1219,28 @@ def product_reference(factors):
 
     fspaces = tuple(PosetSpace(f, "mf") for f in factors)
     pspace = PosetSpace(prod, "mf")
-    point_of = {ups[g]: i for i, g in enumerate(pspace.generators)}
-    combos = list(itertools.product(*(range(len(sp)) for sp in fspaces)))
-    generators = [0]
+    point_of = {ups[g]: g for g in pspace.generators}
+    combos = list(itertools.product(*(sp.generators for sp in fspaces)))
+    generators = [0]  # the position of each combo, among the product elements
     for sp, stride in zip(fspaces, strides):
         generators = [a + g * stride for a in generators for g in sp.generators]
     images = [point_of.get(ups[a]) for a in generators]
     src_opens = _reference_tensor(
         [sp.opens + (sp.whole_mask,) * (len(g) - len(f)) for f, g, sp in zip(factors, topped, fspaces)],
-        [len(sp) for sp in fspaces],
+        sizes,
     )
-    fsets = [{f.up_mask(g): i for i, g in enumerate(sp.generators)} for f, sp in zip(factors, fspaces)]
+    fsets = [{f.up_mask(g): g for g in sp.generators} for f, sp in zip(factors, fspaces)]
     phi_inv = {
-        i: tuple(fsets[k].get(sum(1 << j for j, b in enumerate(at[k]) if ups[g] & b)) for k in range(len(at)))
-        for i, g in enumerate(pspace.generators)
+        g: tuple(fsets[k].get(sum(1 << j for j, b in enumerate(at[k]) if ups[g] & b)) for k in range(len(at)))
+        for g in pspace.generators
     }
-    position = {combo: c for c, combo in enumerate(combos)}
+    position = dict(zip(combos, generators))
     check = verify_correspondence(
-        range(len(combos)),
-        len(pspace),
-        dict(enumerate(images)),
+        generators,
+        pspace.whole_mask,
+        dict(zip(generators, images)),
         zip(names, src_opens, pspace.opens),
-        inverse={i: position.get(t) for i, t in phi_inv.items()},
+        inverse={g: position.get(t) for g, t in phi_inv.items()},
     )
     return ProductResult(
         poset=prod, factors=topped, adjoined_tops=tops, coords=dict(zip(names, coords)),
@@ -1238,7 +1257,7 @@ def _reference_intersection(space, opens):
     inter_points = list(members(inter))
     carrier_mask = 0
     for i in inter_points:
-        carrier_mask |= space.points[i].mask()
+        carrier_mask |= point(space, i).mask()
     return open_masks, inter_points, carrier_mask
 
 
@@ -1266,21 +1285,21 @@ def gdelta_mf_reference(poset, opens):
     q_poset = FinitePoset(ids, masks, f"{poset.name}|gdelta-mf")
     q_space = PosetSpace(q_poset, "mf")
 
-    q_of = {g.mask(): j for j, g in enumerate(q_space.points)}
+    q_of = {g.mask(): g.generator for g in q_space.points}
     phi = {
-        i: q_of.get(sum(1 << s for s, (_, p) in enumerate(stages) if space.points[i].mask() >> p & 1))
+        i: q_of.get(sum(1 << s for s, (_, p) in enumerate(stages) if point(space, i).mask() >> p & 1))
         for i in inter_points
     }
-    inter_of = {space.points[i].mask(): i for i in inter_points}
+    inter_of = {point(space, i).mask(): i for i in inter_points}
     psi = {}
-    for j, g in enumerate(q_space.points):
+    for g in q_space.points:
         closure = 0
         for s in members(g.mask()):
             closure |= poset.up_mask(stages[s][1])
-        psi[j] = inter_of.get(closure)
+        psi[g.generator] = inter_of.get(closure)
     check = verify_correspondence(
         inter_points,
-        len(q_space),
+        q_space.whole_mask,
         phi,
         [(f"stage element {sid}", space.opens[p], q_space.opens[s])
          for s, (sid, (_, p)) in enumerate(zip(ids, stages))],
@@ -1332,12 +1351,12 @@ def gdelta_uf_reference(poset, opens):
         return filter_generator(sub, m) is not None and not bounded(sub, m)
 
     check, mapping = verify_restriction(space, sub_space, at, inter_points)
-    bad = [space.points[i] for i in inter_points if mapping[i] is None]
+    bad = [point(space, i) for i in inter_points if mapping[i] is None]
     bad2 = [f for f in enumerate_filters(sub, "all")
             if max(rank_at[a] for a in members(f.mask())) != INF and not bounded(sub, f.mask())]
     bad3 = [f for f in enumerate_filters(poset, "all")
             if bounded(poset, f.mask()) and unbounded_filter_of_sub(f.mask())]
-    bad4 = [f for j, f in enumerate(sub_space.points) if j not in mapping.values()]
+    bad4 = [f for f in sub_space.points if f.generator not in mapping.values()]
     details = {c: [str(f) for f in fs] for c, fs in enumerate((bad, bad2, bad3, bad4), start=1)}
     claims = {c: not fs for c, fs in details.items()}
 
@@ -1383,10 +1402,7 @@ def scott_check_reference(poset) -> lib.ScottReport:
     space = PosetSpace(poset, "mf")
     max_mask = sum(1 << q for q, up in enumerate(carrier.up_masks) if up == 1 << q)
     scott_of = {carrier.elements[q]: carrier.up_mask(q) & max_mask for q in range(len(carrier))}
-    mf_of = {
-        p: sum(1 << space.generators[i] for i in lib._bits(space.opens[e]))
-        for e, p in enumerate(poset.elements)
-    }
+    mf_of = dict(zip(poset.elements, space.opens))  # point g is completion element g
     scott_family = frozenset(scott_of.values())
     mf_family = frozenset(mf_of.values())
     # the generated topologies, as every union of members: no shortcut shared with the library

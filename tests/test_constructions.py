@@ -57,6 +57,27 @@ def test_product_single_factor(vee):
         assert r.phi_inv[i] == combo
 
 
+def test_product_projections_are_the_literal_projections():
+    # phi_inv reads a product point's projections off its mixed-radix digits. Literally, the
+    # projection of up(a) onto factor k is the set of k-th coordinates of its members, an
+    # adjoined top left out: phi_inv[a][k] is the factor point with those members, or None
+    small = posets_up_to(3)
+    topped = 0
+    for factors in itertools.product(small, repeat=2):
+        r = product_poset(factors)
+        topped += any(t is not None for t in r.adjoined_tops)
+        assert list(r.phi_inv) == [f.generator for f in r.space.points]
+        for f in r.space.points:
+            projections = []
+            for k, (fspace, top) in enumerate(zip(r.factor_spaces, r.adjoined_tops)):
+                coordinates = {r.coords[m][k] for m in f.members} - {top}
+                named = [g.generator for g in fspace.points if g.members == coordinates]
+                projections.append(named[0] if named else None)
+            assert r.phi_inv[f.generator] == tuple(projections), ([p.pairs() for p in factors], f)
+            assert r.phi[r.phi_inv[f.generator]] == f.generator
+    assert 0 < topped < len(small) ** 2
+
+
 def test_product_adjoins_a_top_under_a_fresh_name():
     # neither factor has a greatest element, and each already names an element "top"
     one = validate_poset(["top", "b"], [], "one")
@@ -222,8 +243,9 @@ def test_open_subspace_names_a_stray_witness(vee):
 
 def test_open_subspace_every_open_works(vee):
     sp = PosetSpace(vee, "uf")
-    for u in range(2 ** len(sp.points)):
-        assert open_subspace_uf(vee, u).ok
+    for u in range(sp.whole_mask + 1):
+        if not u & ~sp.whole_mask:  # every set of points
+            assert open_subspace_uf(vee, u).ok
 
 
 def test_gdelta_uf_whole(vee):

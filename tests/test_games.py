@@ -262,7 +262,7 @@ def test_canonical_answers_are_kept_apart_by_witness():
     p = validate_poset(["a", "b", "c", "d"], [("c", "a"), ("d", "a"), ("d", "b")], "N")
     space = PosetSpace(p, "mf")
     strategy = canonical_choquet_strategy(space)
-    whole_and_d = (space.whole_mask, 1)
+    whole_and_d = (space.whole_mask, p.index("d"))
     for witness, expected in ((None, "a"), (p.index("b"), "b"), (None, "a")):
         v, w = strategy(SimpleNamespace(pending=whole_and_d, witness=witness, rounds=[]))
         assert (p.elements[w], v) == (expected, space.opens[w])

@@ -198,11 +198,11 @@ def test_referee_names_the_offence_the_oracle_names(poset_seed, n, mode, data):
     # may be negative, hold a non-point, or break several rules at once.
     p = random_poset(random.Random(poset_seed), n)
     space = PosetSpace(p, mode)
-    k = len(space)
-    points = st.integers(0, (1 << k) - 1)
-    mask = points | st.integers(-(1 << (k + 1)), (1 << (k + 1)) - 1)
+    whole = space.whole_mask  # point up(g) is element bit g
+    points = st.integers(0, whole).map(lambda m: m & whole)
+    mask = points | st.integers(-(1 << (n + 1)), (1 << (n + 1)) - 1)
     rounds = data.draw(st.integers(1, 6))
-    moves = data.draw(st.lists(st.none() | st.tuples(mask, st.integers(-1, k)) | st.tuples(points),
+    moves = data.draw(st.lists(st.none() | st.tuples(mask, st.integers(-1, n)) | st.tuples(points),
                                min_size=rounds, max_size=rounds))
     answers = data.draw(st.lists(st.none() | mask | st.tuples(points), min_size=rounds, max_size=rounds))
 
@@ -228,7 +228,7 @@ def test_referee_names_the_offence_the_oracle_names(poset_seed, n, mode, data):
     def ref_i(pos):
         move = moves[len(pos.rounds)]
         if move is None:
-            prev = pos.rounds[-1][2] if pos.rounds else frozenset(range(k))
+            prev = pos.rounds[-1][2] if pos.rounds else oracles.all_points(space)
             return prev, min(prev)
         return _oracle_set(move[0]), (least(move[0]) if len(move) == 1 else move[1])
 
@@ -249,12 +249,13 @@ def test_referee_names_the_offence_the_oracle_names(poset_seed, n, mode, data):
 def test_filters_are_generator_indices(seed, n, mode, data):
     p = random_poset(random.Random(seed), n)
     space = PosetSpace(p, mode)
-    for i, f in enumerate(space.points):
+    assert [f.generator for f in space.points] == list(space.generators)
+    for f in space.points:
         g = p.elements[f.generator]
         literal = sum(1 << j for j, e in enumerate(p.elements) if p.leq(g, e))
         assert f.mask() == literal
         assert f.members == {e for j, e in enumerate(p.elements) if literal >> j & 1}
-        assert space.point_index(space.points[i]) == i
+        assert space.point_index(f) == f.generator
         assert Filter.of(p, f.members) == f
     for e in range(n):  # every filter is principal
         assert Filter.of(p, p.names_of(p.up_mask(e))) == Filter(p, e)

@@ -272,7 +272,8 @@ def test_order_from_poset_opens_match_oracle():
             continue
         result = order_from_poset(p)
         assert result.order.rel == oracles.order_rel_from_poset(p), p.pairs()
-        opens = {oracles.point_set(o) for o in result.space.opens}
+        # point F{i} of the order's space is the i-th point of MF(P), up(g) for its generator g
+        opens = {frozenset(mf.points[i].generator for i in oracles.point_set(o)) for o in result.space.opens}
         assert opens == oracles.filter_space_opens(mf), p.pairs()
         checked += 1
     assert checked > 300

@@ -50,7 +50,7 @@ def test_point_names_are_the_point_strings():
         for mode in ("mf", "uf"):
             sp = PosetSpace(p, mode)
             assert len(sp.point_names) == len(sp)
-            assert all(sp.point_names[i] == str(sp.points[i]) for i in range(len(sp)))
+            assert all(sp.point_names[f.generator] == str(f) for f in sp.points)
             assert sp.set_str(sp.whole_mask) == "{" + ", ".join(map(str, sp.points)) + "}"
 
 
@@ -107,13 +107,19 @@ def test_is_open_and_basic_opens_match_oracle():
             sp = PosetSpace(p, mode)
             for e in p.elements:
                 assert oracles.point_set(sp.basic_open(e)) == oracles.basic_open(sp, e)
-            n = len(sp.points)
-            top = FiniteTopSpace([f"F{i}" for i in range(n)], sp.opens)
-            for s in range(-1, 2 ** n + 1):
-                assert sp.is_open(s) == top.is_open(s), (p.name, mode, s)
-                assert sp.is_open(s) == (0 <= s < 2 ** n and oracles.is_open(sp, oracles.point_set(s)))
+            # a finite space on the points, F{i} for the i-th, and a point mask as a mask over them
+            dense = {f.generator: 1 << i for i, f in enumerate(sp.points)}
+
+            def compact(mask):
+                return sum(dense[g] for g in oracles.members(mask))
+
+            top = FiniteTopSpace([f"F{i}" for i in range(len(sp.points))], [compact(o) for o in sp.opens])
+            for s in range(-1, 2 ** len(p) + 1):
+                in_points = 0 <= s and not s & ~sp.whole_mask
+                assert sp.is_open(s) == (in_points and top.is_open(compact(s))), (p.name, mode, s)
+                assert sp.is_open(s) == (0 <= s < 2 ** len(p) and oracles.is_open(sp, oracles.point_set(s)))
             assert not sp.is_open(frozenset())
-            assert not sp.is_open(frozenset(range(n)))
+            assert not sp.is_open(oracles.all_points(sp))
 
 
 def test_point_index_refuses_a_filter_that_is_no_point(vee, chain2):
@@ -201,9 +207,10 @@ def test_reduce_mapping_restricts_each_filter():
             except NotABasis:
                 continue
             space, sub_space = PosetSpace(p, "mf"), PosetSpace(result.subposet, "mf")
-            assert list(result.mapping) == list(range(len(space)))
+            assert list(result.mapping) == [f.generator for f in space.points]
             for i, j in result.mapping.items():
-                assert sub_space.points[j].members == space.points[i].members & set(result.subposet.elements), (p.name, seed)
+                restricted = oracles.point(space, i).members & set(result.subposet.elements)
+                assert oracles.point(sub_space, j).members == restricted, (p.name, seed)
 
 
 def _reduce_outcome(reduce, poset, seed):
@@ -303,85 +310,91 @@ def _mask(points):
 
 
 def _construction_maps(vee, chain2, antichain2):
-    """(source points, destination count, map, open pairs, inverse) per construction.
+    """(source points, destination points, map, open pairs, inverse) per construction.
 
     The open pairs are rebuilt here from the literal definitions, as masks,
     so the verifier is fed the same object each construction claims to
-    verify.  A product's source points are the positions of its tuples of
-    factor points in ``phi``.
+    verify.  A product's source point for a tuple of factor points is the
+    product element the tuple's generators make, which ``phi`` gives.
     """
     for factors in ([vee, antichain2], [chain2, vee], [vee, vee]):
         r = product_poset(factors)
-        combos = list(r.phi)
         opens = [
-            (name, _mask(c for c, combo in enumerate(combos)
-                         if all(x == r.adjoined_tops[k] or x in r.factor_spaces[k].points[combo[k]]
+            (name, _mask(a for combo, a in r.phi.items()
+                         if all(x == r.adjoined_tops[k] or x in oracles.point(r.factor_spaces[k], combo[k])
                                 for k, x in enumerate(xs))),
              r.space.basic_open(name))
             for name, xs in r.coords.items()
         ]
-        position = {combo: c for c, combo in enumerate(combos)}
-        inverse = {i: position.get(combo) for i, combo in r.phi_inv.items()}
-        yield list(range(len(combos))), len(r.space.points), dict(enumerate(r.phi.values())), opens, inverse
+        inverse = {i: r.phi.get(combo) for i, combo in r.phi_inv.items()}
+        src = list(r.phi.values())  # a tuple's source point is the product point phi sends it to
+        yield src, r.space.whole_mask, {a: a for a in src}, opens, inverse
     for opens in ([["a", "c"]], [["a"]]):
         r = gdelta_mf_poset(vee, opens)
         pairs = [(sid, r.space.basic_open(sid.split(":", 1)[1]), r.stage_space.basic_open(sid))
                  for sid in r.poset.elements]
-        yield oracles.members(r.intersection), len(r.stage_space.points), r.phi, pairs, r.psi
+        yield oracles.members(r.intersection), r.stage_space.whole_mask, r.phi, pairs, r.psi
     uf = PosetSpace(vee, "uf")
     for u in (uf.whole_mask, uf.basic_open("a")):
         r = open_subspace_uf(vee, u)
         pairs = [(e, r.space.basic_open(e), r.sub_space.basic_open(e)) for e in r.subposet.elements]
-        yield sorted(r.mapping), len(r.sub_space.points), r.mapping, pairs, None
+        yield sorted(r.mapping), r.sub_space.whole_mask, r.mapping, pairs, None
     for points in (["x", "y"], ["x", "y", "z"]):
         x = FiniteTopSpace.discrete(points)
         r = precompact_open_poset(x)
         pairs = [(i, r.space.basic_open(i), o) for i, o in r.open_of.items()]
-        yield list(range(len(r.space.points))), len(x), r.point_of, pairs, None
+        yield sorted(oracles.all_points(r.space)), x.whole_mask, r.point_of, pairs, None
 
 
 def test_verifier_rejects_every_single_mutation(vee, chain2, antichain2):
     cases = list(_construction_maps(vee, chain2, antichain2))
     assert len(cases) == 9
-    for src, n, point_map, pairs, inverse in cases:
-        assert verify_correspondence(src, n, point_map, pairs, inverse).ok
+    for src, dst, point_map, pairs, inverse in cases:
+        assert verify_correspondence(src, dst, point_map, pairs, inverse).ok
         assert any(s for _, s, _ in pairs)
         for x in src:
-            for y in [None, *range(n + 1)]:
+            # every other image: none, a negative one, every bit up to one past the last point,
+            # so also each bit between the points that is no point
+            for y in [None, -1, *range(dst.bit_length() + 1)]:
                 if y == point_map[x]:
                     continue
                 bad = {**point_map, x: y}
-                assert not verify_correspondence(src, n, bad, pairs, inverse).ok, (x, y)
+                assert not verify_correspondence(src, dst, bad, pairs, inverse).ok, (x, y)
             if inverse is not None:
                 bad_inv = {**inverse, point_map[x]: None}
-                assert not verify_correspondence(src, n, point_map, pairs, bad_inv).ok
+                assert not verify_correspondence(src, dst, point_map, pairs, bad_inv).ok
             for k, (label, src_open, dst_open) in enumerate(pairs):
                 for mutated in ((label, src_open ^ 1 << x, dst_open),
                                 (label, src_open, dst_open ^ 1 << point_map[x])):
                     bad_pairs = pairs[:k] + [mutated] + pairs[k + 1:]
-                    assert not verify_correspondence(src, n, point_map, bad_pairs, inverse).ok
+                    assert not verify_correspondence(src, dst, point_map, bad_pairs, inverse).ok
 
 
 def test_verifier_failure_order_and_witness():
     pairs = [("u", 0b01, 0b10)]  # source point 0 and destination point 1
-    assert verify_correspondence([0, 1], 2, {0: 1}, pairs).failure == "point map is not total"
-    r = verify_correspondence([0, 1], 2, {0: 1, 1: 1}, pairs)
+    assert verify_correspondence([0, 1], 0b11, {0: 1}, pairs).failure == "point map is not total"
+    for image in (-1, 2, 4):  # negative, a bit between points that is no point, and past the points
+        r = verify_correspondence([0, 1], 0b1011, {0: 1, 1: image}, pairs)
+        assert (r.failure, r.witness, r.bijective) == ("point map is not total", 1, False), image
+    r = verify_correspondence([0, 1], 0b11, {0: 1, 1: 1}, pairs)
     assert (r.failure, r.witness) == ("point map is not injective", 1)
-    r = verify_correspondence([0], 2, {0: 1}, pairs)
+    r = verify_correspondence([0], 0b11, {0: 1}, pairs)
     assert (r.failure, r.witness, r.bijective) == ("point map is not surjective", 0, False)
-    r = verify_correspondence([0, 1], 2, {0: 1, 1: 0}, pairs, inverse={0: 0, 1: 1})
+    r = verify_correspondence([0], 0b1010, {0: 1}, pairs)
+    assert (r.failure, r.witness) == ("point map is not surjective", 3)  # a missed point is named by its bit
+    r = verify_correspondence([0, 1], 0b11, {0: 1, 1: 0}, pairs, inverse={0: 0, 1: 1})
     assert (r.failure, r.bijective) == ("point map and its inverse disagree", True)
-    r = verify_correspondence([0, 1], 2, {0: 1, 1: 0}, [("u", 0b01, 0b01)])
+    r = verify_correspondence([0, 1], 0b11, {0: 1, 1: 0}, [("u", 0b01, 0b01)])
     assert (r.failure, r.witness, r.bijective) == ("basic open of u does not correspond", 0, True)
     assert verify_correspondence([], 0, {}, [("u", 0, 0)]).ok
 
 
 def test_verifier_reads_only_the_bits_of_mapped_points():
     # bits of a source open outside the source points, and of a destination
-    # open outside range(dst_count), take no part in the open check
+    # open outside the destination points, take no part in the open check
     for point_map in ({0: 0, 1: 1}, {0: 1, 1: 0}):
         image = 1 << point_map[0]  # of the source open {0}, plus a stray source bit 2
-        assert verify_correspondence([0, 1], 2, point_map, [("u", 0b101, image | 0b1100)]).ok
+        assert verify_correspondence([0, 1], 0b11, point_map, [("u", 0b101, image | 0b1100)]).ok
     # the witness is the first failing source point in the given order
-    r = verify_correspondence([1, 0], 2, {0: 1, 1: 0}, [("u", 0b11, 0)])
+    r = verify_correspondence([1, 0], 0b11, {0: 1, 1: 0}, [("u", 0b11, 0)])
     assert (r.failure, r.witness) == ("basic open of u does not correspond", 1)
