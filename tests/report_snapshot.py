@@ -2,10 +2,14 @@
 
 The argvs are fixed: every labeled poset with at most 4 elements under
 each of POSET_ARGVS, and every topology on 1 to 3 points under each of
-TOPOLOGY_ARGVS (T1_ARGVS on the T1 ones only).  Each report is the exit
-code and the text ``cli.run`` writes, hashed to 8 hex digits.  The
-snapshot keys them compactly: per argv template, the hashes of its inputs
-in catalog order, separated by spaces.
+TOPOLOGY_ARGVS (T1_ARGVS on the T1 ones only).  MALFORMED_ARGVS pin the
+parse-error reports: each input file of a small poset or topology, and
+each metric file in bench/fixtures, is run with each of its lines
+deleted and with each repeated; WRONG_KIND_ARGV feeds a poset to a
+metric verb.  Each report is the exit code and the text ``cli.run``
+writes, hashed to 8 hex digits.  The snapshot keys them compactly: per
+argv template, the hashes of its inputs in catalog order, separated by
+spaces.
 
     PYTHONPATH=src python tests/report_snapshot.py          # rewrite the snapshot
     PYTHONPATH=src python tests/report_snapshot.py --check  # exit 1 naming the first argv that differs
@@ -47,6 +51,11 @@ POSET_ARGVS = (
 )
 TOPOLOGY_ARGVS = ("space {f}", "topo-order {f} --serialize", "topo-order {f} --check axioms")
 T1_ARGVS = ("mf-characterize {f} --depth 1",)
+# {m} is a variant of an input file with one line deleted or repeated: of each poset file with at most
+# 3 elements, each topology file on 1 or 2 points, and each metric file in FIXTURES, in that order
+MALFORMED_ARGVS = ("filters {m}", "space {m}", "formalballs {m}")
+WRONG_KIND_ARGV = "formalballs {f}"
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "bench" / "fixtures"
 
 
 def space_to_text(space) -> str:
@@ -55,6 +64,13 @@ def space_to_text(space) -> str:
     lines += [" ".join([f"open B{k}"] + [space.points[x] for x in range(len(space)) if b >> x & 1])
               for k, b in enumerate(space.basis)]
     return "\n".join(lines) + "\n"
+
+
+def _variants(text) -> list:
+    """``text`` with each of its lines deleted, then with each of them repeated."""
+    lines = text.splitlines(keepends=True)
+    return (["".join(lines[:k] + lines[k + 1:]) for k in range(len(lines))]
+            + ["".join(lines[:k + 1] + lines[k:]) for k in range(len(lines))])
 
 
 def _inputs(directory):
@@ -74,6 +90,16 @@ def _inputs(directory):
         fields[template] = [{"f": f"t{i}.space"} for i in range(len(topologies))]
     for template in T1_ARGVS:
         fields[template] = [{"f": f"t{i}.space"} for i, t in enumerate(topologies) if t.is_t1()]
+    sources = ([(f"p{i}.poset", poset_to_text(p)) for i, p in enumerate(posets) if len(p) <= 3],
+               [(f"t{i}.space", space_to_text(t)) for i, t in enumerate(topologies) if len(t) <= 2],
+               [(f.name, f.read_text(encoding="utf-8")) for f in sorted(FIXTURES.glob("*.metric"))])
+    for template, files in zip(MALFORMED_ARGVS, sources):
+        fields[template] = []
+        for name, text in files:
+            for k, variant in enumerate(_variants(text)):
+                (directory / f"m{k}-{name}").write_text(variant, encoding="utf-8")
+                fields[template].append({"m": f"m{k}-{name}"})
+    fields[WRONG_KIND_ARGV] = [{"f": "p0.poset"}]
     return fields
 
 
