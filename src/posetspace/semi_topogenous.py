@@ -184,7 +184,7 @@ def mf_poset_from_order(space: FiniteTopSpace, order: SubsetOrder) -> MfFromOrde
         range(len(space)),
         mf_space.whole_mask,
         {x: point_of.get(m) for x, m in point_filters.items()},
-        pairs,
+        [(i, o, m) for i, m, o in pairs],  # the space's points are the source
     )
 
     # each maximal filter's family of opens meets the order: each is in the row of one of them

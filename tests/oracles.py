@@ -106,6 +106,13 @@ are the dense-set helpers as first written, on element names with
 ``leq`` and ``lt``: density by the definition, every element above some
 member.  The library reads element masks off ``down_masks`` and takes
 density as holding every minimal element.
+
+``poset_text_reference``, ``metric_text_reference``,
+``space_text_reference`` and ``input_text_reference`` are the file
+readers as first written: one record loop per format, each checking its
+own header, declarations and unknown directives, and a dispatcher that
+splits the text once to read the kind and the chosen reader splits it
+again.  The library reads every format in one pass over the records.
 """
 
 import itertools
@@ -113,17 +120,21 @@ import math
 import random
 from fractions import Fraction
 
-from posetspace import domain_theory as lib
+from posetspace import domain_theory as lib, poset_core
 from posetspace.choquet_mf import (
     BadDepth, CharacterizationReport, Condition, ConditionRequirementViolation, ConditionSystem, MixedSpaces,
     PreconditionFailed,
 )
 from posetspace.constructions import (
-    INF, GdeltaMfResult, GdeltaUfResult, NotDescending, ProductResult, _set_key,
+    INF, FiniteTopSpace, GdeltaMfResult, GdeltaUfResult, MetricAxiomViolation, NotDescending, ProductResult,
+    RationalMetric, _set_key,
 )
+from posetspace.files import ParseError
 from posetspace.filters import Filter, bounded, enumerate_filters, filter_generator
 from posetspace.games import ConditionViolated, IllegalMove
-from posetspace.poset_core import AntisymmetryViolation, FinitePoset, PosetError, _bits, incompatible, validate_poset
+from posetspace.poset_core import (
+    AntisymmetryViolation, FinitePoset, IrreflexivityViolation, PosetError, _bits, incompatible, validate_poset,
+)
 from posetspace.topology import NotABasis, PosetSpace, ReduceResult, verify_correspondence, verify_restriction
 
 
@@ -1571,3 +1582,143 @@ def random_dense_sets(rng, poset, count: int):
                 dense.add(rng.choice(below))
         out.append(frozenset(dense))
     return out
+
+
+def records_reference(text):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        yield line_no, line.split()
+
+
+def poset_text_reference(text) -> FinitePoset:
+    name = None
+    elems = []
+    seen = set()
+    pairs = []
+    strict = None
+    for line_no, fields in records_reference(text):
+        kind = fields[0]
+        if kind == "poset":
+            if name is not None:
+                raise ParseError(line_no, "duplicate poset header")
+            if len(fields) != 2:
+                raise ParseError(line_no, "expected: poset <name>")
+            name = fields[1]
+        elif kind == "elem":
+            if len(fields) != 2:
+                raise ParseError(line_no, "expected: elem <id>")
+            if fields[1] in seen:
+                raise ParseError(line_no, f"duplicate element {fields[1]!r}")
+            seen.add(fields[1])
+            elems.append(fields[1])
+        elif kind in ("le", "lt"):
+            if len(fields) != 3:
+                raise ParseError(line_no, f"expected: {kind} <a> <b>")
+            if strict is None:
+                strict = kind == "lt"
+            elif strict != (kind == "lt"):
+                raise ParseError(line_no, "cannot mix le and lt lines")
+            pairs.append(((fields[1], fields[2]), line_no))
+        else:
+            raise ParseError(line_no, f"unknown directive {kind!r}")
+    if name is None:
+        raise ParseError(None, "missing poset header")
+    for (a, b), line_no in pairs:
+        for x in (a, b):
+            if x not in seen:
+                raise ParseError(line_no, f"relation mentions undeclared element {x!r}")
+    build = poset_core.strict_to_poset if strict else poset_core.validate_poset
+    try:
+        return build(elems, [p for p, _ in pairs], name)
+    except (AntisymmetryViolation, IrreflexivityViolation):
+        for upto in range(1, len(pairs) + 1):
+            try:
+                build(elems, [p for p, _ in pairs[:upto]], name)
+            except (AntisymmetryViolation, IrreflexivityViolation) as err:
+                raise ParseError(pairs[upto - 1][1], str(err)) from None
+
+
+def metric_text_reference(text) -> RationalMetric:
+    name = None
+    points = []
+    dist = {}
+    entries = []
+    for line_no, fields in records_reference(text):
+        kind = fields[0]
+        if kind == "metric":
+            if len(fields) != 2 or name is not None:
+                raise ParseError(line_no, "expected a single: metric <name>")
+            name = fields[1]
+        elif kind == "point":
+            if len(fields) != 2:
+                raise ParseError(line_no, "expected: point <id>")
+            if fields[1] in points:
+                raise ParseError(line_no, f"duplicate point {fields[1]!r}")
+            points.append(fields[1])
+        elif kind == "dist":
+            if len(fields) != 4:
+                raise ParseError(line_no, "expected: dist <a> <b> <num>/<den>")
+            try:
+                value = Fraction(fields[3])
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(line_no, f"bad rational {fields[3]!r}") from None
+            entries.append(((fields[1], fields[2]), value, line_no))
+        else:
+            raise ParseError(line_no, f"unknown directive {kind!r}")
+    if name is None:
+        raise ParseError(None, "missing metric header")
+    for (a, b), value, line_no in entries:
+        if (a, b) in dist and dist[(a, b)] != value:
+            raise ParseError(line_no, f"conflicting distance for {a} {b}")
+        dist[(a, b)] = value
+    try:
+        return RationalMetric(points, dist, name)
+    except MetricAxiomViolation as err:
+        raise ParseError(None, str(err)) from None
+
+
+def space_text_reference(text) -> FiniteTopSpace:
+    name = None
+    points = {}
+    basis = []
+    for line_no, fields in records_reference(text):
+        kind = fields[0]
+        if kind == "space":
+            if len(fields) != 2 or name is not None:
+                raise ParseError(line_no, "expected a single: space <name>")
+            name = fields[1]
+        elif kind == "point":
+            if len(fields) != 2:
+                raise ParseError(line_no, "expected: point <id>")
+            if fields[1] in points:
+                raise ParseError(line_no, f"duplicate point {fields[1]!r}")
+            points[fields[1]] = len(points)
+        elif kind == "open":
+            if len(fields) < 2:
+                raise ParseError(line_no, "expected: open <name> <pt> ...")
+            mask = 0
+            for p in fields[2:]:
+                if p not in points:
+                    raise ParseError(line_no, f"open mentions undeclared point {p!r}")
+                mask |= 1 << points[p]
+            basis.append(mask)
+        else:
+            raise ParseError(line_no, f"unknown directive {kind!r}")
+    if name is None:
+        raise ParseError(None, "missing space header")
+    try:
+        return FiniteTopSpace(points, basis, name)
+    except PosetError as err:
+        raise ParseError(None, str(err)) from None
+
+
+def input_text_reference(text):
+    for line_no, fields in records_reference(text):
+        parse = {"poset": poset_text_reference, "metric": metric_text_reference,
+                 "space": space_text_reference}.get(fields[0])
+        if parse is None:
+            raise ParseError(line_no, f"unknown file kind {fields[0]!r}; expected poset, metric, or space")
+        return parse(text)
+    raise ParseError(None, "empty input")
