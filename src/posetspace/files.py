@@ -42,14 +42,20 @@ def _build_poset(ids, rels, name):
     build = poset_core.strict_to_poset if rels and rels[0][0] == "lt" else poset_core.validate_poset
     try:
         return build(ids, pairs, name)
-    except (AntisymmetryViolation, IrreflexivityViolation):
-        # replay the pairs one at a time to pin the offending line; the loop always raises,
-        # since its last prefix is the whole pair list, which has just raised
-        for upto in range(1, len(pairs) + 1):
-            try:
-                build(ids, pairs[:upto], name)
-            except (AntisymmetryViolation, IrreflexivityViolation) as err:
-                raise ParseError(rels[upto - 1][2], str(err)) from None
+    except (AntisymmetryViolation, IrreflexivityViolation) as err:
+        failure = err
+    # pin the offending line: the shortest prefix of the pairs that raises. A prefix that raises
+    # keeps raising as pairs are added (a cycle or a strict self pair stays), so bisect on its
+    # length, keeping the first lo pairs building and the first hi raising
+    lo, hi = 0, len(pairs)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            build(ids, pairs[:mid], name)
+            lo = mid
+        except (AntisymmetryViolation, IrreflexivityViolation) as err:
+            hi, failure = mid, err
+    raise ParseError(rels[hi - 1][2], str(failure))
 
 
 def _dist_line(line_no, fields, ids, rels):
@@ -143,6 +149,13 @@ def parse_poset_text(text) -> FinitePoset:
 
 
 def poset_to_text(poset: FinitePoset) -> str:
+    """The ``poset`` file of ``poset``, spaces in its name written as ``_``.
+
+    An id or name holding ``#`` is refused with PosetError: the reader would cut it at the comment.
+    """
+    for word in (poset.name, *poset.elements):
+        if "#" in word:
+            raise PosetError(f"cannot write {word!r} to a poset file: '#' starts a comment there")
     lines = [f"poset {poset.name.replace(' ', '_')}"]
     lines += [f"elem {e}" for e in poset.elements]
     lines += [f"le {a} {b}" for a, b in poset.pairs() if a != b]

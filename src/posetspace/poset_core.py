@@ -230,7 +230,9 @@ def _transitive_close(masks):
     Warshall's method ("A theorem on Boolean matrices", J. ACM 9, 1962):
     after step k, row i holds every element reached from i through
     intermediates among elements 0..k.  Any relation is accepted, cyclic
-    ones included; the diagonal is added only where a cycle puts it.
+    ones included; the diagonal is added only where a cycle puts it.  Only
+    relations that may have cycles come here: ``all_topologies``' preorders
+    and a cyclic input to :func:`_closed_masks`.
     """
     reached = 0
     for i, m in enumerate(masks):
@@ -244,10 +246,36 @@ def _transitive_close(masks):
     return list(masks)
 
 
+def _close_acyclic(succ, order):
+    """The up and down masks of the reflexive-transitive closure of an acyclic relation.
+
+    ``succ[i]`` masks the direct successors of i, and ``order`` lists each index after its
+    direct predecessors.  Walked from the top, an up mask is its own bit ORed with its
+    direct successors' closed up masks; walked from the bottom, a down mask is pushed into
+    its direct successors.  Each input pair costs one OR per direction.
+    """
+    up = [0] * len(succ)
+    for i in reversed(order):
+        m = 1 << i
+        for j in _bits(succ[i]):
+            m |= up[j]
+        up[i] = m
+    down = [1 << i for i in range(len(succ))]
+    for i in order:
+        d = down[i]
+        for j in _bits(succ[i]):
+            down[j] |= d
+    return up, down
+
+
 def _closed_masks(elements, pairs, strict):
-    """The element tuple and the closure of ``pairs`` as row masks, with the diagonal unless ``strict``.
+    """The element tuple and the up and down masks of the reflexive-transitive closure of ``pairs``.
 
     Raises in input order: a bad or duplicate id, then per pair an undeclared element or a strict self pair.
+    An acyclic relation closes in one pass of :func:`_close_acyclic`: on the listing order when every
+    pair rises in it, on its reverse when every pair falls, else on the order of Kahn's algorithm
+    ("Topological sorting of large networks", CACM 5(11), 1962).  A cycle (a self pair is none unless
+    ``strict``) raises from Warshall's closure, which names the witness (:func:`_cycle_error`).
     """
     index = {}
     for e in elements:
@@ -255,31 +283,73 @@ def _closed_masks(elements, pairs, strict):
         if e in index:
             raise DuplicateElement(e)
         index[e] = len(index)
-    masks = [0 if strict else 1 << i for i in range(len(index))]
+    n = len(index)
+    succ = [0] * n
+    rising = falling = True
     for a, b in pairs:
         for x in (a, b):
             if x not in index:
                 raise UnknownElementInPair(x, (a, b))
-        if strict and a == b:
-            raise IrreflexivityViolation(a)
-        masks[index[a]] |= 1 << index[b]
-    return tuple(index), _transitive_close(masks)
+        i, j = index[a], index[b]
+        if i == j:
+            if strict:
+                raise IrreflexivityViolation(a)
+            continue  # the diagonal is in every closure
+        if i < j:
+            falling = False
+        else:
+            rising = False
+        succ[i] |= 1 << j
+    elems = tuple(index)
+    if rising or falling:
+        order = range(n) if rising else range(n - 1, -1, -1)
+    else:
+        order = _kahn_order(succ)
+        if len(order) < n:
+            raise _cycle_error(elems, succ, strict)
+    return (elems, *_close_acyclic(succ, order))
+
+
+def _kahn_order(succ):
+    """The indices in an order that lists each after its direct predecessors; short of some when ``succ`` has a cycle."""
+    indegree = [0] * len(succ)
+    for s in succ:
+        for j in _bits(s):
+            indegree[j] += 1
+    ready = [i for i, d in enumerate(indegree) if not d]
+    order = []
+    while ready:
+        i = ready.pop()
+        order.append(i)
+        for j in _bits(succ[i]):
+            indegree[j] -= 1
+            if not indegree[j]:
+                ready.append(j)
+    return order
+
+
+def _cycle_error(elems, succ, strict):
+    """The violation a cycle of ``succ`` makes: the first element in index order that the strict
+    closure relates to itself, else the first lying below and above another, with the first such."""
+    masks = _transitive_close(succ if strict else [s | 1 << i for i, s in enumerate(succ)])
+    if strict:
+        i = next(i for i, m in enumerate(masks) if m >> i & 1)
+        return IrreflexivityViolation(elems[i], derived=True)
+    i, j = next((i, j) for i, m in enumerate(masks) for j in _bits(m & ~(1 << i)) if masks[j] >> i & 1)
+    return AntisymmetryViolation(elems[i], elems[j])
 
 
 def validate_poset(elements, pairs, name="poset") -> FinitePoset:
     """Build a poset from raw elements and relation pairs.
 
     The input pairs are closed reflexively and transitively, so Hasse
-    style minimal input is accepted.  Raises AntisymmetryViolation when
-    the closure relates two distinct elements both ways.
+    style minimal input is accepted: an acyclic relation in one topological
+    pass that yields the up and down masks, with no transpose (see
+    :func:`_closed_masks`).  A cycle raises AntisymmetryViolation, with the
+    witness that Warshall's closure of the relation names.
     """
-    elems, masks = _closed_masks(elements, pairs, strict=False)
-    poset = FinitePoset(elems, masks, name)
-    for i, (m, d) in enumerate(zip(poset.up_masks, poset.down_masks)):
-        both = m & d & ~(1 << i)
-        if both:  # the first such i is the lower of its pair, as a pair-by-pair scan finds it
-            raise AntisymmetryViolation(elems[i], elems[_bits(both)[0]])
-    return poset
+    elems, up, down = _closed_masks(elements, pairs, strict=False)
+    return FinitePoset(elems, up, name, down)
 
 
 def incompatible(poset: FinitePoset, p, q) -> bool:
@@ -288,12 +358,14 @@ def incompatible(poset: FinitePoset, p, q) -> bool:
 
 
 def strict_to_poset(elements, strict_pairs, name="poset") -> FinitePoset:
-    """Adjoin the diagonal to a strict (irreflexive, transitive) relation."""
-    elems, masks = _closed_masks(elements, strict_pairs, strict=True)
-    for i, m in enumerate(masks):
-        if m >> i & 1:
-            raise IrreflexivityViolation(elems[i], derived=True)
-    return FinitePoset(elems, [m | 1 << i for i, m in enumerate(masks)], name)
+    """Adjoin the diagonal to a strict (irreflexive, transitive) relation.
+
+    The pairs close as in :func:`validate_poset`.  A self pair raises
+    IrreflexivityViolation at once, and a cycle raises it ``derived``,
+    naming the first element that Warshall's closure relates to itself.
+    """
+    elems, up, down = _closed_masks(elements, strict_pairs, strict=True)
+    return FinitePoset(elems, up, name, down)
 
 
 def poset_to_strict(poset: FinitePoset):

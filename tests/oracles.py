@@ -113,6 +113,15 @@ readers as first written: one record loop per format, each checking its
 own header, declarations and unknown directives, and a dispatcher that
 splits the text once to read the kind and the chosen reader splits it
 again.  The library reads every format in one pass over the records.
+``poset_text_reference`` pins a cyclic file's line by replaying every
+prefix of its pairs in turn; the library bisects on the prefix length.
+
+``closed_poset_reference`` is ``validate_poset`` and ``strict_to_poset``
+as first written: Warshall's closure rebuilds every row at each step,
+the poset transposes its up masks, and the witness is found by a scan in
+index order.  The library closes an acyclic relation in one topological
+pass that yields both mask directions, and runs Warshall's closure only
+on a cycle.
 """
 
 import itertools
@@ -1722,3 +1731,40 @@ def input_text_reference(text):
             raise ParseError(line_no, f"unknown file kind {fields[0]!r}; expected poset, metric, or space")
         return parse(text)
     raise ParseError(None, "empty input")
+
+
+def closed_poset_reference(elements, pairs, strict, name="poset") -> FinitePoset:
+    """``validate_poset`` (``strict`` false) and ``strict_to_poset`` as first written on masks.
+
+    The pairs close by Warshall's method (``poset_core._transitive_close``,
+    itself checked against ``transitive_close``), the poset transposes its
+    own up masks, and the checks scan in index order: for ``le`` pairs the
+    first element lying below and above another, with the first such other
+    one; for ``lt`` pairs the first element the closure relates to itself.
+    """
+    index = {}
+    for e in elements:
+        poset_core.check_element_id(e)
+        if e in index:
+            raise poset_core.DuplicateElement(e)
+        index[e] = len(index)
+    masks = [0 if strict else 1 << i for i in range(len(index))]
+    for a, b in pairs:
+        for x in (a, b):
+            if x not in index:
+                raise poset_core.UnknownElementInPair(x, (a, b))
+        if strict and a == b:
+            raise IrreflexivityViolation(a)
+        masks[index[a]] |= 1 << index[b]
+    elems, masks = tuple(index), poset_core._transitive_close(masks)
+    if strict:
+        for i, m in enumerate(masks):
+            if m >> i & 1:
+                raise IrreflexivityViolation(elems[i], derived=True)
+        return FinitePoset(elems, [m | 1 << i for i, m in enumerate(masks)], name)
+    poset = FinitePoset(elems, masks, name)
+    for i, (m, d) in enumerate(zip(poset.up_masks, poset.down_masks)):
+        both = m & d & ~(1 << i)
+        if both:
+            raise AntisymmetryViolation(elems[i], elems[_bits(both)[0]])
+    return poset

@@ -26,7 +26,7 @@ from posetspace.files import (
 )
 from posetspace.filters import Filter, NotAFilter
 from posetspace.games import IllegalMove
-from posetspace.poset_core import FinitePoset
+from posetspace.poset_core import FinitePoset, PosetError, validate_poset
 from posetspace.semi_topogenous import AxiomReport
 from posetspace.topology import NotABasis, reduce_countable_subposet, verify_restriction
 
@@ -103,6 +103,17 @@ def test_parse_strict_poset():
 def test_poset_text_round_trip():
     p = parse_poset_text(VEE)
     assert parse_poset_text(poset_to_text(p)) == p
+
+
+def test_poset_to_text_refuses_a_hash_it_could_not_read_back():
+    # the reader cuts every line at '#': the id a#b would read back as a, and a relation line
+    # naming it would fail as "expected: le <a> <b>"
+    for poset, word in ((validate_poset(["a#b"], [], "p"), "a#b"),
+                        (validate_poset(["a#b", "c"], [("a#b", "c")], "p"), "a#b"),
+                        (validate_poset(["a"], [], "p#2"), "p#2")):
+        with pytest.raises(PosetError) as err:
+            poset_to_text(poset)
+        assert str(err.value) == f"cannot write {word!r} to a poset file: '#' starts a comment there"
 
 
 def test_parse_metric():

@@ -346,8 +346,9 @@ def test_random_poset_is_the_reference_draw_at_edge_probability_0_4():
     for seed in range(20):
         rng, ref = random.Random(seed), random.Random(seed)
         for n in range(9):
-            p = random_poset(rng, n)
-            assert p == oracles.random_poset_at(ref, n, 0.4) and p.name == "random", (seed, n)
+            p, expected = random_poset(rng, n), oracles.random_poset_at(ref, n, 0.4)
+            assert p == expected and p.name == "random", (seed, n)
+            assert p.down_masks == expected.down_masks, (seed, n)  # the reference transposes its up masks
         assert rng.random() == ref.random()
 
 

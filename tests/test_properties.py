@@ -6,6 +6,7 @@ import io
 import itertools
 import os
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,9 +22,11 @@ from posetspace.poset_core import (
     AntisymmetryViolation,
     FinitePoset,
     InvalidElementId,
+    PosetError,
     _bits,
     _transitive_close,
     check_element_id,
+    strict_to_poset,
     validate_poset,
 )
 from posetspace.topology import PosetSpace
@@ -100,10 +103,19 @@ def test_supplied_down_masks_are_the_transpose(seed, n, edge_prob):
 
 
 @fixed
-@given(st.integers(min_value=0, max_value=2**32), st.integers(0, 8), st.floats(0.0, 1.0))
-def test_poset_text_round_trips(seed, n, edge_prob):
+@given(st.integers(min_value=0, max_value=2**32), st.integers(0, 8), st.floats(0.0, 1.0),
+       st.sampled_from((None, "#", "a#b", "#a", "a#")), st.integers(-1, 7))
+def test_poset_text_round_trips(seed, n, edge_prob, hashed, where):
     p = oracles.random_poset_at(random.Random(seed), n, edge_prob)
-    assert parse_poset_text(poset_to_text(p)) == p
+    if hashed is None or where >= n:
+        assert parse_poset_text(poset_to_text(p)) == p
+        return
+    # `hashed` as the name (where is -1) or as element where's id: the reader would cut it at the
+    # '#', so the writer refuses it by name
+    ids = [hashed if i == where else e for i, e in enumerate(p.elements)]
+    q = validate_poset(ids, [(ids[p.index(a)], ids[p.index(b)]) for a, b in p.pairs()], hashed if where < 0 else "q")
+    with pytest.raises(PosetError, match=f"cannot write '{re.escape(hashed)}' to a poset file"):
+        poset_to_text(q)
 
 
 @fixed
@@ -116,6 +128,46 @@ def test_closure_is_idempotent(seed, n, edge_prob):
     rng = random.Random(seed)
     once = _transitive_close([rng.getrandbits(n) | 1 << i for i in range(n)])
     assert _transitive_close(once) == once
+
+
+@st.composite
+def relations(draw):
+    """Elements in a listing order and pairs on them, up to 40 elements: upward along a ranking that
+    shuffles the listing order, follows it or reverses it (acyclic), plus in some a few pairs
+    pointing back down it or self pairs, in shuffled order."""
+    n = draw(st.integers(0, 40))
+    rank = draw(st.one_of(st.permutations(range(n)), st.sampled_from((range(n), range(n)[::-1]))))
+    pairs = []
+    if n > 1:
+        density = draw(st.sampled_from((0.02, 0.1, 0.3)))
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        pairs = [(a, b) for a in range(n) for b in range(n) if rank[a] < rank[b] and rng.random() < density]
+        back = draw(st.sampled_from((0, 0, 1, 3)))
+        pairs += [(b, a) for a, b in rng.sample(pairs, min(back, len(pairs)))]
+        pairs += [(a, a) for a in rng.sample(range(n), draw(st.sampled_from((0, 0, 1))))]
+        rng.shuffle(pairs)
+    names = [f"e{i}" for i in range(n)]
+    return names, [(names[a], names[b]) for a, b in pairs]
+
+
+def closure_outcome(build, *args):
+    """The poset's elements, name, up and down masks, or the error's type and text."""
+    try:
+        p = build(*args)
+    except Exception as err:  # noqa: BLE001 - any refusal must match as well
+        return type(err), str(err)
+    return p.elements, p.name, p.up_masks, p.down_masks
+
+
+@settings(fixed, max_examples=400)
+@given(relations())
+def test_one_pass_closure_matches_the_warshall_and_transpose_reference(relation):
+    names, pairs = relation
+    for build, strict in ((validate_poset, False), (strict_to_poset, True)):
+        got = closure_outcome(build, names, pairs, "r")
+        assert got == closure_outcome(oracles.closed_poset_reference, names, pairs, strict, "r"), (build, relation)
+        if not isinstance(got[0], type):
+            assert_down_masks_transpose(build(names, pairs, "r"))
 
 
 @fixed

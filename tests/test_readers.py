@@ -97,3 +97,41 @@ def test_parse_input_text_splits_a_text_once(monkeypatch):
     for text in inputs:
         parse_input_text(text)
     assert calls == list(inputs)
+
+
+@st.composite
+def cyclic_poset_texts(draw):
+    """A poset file whose pairs often close a cycle: a random relation on up to 30 elements in a
+    shuffled listing order, upward along a random permutation, with a few pairs pointing back down
+    it and, in some, self pairs, all in shuffled line order."""
+    n = draw(st.integers(1, 30))
+    rank = draw(st.permutations(range(n)))
+    ups = [(a, b) for a in range(n) for b in range(n) if rank[a] < rank[b]]
+    pairs = draw(st.lists(st.sampled_from(ups), max_size=40)) if ups else []
+    pairs += [(b, a) for a, b in draw(st.lists(st.sampled_from(ups), max_size=3))] if ups else []
+    pairs += [(a, a) for a in draw(st.lists(st.integers(0, n - 1), max_size=1))]
+    pairs = draw(st.permutations(pairs))
+    word = draw(st.sampled_from(("le", "lt")))
+    lines = ["poset c"] + [f"elem e{i}" for i in draw(st.permutations(range(n)))]
+    return "\n".join(lines + [f"{word} e{a} e{b}" for a, b in pairs]) + "\n"
+
+
+@settings(fixed, max_examples=300)
+@given(cyclic_poset_texts())
+def test_the_offending_line_matches_the_linear_replay(text):
+    # the reader bisects on the prefix length; the reference replays every prefix in turn
+    assert outcome(parse_poset_text, text) == outcome(oracles.poset_text_reference, text), text
+
+
+def test_a_cyclic_file_is_pinned_in_logarithmically_many_builds(monkeypatch):
+    n = 200
+    text = "\n".join(["poset c"] + [f"elem e{i}" for i in range(n)] + [f"le e{i} e{i + 1}" for i in range(n - 1)]
+                     + [f"le e{n - 1} e0"]) + "\n"
+    builds = []
+    build = files.poset_core.validate_poset
+    monkeypatch.setattr(files.poset_core, "validate_poset", lambda *args: builds.append(args) or build(*args))
+    expected = outcome(oracles.poset_text_reference, text)  # the replay builds each of the 200 prefixes
+    assert expected == (ParseError, 2 * n + 1, "elements 'e0' and 'e1' lie below each other but are distinct")
+    builds.clear()
+    assert outcome(parse_poset_text, text) == expected
+    assert len(builds) == 1 + (n - 1).bit_length()  # the whole file, then one build per halving
